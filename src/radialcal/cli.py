@@ -31,7 +31,7 @@ from .calibration import (
     compare_models,
 )
 from .cubic import NoRealSolution
-from .distortion import Model, NotConverged, distort_normalized, undistort
+from .distortion import Model, NotConverged, undistort_array, warp_factor
 from .fileio import (
     ParseError,
     fmt,
@@ -49,8 +49,8 @@ from .geometry import (
     DepthNotPositive,
     PixelPoint,
     WorldPoint,
-    to_normalized,
-    to_pixel,
+    to_normalized_array,
+    to_pixel_array,
 )
 from .localize import (
     DegenerateLine,
@@ -205,22 +205,19 @@ def _cmd_undistort(args: argparse.Namespace) -> int:
     except (OSError, ParseError) as exc:
         return _fail(str(exc), EXIT_PARSE)
     A, spec = calib.intrinsics, calib.distortion
-    out = np.empty_like(points)
-    failures = 0
-    for i, (u, v) in enumerate(points):
-        try:
-            n = to_normalized(PixelPoint(u, v), A)
-            warped = (
-                distort_normalized(spec, n)
-                if args.direction == "forward"
-                else undistort(spec, n)
-            )
-            p = to_pixel(warped, A)
-            out[i] = (p.u, p.v)
-        except (NoRealSolution, NotConverged):
-            out[i] = (math.nan, math.nan)
-            failures += 1
+    # A row with a non-finite coordinate, such as a nan,nan row of an earlier
+    # run, is a failed row.
+    points[~np.isfinite(points).all(axis=1)] = math.nan
+    xy = to_normalized_array(points, A)
+    if args.direction == "forward":
+        warped = xy * warp_factor(spec, np.hypot(xy[:, 0], xy[:, 1]))[:, None]
+    else:
+        warped = undistort_array(spec, xy)
+    out = to_pixel_array(warped, A)
+    failed = ~np.isfinite(out).all(axis=1)
+    out[failed] = math.nan
     write_points(args.output, out)
+    failures = int(failed.sum())
     if failures:
         print(f"{failures} of {len(points)} points had no admissible solution")
         return EXIT_NO_SOLUTION

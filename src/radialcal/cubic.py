@@ -1,11 +1,12 @@
 """Real-root extraction for ``y = x + p x^2 + q x^3`` and the inverses of the
 odd quadratic radial warp built on it.
 
-RadiusCubic solves the model3 radius equation ``r + k1 r^2 + k2 r^3 = r_d``
-once per point; ``distortion.undistort`` uses it. undistort_component and
-undistort_xy are the paper's component form of the same cubic (sign-branch
-candidate selection, two solves per point), kept as the reference that the
-radius form is tested against.
+RadiusCubic solves the radius equation ``r + p r^2 + q r^3 = r_d`` of the
+model2 (``p = 0``) and model3 warps once per point, or for a whole array of
+points at once; ``distortion.undistort`` and ``distortion.undistort_array``
+use it. undistort_component and undistort_xy are the paper's component form
+of the model3 cubic (sign-branch candidate selection, two solves per point),
+kept as the reference that the radius form is tested against.
 
 The cubic is solved through the depressed-cubic substitution with the
 trigonometric method in the three-real-root regime and a cancellation-safe
@@ -24,7 +25,10 @@ into a well-conditioned quadratic discriminant.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 # Relative threshold under which the cubic degenerates to a quadratic; the
 # radical formulas divide by q, so tiny q must be routed away explicitly.
@@ -39,6 +43,12 @@ _INPUT_ZERO = 1e-12
 # |disc| below this multiple of its own term magnitudes is considered
 # indistinguishable from rounding noise.
 _DISC_MARGIN = 1e-9
+# A Newton step this small (relative to 1 + |x|) is rounding noise of the
+# residual: the error left after it is of order step^2, far below one ulp,
+# while a tighter bound sits under the noise and keeps iterating.
+_STEP_TOL = 4.0 * sys.float_info.epsilon
+# The three trigonometric roots are m cos((phi + k) / 3) - shift for these k.
+_TRIG_OFFSETS = (0.0, 2.0 * math.pi, 4.0 * math.pi)
 
 
 class NoRealSolution(ValueError):
@@ -123,7 +133,7 @@ def _fast_polish(y: float, p: float, q: float, x: float) -> float | None:
             break
         step = g / dg
         x = x - step
-        if abs(step) <= 1e-16 * (1.0 + abs(x)):
+        if abs(step) <= _STEP_TOL * (1.0 + abs(x)):
             break
     ax = abs(x)
     res = x + p * (x * x) + q * (x * x * x) - y
@@ -131,6 +141,33 @@ def _fast_polish(y: float, p: float, q: float, x: float) -> float | None:
     if math.isfinite(res) and abs(res) <= 1e-9 * scale:
         return x
     return None
+
+
+def _fast_polish_array(y: np.ndarray, p: float, q: float, x: np.ndarray) -> np.ndarray:
+    """_fast_polish on arrays, lane by lane the same steps and stop rule.
+
+    NaN starts stay NaN; lanes whose residual check fails come back as NaN.
+    """
+    x = x.copy()
+    live = np.flatnonzero(~np.isnan(x))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(6):
+            if live.size == 0:
+                break
+            xl, yl = x[live], y[live]
+            xx = xl * xl
+            g = xl + p * xx + q * (xx * xl) - yl
+            dg = 1.0 + 2.0 * p * xl + 3.0 * q * xx
+            flat = dg == 0.0
+            step = np.where(flat, 0.0, g / dg)
+            xl = xl - step
+            x[live] = xl
+            live = live[~(flat | (np.abs(step) <= _STEP_TOL * (1.0 + np.abs(xl))))]
+        ax = np.abs(x)
+        res = x + p * (x * x) + q * (x * x * x) - y
+        scale = np.maximum(1.0, np.abs(y)) + ax + abs(p) * (ax * ax) + abs(q) * (ax * ax * ax)
+        ok = np.isfinite(res) & (np.abs(res) <= 1e-9 * scale)
+        return np.where(ok, x, np.nan)
 
 
 def _is_true_root(y: float, p: float, q: float, x: float) -> bool:
@@ -323,30 +360,31 @@ def real_roots(c: CubicCoeffs) -> RootSet:
 
 
 class RadiusCubic:
-    """The model3 radius equation ``r + k1 r^2 + k2 r^3 = r_d`` for one spec.
+    """The radius equation ``r + p r^2 + q r^3 = r_d`` of one warp.
 
-    With ``r = sqrt(1 + c^2) |x|`` the positive branch of the component cubic
+    model3 has ``(p, q) = (k1, k2)`` and model2 ``(0, k1)``. For model3, with
+    ``r = sqrt(1 + c^2) |x|`` the positive branch of the component cubic
     solved by undistort_component becomes this cubic, so one solve per point
     replaces the two sign-branch solves. Everything of the depressed cubic
-    that depends only on (k1, k2) is computed here once; ``solve`` adds the
+    that depends only on (p, q) is computed here once; ``solve`` adds the
     ``r_d`` term, picks the positive closed-form root nearest ``r_d`` (the
     same selection rule), and polishes and verifies that root only. An
-    undecided discriminant, a failed verification or a negligible ``k2``
+    undecided discriminant, a failed verification or a negligible ``q``
     sends the point through the general _solve_cubic path instead.
     """
 
-    __slots__ = ("k1", "k2", "shift", "Q0", "P", "third", "cube", "m")
+    __slots__ = ("p", "q", "shift", "Q0", "P", "third", "cube", "m")
 
-    def __init__(self, k1: float, k2: float) -> None:
-        self.k1 = k1
-        self.k2 = k2
-        if abs(k2) < _Q_NEGLIGIBLE * (1.0 + abs(k1)):
+    def __init__(self, p: float, q: float) -> None:
+        self.p = p
+        self.q = q
+        if abs(q) < _Q_NEGLIGIBLE * (1.0 + abs(p)):
             # Quadratic regime: _solve_cubic owns it; Q0 = None routes there.
             self.Q0 = None
             return
         # The same substitution as _solve_cubic, minus the r_d-dependent D.
-        B = k1 / k2
-        C = 1.0 / k2
+        B = p / q
+        C = 1.0 / q
         self.shift = B / 3.0
         self.P = C - B * B / 3.0
         self.Q0 = 2.0 * B ** 3 / 27.0 - B * C / 3.0
@@ -364,7 +402,7 @@ class RadiusCubic:
             return 0.0
         if self.Q0 is None:
             return self._general(r_d)
-        Q = self.Q0 - r_d / self.k2
+        Q = self.Q0 - r_d / self.q
         half = 0.5 * Q
         cube = self.cube
         disc = half * half + cube
@@ -390,7 +428,7 @@ class RadiusCubic:
                 arg = -1.0
             phi = math.acos(arg)
             best_dist = math.inf
-            for k in (0.0, 2.0 * math.pi, 4.0 * math.pi):
+            for k in _TRIG_OFFSETS:
                 raw = m * math.cos((phi + k) / 3.0) - self.shift
                 if raw >= -sign_tol and abs(raw - r_d) < best_dist:
                     best, best_dist = raw, abs(raw - r_d)
@@ -398,19 +436,66 @@ class RadiusCubic:
             return self._general(r_d)
         if best is None:
             raise NoRealSolution(self._no_root_message(r_d))
-        r = _fast_polish(r_d, self.k1, self.k2, best)
+        r = _fast_polish(r_d, self.p, self.q, best)
         if r is not None and r > _ZERO_ROOT:
             return r
         return self._general(r_d)
 
+    def solve_array(self, r_d: np.ndarray) -> np.ndarray:
+        """``solve`` for a 1-D array of observed radii, in one array pass.
+
+        The same closed form, selection rule, polish and verification, lane
+        by lane. Radii at or below the zero threshold give 0. A lane that
+        solve would send to the general path or answer with NoRealSolution
+        (undecided discriminant, no admissible root, failed verification,
+        negligible ``q``), and a non-finite radius, gives NaN: the caller
+        settles those lanes with ``solve``.
+        """
+        r_d = np.asarray(r_d, dtype=float)
+        r = np.where(r_d <= _INPUT_ZERO, 0.0, np.nan)
+        if self.Q0 is None:
+            return r
+        lanes = np.flatnonzero((r_d > _INPUT_ZERO) & np.isfinite(r_d))
+        y = r_d[lanes]
+        Q = self.Q0 - y / self.q
+        half = 0.5 * Q
+        cube = self.cube
+        disc = half * half + cube
+        noise = half * half + abs(cube)
+        sign_tol = 1e-6 * (1.0 + y)
+        best = np.full(y.shape, np.nan)
+        one = disc > _DISC_MARGIN * noise
+        if one.any():
+            h = half[one]
+            sq = np.sqrt(disc[one])
+            u = np.cbrt(np.where(h <= 0.0, -h + sq, -h - sq))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                z = np.where(u != 0.0, u - self.third / u, 0.0)
+            best[one] = z - self.shift
+        three = disc < -_DISC_MARGIN * noise
+        if three.any():
+            m = self.m
+            phi = np.arccos(np.clip(3.0 * Q[three] / (self.P * m), -1.0, 1.0))
+            raw = m * np.cos((phi[:, None] + _TRIG_OFFSETS) / 3.0) - self.shift
+            dist = np.where(
+                raw >= -sign_tol[three, None], np.abs(raw - y[three, None]), np.inf
+            )
+            k = np.argmin(dist, axis=1)
+            rows = np.arange(k.size)
+            best[three] = np.where(np.isfinite(dist[rows, k]), raw[rows, k], np.nan)
+        best[~(best >= -sign_tol)] = np.nan
+        x = _fast_polish_array(y, self.p, self.q, best)
+        r[lanes] = np.where(x > _ZERO_ROOT, x, np.nan)
+        return r
+
     def _general(self, r_d: float) -> float:
-        r = _branch_candidate(r_d, self.k1, self.k2, positive=True)
+        r = _branch_candidate(r_d, self.p, self.q, positive=True)
         if r is None:
             raise NoRealSolution(self._no_root_message(r_d))
         return r
 
     def _no_root_message(self, r_d: float) -> str:
-        return f"no positive real root for r_d={r_d!r} (k1={self.k1!r}, k2={self.k2!r})"
+        return f"no positive real root for r_d={r_d!r} (p={self.p!r}, q={self.q!r})"
 
 
 def _branch_candidate(y: float, p: float, q: float, positive: bool) -> float | None:

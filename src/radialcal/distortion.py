@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cubic import CubicCoeffs, NoRealSolution, RadiusCubic, real_roots
+from .cubic import NoRealSolution, RadiusCubic
 from .geometry import IntrinsicMatrix, NormalizedPoint, PixelPoint, to_normalized
 
 
@@ -166,11 +166,17 @@ def validate_monotone(spec: DistortionSpec, dom: WorkingDomain) -> bool:
     return not any(0.0 <= r <= dom.r_max for r in critical)
 
 
+# Residual tolerance (relative to max(1, r_d)) and step budget of the
+# Newton radius inversion, scalar and array alike.
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 50
+
+
 def invert_radius_newton(
     spec: DistortionSpec,
     r_d: float,
-    tol: float = 1e-12,
-    max_iter: int = 50,
+    tol: float = _NEWTON_TOL,
+    max_iter: int = _NEWTON_MAX_ITER,
 ) -> float:
     """Damped Newton solve of ``r f(r) = r_d`` starting from ``r = r_d``.
 
@@ -211,57 +217,96 @@ def invert_radius_newton(
     )
 
 
-def _undistort_model2(spec: DistortionSpec, d: NormalizedPoint) -> NormalizedPoint:
-    """Depressed-cubic inverse for the single-coefficient even warp.
+def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> np.ndarray:
+    """invert_radius_newton on a 1-D array of observed radii, all lanes at once.
 
-    With ``c = y_d / x_d`` the component equation is
-    ``x_d = x + k1 (1 + c^2) x^3`` (no quadratic term), solved by the same
-    cubic machinery; the admissible root is the one closest to ``x_d``. A
-    relatively negligible x component swaps the axis roles so ``c`` stays
-    bounded.
+    The same start, steps and default tolerance, without the damping: a lane
+    whose full step would need halving, meets a non-increasing slope or does
+    not converge gives NaN, as does a non-finite radius, for the caller to
+    settle with invert_radius_newton itself.
     """
-    if abs(d.x) <= 1e-12 * max(1.0, abs(d.y)):
-        if abs(d.y) <= 1e-12:
-            return NormalizedPoint(0.0, 0.0)
-        roots = real_roots(CubicCoeffs(y=d.y, p=0.0, q=spec.k1))
-        y = min(roots, key=lambda t: abs(t - d.y))
-        return NormalizedPoint(0.0, y)
-    c = d.y / d.x
-    roots = real_roots(CubicCoeffs(y=d.x, p=0.0, q=spec.k1 * (1.0 + c * c)))
-    if len(roots) == 0:
-        raise NoRealSolution(f"no real root for x_d={d.x!r} under {spec}")
-    x = min(roots, key=lambda t: abs(t - d.x))
-    return NormalizedPoint(x, c * x)
+    r = np.where(r_d == 0.0, 0.0, np.nan)
+    lanes = np.flatnonzero((r_d > 0.0) & np.isfinite(r_d))
+    y = x = r_d[lanes]
+    limit = _NEWTON_TOL * np.maximum(1.0, y)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        res = x * warp_factor(spec, x) - y
+        for _ in range(_NEWTON_MAX_ITER):
+            done = np.abs(res) <= limit
+            r[lanes[done]] = x[done]
+            go = ~done
+            lanes, y, x, res, limit = lanes[go], y[go], x[go], res[go], limit[go]
+            if lanes.size == 0:
+                break
+            slope = warp_factor(spec, x) + x * warp_slope(spec, x)
+            x_new = x - res / slope
+            res_new = x_new * warp_factor(spec, x_new) - y
+            go = (slope > 0.0) & (x_new >= 0.0) & (np.abs(res_new) < np.abs(res))
+            lanes, y, x, res, limit = lanes[go], y[go], x_new[go], res_new[go], limit[go]
+    done = np.abs(res) <= limit
+    r[lanes[done]] = x[done]
+    return r
 
 
 @lru_cache(maxsize=64)
-def _model3_radius_cubic(k1: float, k2: float) -> RadiusCubic:
-    return RadiusCubic(k1, k2)
+def _cached_radius_cubic(p: float, q: float) -> RadiusCubic:
+    return RadiusCubic(p, q)
+
+
+def _radius_cubic(spec: DistortionSpec) -> RadiusCubic:
+    """The radius equation ``r f(r) = r_d`` of model2 or model3 as a cubic."""
+    if spec.model is Model.MODEL2:
+        return _cached_radius_cubic(0.0, spec.k1)
+    return _cached_radius_cubic(spec.k1, spec.k2)
 
 
 def undistort(spec: DistortionSpec, d: NormalizedPoint) -> NormalizedPoint:
     """Inverse of distort_normalized on the spec's monotone working domain.
 
-    model3 solves its radius cubic ``r + k1 r^2 + k2 r^3 = r_d`` once per
-    point in closed form and rescales ``(x_d, y_d)`` by ``r / r_d``; this is
-    the paper's component cubic (``cubic.undistort_xy``, kept as the
-    reference) with ``r = sqrt(1 + c^2) |x|``, and inside the monotone
-    domain both give the same point. model2 also uses closed-form cubic
-    roots; model1 has no closed form and falls back to the damped-Newton
-    radius inversion.
+    model2 and model3 solve their radius cubic ``r + k1 r^2 + k2 r^3 = r_d``
+    (model2: ``r + k1 r^3 = r_d``) once per point in closed form and rescale
+    ``(x_d, y_d)`` by ``r / r_d``; for model3 this is the paper's component
+    cubic (``cubic.undistort_xy``, kept as the reference) with
+    ``r = sqrt(1 + c^2) |x|``, and inside the monotone domain both give the
+    same point. model1 has no closed form and falls back to the damped-Newton
+    radius inversion. Past the fold of ``r f(r)`` no positive radius exists:
+    NoRealSolution (model2, model3) or NotConverged (model1).
     """
-    if spec.model is Model.MODEL3:
-        r_d = d.radius
-        r = _model3_radius_cubic(spec.k1, spec.k2).solve(r_d)
-        if r == 0.0:
-            return NormalizedPoint(0.0, 0.0)
-        s = r / r_d
-        return NormalizedPoint(d.x * s, d.y * s)
-    if spec.model is Model.MODEL2:
-        return _undistort_model2(spec, d)
     r_d = d.radius
-    if r_d == 0.0:
+    if spec.model is Model.MODEL1:
+        r = invert_radius_newton(spec, r_d)
+    else:
+        r = _radius_cubic(spec).solve(r_d)
+    if r == 0.0:
         return NormalizedPoint(0.0, 0.0)
-    r = invert_radius_newton(spec, r_d)
     s = r / r_d
     return NormalizedPoint(d.x * s, d.y * s)
+
+
+def undistort_array(spec: DistortionSpec, xy: np.ndarray) -> np.ndarray:
+    """undistort for an ``(n, 2)`` array of distorted normalized points.
+
+    The radius equation is solved for all rows in one array pass: the
+    closed-form radius cubic for model2 and model3, an undamped Newton for
+    model1. Rows the array pass cannot settle (an undecided discriminant, a
+    failed residual check, a step that needs damping) go through undistort
+    itself, so both give the same points. Rows with no admissible solution,
+    and rows with a non-finite component, come back as NaN.
+    """
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    r_d = np.hypot(xy[:, 0], xy[:, 1])
+    if spec.model is Model.MODEL1:
+        r = _newton_radius_array(spec, r_d)
+    else:
+        r = _radius_cubic(spec).solve_array(r_d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = xy * (r / r_d)[:, None]
+    out[r == 0.0] = 0.0
+    for i in np.flatnonzero(np.isnan(r) & np.isfinite(r_d)):
+        x, y = xy[i].tolist()
+        try:
+            n = undistort(spec, NormalizedPoint(x, y))
+        except (NoRealSolution, NotConverged):
+            continue
+        out[i] = n.x, n.y
+    return out

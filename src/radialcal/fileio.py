@@ -116,11 +116,10 @@ def read_correspondences(path: str | Path) -> CorrespondenceSet:
 
 
 def write_points(path: str | Path, points: np.ndarray) -> None:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    rows = [POINTS_HEADER]
-    for u, v in points.reshape(-1, 2) if points.size else []:
-        rows.append(f"{fmt(u)},{fmt(v)}")
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    """Write ``u,v`` rows; ``%.17g`` is the same rendering as fmt."""
+    values = np.asarray(points, dtype=float).reshape(-1, 2)
+    body = "%.17g,%.17g\n" * len(values) % tuple(values.ravel().tolist())
+    atomic_write_text(path, f"{POINTS_HEADER}\n{body}")
 
 
 def read_points(path: str | Path) -> np.ndarray:

@@ -328,6 +328,20 @@ def to_normalized(p: PixelPoint, A: IntrinsicMatrix) -> NormalizedPoint:
     return NormalizedPoint(du / a - g * dv / (a * b), dv / b)
 
 
+def to_pixel_array(xy: np.ndarray, A: IntrinsicMatrix) -> np.ndarray:
+    """to_pixel for an ``(n, 2)`` array of normalized points, same arithmetic."""
+    x, y = xy[:, 0], xy[:, 1]
+    return np.column_stack([A.alpha * x + A.gamma * y + A.u0, A.beta * y + A.v0])
+
+
+def to_normalized_array(uv: np.ndarray, A: IntrinsicMatrix) -> np.ndarray:
+    """to_normalized for an ``(n, 2)`` array of pixels, same arithmetic."""
+    a, b, g = A.alpha, A.beta, A.gamma
+    du = uv[:, 0] - A.u0
+    dv = uv[:, 1] - A.v0
+    return np.column_stack([du / a - g * dv / (a * b), dv / b])
+
+
 def normalize_world(P: WorldPoint, E: ViewExtrinsics) -> NormalizedPoint:
     """Map a world point to the unit focal plane under a view's pose."""
     c = E.transform_to_camera(P)

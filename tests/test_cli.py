@@ -220,6 +220,38 @@ class TestUndistort:
         assert math.isnan(out[1, 0]) and math.isnan(out[1, 1])
 
 
+    def test_single_term_model_past_fold_gives_nan_row_and_exit_5(self, tmp_path, capsys):
+        # F(r) = r - 0.15 r^3 peaks at F = 0.994; the pixel (200, 0) lies at
+        # normalized radius 2, which has no preimage.
+        A = IntrinsicMatrix(100.0, 100.0, 0.0, 0.0, 0.0)
+        write_exact_calibration(tmp_path / "calib.json", A, DistortionSpec(Model.MODEL2, -0.15))
+        write_points(tmp_path / "pts.csv", np.array([[50.0, 0.0], [200.0, 0.0]]))
+        code = main(
+            ["undistort", "--calib", str(tmp_path / "calib.json"), "--points",
+             str(tmp_path / "pts.csv"), "--output", str(tmp_path / "out.csv")]
+        )
+        assert code == 5
+        assert "1 of 2" in capsys.readouterr().out
+        out = read_points(tmp_path / "out.csv")
+        assert np.isfinite(out[0]).all() and np.isnan(out[1]).all()
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_non_finite_row_gives_nan_row_and_exit_5(self, tmp_path, capsys, direction):
+        A = IntrinsicMatrix(800.0, 800.0, 0.2, 320.0, 240.0)
+        write_exact_calibration(tmp_path / "calib.json", A, DistortionSpec(Model.MODEL3, -0.12, -0.14))
+        (tmp_path / "pts.csv").write_text("u,v\n100,200\nnan,3\n5,inf\nnan,nan\n")
+        argv = ["undistort", "--calib", str(tmp_path / "calib.json"), "--direction", direction]
+        code = main(argv + ["--points", str(tmp_path / "pts.csv"), "--output", str(tmp_path / "a.csv")])
+        assert code == 5
+        assert "3 of 4" in capsys.readouterr().out
+        out = read_points(tmp_path / "a.csv")
+        assert np.isfinite(out[0]).all() and np.isnan(out[1:]).all()
+        # The tool's own output, failed rows included, is valid input again.
+        code = main(argv + ["--points", str(tmp_path / "a.csv"), "--output", str(tmp_path / "b.csv")])
+        assert code == 5
+        assert np.isnan(read_points(tmp_path / "b.csv")[1:]).all()
+
+
 class TestLocalize:
     def _setup(self, tmp_path, delta_theta=0.0, dt=(0.0, 0.0)):
         A = IntrinsicMatrix(800.0, 800.0, 0.0, 320.0, 240.0)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radialcal.cubic import NoRealSolution, undistort_xy
+from radialcal import distortion
+from radialcal.cubic import _Q_NEGLIGIBLE, NoRealSolution, undistort_xy
 from radialcal.distortion import (
     DistortionSpec,
     Model,
@@ -17,6 +18,7 @@ from radialcal.distortion import (
     invert_radius_newton,
     n_coefficients,
     undistort,
+    undistort_array,
     validate_monotone,
     warp_factor,
 )
@@ -271,6 +273,14 @@ class TestUndistort:
         with pytest.raises(NoRealSolution):
             undistort(spec, NormalizedPoint(0.9, 1.2))
 
+    def test_model2_beyond_fold_raises(self):
+        # F(r) = r - 0.15 r^3 peaks at F = 0.994: radius 2 has no preimage,
+        # where the component cubic used to return the reflected point
+        # (-3.28, 0) with f(r) = -0.61.
+        spec = DistortionSpec(Model.MODEL2, -0.15)
+        with pytest.raises(NoRealSolution):
+            undistort(spec, NormalizedPoint(2.0, 0.0))
+
     def test_two_term_even_model_out_of_fold_raises(self):
         # F(r) = r (1 + k1 r^2) tops out at F(r*) = (2/3) r*; beyond that no
         # preimage exists and the damped Newton inverse must report failure.
@@ -283,6 +293,95 @@ class TestUndistort:
     def test_newton_inverter_rejects_negative_radius(self):
         with pytest.raises(ValueError):
             invert_radius_newton(DistortionSpec(Model.MODEL1, -0.1, 0.0), -1.0)
+
+
+def scalar_undistort_rows(spec, xy):
+    """undistort row by row, NaN where it reports no admissible solution."""
+    out = np.full(xy.shape, np.nan)
+    for i, (x, y) in enumerate(xy.tolist()):
+        try:
+            n = undistort(spec, NormalizedPoint(x, y))
+        except (NoRealSolution, NotConverged):
+            continue
+        out[i] = n.x, n.y
+    return out
+
+
+def assert_rows_agree(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * np.maximum(1.0, np.abs(want[ok])))
+
+
+class TestUndistortArray:
+    @pytest.mark.parametrize(
+        "model,k1,k2,folds",
+        [
+            (Model.MODEL1, -0.2, 0.05, False),
+            (Model.MODEL1, -0.5, 0.0, True),
+            (Model.MODEL2, -0.15, 0.0, True),
+            (Model.MODEL2, 0.2, 0.0, False),
+            (Model.MODEL3, -0.1, -0.05, True),
+            (Model.MODEL3, 0.3, -0.2, True),
+            (Model.MODEL3, -0.4, 0.1, False),
+        ],
+    )
+    def test_matches_scalar_including_past_the_fold(self, model, k1, k2, folds):
+        spec = DistortionSpec(model, k1, k2)
+        rng = np.random.default_rng(31)
+        r = 3.0 * rng.uniform(size=3000) ** 2
+        phi = rng.uniform(-math.pi, math.pi, r.size)
+        xy = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+        want = scalar_undistort_rows(spec, xy)
+        # Radii up to 3 reach past the fold of every folding spec here.
+        assert np.isnan(want).any() == folds
+        assert_rows_agree(undistort_array(spec, xy), want)
+
+    def test_origin_and_radii_at_the_zero_threshold(self):
+        xy = np.array(
+            [[0.0, 0.0], [1e-12, 0.0], [0.0, -1e-12], [7e-13, -7e-13], [2e-12, 0.0], [1e-300, 0.0]]
+        )
+        for model in Model:
+            spec = DistortionSpec(model, -0.2, 0.05)
+            got = undistort_array(spec, xy)
+            assert_rows_agree(got, scalar_undistort_rows(spec, xy))
+            assert np.array_equal(got[0], [0.0, 0.0])
+
+    def test_empty_input(self):
+        for model in Model:
+            out = undistort_array(DistortionSpec(model, -0.2, 0.05), np.empty((0, 2)))
+            assert out.shape == (0, 2)
+
+    def test_non_finite_rows_are_nan(self):
+        xy = np.array([[0.3, 0.1], [math.nan, 0.2], [math.inf, 0.0], [0.1, -math.inf]])
+        for model in Model:
+            out = undistort_array(DistortionSpec(model, -0.2, 0.05), xy)
+            assert np.isfinite(out[0]).all() and np.isnan(out[1:]).all()
+
+    @pytest.mark.parametrize(
+        "spec,xy",
+        [
+            # k2 below the cubic threshold: every lane takes the scalar path.
+            (DistortionSpec(Model.MODEL3, 0.2, 0.1 * _Q_NEGLIGIBLE), [[0.3, 0.4], [-0.5, 0.1]]),
+            # On the fold F(2) = 1.2 the discriminant is zero to rounding.
+            (DistortionSpec(Model.MODEL3, -0.1, -0.05), [[0.72, 0.96], [0.3, 0.4]]),
+            # Past the fold the model1 Newton step needs damping.
+            (DistortionSpec(Model.MODEL1, -0.5, 0.0), [[0.7, 0.0], [0.1, 0.1]]),
+        ],
+    )
+    def test_unsettled_lanes_take_the_scalar_path(self, monkeypatch, spec, xy):
+        xy = np.array(xy)
+        want = scalar_undistort_rows(spec, xy)
+        calls = []
+
+        def counted(s, d):
+            calls.append(d)
+            return undistort(s, d)
+
+        monkeypatch.setattr(distortion, "undistort", counted)
+        assert_rows_agree(undistort_array(spec, xy), want)
+        assert calls and NormalizedPoint(*xy[0]) in calls
 
 
 class TestRadialSymmetry:

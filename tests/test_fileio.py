@@ -95,6 +95,20 @@ class TestPointsCsv:
         out = read_points(path)
         assert out.shape == (0, 2)
 
+    def test_bytes_match_per_row_fmt(self, tmp_path):
+        # The one-shot writer must render exactly what fmt renders per value.
+        rng = np.random.default_rng(21)
+        cases = [
+            rng.normal(size=(500, 2)) * 10.0 ** rng.integers(-30, 30, (500, 2)),
+            np.array([[-0.0, 0.0], [math.nan, math.nan], [1e-17, -5e300], [math.pi, 2.5]]),
+            np.empty((0, 2)),
+        ]
+        path = tmp_path / "pts.csv"
+        for pts in cases:
+            write_points(path, pts)
+            rows = ["u,v"] + [f"{fmt(u)},{fmt(v)}" for u, v in pts]
+            assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
 
 class TestCalibrationJson:
     def test_round_trip_and_objective_recompute(self, tmp_path):

@@ -20,7 +20,9 @@ from radialcal.geometry import (
     project,
     rotation_from_axis_angle,
     to_normalized,
+    to_normalized_array,
     to_pixel,
+    to_pixel_array,
 )
 from oracles import rot_x
 
@@ -138,6 +140,17 @@ class TestPixelNormalizedMaps:
             back = to_normalized(to_pixel(n, A), A)
             assert abs(back.x - n.x) <= 1e-12
             assert abs(back.y - n.y) <= 1e-12
+
+    def test_array_maps_equal_scalar_maps(self):
+        # Same arithmetic per element, so the results are bit-identical.
+        rng = np.random.default_rng(18)
+        A = IntrinsicMatrix(832.5, 830.7, 0.21, 303.96, 206.59)
+        uv = rng.uniform(-200.0, 900.0, (500, 2))
+        xy = to_normalized_array(uv, A)
+        normalized = [to_normalized(PixelPoint(u, v), A) for u, v in uv]
+        assert xy.tolist() == [[n.x, n.y] for n in normalized]
+        pixels = [to_pixel(NormalizedPoint(x, y), A) for x, y in xy]
+        assert to_pixel_array(xy, A).tolist() == [[p.u, p.v] for p in pixels]
 
     @given(intrinsics_st, st.floats(-1500, 1500), st.floats(-1500, 1500))
     def test_round_trip_pixels(self, A, u, v):
