@@ -8,8 +8,8 @@ of the squared reprojection error
 
     J = sum_i sum_j || m_ij - mhat(A, k, R_i, t_i, M_j) ||^2
 
-where the prediction mhat projects the planar point and applies the forward
-radial warp in pixel space.
+where the prediction mhat is the forward model ``distortion.project_points``:
+pinhole projection, the radial warp on the unit focal plane, the intrinsics.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .distortion import (
     Model,
     coefficient_basis,
     n_coefficients,
+    project_points,
     warp_factor,
     warp_slope,
 )
@@ -35,6 +36,8 @@ from .geometry import (
     Homography,
     IntrinsicMatrix,
     ViewExtrinsics,
+    normalize_world_array,
+    to_pixel_array,
 )
 
 
@@ -312,32 +315,6 @@ def _world3(view: CalibrationView) -> np.ndarray:
     return np.column_stack([view.world_xy, np.zeros(view.n_points)])
 
 
-def _camera_points(view: CalibrationView, E: ViewExtrinsics) -> np.ndarray:
-    R, t = E.world_to_camera()
-    pc = _world3(view) @ R.T + t
-    if np.any(pc[:, 2] <= 0.0):
-        raise DepthNotPositive(
-            f"view {view.view_id} has points at non-positive depth"
-        )
-    return pc
-
-
-def _predict_pixels(
-    view: CalibrationView,
-    A: IntrinsicMatrix,
-    spec: DistortionSpec,
-    E: ViewExtrinsics,
-) -> np.ndarray:
-    pc = _camera_points(view, E)
-    x = pc[:, 0] / pc[:, 2]
-    y = pc[:, 1] / pc[:, 2]
-    f = warp_factor(spec, np.hypot(x, y))
-    xd, yd = x * f, y * f
-    return np.column_stack(
-        [A.alpha * xd + A.gamma * yd + A.u0, A.beta * yd + A.v0]
-    )
-
-
 def objective(
     corr: CorrespondenceSet,
     A: IntrinsicMatrix,
@@ -349,7 +326,7 @@ def objective(
         raise ValueError("one extrinsics entry per view is required")
     total = 0.0
     for view, E in zip(corr.views, extrinsics):
-        diff = _predict_pixels(view, A, spec, E) - view.pixels
+        diff = project_points(A, spec, E, _world3(view)) - view.pixels
         total += float(np.sum(diff * diff))
     return total
 
@@ -370,12 +347,9 @@ def init_distortion(
     rows = []
     rhs = []
     for view, E in zip(corr.views, extrinsics):
-        pc = _camera_points(view, E)
-        x = pc[:, 0] / pc[:, 2]
-        y = pc[:, 1] / pc[:, 2]
-        basis = coefficient_basis(model, np.hypot(x, y))
-        u = A.alpha * x + A.gamma * y + A.u0
-        v = A.beta * y + A.v0
+        xy = normalize_world_array(_world3(view), E)
+        basis = coefficient_basis(model, np.hypot(xy[:, 0], xy[:, 1]))
+        u, v = to_pixel_array(xy, A).T
         rows.append((u - A.u0)[:, None] * basis)
         rows.append((v - A.v0)[:, None] * basis)
         rhs.append(view.pixels[:, 0] - u)
@@ -570,8 +544,8 @@ def _levenberg_marquardt(
     """Damped Gauss-Newton descent honoring all four stopping thresholds.
 
     Only improving steps are accepted, so the final cost never exceeds the
-    initial one. Steps that throw DepthNotPositive are treated as rejected
-    trial points (damping increases and the step shrinks).
+    initial one. A trial point that raises ValueError (behind the camera, or
+    parameters out of their domain) is rejected and the step shrinks.
     """
     x = np.array(x0, dtype=float)
     res, jac = eval_fn(x)
@@ -610,7 +584,7 @@ def _levenberg_marquardt(
                 res_new, jac_new = eval_fn(trial)
                 n_fev += 1
                 cost_new = float(res_new @ res_new)
-            except (DepthNotPositive, ValueError):
+            except ValueError:
                 # Invalid trial point (behind-camera or out-of-domain params):
                 # reject and shrink the step.
                 n_fev += 1
@@ -651,7 +625,7 @@ def _build_result(
     total = 0.0
     n_total = 0
     for view, E in zip(corr.views, extrinsics):
-        diff = _predict_pixels(view, A, spec, E) - view.pixels
+        diff = project_points(A, spec, E, _world3(view)) - view.pixels
         dist = np.linalg.norm(diff, axis=1)
         dist.setflags(write=False)
         residuals.append(dist)
@@ -708,7 +682,6 @@ def refine(
 @dataclass(frozen=True)
 class _LinearStage:
     corr: CorrespondenceSet
-    homographies: tuple[Homography, ...]
     intrinsics: IntrinsicMatrix
     extrinsics: tuple[ViewExtrinsics, ...]
     dropped: tuple[int, ...]
@@ -734,7 +707,7 @@ def _linear_stage(corr: CorrespondenceSet) -> _LinearStage:
     corr_kept = CorrespondenceSet(tuple(kept))
     A = intrinsics_from_homographies(homographies)
     extrinsics = tuple(extrinsics_from_homography(H, A) for H in homographies)
-    return _LinearStage(corr_kept, tuple(homographies), A, extrinsics, tuple(dropped))
+    return _LinearStage(corr_kept, A, extrinsics, tuple(dropped))
 
 
 def calibrate(
@@ -773,7 +746,7 @@ def compare_models(
                     init_coefficients=spec0.coefficients,
                 )
             )
-        except Exception as exc:  # noqa: BLE001 - reported inline by contract
+        except ValueError as exc:  # every library error; reported inline
             entries.append(
                 ModelReport(
                     model=model,

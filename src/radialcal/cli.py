@@ -31,7 +31,7 @@ from .calibration import (
     compare_models,
 )
 from .cubic import NoRealSolution
-from .distortion import Model, NotConverged, undistort_array, warp_factor
+from .distortion import Model, NotConverged, distort_array, undistort_array
 from .fileio import (
     ParseError,
     fmt,
@@ -210,7 +210,7 @@ def _cmd_undistort(args: argparse.Namespace) -> int:
     points[~np.isfinite(points).all(axis=1)] = math.nan
     xy = to_normalized_array(points, A)
     if args.direction == "forward":
-        warped = xy * warp_factor(spec, np.hypot(xy[:, 0], xy[:, 1]))[:, None]
+        warped = distort_array(spec, xy)
     else:
         warped = undistort_array(spec, xy)
     out = to_pixel_array(warped, A)

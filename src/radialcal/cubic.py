@@ -112,7 +112,7 @@ def _polish(y: float, p: float, q: float, x: float, steps: int = 50) -> float:
         if not math.isfinite(x_new):
             break
         x = x_new
-        if abs(step) <= 1e-16 * (1.0 + abs(x)):
+        if abs(step) <= _STEP_TOL * (1.0 + abs(x)):
             break
     return x
 

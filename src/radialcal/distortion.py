@@ -1,4 +1,4 @@
-"""Radial distortion models, their forward warps, and undistortion dispatch.
+"""Radial distortion models, the forward model, and undistortion dispatch.
 
 Three radial warp factors are supported, each acting on the normalized image
 plane as ``(x_d, y_d) = f(r) * (x, y)`` with ``r = sqrt(x^2 + y^2)``:
@@ -22,7 +22,13 @@ from functools import lru_cache
 import numpy as np
 
 from .cubic import NoRealSolution, RadiusCubic
-from .geometry import IntrinsicMatrix, NormalizedPoint, PixelPoint, to_normalized
+from .geometry import (
+    IntrinsicMatrix,
+    NormalizedPoint,
+    ViewExtrinsics,
+    normalize_world_array,
+    to_pixel_array,
+)
 
 
 class NotConverged(RuntimeError):
@@ -118,18 +124,21 @@ def distort_normalized(spec: DistortionSpec, n: NormalizedPoint) -> NormalizedPo
     return NormalizedPoint(n.x * f, n.y * f)
 
 
-def distort_pixel(spec: DistortionSpec, p: PixelPoint, A: IntrinsicMatrix) -> PixelPoint:
-    """Forward warp expressed directly on pixels about the principal point.
+def distort_array(spec: DistortionSpec, xy: np.ndarray) -> np.ndarray:
+    """distort_normalized for an ``(n, 2)`` array of normalized points."""
+    return xy * warp_factor(spec, np.hypot(xy[:, 0], xy[:, 1]))[:, None]
 
-    The radius is still measured on the normalized undistorted point, which
-    makes this identical (to rounding) to warping in normalized coordinates
-    and re-applying the intrinsics.
+
+def project_points(
+    A: IntrinsicMatrix, spec: DistortionSpec, E: ViewExtrinsics, world: np.ndarray
+) -> np.ndarray:
+    """The forward model: ``(n, 3)`` world points to ``(n, 2)`` observed pixels.
+
+    Pinhole projection under the view's pose, the radial warp on the unit
+    focal plane, then the intrinsics. Raises DepthNotPositive when any point
+    is behind (or on) the camera plane.
     """
-    f = warp_factor(spec, to_normalized(p, A).radius)
-    return PixelPoint(
-        A.u0 + (p.u - A.u0) * f,
-        A.v0 + (p.v - A.v0) * f,
-    )
+    return to_pixel_array(distort_array(spec, normalize_world_array(world, E)), A)
 
 
 def _quadratic_real_roots(a: float, b: float, c: float) -> tuple[float, ...]:

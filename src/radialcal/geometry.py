@@ -60,23 +60,6 @@ class WorldPoint:
 
 
 @dataclass(frozen=True)
-class CameraPoint:
-    """3-D point in the camera frame; z is the depth used for projection."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if not _finite(self.x, self.y, self.z):
-            raise ValueError("camera point components must be finite")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-@dataclass(frozen=True)
 class NormalizedPoint:
     """Point on the unit focal plane (intrinsics removed).
 
@@ -248,10 +231,6 @@ class ViewExtrinsics:
         R = self.rotation
         return R.T.copy(), -R.T @ self.t
 
-    def transform_to_camera(self, p: WorldPoint) -> CameraPoint:
-        v = self.rotation.T @ (p.array - self.t)
-        return CameraPoint(float(v[0]), float(v[1]), float(v[2]))
-
 
 @dataclass(frozen=True)
 class Homography:
@@ -281,10 +260,6 @@ class Homography:
             H = -H
         H.setflags(write=False)
         object.__setattr__(self, "matrix", H)
-
-    def apply(self, x: float, y: float) -> tuple[float, float]:
-        q = self.matrix @ np.array([x, y, 1.0])
-        return float(q[0] / q[2]), float(q[1] / q[2])
 
 
 @dataclass(frozen=True)
@@ -342,12 +317,17 @@ def to_normalized_array(uv: np.ndarray, A: IntrinsicMatrix) -> np.ndarray:
     return np.column_stack([du / a - g * dv / (a * b), dv / b])
 
 
-def normalize_world(P: WorldPoint, E: ViewExtrinsics) -> NormalizedPoint:
-    """Map a world point to the unit focal plane under a view's pose."""
-    c = E.transform_to_camera(P)
-    if c.z <= 0.0:
-        raise DepthNotPositive(f"point has camera depth {c.z}; must be positive")
-    return NormalizedPoint(c.x / c.z, c.y / c.z)
+def normalize_world_array(world: np.ndarray, E: ViewExtrinsics) -> np.ndarray:
+    """Map ``(n, 3)`` world points to ``(n, 2)`` points on the unit focal plane.
+
+    The pinhole step of the forward model. Raises DepthNotPositive when any
+    point is behind (or on) the camera plane.
+    """
+    R, t = E.world_to_camera()
+    pc = world @ R.T + t
+    if np.any(pc[:, 2] <= 0.0):
+        raise DepthNotPositive(f"point has camera depth {pc[:, 2].min()}; must be positive")
+    return pc[:, :2] / pc[:, 2:]
 
 
 def project(P: WorldPoint, E: ViewExtrinsics, A: IntrinsicMatrix) -> PixelPoint:
@@ -355,4 +335,5 @@ def project(P: WorldPoint, E: ViewExtrinsics, A: IntrinsicMatrix) -> PixelPoint:
 
     Raises DepthNotPositive when the point is behind (or on) the camera plane.
     """
-    return to_pixel(normalize_world(P, E), A)
+    ((u, v),) = to_pixel_array(normalize_world_array(P.array[None, :], E), A).tolist()
+    return PixelPoint(u, v)

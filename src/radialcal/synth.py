@@ -13,8 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibrationView, CorrespondenceSet
-from .distortion import DistortionSpec, warp_factor
-from .geometry import IntrinsicMatrix, ViewExtrinsics, rotation_from_axis_angle
+from .distortion import DistortionSpec, project_points
+from .geometry import (
+    DepthNotPositive,
+    IntrinsicMatrix,
+    ViewExtrinsics,
+    rotation_from_axis_angle,
+)
 
 
 @dataclass(frozen=True)
@@ -107,20 +112,13 @@ def generate_scene(spec: SynthSpec) -> tuple[CorrespondenceSet, SceneTruth]:
     extrinsics = []
     for view_id in range(spec.n_views):
         E = _sample_pose(spec, rng)
-        R, t = E.world_to_camera()
-        pc = world3 @ R.T + t
-        if np.any(pc[:, 2] <= 0.0):
+        try:
+            pixels = project_points(A, spec.distortion, E, world3)
+        except DepthNotPositive as exc:
             raise ValueError(
                 f"sampled pose for view {view_id} puts target points behind "
                 "the camera; widen the distance range"
-            )
-        x = pc[:, 0] / pc[:, 2]
-        y = pc[:, 1] / pc[:, 2]
-        f = warp_factor(spec.distortion, np.hypot(x, y))
-        xd, yd = x * f, y * f
-        pixels = np.column_stack(
-            [A.alpha * xd + A.gamma * yd + A.u0, A.beta * yd + A.v0]
-        )
+            ) from exc
         if spec.noise_sigma > 0.0:
             pixels = pixels + rng.normal(0.0, spec.noise_sigma, pixels.shape)
         views.append(CalibrationView(view_id=view_id, world_xy=world, pixels=pixels))

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from radialcal import calibration
 from radialcal.calibration import (
     CalibrationView,
     CorrespondenceSet,
@@ -381,3 +382,31 @@ class TestCompareModels:
         j3 = report.entry(Model.MODEL3).result.j_final
         assert j1 <= j3 <= j2
         assert (j3 - j1) <= 0.5 * (j2 - j1)
+
+    def test_library_error_reported_inline(self, monkeypatch):
+        corr, _ = make_scene(72)
+        real_refine = calibration.refine
+
+        def refine(corr, init, opts):
+            if init.distortion.model is Model.MODEL2:
+                raise SingularConfiguration("normal equations are singular")
+            return real_refine(corr, init, opts)
+
+        monkeypatch.setattr(calibration, "refine", refine)
+        report = compare_models(corr)
+        entry = report.entry(Model.MODEL2)
+        assert entry.result is None
+        assert entry.error == "SingularConfiguration: normal equations are singular"
+        assert report.entry(Model.MODEL1).result is not None
+        assert report.entry(Model.MODEL3).result is not None
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # Only the library's ValueError family is reported inline; a bug in
+        # the code surfaces instead of becoming a table cell.
+        def refine(corr, init, opts):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(calibration, "refine", refine)
+        corr, _ = make_scene(72)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            compare_models(corr)

@@ -63,6 +63,23 @@ class TestSynth:
         assert truth1 == truth2
         assert len(out1.read_text().splitlines()) == 1 + 192
 
+    def test_pose_behind_camera_exits_3(self, tmp_path, capsys):
+        # The default 1.05-wide grid tilted by 30 degrees at depth 0.1 reaches
+        # behind the camera.
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "seed": 11,
+                    "intrinsics": {"alpha": 800, "beta": 800, "gamma": 0, "u0": 320, "v0": 240},
+                    "distortion": {"model": "model3", "k1": -0.12, "k2": -0.14},
+                    "pose": {"distance": [0.1, 0.1], "tilt_deg": [30, 30]},
+                }
+            )
+        )
+        assert main(["synth", "--spec", str(spec), "--output", str(tmp_path / "c.csv")]) == 3
+        assert "widen the distance range" in capsys.readouterr().err
+
     def test_bad_spec_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "spec.json"
         bad.write_text("{")
@@ -186,6 +203,18 @@ class TestUndistort:
                  "--output", str(tmp_path / "out.csv"), "--direction", direction]
             )
             assert np.allclose(read_points(tmp_path / "out.csv"), [[320.0, 240.0]], atol=1e-12)
+
+    def test_forward_keeps_principal_point_exactly(self, tmp_path):
+        A = IntrinsicMatrix(832.5, 830.7, 0.2, 303.96, 206.59)
+        spec = DistortionSpec(Model.MODEL3, -0.1, -0.05)
+        calib_path = tmp_path / "calib.json"
+        write_exact_calibration(calib_path, A, spec)
+        write_points(tmp_path / "pts.csv", np.array([[303.96, 206.59]]))
+        assert main(
+            ["undistort", "--calib", str(calib_path), "--points", str(tmp_path / "pts.csv"),
+             "--output", str(tmp_path / "out.csv"), "--direction", "forward"]
+        ) == 0
+        assert read_points(tmp_path / "out.csv").tolist() == [[303.96, 206.59]]
 
     def test_empty_points_file(self, tmp_path):
         A = IntrinsicMatrix(800.0, 800.0, 0.0, 320.0, 240.0)

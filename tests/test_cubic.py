@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from radialcal.cubic import (
     CubicCoeffs,
     RootSet,
+    _polish,
     real_roots,
     undistort_component,
     undistort_xy,
@@ -58,6 +59,23 @@ class TestRealRoots:
         without = real_roots(CubicCoeffs(y=2.0, p=1.0, q=0.0))
         assert len(with_q) == len(without)
         assert np.allclose(with_q.roots, without.roots, atol=1e-12)
+
+    def test_polish_stops_at_rounding_noise(self):
+        # The quadratic path's starts on criterion 2's triples with q scaled
+        # to 1e-15: once a step is rounding noise the polish stops, so a
+        # budget of 8 steps gives the very value 50 steps give.
+        rng = np.random.default_rng(1002)
+        n = 20000
+        ys = rng.uniform(-3.0, 3.0, n).tolist()
+        ps = rng.uniform(-2.0, 2.0, n).tolist()
+        qs = (rng.uniform(-2.0, 2.0, n) * 1e-15).tolist()
+        for y, p, q in zip(ys, ps, qs):
+            disc = 1.0 + 4.0 * p * y
+            if disc < 0.0:
+                continue
+            u = -0.5 * (1.0 + math.sqrt(disc))
+            for x in (u / p, -y / u):
+                assert _polish(y, p, q, x, steps=8) == _polish(y, p, q, x, steps=50), (y, p, q, x)
 
     def test_rootset_orders_and_caps(self):
         assert RootSet((3.0, 1.0, 2.0)).roots == (1.0, 2.0, 3.0)

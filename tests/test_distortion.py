@@ -13,17 +13,28 @@ from radialcal.distortion import (
     NotConverged,
     WorkingDomain,
     coefficient_basis,
+    distort_array,
     distort_normalized,
-    distort_pixel,
     invert_radius_newton,
     n_coefficients,
+    project_points,
     undistort,
     undistort_array,
     validate_monotone,
     warp_factor,
 )
-from radialcal.geometry import IntrinsicMatrix, NormalizedPoint, PixelPoint, to_normalized, to_pixel
-from oracles import radius_from_distorted_model3
+from radialcal.geometry import (
+    IntrinsicMatrix,
+    NormalizedPoint,
+    PixelPoint,
+    ViewExtrinsics,
+    to_normalized,
+    to_normalized_array,
+    to_pixel,
+    to_pixel_array,
+)
+from conftest import make_scene
+from oracles import project_pinhole, radius_from_distorted_model3, rot_x, rot_y, rot_z
 
 
 def sample_disk(rng, r_max):
@@ -109,30 +120,70 @@ class TestDistort:
                 b = distort_normalized(spec, NormalizedPoint(-n.x, -n.y))
                 assert (b.x, b.y) == (-a.x, -a.y)
 
-    def test_pixel_warp_principal_point_fixed(self):
-        A = IntrinsicMatrix(832.5, 830.7, 0.2, 303.96, 206.59)
-        spec = DistortionSpec(Model.MODEL3, -0.1, -0.05)
-        out = distort_pixel(spec, PixelPoint(303.96, 206.59), A)
-        assert (out.u, out.v) == (303.96, 206.59)
-
     def test_pixel_warp_known_point(self):
         A = IntrinsicMatrix(100.0, 100.0, 0.0, 0.0, 0.0)
         spec = DistortionSpec(Model.MODEL3, -0.1, -0.05)
-        out = distort_pixel(spec, PixelPoint(30.0, 40.0), A)
-        assert math.isclose(out.u, 28.125, abs_tol=1e-12)
-        assert math.isclose(out.v, 37.5, abs_tol=1e-12)
+        ((u, v),) = pixel_warp(spec, np.array([[30.0, 40.0]]), A)
+        assert math.isclose(u, 28.125, abs_tol=1e-12)
+        assert math.isclose(v, 37.5, abs_tol=1e-12)
 
     def test_pixel_route_matches_normalized_route(self):
         rng = np.random.default_rng(3)
         A = IntrinsicMatrix(832.5, 830.7, 0.21, 303.96, 206.59)
         for model in Model:
             spec = DistortionSpec(model, -0.18, 0.05)
-            for _ in range(1000):
-                p = PixelPoint(rng.uniform(0, 640), rng.uniform(0, 480))
-                via_pixel = distort_pixel(spec, p, A)
-                via_norm = to_pixel(distort_normalized(spec, to_normalized(p, A)), A)
-                assert abs(via_pixel.u - via_norm.u) <= 1e-10
-                assert abs(via_pixel.v - via_norm.v) <= 1e-10
+            uv = np.column_stack([rng.uniform(0, 640, 1000), rng.uniform(0, 480, 1000)])
+            via_pixel = pixel_warp(spec, uv, A)
+            for (u, v), (pu, pv) in zip(uv, via_pixel):
+                via_norm = to_pixel(distort_normalized(spec, to_normalized(PixelPoint(u, v), A)), A)
+                assert abs(pu - via_norm.u) <= 1e-10
+                assert abs(pv - via_norm.v) <= 1e-10
+
+
+def pixel_warp(spec, uv, A):
+    """The forward warp on pixels, as CLI undistort --direction forward runs it."""
+    return to_pixel_array(distort_array(spec, to_normalized_array(uv, A)), A)
+
+
+class TestProjectPoints:
+    @pytest.mark.parametrize(
+        "model,k1,k2",
+        [
+            (Model.MODEL1, -0.3435, 0.1232),
+            (Model.MODEL2, -0.2, 0.0),
+            (Model.MODEL3, -0.12, -0.14),
+        ],
+    )
+    def test_matches_independent_projection(self, model, k1, k2):
+        # Oracle: the inline pinhole u ~ K (R P + t) with K = I gives the
+        # normalized point; the warp and the intrinsic rows are written out.
+        rng = np.random.default_rng(41)
+        R = rot_x(0.3) @ rot_y(-0.2) @ rot_z(0.4)
+        t = np.array([0.05, -0.08, 1.3])
+        world = np.column_stack([rng.uniform(-0.5, 0.5, (200, 2)), rng.uniform(-0.1, 0.1, 200)])
+        xy = project_pinhole(world, R, t, np.eye(3))
+        r = np.hypot(xy[:, 0], xy[:, 1])
+        f = {
+            Model.MODEL1: 1.0 + k1 * r**2 + k2 * r**4,
+            Model.MODEL2: 1.0 + k1 * r**2,
+            Model.MODEL3: 1.0 + k1 * r + k2 * r**2,
+        }[model]
+        xd, yd = xy[:, 0] * f, xy[:, 1] * f
+        A = IntrinsicMatrix(832.5, 830.7, 0.21, 303.96, 206.59)
+        expected = np.column_stack([A.alpha * xd + A.gamma * yd + A.u0, A.beta * yd + A.v0])
+
+        E = ViewExtrinsics.from_world_to_camera(R, t)
+        got = project_points(A, DistortionSpec(model, k1, k2), E, world)
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_noiseless_scene_is_the_kernel(self):
+        # Synthesis and calibration share one forward model, bit for bit.
+        for model in Model:
+            corr, truth = make_scene(5, model=model, k1=-0.2, k2=0.05, n_views=4)
+            for view, E in zip(corr.views, truth.extrinsics):
+                world = np.column_stack([view.world_xy, np.zeros(view.n_points)])
+                kernel = project_points(truth.intrinsics, truth.distortion, E, world)
+                assert np.array_equal(view.pixels, kernel)
 
 
 class TestValidateMonotone:
