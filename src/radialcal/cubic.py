@@ -47,6 +47,8 @@ _DISC_MARGIN = 1e-9
 # residual: the error left after it is of order step^2, far below one ulp,
 # while a tighter bound sits under the noise and keeps iterating.
 _STEP_TOL = 4.0 * sys.float_info.epsilon
+# Newton steps _polish takes at most before it returns its last iterate.
+_POLISH_STEPS = 50
 # The three trigonometric roots are m cos((phi + k) / 3) - shift for these k.
 _TRIG_OFFSETS = (0.0, 2.0 * math.pi, 4.0 * math.pi)
 
@@ -95,13 +97,13 @@ class RootSet:
         return len(self.roots)
 
 
-def _polish(y: float, p: float, q: float, x: float, steps: int = 50) -> float:
+def _polish(y: float, p: float, q: float, x: float) -> float:
     """Guarded Newton iteration on the original cubic.
 
     Converges in two or three steps from closed-form values; the larger step
     budget only matters for starts produced in ill-conditioned regimes.
     """
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         xx = x * x
         g = x + p * xx + q * (xx * x) - y
         dg = 1.0 + 2.0 * p * x + 3.0 * q * xx

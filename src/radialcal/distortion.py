@@ -181,17 +181,13 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
 
 
-def invert_radius_newton(
-    spec: DistortionSpec,
-    r_d: float,
-    tol: float = _NEWTON_TOL,
-    max_iter: int = _NEWTON_MAX_ITER,
-) -> float:
+def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
     """Damped Newton solve of ``r f(r) = r_d`` starting from ``r = r_d``.
 
     Works for any model whose warp is monotone around the solution; used as
     the model1 inverse and as an independent cross-check of the analytic
-    paths. Raises NotConverged when the residual does not fall below ``tol``.
+    paths. Raises NotConverged when the residual does not fall below
+    ``_NEWTON_TOL`` within ``_NEWTON_MAX_ITER`` steps.
     """
     if r_d < 0.0:
         raise ValueError("distorted radius must be nonnegative")
@@ -199,8 +195,8 @@ def invert_radius_newton(
         return 0.0
     r = r_d
     res = r * warp_factor(spec, r) - r_d
-    for _ in range(max_iter):
-        if abs(res) <= tol * max(1.0, r_d):
+    for _ in range(_NEWTON_MAX_ITER):
+        if abs(res) <= _NEWTON_TOL * max(1.0, r_d):
             return r
         slope = warp_factor(spec, r) + r * warp_slope(spec, r)
         if slope <= 0.0:
@@ -219,17 +215,17 @@ def invert_radius_newton(
         else:
             raise NotConverged(f"damping failed near r={r!r} for r_d={r_d!r}")
         r, res = r_new, res_new
-    if abs(res) <= tol * max(1.0, r_d):
+    if abs(res) <= _NEWTON_TOL * max(1.0, r_d):
         return r
     raise NotConverged(
-        f"no convergence after {max_iter} iterations (residual {res!r})"
+        f"no convergence after {_NEWTON_MAX_ITER} iterations (residual {res!r})"
     )
 
 
 def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> np.ndarray:
     """invert_radius_newton on a 1-D array of observed radii, all lanes at once.
 
-    The same start, steps and default tolerance, without the damping: a lane
+    The same start, steps and tolerance, without the damping: a lane
     whose full step would need halving, meets a non-increasing slope or does
     not converge gives NaN, as does a non-finite radius, for the caller to
     settle with invert_radius_newton itself.

@@ -9,10 +9,10 @@ appear under the final name.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,90 +54,145 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def _lines(path: str | Path) -> list[str]:
-    return Path(path).read_text().splitlines()
-
-
 # ---------------------------------------------------------------------------
-# Correspondence CSV
+# CSV tables: a header line, then one row of numbers per non-blank line
+
+
+def _read_table(
+    path: str | Path, header: str, noun: str
+) -> tuple[list[int], list[str], np.ndarray]:
+    """Line numbers and text of the rows under ``header``, and their fields.
+
+    The fields come back as an (n, width) float array, all converted by one
+    ``np.array(..., dtype=float)``, which accepts what ``float`` accepts. When
+    that fails, the first line with the wrong number of fields or a field
+    that does not convert is named.
+    """
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ParseError(f"expected header {header!r}", line=1)
+    width = header.count(",") + 1
+    linenos = [n for n, raw in enumerate(lines[1:], start=2) if raw.strip()]
+    rows = [lines[n - 1] for n in linenos]
+    try:
+        if any(raw.count(",") != width - 1 for raw in rows):
+            raise ValueError("wrong field count")
+        values = np.array(",".join(rows).split(",") if rows else [], dtype=float)
+    except ValueError:
+        for n, raw in zip(linenos, rows):
+            cells = raw.split(",")
+            if len(cells) != width:
+                message = f"expected {width} comma-separated fields, got {len(cells)}"
+                raise ParseError(message, line=n) from None
+            try:
+                np.array(cells, dtype=float)
+            except ValueError:
+                raise ParseError(f"non-numeric {noun} in {raw!r}", line=n) from None
+        raise
+    return linenos, rows, values.reshape(-1, width)
+
+
+def _render(row_format: str, values: np.ndarray) -> str:
+    """Each row of ``values`` in ``row_format``, by one ``%``; its ``%.17g`` matches fmt."""
+    return row_format * len(values) % tuple(values.ravel().tolist())
 
 
 def write_correspondences(path: str | Path, corr: CorrespondenceSet) -> None:
-    rows = [CORRESPONDENCE_HEADER]
-    for view in corr.views:
-        for (xw, yw), (ud, vd) in zip(view.world_xy, view.pixels):
-            rows.append(
-                f"{view.view_id},{fmt(xw)},{fmt(yw)},{fmt(ud)},{fmt(vd)}"
-            )
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    body = "".join(
+        _render(f"{v.view_id},%.17g,%.17g,%.17g,%.17g\n", np.hstack([v.world_xy, v.pixels]))
+        for v in corr.views
+    )
+    atomic_write_text(path, f"{CORRESPONDENCE_HEADER}\n{body}")
 
 
 def read_correspondences(path: str | Path) -> CorrespondenceSet:
     """Parse `view_id,Xw,Yw,ud,vd` rows grouped by view id.
 
-    Raises ParseError, naming the line, for malformed rows.
+    Views come in order of first appearance, each with its rows in file
+    order. Raises ParseError, naming the line, for malformed rows.
     """
-    lines = _lines(path)
-    if not lines or lines[0].strip() != CORRESPONDENCE_HEADER:
-        raise ParseError(
-            f"expected header {CORRESPONDENCE_HEADER!r}", line=1
-        )
-    grouped: dict[int, list[list[float]]] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != 5:
-            raise ParseError(f"expected 5 comma-separated fields, got {len(parts)}", line=lineno)
-        try:
-            view_id = int(parts[0])
-        except ValueError:
-            raise ParseError(f"view_id {parts[0]!r} is not an integer", line=lineno) from None
-        try:
-            values = [float(p) for p in parts[1:]]
-        except ValueError:
-            raise ParseError(f"non-numeric coordinate in {raw!r}", line=lineno) from None
-        if not all(math.isfinite(v) for v in values):
-            raise ParseError(f"non-finite coordinate in {raw!r}", line=lineno)
-        grouped.setdefault(view_id, []).append(values)
-    if not grouped:
+    linenos, rows, values = _read_table(path, CORRESPONDENCE_HEADER, "coordinate")
+    if not rows:
         raise ParseError("file contains no correspondence rows")
-    views = []
-    for view_id, rows in grouped.items():
-        arr = np.asarray(rows)
-        views.append(
-            CalibrationView(view_id=view_id, world_xy=arr[:, 0:2], pixels=arr[:, 2:4])
+    grouped: dict[int, list[int]] = {}
+    for i, (n, raw) in enumerate(zip(linenos, rows)):
+        field = raw.partition(",")[0]
+        try:
+            grouped.setdefault(int(field), []).append(i)
+        except ValueError:
+            raise ParseError(f"view_id {field!r} is not an integer", line=n) from None
+    bad = np.flatnonzero(~np.isfinite(values[:, 1:]).all(axis=1))
+    if bad.size:
+        raise ParseError(f"non-finite coordinate in {rows[bad[0]]!r}", line=linenos[bad[0]])
+    return CorrespondenceSet(
+        tuple(
+            CalibrationView(view_id=view_id, world_xy=values[idx, 1:3], pixels=values[idx, 3:5])
+            for view_id, idx in grouped.items()
         )
-    return CorrespondenceSet(tuple(views))
-
-
-# ---------------------------------------------------------------------------
-# Point CSV
+    )
 
 
 def write_points(path: str | Path, points: np.ndarray) -> None:
-    """Write ``u,v`` rows; ``%.17g`` is the same rendering as fmt."""
-    values = np.asarray(points, dtype=float).reshape(-1, 2)
-    body = "%.17g,%.17g\n" * len(values) % tuple(values.ravel().tolist())
+    body = _render("%.17g,%.17g\n", np.asarray(points, dtype=float).reshape(-1, 2))
     atomic_write_text(path, f"{POINTS_HEADER}\n{body}")
 
 
 def read_points(path: str | Path) -> np.ndarray:
-    lines = _lines(path)
-    if lines and lines[0].strip() and lines[0].strip() != POINTS_HEADER:
-        raise ParseError(f"expected header {POINTS_HEADER!r}", line=1)
-    out = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 fields, got {len(parts)}", line=lineno)
-        try:
-            out.append([float(parts[0]), float(parts[1])])
-        except ValueError:
-            raise ParseError(f"non-numeric point in {raw!r}", line=lineno) from None
-    return np.asarray(out, dtype=float).reshape(-1, 2)
+    """Parse `u,v` rows into an (n, 2) array; NaN rows are kept."""
+    return _read_table(path, POINTS_HEADER, "point")[2]
+
+
+# ---------------------------------------------------------------------------
+# JSON records: one dict codec per record, one decode/error path per file
+
+
+@contextmanager
+def _json_record(path: str | Path, what: str):
+    """Yield the decoded JSON file at ``path`` to the block that reads it.
+
+    Malformed JSON, and a missing, mistyped or out-of-range field met in the
+    block (an array where an object belongs fails ``.get``), become a
+    ParseError naming the file.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    try:
+        yield data
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: invalid {what} ({exc})") from None
+
+
+def _write_json(path: str | Path, data: dict) -> None:
+    atomic_write_text(path, json.dumps(data, indent=2) + "\n")
+
+
+def _int(value, name: str) -> int:
+    """A JSON integer field; ``int`` alone would truncate 5.9 to 5."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _intrinsics_from_dict(d: dict) -> IntrinsicMatrix:
+    return IntrinsicMatrix(**{f.name: float(d[f.name]) for f in fields(IntrinsicMatrix)})
+
+
+def _distortion_to_dict(spec: DistortionSpec) -> dict:
+    return {"model": spec.model.value, "k1": spec.k1, "k2": spec.k2}
+
+
+def _distortion_from_dict(d: dict) -> DistortionSpec:
+    return DistortionSpec(Model(d["model"]), float(d["k1"]), float(d["k2"]))
+
+
+def _pose_to_dict(pose: ViewExtrinsics) -> dict:
+    return {"axis_angle": pose.axis_angle.tolist(), "t": pose.t.tolist()}
+
+
+def _pose_from_dict(d: dict) -> ViewExtrinsics:
+    return ViewExtrinsics(np.asarray(d["axis_angle"], dtype=float), np.asarray(d["t"], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -158,193 +213,98 @@ class CalibrationFile:
 
 
 def calibration_to_dict(result: CalibrationResult, options: OptimizerOptions) -> dict:
-    A = result.intrinsics
     return {
-        "model": result.distortion.model.value,
-        "k1": result.distortion.k1,
-        "k2": result.distortion.k2,
-        "intrinsics": {
-            "alpha": A.alpha,
-            "beta": A.beta,
-            "gamma": A.gamma,
-            "u0": A.u0,
-            "v0": A.v0,
-        },
+        **_distortion_to_dict(result.distortion),
+        "intrinsics": asdict(result.intrinsics),
         "views": [
-            {
-                "view_id": vid,
-                "axis_angle": [float(v) for v in E.axis_angle],
-                "t": [float(v) for v in E.t],
-            }
+            {"view_id": vid, **_pose_to_dict(E)}
             for vid, E in zip(result.view_ids, result.extrinsics)
         ],
         "J_final": result.j_final,
         "rms_px": result.rms_px,
-        "options": {
-            "tol_x": options.tol_x,
-            "tol_fun": options.tol_fun,
-            "max_iter": options.max_iter,
-            "max_fun_evals": options.max_fun_evals,
-        },
+        "options": asdict(options),
     }
 
 
 def write_calibration(
     path: str | Path, result: CalibrationResult, options: OptimizerOptions
 ) -> None:
-    atomic_write_text(path, json.dumps(calibration_to_dict(result, options), indent=2) + "\n")
-
-
-def _intrinsics_from_dict(d: dict) -> IntrinsicMatrix:
-    return IntrinsicMatrix(
-        alpha=float(d["alpha"]),
-        beta=float(d["beta"]),
-        gamma=float(d["gamma"]),
-        u0=float(d["u0"]),
-        v0=float(d["v0"]),
-    )
+    _write_json(path, calibration_to_dict(result, options))
 
 
 def read_calibration(path: str | Path) -> CalibrationFile:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    try:
-        spec = DistortionSpec(Model(data["model"]), float(data["k1"]), float(data["k2"]))
-        A = _intrinsics_from_dict(data["intrinsics"])
-        view_ids = []
-        extrinsics = []
-        for v in data["views"]:
-            view_ids.append(int(v["view_id"]))
-            extrinsics.append(
-                ViewExtrinsics(np.asarray(v["axis_angle"], dtype=float), np.asarray(v["t"], dtype=float))
-            )
-        opts = data.get("options", {})
-        options = OptimizerOptions(
-            tol_x=float(opts.get("tol_x", 1e-5)),
-            tol_fun=float(opts.get("tol_fun", 1e-5)),
-            max_iter=int(opts.get("max_iter", 120)),
-            max_fun_evals=int(opts.get("max_fun_evals", 8000)),
-        )
+    with _json_record(path, "calibration file") as data:
+        opts = {**asdict(OptimizerOptions()), **data.get("options", {})}
         return CalibrationFile(
-            intrinsics=A,
-            distortion=spec,
-            view_ids=tuple(view_ids),
-            extrinsics=tuple(extrinsics),
+            intrinsics=_intrinsics_from_dict(data["intrinsics"]),
+            distortion=_distortion_from_dict(data),
+            view_ids=tuple(_int(v["view_id"], "view_id") for v in data["views"]),
+            extrinsics=tuple(_pose_from_dict(v) for v in data["views"]),
             j_final=float(data["J_final"]),
             rms_px=float(data["rms_px"]),
-            options=options,
+            options=OptimizerOptions(
+                tol_x=float(opts["tol_x"]),
+                tol_fun=float(opts["tol_fun"]),
+                max_iter=_int(opts["max_iter"], "max_iter"),
+                max_fun_evals=_int(opts["max_fun_evals"], "max_fun_evals"),
+            ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: invalid calibration file ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
-# Pose and synth-spec JSON
+# Pose, synth-spec and scene-truth JSON
 
 
 def read_pose(path: str | Path) -> ViewExtrinsics:
-    try:
-        data = json.loads(Path(path).read_text())
-        return ViewExtrinsics(
-            np.asarray(data["axis_angle"], dtype=float),
-            np.asarray(data["t"], dtype=float),
-        )
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: invalid pose file ({exc})") from None
+    with _json_record(path, "pose file") as data:
+        return _pose_from_dict(data)
 
 
 def write_pose(path: str | Path, pose: ViewExtrinsics) -> None:
-    data = {
-        "axis_angle": [float(v) for v in pose.axis_angle],
-        "t": [float(v) for v in pose.t],
-    }
-    atomic_write_text(path, json.dumps(data, indent=2) + "\n")
+    _write_json(path, _pose_to_dict(pose))
 
 
 def read_synth_spec(path: str | Path) -> SynthSpec:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    try:
+    with _json_record(path, "synth spec") as data:
         grid = data.get("grid", {})
-        pose_d = data.get("pose", {})
-        pose = PoseRanges(
-            distance=tuple(pose_d.get("distance", PoseRanges().distance)),
-            tilt_deg=tuple(pose_d.get("tilt_deg", PoseRanges().tilt_deg)),
-            offset=tuple(pose_d.get("offset", PoseRanges().offset)),
-        )
-        dist = data["distortion"]
+        pose = data.get("pose", {})
+        default_pose = PoseRanges()
         return SynthSpec(
-            seed=int(data["seed"]),
+            seed=_int(data["seed"], "seed"),
             intrinsics=_intrinsics_from_dict(data["intrinsics"]),
-            distortion=DistortionSpec(
-                Model(dist["model"]), float(dist["k1"]), float(dist.get("k2", 0.0))
-            ),
-            grid_nx=int(grid.get("nx", 8)),
-            grid_ny=int(grid.get("ny", 8)),
+            distortion=_distortion_from_dict({"k2": 0.0, **data["distortion"]}),
+            grid_nx=_int(grid.get("nx", 8), "nx"),
+            grid_ny=_int(grid.get("ny", 8), "ny"),
             spacing=float(grid.get("spacing", 0.15)),
-            n_views=int(data.get("views", 3)),
+            n_views=_int(data.get("views", 3), "views"),
             noise_sigma=float(data.get("noise_sigma", 0.0)),
-            pose=pose,
+            pose=PoseRanges(
+                distance=tuple(pose.get("distance", default_pose.distance)),
+                tilt_deg=tuple(pose.get("tilt_deg", default_pose.tilt_deg)),
+                offset=tuple(pose.get("offset", default_pose.offset)),
+            ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: invalid synth spec ({exc})") from None
 
 
 def write_scene_truth(path: str | Path, truth: SceneTruth) -> None:
-    A = truth.intrinsics
-    data = {
-        "intrinsics": {
-            "alpha": A.alpha,
-            "beta": A.beta,
-            "gamma": A.gamma,
-            "u0": A.u0,
-            "v0": A.v0,
+    _write_json(
+        path,
+        {
+            "intrinsics": asdict(truth.intrinsics),
+            "distortion": _distortion_to_dict(truth.distortion),
+            "views": [{"view_id": i, **_pose_to_dict(E)} for i, E in enumerate(truth.extrinsics)],
+            "noise_sigma": truth.noise_sigma,
+            "seed": truth.seed,
         },
-        "distortion": {
-            "model": truth.distortion.model.value,
-            "k1": truth.distortion.k1,
-            "k2": truth.distortion.k2,
-        },
-        "views": [
-            {
-                "view_id": i,
-                "axis_angle": [float(v) for v in E.axis_angle],
-                "t": [float(v) for v in E.t],
-            }
-            for i, E in enumerate(truth.extrinsics)
-        ],
-        "noise_sigma": truth.noise_sigma,
-        "seed": truth.seed,
-    }
-    atomic_write_text(path, json.dumps(data, indent=2) + "\n")
+    )
 
 
 def read_scene_truth(path: str | Path) -> SceneTruth:
-    try:
-        data = json.loads(Path(path).read_text())
-        dist = data["distortion"]
+    with _json_record(path, "scene truth file") as data:
         return SceneTruth(
             intrinsics=_intrinsics_from_dict(data["intrinsics"]),
-            distortion=DistortionSpec(
-                Model(dist["model"]), float(dist["k1"]), float(dist["k2"])
-            ),
-            extrinsics=tuple(
-                ViewExtrinsics(
-                    np.asarray(v["axis_angle"], dtype=float),
-                    np.asarray(v["t"], dtype=float),
-                )
-                for v in data["views"]
-            ),
+            distortion=_distortion_from_dict(data["distortion"]),
+            extrinsics=tuple(_pose_from_dict(v) for v in data["views"]),
             noise_sigma=float(data["noise_sigma"]),
-            seed=int(data["seed"]),
+            seed=_int(data["seed"], "seed"),
         )
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: invalid scene truth file ({exc})") from None

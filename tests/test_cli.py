@@ -85,6 +85,15 @@ class TestSynth:
         bad.write_text("{")
         assert main(["synth", "--spec", str(bad), "--output", str(tmp_path / "o.csv")]) == 2
 
+    def test_non_integral_seed_exits_2(self, tmp_path, synth_spec_file, capsys):
+        # int() would truncate the seed to 11 and generate that scene.
+        spec = json.loads(synth_spec_file.read_text())
+        synth_spec_file.write_text(json.dumps({**spec, "seed": 11.5}))
+        out = tmp_path / "o.csv"
+        assert main(["synth", "--spec", str(synth_spec_file), "--output", str(out)]) == 2
+        assert "seed must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_noiseless_end_to_end(self, tmp_path, synth_spec_file, capsys):
@@ -227,6 +236,19 @@ class TestUndistort:
              "--output", str(tmp_path / "out.csv")]
         ) == 0
         assert read_points(tmp_path / "out.csv").shape == (0, 2)
+
+    @pytest.mark.parametrize("text", ["", "\n100,200\n"])
+    def test_points_file_without_header_exits_2(self, tmp_path, capsys, text):
+        A = IntrinsicMatrix(800.0, 800.0, 0.0, 320.0, 240.0)
+        write_exact_calibration(tmp_path / "calib.json", A, DistortionSpec(Model.MODEL2, -0.2))
+        (tmp_path / "pts.csv").write_text(text)
+        code = main(
+            ["undistort", "--calib", str(tmp_path / "calib.json"), "--points",
+             str(tmp_path / "pts.csv"), "--output", str(tmp_path / "out.csv")]
+        )
+        assert code == 2
+        assert "line 1: expected header 'u,v'" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_unreachable_point_gives_nan_row_and_exit_5(self, tmp_path, capsys):
         # Strong single-coefficient barrel: the forward warp tops out at

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radialcal import cubic
 from radialcal.cubic import (
     CubicCoeffs,
     RootSet,
@@ -60,22 +61,27 @@ class TestRealRoots:
         assert len(with_q) == len(without)
         assert np.allclose(with_q.roots, without.roots, atol=1e-12)
 
-    def test_polish_stops_at_rounding_noise(self):
+    def test_polish_stops_at_rounding_noise(self, monkeypatch):
         # The quadratic path's starts on criterion 2's triples with q scaled
         # to 1e-15: once a step is rounding noise the polish stops, so a
         # budget of 8 steps gives the very value 50 steps give.
+        assert cubic._POLISH_STEPS == 50
         rng = np.random.default_rng(1002)
         n = 20000
         ys = rng.uniform(-3.0, 3.0, n).tolist()
         ps = rng.uniform(-2.0, 2.0, n).tolist()
         qs = (rng.uniform(-2.0, 2.0, n) * 1e-15).tolist()
+        cases = []
         for y, p, q in zip(ys, ps, qs):
             disc = 1.0 + 4.0 * p * y
             if disc < 0.0:
                 continue
             u = -0.5 * (1.0 + math.sqrt(disc))
-            for x in (u / p, -y / u):
-                assert _polish(y, p, q, x, steps=8) == _polish(y, p, q, x, steps=50), (y, p, q, x)
+            cases += [(y, p, q, u / p), (y, p, q, -y / u)]
+        full = [_polish(*case) for case in cases]
+        monkeypatch.setattr(cubic, "_POLISH_STEPS", 8)
+        for case, x in zip(cases, full):
+            assert _polish(*case) == x, case
 
     def test_rootset_orders_and_caps(self):
         assert RootSet((3.0, 1.0, 2.0)).roots == (1.0, 2.0, 3.0)

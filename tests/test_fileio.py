@@ -81,6 +81,56 @@ class TestCorrespondenceCsv:
         with pytest.raises(ParseError):
             read_correspondences(path)
 
+    @pytest.mark.parametrize("view_id", ["1.5", "x", "1e3", ""])
+    def test_non_integer_view_id_names_line(self, tmp_path, view_id):
+        path = tmp_path / "corr.csv"
+        path.write_text(f"view_id,Xw,Yw,ud,vd\n0,1,2,3,4\n\n{view_id},1,2,3,4\n0,1,2,3,4\n")
+        with pytest.raises(ParseError, match="^line 4: "):
+            read_correspondences(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_coordinate_names_line(self, tmp_path, value):
+        path = tmp_path / "corr.csv"
+        path.write_text(f"view_id,Xw,Yw,ud,vd\n0,1,2,3,4\n0,1,2,{value},4\n")
+        with pytest.raises(ParseError, match="^line 3: non-finite coordinate"):
+            read_correspondences(path)
+
+    def test_interleaved_views_grouped_in_first_appearance_order(self, tmp_path):
+        path = tmp_path / "corr.csv"
+        rows = ["7,0,0,1,1", "2,0,1,2,2", "7,1,0,3,3", "-4,1,1,4,4", "2,2,2,5,5", "7,3,3,6,6"]
+        path.write_text("view_id,Xw,Yw,ud,vd\n" + "\n".join(rows) + "\n")
+        corr = read_correspondences(path)
+        assert [v.view_id for v in corr.views] == [7, 2, -4]
+        assert corr.views[0].pixels[:, 0].tolist() == [1.0, 3.0, 6.0]
+        assert corr.views[0].world_xy.tolist() == [[0.0, 0.0], [1.0, 0.0], [3.0, 3.0]]
+        assert corr.views[1].pixels[:, 1].tolist() == [2.0, 5.0]
+        assert corr.views[2].world_xy.tolist() == [[1.0, 1.0]]
+
+    def test_huge_view_id_kept_exactly(self, tmp_path):
+        path = tmp_path / "corr.csv"
+        big = 2**70 + 1
+        path.write_text(f"view_id,Xw,Yw,ud,vd\n{big},1,2,3,4\n")
+        assert read_correspondences(path).views[0].view_id == big
+
+    def test_blank_lines_and_padded_fields_accepted(self, tmp_path):
+        path = tmp_path / "corr.csv"
+        path.write_text("view_id,Xw,Yw,ud,vd\n\n 3 , 0.5,1.5 ,\t2,4\n   \n3,1,2,3,4\n\n")
+        corr = read_correspondences(path)
+        assert corr.views[0].view_id == 3
+        assert corr.views[0].world_xy.tolist() == [[0.5, 1.5], [1.0, 2.0]]
+        assert corr.views[0].pixels.tolist() == [[2.0, 4.0], [3.0, 4.0]]
+
+    def test_bytes_match_per_row_fmt(self, tmp_path):
+        corr, _ = make_scene(4, noise_sigma=0.3)
+        path = tmp_path / "corr.csv"
+        write_correspondences(path, corr)
+        rows = ["view_id,Xw,Yw,ud,vd"] + [
+            f"{view.view_id},{fmt(xw)},{fmt(yw)},{fmt(ud)},{fmt(vd)}"
+            for view in corr.views
+            for (xw, yw), (ud, vd) in zip(view.world_xy, view.pixels)
+        ]
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
 
 class TestPointsCsv:
     def test_round_trip(self, tmp_path):
@@ -94,6 +144,47 @@ class TestPointsCsv:
         write_points(path, np.empty((0, 2)))
         out = read_points(path)
         assert out.shape == (0, 2)
+
+    @pytest.mark.parametrize("text", ["", "\n1,2\n", "1,2\n3,4\n", "x,y\n1,2\n"])
+    def test_header_required(self, tmp_path, text):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="^line 1: expected header 'u,v'"):
+            read_points(path)
+
+    def test_bad_field_deep_in_file_names_line(self, tmp_path):
+        rows = [f"{i},{i + 0.5}" for i in range(1500)]
+        rows[999] = "999,oops"
+        path = tmp_path / "pts.csv"
+        path.write_text("u,v\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match="^line 1001: non-numeric point in '999,oops'$"):
+            read_points(path)
+
+    # "1,2,3" then "4" holds 2 rows' worth of fields: only a per-line count sees it.
+    @pytest.mark.parametrize("row", ["1,2,3", "1", "1;2", "1,2,", "1,2,3\n4"])
+    def test_wrong_field_count_names_line(self, tmp_path, row):
+        path = tmp_path / "pts.csv"
+        path.write_text(f"u,v\n1,2\n{row}\n")
+        with pytest.raises(ParseError, match="^line 3: "):
+            read_points(path)
+
+    def test_first_faulty_line_is_named(self, tmp_path):
+        # Two faults of different kinds: the earlier line is the one named.
+        path = tmp_path / "pts.csv"
+        path.write_text("u,v\n1,2\n1,x\n1,2,3\n")
+        with pytest.raises(ParseError, match="^line 3: non-numeric"):
+            read_points(path)
+        path.write_text("u,v\n1,2\n1,2,3\n1,x\n")
+        with pytest.raises(ParseError, match="^line 3: expected 2 comma-separated fields, got 3"):
+            read_points(path)
+
+    def test_blank_lines_and_padded_fields_accepted(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_bytes(b"u,v\r\n\r\n 1.5 ,\t-2\r\n  \r\nnan,inf\r\n\r\n")
+        out = read_points(path)
+        assert out[0].tolist() == [1.5, -2.0]
+        assert math.isnan(out[1, 0]) and out[1, 1] == math.inf
+        assert out.shape == (2, 2)
 
     def test_bytes_match_per_row_fmt(self, tmp_path):
         # The one-shot writer must render exactly what fmt renders per value.
@@ -158,8 +249,51 @@ class TestCalibrationJson:
         with pytest.raises(ParseError):
             read_calibration(path)
 
+    @pytest.mark.parametrize(
+        "reader", [read_calibration, read_pose, read_synth_spec, read_scene_truth]
+    )
+    @pytest.mark.parametrize("content", [b"[]", b"3", b'"x"', b"null", b"\xff{}"])
+    def test_json_that_is_not_an_object_is_parse_error(self, tmp_path, reader, content):
+        path = tmp_path / "file.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match="file.json: "):
+            reader(path)
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("view", "view_id", 1.5),
+            ("options", "max_iter", 120.5),
+            ("options", "max_fun_evals", 1000.25),
+        ],
+    )
+    def test_non_integral_integer_field_is_parse_error(self, tmp_path, where, key, value):
+        data = {
+            "model": "model2",
+            "k1": -0.2,
+            "k2": 0.0,
+            "intrinsics": {"alpha": 800, "beta": 800, "gamma": 0, "u0": 320, "v0": 240},
+            "views": [{"view_id": 3, "axis_angle": [0.1, 0.0, 0.0], "t": [0.0, 0.0, -1.0]}],
+            "J_final": 1.0,
+            "rms_px": 0.1,
+            "options": {"tol_x": 1e-5, "tol_fun": 1e-5, "max_iter": 120.0, "max_fun_evals": 8000},
+        }
+        path = tmp_path / "calib.json"
+        path.write_text(json.dumps(data))
+        assert read_calibration(path).options.max_iter == 120
+        (data["views"][0] if where == "view" else data["options"])[key] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=f"{key} must be an integer, got {value!r}"):
+            read_calibration(path)
+
 
 class TestPoseAndSpecJson:
+    MINIMAL_SPEC = {
+        "seed": 5,
+        "intrinsics": {"alpha": 800, "beta": 800, "gamma": 0, "u0": 320, "v0": 240},
+        "distortion": {"model": "model2", "k1": -0.2},
+    }
+
     def test_pose_round_trip(self, tmp_path):
         pose = ViewExtrinsics(np.array([0.1, -0.2, 0.3]), np.array([1.0, 2.0, 3.0]))
         path = tmp_path / "pose.json"
@@ -206,6 +340,56 @@ class TestPoseAndSpecJson:
         assert (spec.grid_nx, spec.grid_ny, spec.spacing) == (5, 6, 0.1)
         assert spec.n_views == 4
         assert spec.pose.distance == (1.0, 1.2)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"seed": 5.9},
+            {"seed": math.inf},
+            {"seed": math.nan},
+            {"views": 3.5},
+            {"grid": {"nx": 5.5}},
+            {"grid": {"ny": 6.000001}},
+        ],
+    )
+    def test_synth_spec_non_integral_integer_field_is_parse_error(self, tmp_path, change):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**self.MINIMAL_SPEC, **change}))
+        with pytest.raises(ParseError, match="must be an integer"):
+            read_synth_spec(path)
+
+    @pytest.mark.parametrize("change", [{"grid": [8, 8]}, {"pose": []}, {"distortion": "model2"}])
+    def test_synth_spec_part_that_is_not_an_object_is_parse_error(self, tmp_path, change):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**self.MINIMAL_SPEC, **change}))
+        with pytest.raises(ParseError, match="invalid synth spec"):
+            read_synth_spec(path)
+
+    def test_synth_spec_integral_float_accepted(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "seed": 5.0,
+                    "views": 4.0,
+                    "intrinsics": {"alpha": 800, "beta": 800, "gamma": 0, "u0": 320, "v0": 240},
+                    "distortion": {"model": "model2", "k1": -0.2},
+                }
+            )
+        )
+        spec = read_synth_spec(path)
+        assert (spec.seed, spec.n_views) == (5, 4)
+        assert type(spec.seed) is int and type(spec.n_views) is int
+
+    def test_scene_truth_non_integral_seed_is_parse_error(self, tmp_path):
+        _, truth = make_scene(9)
+        path = tmp_path / "truth.json"
+        write_scene_truth(path, truth)
+        data = json.loads(path.read_text())
+        data["seed"] = 9.5
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="seed must be an integer"):
+            read_scene_truth(path)
 
     def test_scene_truth_round_trip(self, tmp_path):
         _, truth = make_scene(9, noise_sigma=0.1)
