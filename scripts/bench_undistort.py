@@ -38,12 +38,14 @@ N_POINTS = 20_000
 R_MAX = 0.75
 CSV_ROWS = 76_800  # a 320x240 grid
 REPEATS = 5
-# The coefficients of the repository benchmark's point workload.
-SPECS = (
-    DistortionSpec(Model.MODEL1, -0.2, 0.05),
-    DistortionSpec(Model.MODEL2, -0.15),
-    DistortionSpec(Model.MODEL3, -0.1, -0.05),
-)
+# The coefficients of the repository benchmark's point workload, then model3
+# with its default k2 = 0, where the radius equation is a quadratic.
+SPECS = {
+    "model1": DistortionSpec(Model.MODEL1, -0.2, 0.05),
+    "model2": DistortionSpec(Model.MODEL2, -0.15),
+    "model3": DistortionSpec(Model.MODEL3, -0.1, -0.05),
+    "model3_k2_0": DistortionSpec(Model.MODEL3, -0.1),
+}
 
 
 def median_seconds(fn) -> float:
@@ -68,12 +70,12 @@ def distorted_points(spec: DistortionSpec, rng) -> np.ndarray:
 
 def bench_undistort(rng) -> dict:
     results = {}
-    for spec in SPECS:
+    for name, spec in SPECS.items():
         xy = distorted_points(spec, rng)
         points = [NormalizedPoint(x, y) for x, y in xy.tolist()]
         scalar = median_seconds(lambda: [undistort(spec, d) for d in points])
         array = median_seconds(lambda: undistort_array(spec, xy))
-        results[spec.model.value] = {
+        results[name] = {
             "scalar_us_per_point": 1e6 * scalar / N_POINTS,
             "array_us_per_point": 1e6 * array / N_POINTS,
             "speedup": scalar / array,

@@ -111,8 +111,10 @@ class OptimizerOptions:
     max_fun_evals: int = 8000
 
     def __post_init__(self) -> None:
-        if self.tol_x <= 0 or self.tol_fun <= 0:
-            raise ValueError("tolerances must be positive")
+        # NaN compares false and inf stops LM after one step: both rejected.
+        tols = (self.tol_x, self.tol_fun)
+        if not all(math.isfinite(t) and t > 0 for t in tols):
+            raise ValueError(f"tolerances must be finite and positive: tol_x, tol_fun = {tols}")
         if self.max_iter <= 0 or self.max_fun_evals <= 0:
             raise ValueError("iteration caps must be positive")
 

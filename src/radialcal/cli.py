@@ -93,20 +93,24 @@ def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _options_from_args(args: argparse.Namespace) -> OptimizerOptions:
-    return OptimizerOptions(
-        tol_x=args.tol_x,
-        tol_fun=args.tol_fun,
-        max_iter=args.max_iter,
-        max_fun_evals=args.max_fun_evals,
-    )
+    """The optimizer flags; settings the options reject are a ParseError."""
+    try:
+        return OptimizerOptions(
+            tol_x=args.tol_x,
+            tol_fun=args.tol_fun,
+            max_iter=args.max_iter,
+            max_fun_evals=args.max_fun_evals,
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     try:
+        opts = _options_from_args(args)
         corr = read_correspondences(args.input)
     except (OSError, ParseError) as exc:
         return _fail(str(exc), EXIT_PARSE)
-    opts = _options_from_args(args)
     model = Model(f"model{args.model}")
     try:
         result = calibrate(corr, model, opts)
@@ -179,10 +183,10 @@ def _print_report_table(report: ComparisonReport) -> None:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     try:
+        opts = _options_from_args(args)
         corr = read_correspondences(args.input)
     except (OSError, ParseError) as exc:
         return _fail(str(exc), EXIT_PARSE)
-    opts = _options_from_args(args)
     try:
         report = compare_models(corr, opts)
     except _CONFIG_ERRORS as exc:

@@ -1,12 +1,13 @@
-"""Real-root extraction for ``y = x + p x^2 + q x^3`` and the inverses of the
-odd quadratic radial warp built on it.
+"""Real-root extraction for ``y = x + p x^2 + q x^3`` and the radius inverse
+of the radial warps built on it.
 
 RadiusCubic solves the radius equation ``r + p r^2 + q r^3 = r_d`` of the
 model2 (``p = 0``) and model3 warps once per point, or for a whole array of
 points at once; ``distortion.undistort`` and ``distortion.undistort_array``
-use it. undistort_component and undistort_xy are the paper's component form
-of the model3 cubic (sign-branch candidate selection, two solves per point),
-kept as the reference that the radius form is tested against.
+use it. Every regime has its closed form: the quadratic ``r + p r^2 = r_d``
+when ``q`` is negligible, and the depressed cubic otherwise. The paper's
+component form of the model3 inverse (two sign-branch solves per point) is
+the test suite's oracle for this radius form.
 
 The cubic is solved through the depressed-cubic substitution with the
 trigonometric method in the three-real-root regime and a cancellation-safe
@@ -33,12 +34,12 @@ import numpy as np
 # Relative threshold under which the cubic degenerates to a quadratic; the
 # radical formulas divide by q, so tiny q must be routed away explicitly.
 _Q_NEGLIGIBLE = 1e-14
-# Roots this close to zero belong to the x = 0 branch of the selection
-# algorithm, not to the strict-sign branches.
+# Roots this close to zero are not admissible radii: the zero radius is
+# answered from the observed radius alone.
 _ZERO_ROOT = 1e-14
-# Observed components this small are zero at working precision: solving for
-# them would push the matching root under the sign-branch floor (and c =
-# y_d / x_d toward overflow), while answering 0 is within 1e-12 absolutely.
+# Observed radii this small are zero at working precision: solving for them
+# would push the matching root under _ZERO_ROOT, while answering 0 is within
+# 1e-12 absolutely.
 _INPUT_ZERO = 1e-12
 # |disc| below this multiple of its own term magnitudes is considered
 # indistinguishable from rounding noise.
@@ -73,10 +74,6 @@ class CubicCoeffs:
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, (self.y, self.p, self.q))):
             raise ValueError("cubic coefficients must be finite")
-
-    def residual(self, x: float) -> float:
-        # Multiplication chains overflow quietly to inf; x ** 3 would raise.
-        return x + self.p * (x * x) + self.q * (x * x * x) - self.y
 
 
 @dataclass(frozen=True)
@@ -262,14 +259,8 @@ def _deflated_pair(y: float, p: float, q: float, anchor: float) -> tuple[float, 
     return (u2 / q, gamma / u2)
 
 
-def _solve_cubic(y: float, p: float, q: float, sign: int = 0) -> tuple[float, ...]:
-    """All real roots as a plain tuple (unsorted); the core of real_roots.
-
-    ``sign`` is a pre-filter hint from the sign-branch algorithm: +1 (-1)
-    means only positive (negative) roots will be used, letting the fast
-    paths skip polishing candidates of the wrong sign. Candidates too close
-    to zero for their raw sign to be trusted are always polished.
-    """
+def _solve_cubic(y: float, p: float, q: float) -> tuple[float, ...]:
+    """All real roots as a plain tuple (unsorted); the core of real_roots."""
     if abs(q) < _Q_NEGLIGIBLE * (1.0 + abs(p)):
         return _quadratic_path(y, p, q)
 
@@ -286,8 +277,6 @@ def _solve_cubic(y: float, p: float, q: float, sign: int = 0) -> tuple[float, ..
     disc = half * half + cube
     noise = half * half + abs(cube)
 
-    sign_tol = 1e-6 * (1.0 + abs(y))
-
     if disc > _DISC_MARGIN * noise:
         # Decisively one real root. Pick the large-magnitude cube root first
         # and recover the other factor through u v = -P/3, which dodges the
@@ -299,10 +288,7 @@ def _solve_cubic(y: float, p: float, q: float, sign: int = 0) -> tuple[float, ..
             z = u - third / u if u != 0.0 else 0.0
         else:
             z = v - third / v
-        raw = z - shift
-        if sign != 0 and raw * sign < -sign_tol:
-            return ()
-        x = _fast_polish(y, p, q, raw)
+        x = _fast_polish(y, p, q, z - shift)
         if x is not None:
             return (x,)
     elif disc < -_DISC_MARGIN * noise:
@@ -317,11 +303,8 @@ def _solve_cubic(y: float, p: float, q: float, sign: int = 0) -> tuple[float, ..
         phi = math.acos(arg)
         out = []
         failed = False
-        for k in (0.0, 2.0 * math.pi, 4.0 * math.pi):
-            raw = m * math.cos((phi + k) / 3.0) - shift
-            if sign != 0 and raw * sign < -sign_tol:
-                continue
-            x = _fast_polish(y, p, q, raw)
+        for k in _TRIG_OFFSETS:
+            x = _fast_polish(y, p, q, m * math.cos((phi + k) / 3.0) - shift)
             if x is None:
                 failed = True
                 break
@@ -361,28 +344,29 @@ def real_roots(c: CubicCoeffs) -> RootSet:
     return RootSet(_solve_cubic(c.y, c.p, c.q))
 
 
+
+
 class RadiusCubic:
     """The radius equation ``r + p r^2 + q r^3 = r_d`` of one warp.
 
-    model3 has ``(p, q) = (k1, k2)`` and model2 ``(0, k1)``. For model3, with
-    ``r = sqrt(1 + c^2) |x|`` the positive branch of the component cubic
-    solved by undistort_component becomes this cubic, so one solve per point
-    replaces the two sign-branch solves. Everything of the depressed cubic
-    that depends only on (p, q) is computed here once; ``solve`` adds the
-    ``r_d`` term, picks the positive closed-form root nearest ``r_d`` (the
-    same selection rule), and polishes and verifies that root only. An
-    undecided discriminant, a failed verification or a negligible ``q``
-    sends the point through the general _solve_cubic path instead.
+    model3 has ``(p, q) = (k1, k2)`` and model2 ``(0, k1)``. Everything of the
+    closed form that depends only on (p, q) is computed here once; ``solve``
+    adds the ``r_d`` term, takes the admissible root nearest ``r_d`` in closed
+    form, and polishes and verifies that root only. With a negligible ``q``
+    the equation is the quadratic ``r + p r^2 = r_d`` and that root is its
+    small one; otherwise the depressed cubic has one real root (Cardano) or
+    three (trigonometric form). An undecided discriminant or a failed
+    verification sends the point through the general _solve_cubic path.
     """
 
-    __slots__ = ("p", "q", "shift", "Q0", "P", "third", "cube", "m")
+    __slots__ = ("p", "q", "quadratic", "shift", "Q0", "P", "third", "cube", "m")
 
     def __init__(self, p: float, q: float) -> None:
         self.p = p
         self.q = q
-        if abs(q) < _Q_NEGLIGIBLE * (1.0 + abs(p)):
-            # Quadratic regime: _solve_cubic owns it; Q0 = None routes there.
-            self.Q0 = None
+        # The cubic's constants divide by q; below this it is a quadratic.
+        self.quadratic = abs(q) < _Q_NEGLIGIBLE * (1.0 + abs(p))
+        if self.quadratic:
             return
         # The same substitution as _solve_cubic, minus the r_d-dependent D.
         B = p / q
@@ -402,40 +386,46 @@ class RadiusCubic:
         """
         if r_d <= _INPUT_ZERO:
             return 0.0
-        if self.Q0 is None:
-            return self._general(r_d)
-        Q = self.Q0 - r_d / self.q
-        half = 0.5 * Q
-        cube = self.cube
-        disc = half * half + cube
-        noise = half * half + abs(cube)
-        sign_tol = 1e-6 * (1.0 + r_d)
         best = None
-        if disc > _DISC_MARGIN * noise:
-            # One real root: the larger-magnitude cube root, as in
-            # _solve_cubic, is the one whose radicand adds sqrt(disc) to
-            # -half without cancelling; the other factor is -third / u.
-            sq = math.sqrt(disc)
-            u = _cbrt(-half + sq if half <= 0.0 else -half - sq)
-            raw = (u - self.third / u if u != 0.0 else 0.0) - self.shift
-            if raw >= -sign_tol:
-                best = raw
-        elif disc < -_DISC_MARGIN * noise:
-            # Three real roots: the admissible one nearest r_d.
-            m = self.m
-            arg = 3.0 * Q / (self.P * m)
-            if arg > 1.0:
-                arg = 1.0
-            elif arg < -1.0:
-                arg = -1.0
-            phi = math.acos(arg)
-            best_dist = math.inf
-            for k in _TRIG_OFFSETS:
-                raw = m * math.cos((phi + k) / 3.0) - self.shift
-                if raw >= -sign_tol and abs(raw - r_d) < best_dist:
-                    best, best_dist = raw, abs(raw - r_d)
+        if self.quadratic:
+            # The small root 2 r_d / (1 + sqrt(1 + 4 p r_d)), in the form that
+            # does not cancel. For p < 0 the other root lies past the fold
+            # at r = -1/(2p), and r_d beyond the fold value has no root.
+            disc = 1.0 + 4.0 * self.p * r_d
+            if disc >= 0.0:
+                best = 2.0 * r_d / (1.0 + math.sqrt(disc))
         else:
-            return self._general(r_d)
+            Q = self.Q0 - r_d / self.q
+            half = 0.5 * Q
+            cube = self.cube
+            disc = half * half + cube
+            noise = half * half + abs(cube)
+            sign_tol = 1e-6 * (1.0 + r_d)
+            if disc > _DISC_MARGIN * noise:
+                # One real root: the larger-magnitude cube root, as in
+                # _solve_cubic, is the one whose radicand adds sqrt(disc) to
+                # -half without cancelling; the other factor is -third / u.
+                sq = math.sqrt(disc)
+                u = _cbrt(-half + sq if half <= 0.0 else -half - sq)
+                raw = (u - self.third / u if u != 0.0 else 0.0) - self.shift
+                if raw >= -sign_tol:
+                    best = raw
+            elif disc < -_DISC_MARGIN * noise:
+                # Three real roots: the admissible one nearest r_d.
+                m = self.m
+                arg = 3.0 * Q / (self.P * m)
+                if arg > 1.0:
+                    arg = 1.0
+                elif arg < -1.0:
+                    arg = -1.0
+                phi = math.acos(arg)
+                best_dist = math.inf
+                for k in _TRIG_OFFSETS:
+                    raw = m * math.cos((phi + k) / 3.0) - self.shift
+                    if raw >= -sign_tol and abs(raw - r_d) < best_dist:
+                        best, best_dist = raw, abs(raw - r_d)
+            else:
+                return self._general(r_d)
         if best is None:
             raise NoRealSolution(self._no_root_message(r_d))
         r = _fast_polish(r_d, self.p, self.q, best)
@@ -449,106 +439,56 @@ class RadiusCubic:
         The same closed form, selection rule, polish and verification, lane
         by lane. Radii at or below the zero threshold give 0. A lane that
         solve would send to the general path or answer with NoRealSolution
-        (undecided discriminant, no admissible root, failed verification,
-        negligible ``q``), and a non-finite radius, gives NaN: the caller
-        settles those lanes with ``solve``.
+        (undecided discriminant, no admissible root, failed verification),
+        and a non-finite radius, gives NaN: the caller settles those lanes
+        with ``solve``.
         """
         r_d = np.asarray(r_d, dtype=float)
         r = np.where(r_d <= _INPUT_ZERO, 0.0, np.nan)
-        if self.Q0 is None:
-            return r
         lanes = np.flatnonzero((r_d > _INPUT_ZERO) & np.isfinite(r_d))
         y = r_d[lanes]
-        Q = self.Q0 - y / self.q
-        half = 0.5 * Q
-        cube = self.cube
-        disc = half * half + cube
-        noise = half * half + abs(cube)
-        sign_tol = 1e-6 * (1.0 + y)
-        best = np.full(y.shape, np.nan)
-        one = disc > _DISC_MARGIN * noise
-        if one.any():
-            h = half[one]
-            sq = np.sqrt(disc[one])
-            u = np.cbrt(np.where(h <= 0.0, -h + sq, -h - sq))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z = np.where(u != 0.0, u - self.third / u, 0.0)
-            best[one] = z - self.shift
-        three = disc < -_DISC_MARGIN * noise
-        if three.any():
-            m = self.m
-            phi = np.arccos(np.clip(3.0 * Q[three] / (self.P * m), -1.0, 1.0))
-            raw = m * np.cos((phi[:, None] + _TRIG_OFFSETS) / 3.0) - self.shift
-            dist = np.where(
-                raw >= -sign_tol[three, None], np.abs(raw - y[three, None]), np.inf
-            )
-            k = np.argmin(dist, axis=1)
-            rows = np.arange(k.size)
-            best[three] = np.where(np.isfinite(dist[rows, k]), raw[rows, k], np.nan)
-        best[~(best >= -sign_tol)] = np.nan
+        if self.quadratic:
+            # Past the fold the square root of a negative gives NaN.
+            with np.errstate(invalid="ignore"):
+                best = 2.0 * y / (1.0 + np.sqrt(1.0 + 4.0 * self.p * y))
+        else:
+            Q = self.Q0 - y / self.q
+            half = 0.5 * Q
+            cube = self.cube
+            disc = half * half + cube
+            noise = half * half + abs(cube)
+            sign_tol = 1e-6 * (1.0 + y)
+            best = np.full(y.shape, np.nan)
+            one = disc > _DISC_MARGIN * noise
+            if one.any():
+                h = half[one]
+                sq = np.sqrt(disc[one])
+                u = np.cbrt(np.where(h <= 0.0, -h + sq, -h - sq))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    z = np.where(u != 0.0, u - self.third / u, 0.0)
+                best[one] = z - self.shift
+            three = disc < -_DISC_MARGIN * noise
+            if three.any():
+                m = self.m
+                phi = np.arccos(np.clip(3.0 * Q[three] / (self.P * m), -1.0, 1.0))
+                raw = m * np.cos((phi[:, None] + _TRIG_OFFSETS) / 3.0) - self.shift
+                dist = np.where(
+                    raw >= -sign_tol[three, None], np.abs(raw - y[three, None]), np.inf
+                )
+                k = np.argmin(dist, axis=1)
+                rows = np.arange(k.size)
+                best[three] = np.where(np.isfinite(dist[rows, k]), raw[rows, k], np.nan)
+            best[~(best >= -sign_tol)] = np.nan
         x = _fast_polish_array(y, self.p, self.q, best)
         r[lanes] = np.where(x > _ZERO_ROOT, x, np.nan)
         return r
 
     def _general(self, r_d: float) -> float:
-        r = _branch_candidate(r_d, self.p, self.q, positive=True)
-        if r is None:
+        """The positive root nearest ``r_d`` among all real roots."""
+        roots = [x for x in _solve_cubic(r_d, self.p, self.q) if x > _ZERO_ROOT]
+        if not roots:
             raise NoRealSolution(self._no_root_message(r_d))
-        return r
+        return min(roots, key=lambda x: abs(x - r_d))
 
     def _no_root_message(self, r_d: float) -> str:
         return f"no positive real root for r_d={r_d!r} (p={self.p!r}, q={self.q!r})"
-
-
-def _branch_candidate(y: float, p: float, q: float, positive: bool) -> float | None:
-    """Best root of one sign branch: solve, filter by sign, pick nearest to y."""
-    best = None
-    best_dist = math.inf
-    for x in _solve_cubic(y, p, q, 1 if positive else -1):
-        if x > _ZERO_ROOT if positive else x < -_ZERO_ROOT:
-            dist = abs(x - y)
-            if dist < best_dist:
-                best, best_dist = x, dist
-    return best
-
-
-def undistort_component(x_d: float, c: float, k1: float, k2: float) -> float:
-    """Invert ``x_d = x + k1 sqrt(1+c^2) sgn(x) x^2 + k2 (1+c^2) x^3`` for x.
-
-    Candidate-selection algorithm: zero (at working precision) maps to zero;
-    otherwise solve the positive-sign and negative-sign branches separately,
-    keep the roots whose sign matches each branch's assumption, and return
-    the candidate closest to the observed ``x_d``.
-    """
-    if abs(x_d) <= _INPUT_ZERO:
-        return 0.0
-    scale = 1.0 + c * c
-    p = k1 * math.sqrt(scale)
-    q = k2 * scale
-
-    x_plus = _branch_candidate(x_d, p, q, positive=True)
-    x_minus = _branch_candidate(x_d, -p, q, positive=False)
-
-    if x_plus is None and x_minus is None:
-        raise NoRealSolution(
-            f"no sign-consistent real root for x_d={x_d!r} (k1={k1!r}, k2={k2!r})"
-        )
-    if x_plus is None:
-        return x_minus
-    if x_minus is None:
-        return x_plus
-    return x_plus if abs(x_plus - x_d) <= abs(x_minus - x_d) else x_minus
-
-
-def undistort_xy(x_d: float, y_d: float, k1: float, k2: float) -> tuple[float, float]:
-    """Component-wise inverse of the odd radial warp on the normalized plane.
-
-    The x component is recovered from the scalar cubic with ``c = y_d / x_d``
-    and y follows as ``c x``; a (relatively) zero x component swaps the roles
-    of the axes, which also keeps ``c`` bounded.
-    """
-    if abs(x_d) <= _INPUT_ZERO * max(1.0, abs(y_d)):
-        return 0.0, undistort_component(y_d, 0.0, k1, k2)
-    c = y_d / x_d
-    x = undistort_component(x_d, c, k1, k2)
-    return x, c * x

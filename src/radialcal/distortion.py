@@ -269,12 +269,11 @@ def undistort(spec: DistortionSpec, d: NormalizedPoint) -> NormalizedPoint:
     """Inverse of distort_normalized on the spec's monotone working domain.
 
     model2 and model3 solve their radius cubic ``r + k1 r^2 + k2 r^3 = r_d``
-    (model2: ``r + k1 r^3 = r_d``) once per point in closed form and rescale
-    ``(x_d, y_d)`` by ``r / r_d``; for model3 this is the paper's component
-    cubic (``cubic.undistort_xy``, kept as the reference) with
-    ``r = sqrt(1 + c^2) |x|``, and inside the monotone domain both give the
-    same point. model1 has no closed form and falls back to the damped-Newton
-    radius inversion. Past the fold of ``r f(r)`` no positive radius exists:
+    (model2: ``r + k1 r^3 = r_d``; model3 with ``k2 = 0``: a quadratic) once
+    per point in closed form and rescale ``(x_d, y_d)`` by ``r / r_d``. For
+    model3 this is the paper's component cubic with ``r = sqrt(1 + c^2) |x|``,
+    and inside the monotone domain both give the same point. model1 has no
+    closed form and falls back to the damped-Newton radius inversion. Past the fold of ``r f(r)`` no positive radius exists:
     NoRealSolution (model2, model3) or NotConverged (model1).
     """
     r_d = d.radius

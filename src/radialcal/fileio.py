@@ -68,7 +68,10 @@ def _read_table(
     that fails, the first line with the wrong number of fields or a field
     that does not convert is named.
     """
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:  # as the JSON readers report it
+        raise ParseError(f"{path}: {exc}") from None
     if not lines or lines[0].strip() != header:
         raise ParseError(f"expected header {header!r}", line=1)
     width = header.count(",") + 1

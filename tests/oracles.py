@@ -3,6 +3,8 @@
 Everything here deliberately avoids the library's own solution paths: cubic
 roots come from derivative-bracketed bisection, scalar radius inversion from
 numpy's companion-matrix roots, and projections from inline matrix algebra.
+The exception is the paper's component form of the model3 inverse, written
+over the public real_roots, which the bisection oracle checks in turn.
 """
 
 from __future__ import annotations
@@ -10,6 +12,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from radialcal.cubic import CubicCoeffs, NoRealSolution, real_roots
+
+# Components at most COMPONENT_ZERO map to zero; roots within ROOT_ZERO of
+# zero belong to neither sign branch.
+COMPONENT_ZERO = 1e-12
+ROOT_ZERO = 1e-14
 
 
 def cubic_residual(y, p, q, x):
@@ -114,6 +123,39 @@ def forward_component_model3(x: float, c: float, k1: float, k2: float) -> float:
         + k1 * math.sqrt(scale) * math.copysign(1.0, x) * x * x
         + k2 * scale * x ** 3
     )
+
+
+def undistort_component(x_d: float, c: float, k1: float, k2: float) -> float:
+    """Invert ``x_d = x + k1 sqrt(1+c^2) sgn(x) x^2 + k2 (1+c^2) x^3`` for x.
+
+    The paper's candidate selection: zero (at working precision) maps to
+    zero; otherwise the positive-sign and negative-sign branches are solved
+    separately, each keeps the roots whose sign matches its assumption, and
+    the candidate closest to the observed ``x_d`` wins.
+    """
+    if abs(x_d) <= COMPONENT_ZERO:
+        return 0.0
+    scale = 1.0 + c * c
+    p, q = k1 * math.sqrt(scale), k2 * scale
+    candidates = [x for x in real_roots(CubicCoeffs(x_d, p, q)) if x > ROOT_ZERO]
+    candidates += [x for x in real_roots(CubicCoeffs(x_d, -p, q)) if x < -ROOT_ZERO]
+    if not candidates:
+        raise NoRealSolution(f"no sign-consistent real root for x_d={x_d!r}")
+    return min(candidates, key=lambda x: abs(x - x_d))
+
+
+def undistort_xy(x_d: float, y_d: float, k1: float, k2: float) -> tuple[float, float]:
+    """Component-wise inverse of the odd radial warp on the normalized plane.
+
+    The x component is recovered from the scalar cubic with ``c = y_d / x_d``
+    and y follows as ``c x``; a (relatively) zero x component swaps the roles
+    of the axes, which also keeps ``c`` bounded.
+    """
+    if abs(x_d) <= COMPONENT_ZERO * max(1.0, abs(y_d)):
+        return 0.0, undistort_component(y_d, 0.0, k1, k2)
+    c = y_d / x_d
+    x = undistort_component(x_d, c, k1, k2)
+    return x, c * x
 
 
 def project_pinhole(

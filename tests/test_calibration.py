@@ -332,6 +332,24 @@ class TestRefine:
         assert not result.converged
         assert result.j_final <= result.j_init
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("tol_x", math.nan),
+            ("tol_fun", math.nan),
+            ("tol_x", math.inf),
+            ("tol_fun", math.inf),
+            ("tol_fun", 0.0),
+            ("max_iter", 0),
+            ("max_fun_evals", -3),
+        ],
+    )
+    def test_options_reject_settings_that_cannot_stop_lm(self, field, value):
+        # tol_fun = inf would stop a 5-view session after one iteration,
+        # reported as converged, at about 60 times a full run's objective.
+        with pytest.raises(ValueError, match="must be"):
+            OptimizerOptions(**{field: value})
+
 
 class TestPipelinePolicies:
     def _with_collinear_view(self, n_good):

@@ -134,6 +134,36 @@ class TestCalibrate:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_input_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        corr_path = tmp_path / "corr.csv"
+        corr_path.write_bytes(b"\xff\xfev\x00i\x00e\x00w\x00")
+        argv = ["calibrate", "--input", str(corr_path), "--model", "3", "--output", str(tmp_path / "c.json")]
+        assert main(argv) == 2
+        assert "corr.csv: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["calibrate", "compare"])
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--tol-x", "nan", "tolerances must be finite and positive"),
+            ("--tol-fun", "inf", "tolerances must be finite and positive"),
+            ("--max-iter", "0", "iteration caps must be positive"),
+            ("--max-fun-evals", "-3", "iteration caps must be positive"),
+        ],
+    )
+    def test_bad_optimizer_flag_exits_2(self, tmp_path, capsys, command, flag, value, message):
+        corr, _ = make_scene(14)
+        corr_path = tmp_path / "corr.csv"
+        calib_path = tmp_path / "calib.json"
+        write_correspondences(corr_path, corr)
+        argv = [command, "--input", str(corr_path), flag, value]
+        if command == "calibrate":
+            argv += ["--model", "3", "--output", str(calib_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not calib_path.exists()
+
     def test_not_converged_exit_4_still_writes(self, tmp_path, capsys):
         corr, _ = make_scene(14, noise_sigma=0.5)
         corr_path = tmp_path / "corr.csv"
@@ -285,6 +315,15 @@ class TestUndistort:
         assert "1 of 2" in capsys.readouterr().out
         out = read_points(tmp_path / "out.csv")
         assert np.isfinite(out[0]).all() and np.isnan(out[1]).all()
+
+    def test_points_that_are_not_utf8_exit_2(self, tmp_path, capsys):
+        A = IntrinsicMatrix(800.0, 800.0, 0.2, 320.0, 240.0)
+        write_exact_calibration(tmp_path / "calib.json", A, DistortionSpec(Model.MODEL3, -0.12, -0.14))
+        (tmp_path / "pts.csv").write_bytes(b"\xff\xfeu\x00,\x00v\x00\n\x00")
+        argv = ["undistort", "--calib", str(tmp_path / "calib.json"), "--points", str(tmp_path / "pts.csv")]
+        assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 2
+        assert "pts.csv: " in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
     def test_non_finite_row_gives_nan_row_and_exit_5(self, tmp_path, capsys, direction):

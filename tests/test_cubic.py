@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialcal import cubic
-from radialcal.cubic import (
-    CubicCoeffs,
-    RootSet,
-    _polish,
-    real_roots,
+from radialcal.cubic import CubicCoeffs, RootSet, _polish, real_roots
+from oracles import (
+    bisect_cubic_roots,
+    cubic_residual,
+    forward_component_model3,
     undistort_component,
     undistort_xy,
 )
-from oracles import bisect_cubic_roots, cubic_residual, forward_component_model3
 
 
 def residual_scale(c: CubicCoeffs, x: float) -> float:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialcal import distortion
-from radialcal.cubic import _Q_NEGLIGIBLE, NoRealSolution, undistort_xy
+from radialcal.cubic import _Q_NEGLIGIBLE, NoRealSolution
 from radialcal.distortion import (
     DistortionSpec,
     Model,
@@ -34,7 +34,14 @@ from radialcal.geometry import (
     to_pixel_array,
 )
 from conftest import make_scene
-from oracles import project_pinhole, radius_from_distorted_model3, rot_x, rot_y, rot_z
+from oracles import (
+    project_pinhole,
+    radius_from_distorted_model3,
+    rot_x,
+    rot_y,
+    rot_z,
+    undistort_xy,
+)
 
 
 def sample_disk(rng, r_max):
@@ -291,8 +298,8 @@ class TestUndistort:
             assert math.hypot(got.x - expected[0], got.y - expected[1]) <= 1e-9
 
     def test_model3_matches_component_algorithm(self):
-        # undistort solves the radius cubic once; undistort_xy is the paper's
-        # sign-branch algorithm on the component cubic. Inside the monotone
+        # undistort solves the radius cubic once; the oracle undistort_xy is
+        # the paper's sign-branch algorithm on the component cubic. Inside the monotone
         # domain both must select the same root, also on the axes (where the
         # component form swaps axes) and next to the origin.
         rng = np.random.default_rng(9)
@@ -413,8 +420,6 @@ class TestUndistortArray:
     @pytest.mark.parametrize(
         "spec,xy",
         [
-            # k2 below the cubic threshold: every lane takes the scalar path.
-            (DistortionSpec(Model.MODEL3, 0.2, 0.1 * _Q_NEGLIGIBLE), [[0.3, 0.4], [-0.5, 0.1]]),
             # On the fold F(2) = 1.2 the discriminant is zero to rounding.
             (DistortionSpec(Model.MODEL3, -0.1, -0.05), [[0.72, 0.96], [0.3, 0.4]]),
             # Past the fold the model1 Newton step needs damping.
@@ -433,6 +438,32 @@ class TestUndistortArray:
         monkeypatch.setattr(distortion, "undistort", counted)
         assert_rows_agree(undistort_array(spec, xy), want)
         assert calls and NormalizedPoint(*xy[0]) in calls
+
+    @pytest.mark.parametrize("k2", [0.0, 0.1 * _Q_NEGLIGIBLE, -0.1 * _Q_NEGLIGIBLE])
+    @pytest.mark.parametrize("k1", [0.2, -0.2])
+    def test_quadratic_regime_settles_in_the_array_pass(self, monkeypatch, k1, k2):
+        # With k2 below the cubic threshold the radius equation is the
+        # quadratic r + k1 r^2 = r_d; for k1 < 0 it folds at r = -1/(2 k1),
+        # and observed radii past 1 + 4 k1 r_d = 0 have no root.
+        spec = DistortionSpec(Model.MODEL3, k1, k2)
+        rng = np.random.default_rng(47)
+        r = 3.0 * rng.uniform(size=2000) ** 2
+        phi = rng.uniform(-math.pi, math.pi, r.size)
+        xy = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+        past_fold = 1.0 + 4.0 * k1 * r < 0.0
+        assert past_fold.any() == (k1 < 0.0)
+        want = scalar_undistort_rows(spec, xy)
+        calls = []
+
+        def counted(s, d):
+            calls.append(d)
+            return undistort(s, d)
+
+        monkeypatch.setattr(distortion, "undistort", counted)
+        got = undistort_array(spec, xy)
+        assert_rows_agree(got, want)
+        assert np.isnan(got[past_fold]).all()
+        assert len(calls) == past_fold.sum()
 
 
 class TestRadialSymmetry:

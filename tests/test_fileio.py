@@ -201,6 +201,15 @@ class TestPointsCsv:
             assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
+@pytest.mark.parametrize("reader", [read_points, read_correspondences])
+@pytest.mark.parametrize("content", [b"\xff\xfeu\x00,\x00v\x00", b"u,v\n1,2\n\xe9,3\n"])
+def test_csv_bytes_that_are_not_utf8_are_parse_error(tmp_path, reader, content):
+    path = tmp_path / "table.csv"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match="table.csv: .*can't decode"):
+        reader(path)
+
+
 class TestCalibrationJson:
     def test_round_trip_and_objective_recompute(self, tmp_path):
         corr, _ = make_scene(7, noise_sigma=0.25)
@@ -236,6 +245,18 @@ class TestCalibrationJson:
         assert set(data["intrinsics"]) == {"alpha", "beta", "gamma", "u0", "v0"}
         assert set(data["views"][0]) == {"view_id", "axis_angle", "t"}
         assert set(data["options"]) == {"tol_x", "tol_fun", "max_iter", "max_fun_evals"}
+
+    @pytest.mark.parametrize("key", ["tol_x", "tol_fun"])
+    def test_non_finite_tolerance_is_parse_error(self, tmp_path, key):
+        corr, _ = make_scene(8)
+        opts = OptimizerOptions()
+        path = tmp_path / "calib.json"
+        write_calibration(path, calibrate(corr, Model.MODEL2, opts), opts)
+        data = json.loads(path.read_text())
+        data["options"][key] = math.nan
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="tolerances must be finite and positive"):
+            read_calibration(path)
 
     def test_invalid_json_is_parse_error(self, tmp_path):
         path = tmp_path / "calib.json"
