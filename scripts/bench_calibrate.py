@@ -11,7 +11,11 @@ benchmark's 100-view session) at 10, 30 and 100 views, times:
 * ``refine`` per LM iteration (its time over its iteration count);
 * the linear stage: homographies, intrinsics, extrinsics and the
   distortion initialization;
-* ``calibrate`` end to end.
+* ``calibrate`` end to end;
+
+and the process's peak resident memory (``ru_maxrss``) once that view
+count is done. The peak never falls, so each figure covers every smaller
+view count too.
 
 Each time is the median of a fixed number of repeats. BLAS runs one thread
 unless OPENBLAS_NUM_THREADS is set, as in the repository benchmark. The
@@ -27,6 +31,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import resource  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -64,6 +69,8 @@ def timed(fn, repeats: int = REPEATS):
     """Median wall time of ``repeats`` calls, and the last call's result."""
     times = []
     for _ in range(repeats):
+        # The last result can be a dense Jacobian: never hold two at once.
+        result = None
         start = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - start)
@@ -102,6 +109,7 @@ def bench_views(n_views: int) -> dict:
         "linear_stage_ms": 1e3 * linear_s,
         "calibrate_s": calibrate_s,
         "rms_px": fit.rms_px,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
 

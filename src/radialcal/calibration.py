@@ -8,15 +8,17 @@ of the squared reprojection error
 
     J = sum_i sum_j || m_ij - mhat(A, k, R_i, t_i, M_j) ||^2
 
-where the prediction mhat is the forward model ``distortion.project_points``:
+where the prediction mhat is the forward model of ``distortion.project_points``:
 pinhole projection, the radial warp on the unit focal plane, the intrinsics.
+``_forward`` evaluates it for all views in one array pass, which every stage
+after the linear one reads.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +28,6 @@ from .distortion import (
     Model,
     coefficient_basis,
     n_coefficients,
-    project_points,
     warp_factor,
     warp_slope,
 )
@@ -36,7 +37,6 @@ from .geometry import (
     Homography,
     IntrinsicMatrix,
     ViewExtrinsics,
-    normalize_world_array,
     to_pixel_array,
 )
 
@@ -82,15 +82,31 @@ class CalibrationView:
 
 @dataclass(frozen=True)
 class CorrespondenceSet:
-    """All views of one calibration session."""
+    """All views of one calibration session.
+
+    Every view's points are also stacked once, in view order: ``world``
+    holds the target points on z = 0 as ``(n, 3)``, ``pixels`` the observed
+    pixels, and ``view_index`` the position in ``views`` of each point's view.
+    """
 
     views: tuple[CalibrationView, ...]
+    world: np.ndarray = field(init=False, repr=False, compare=False)
+    pixels: np.ndarray = field(init=False, repr=False, compare=False)
+    view_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "views", tuple(self.views))
-        ids = [v.view_id for v in self.views]
+        views = tuple(self.views)
+        ids = [v.view_id for v in views]
         if len(set(ids)) != len(ids):
             raise ValueError("view ids must be unique")
+        world_xy = np.concatenate([np.empty((0, 2))] + [v.world_xy for v in views])
+        world = np.column_stack([world_xy, np.zeros(len(world_xy))])
+        pixels = np.concatenate([np.empty((0, 2))] + [v.pixels for v in views])
+        view_index = np.repeat(np.arange(len(views)), [v.n_points for v in views])
+        object.__setattr__(self, "views", views)
+        for name, value in (("world", world), ("pixels", pixels), ("view_index", view_index)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n_views(self) -> int:
@@ -98,7 +114,7 @@ class CorrespondenceSet:
 
     @property
     def n_points(self) -> int:
-        return sum(v.n_points for v in self.views)
+        return len(self.view_index)
 
 
 @dataclass(frozen=True)
@@ -313,8 +329,99 @@ def extrinsics_from_homography(H: Homography, A: IntrinsicMatrix) -> ViewExtrins
 # Objective and derivatives
 
 
-def _world3(view: CalibrationView) -> np.ndarray:
-    return np.column_stack([view.world_xy, np.zeros(view.n_points)])
+def _rotate(w: np.ndarray, view: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """``v_j = R(w_i)^T d_j`` for the rows d_j of view ``i = view[j]``.
+
+    Uses ``R^T d = d - a (w x d) + b (w (w.d) - theta^2 d)`` with
+    ``a = sin(theta)/theta`` and ``b = (1 - cos(theta))/theta^2``. These and
+    the derivatives over theta ``ca = a'/theta``, ``cb = b'/theta`` are
+    computed once per row of w and switch to series below theta = 1e-4, so
+    the expression stays smooth through w = 0. Also returns, per point, the
+    view's w and then theta^2, a, b, ca and cb as ``(n, 1)``.
+    """
+    theta2 = np.einsum("vi,vi->v", w, w)
+    theta = np.sqrt(theta2)
+    small = theta < 1e-4
+    t, t2 = np.where(small, 1.0, theta), np.where(small, 1.0, theta2)
+    s, c = np.sin(t), np.cos(t)
+    coefficients = [theta2] + [
+        np.where(small, series, closed)
+        for series, closed in (
+            (1.0 - theta2 / 6.0, s / t),
+            (0.5 - theta2 / 24.0, (1.0 - c) / t2),
+            (theta2 / 30.0 - 1.0 / 3.0, (t * c - s) / (t2 * t)),
+            (theta2 / 180.0 - 1.0 / 12.0, (t * s - 2.0 * (1.0 - c)) / (t2 * t2)),
+        )
+    ]
+    w, theta2, a, b, _, _ = rot = (w[view], *(x[view, None] for x in coefficients))
+    wdotd = np.einsum("ni,ni->n", d, w)
+    return d - a * np.cross(w, d) + b * (wdotd[:, None] * w - theta2 * d), rot
+
+
+def _pose_jacobian(rot: tuple[np.ndarray, ...], d: np.ndarray) -> np.ndarray:
+    """Derivatives of ``v = R(w)^T d``, ``d = P - t``, in the pose ``(w, t)``: ``(n, 3, 6)``."""
+    w, theta2, a, b, ca, cb = rot
+    eye = np.eye(3)
+    # Cross-product matrices: [x]_j y = x_j cross y for the rows x_j of x.
+    d_cross, w_cross = (-np.cross(x[:, None, :], eye) for x in (d, w))
+    wdotd = np.einsum("ni,ni->n", d, w)[:, None]
+    left = cb * (wdotd * w - theta2 * d) - ca * np.cross(w, d) - 2.0 * b * d
+    theta2, a, b = (x[:, :, None] for x in (theta2, a, b))
+    dv_dw = left[:, :, None] * w[:, None, :] + a * d_cross
+    dv_dw += b * (w[:, :, None] * d[:, None, :] + wdotd[:, :, None] * eye)
+    rotation_t = eye - a * w_cross + b * (w[:, :, None] * w[:, None, :] - theta2 * eye)
+    return np.concatenate([dv_dw, -rotation_t], axis=2)
+
+
+def _rotation_transpose_apply_jacobian(
+    w: np.ndarray, d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and w-derivatives of ``v = R(w)^T d`` for one w and rows of d."""
+    v, rot = _rotate(w[None, :], np.zeros(len(d), dtype=int), d)
+    return v, _pose_jacobian(rot, d)[:, :, :3]
+
+
+@dataclass(frozen=True)
+class _Stacked:
+    """The forward model at every stacked point of a CorrespondenceSet."""
+
+    A: IntrinsicMatrix
+    spec: DistortionSpec
+    rot: tuple[np.ndarray, ...]  # each point's view rotation, from _rotate
+    d: np.ndarray  # (n, 3) target point minus camera center, P - t
+    xy: np.ndarray  # (n, 2) pinhole points on the unit focal plane
+    z: np.ndarray  # (n, 1) camera depths
+    r: np.ndarray
+    f: np.ndarray  # warp factors f(r)
+    pixels: np.ndarray  # (n, 2) predicted pixels
+
+
+def _forward(theta: np.ndarray, corr: CorrespondenceSet, model: Model) -> _Stacked:
+    """Evaluate the forward model for all views of corr in one array pass.
+
+    theta is in packing order. Pinhole projection ``P_c = R^T (P - t)``,
+    the radial warp on the unit focal plane, then the intrinsics. Raises
+    DepthNotPositive naming the view of the point with the smallest depth
+    when any point is behind (or on) its camera plane.
+    """
+    nk = n_coefficients(model)
+    A = IntrinsicMatrix(*theta[:5])
+    spec = DistortionSpec.from_coefficients(model, theta[5 : 5 + nk])
+    poses = theta[5 + nk :].reshape(corr.n_views, 6)
+    if not np.all(np.isfinite(poses)):
+        raise ValueError("view poses must be finite")
+    view = corr.view_index
+    d = corr.world - poses[view, 3:]
+    pc, rot = _rotate(poses[:, :3], view, d)
+    z = pc[:, 2:]
+    if np.any(z <= 0.0):
+        where = f"view {corr.views[view[np.argmin(z)]].view_id} has a point at camera depth"
+        raise DepthNotPositive(f"{where} {z.min()}; must be positive")
+    xy = pc[:, :2] / z
+    r = np.hypot(xy[:, 0], xy[:, 1])
+    f = warp_factor(spec, r)
+    pixels = to_pixel_array(xy * f[:, None], A)
+    return _Stacked(A, spec, rot, d, xy, z, r, f, pixels)
 
 
 def objective(
@@ -326,11 +433,8 @@ def objective(
     """Sum of squared pixel distances between observations and predictions."""
     if len(extrinsics) != corr.n_views:
         raise ValueError("one extrinsics entry per view is required")
-    total = 0.0
-    for view, E in zip(corr.views, extrinsics):
-        diff = project_points(A, spec, E, _world3(view)) - view.pixels
-        total += float(np.sum(diff * diff))
-    return total
+    diff = _forward(_pack_params(A, spec, extrinsics), corr, spec.model).pixels - corr.pixels
+    return float(np.sum(diff * diff))
 
 
 def init_distortion(
@@ -346,21 +450,15 @@ def init_distortion(
     point to the model's radial basis. Falls back to zero coefficients when
     the normal equations are rank-deficient (e.g. all radii equal).
     """
-    rows = []
-    rhs = []
-    for view, E in zip(corr.views, extrinsics):
-        xy = normalize_world_array(_world3(view), E)
-        basis = coefficient_basis(model, np.hypot(xy[:, 0], xy[:, 1]))
-        u, v = to_pixel_array(xy, A).T
-        rows.append((u - A.u0)[:, None] * basis)
-        rows.append((v - A.v0)[:, None] * basis)
-        rhs.append(view.pixels[:, 0] - u)
-        rhs.append(view.pixels[:, 1] - v)
-    design = np.vstack(rows)
-    target = np.concatenate(rhs)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < n_coefficients(model):
-        coeffs = np.zeros(n_coefficients(model))
+    nk = n_coefficients(model)
+    # With zero coefficients f = 1 exactly: the predictions are undistorted.
+    s = _forward(_pack_params(A, DistortionSpec(model, 0.0), extrinsics), corr, model)
+    basis = coefficient_basis(model, s.r)
+    design = (s.pixels - (A.u0, A.v0))[:, :, None] * basis[:, None, :]
+    target = corr.pixels - s.pixels
+    coeffs, _, rank, _ = np.linalg.lstsq(design.reshape(-1, nk), target.ravel(), rcond=None)
+    if rank < nk:
+        coeffs = np.zeros(nk)
     return DistortionSpec.from_coefficients(model, coeffs)
 
 
@@ -369,14 +467,8 @@ def _pack_params(
     spec: DistortionSpec,
     extrinsics: Sequence[ViewExtrinsics],
 ) -> np.ndarray:
-    parts = [
-        np.array([A.alpha, A.beta, A.gamma, A.u0, A.v0]),
-        np.asarray(spec.coefficients),
-    ]
-    for E in extrinsics:
-        parts.append(E.axis_angle)
-        parts.append(E.t)
-    return np.concatenate(parts)
+    poses = [x for E in extrinsics for x in (E.axis_angle, E.t)]
+    return np.concatenate([[A.alpha, A.beta, A.gamma, A.u0, A.v0], spec.coefficients, *poses])
 
 
 def _unpack_params(
@@ -385,63 +477,8 @@ def _unpack_params(
     nk = n_coefficients(model)
     A = IntrinsicMatrix(*theta[:5])
     spec = DistortionSpec.from_coefficients(model, theta[5 : 5 + nk])
-    extrinsics = []
-    for i in range(n_views):
-        base = 5 + nk + 6 * i
-        extrinsics.append(ViewExtrinsics(theta[base : base + 3], theta[base + 3 : base + 6]))
-    return A, spec, tuple(extrinsics)
-
-
-def _rotation_transpose_apply_jacobian(
-    w: np.ndarray, d: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Values and w-derivatives of ``v = R(w)^T d`` for rows of d.
-
-    Uses ``R^T d = d - a (w x d) + b (w (w.d) - theta^2 d)`` with
-    ``a = sin(theta)/theta`` and ``b = (1 - cos(theta))/theta^2``; the
-    coefficient derivatives switch to series below theta = 1e-4 so the
-    expression stays smooth through w = 0.
-    """
-    theta2 = float(w @ w)
-    theta = math.sqrt(theta2)
-    if theta < 1e-4:
-        a = 1.0 - theta2 / 6.0
-        b = 0.5 - theta2 / 24.0
-        ca = -1.0 / 3.0 + theta2 / 30.0
-        cb = -1.0 / 12.0 + theta2 / 180.0
-    else:
-        s, c = math.sin(theta), math.cos(theta)
-        a = s / theta
-        b = (1.0 - c) / theta2
-        ca = (theta * c - s) / (theta2 * theta)
-        cb = (theta * s - 2.0 * (1.0 - c)) / (theta2 * theta2)
-
-    wxd = np.cross(w[None, :], d)
-    wdotd = d @ w
-    v = d - a * wxd + b * (wdotd[:, None] * w[None, :] - theta2 * d)
-
-    n = d.shape[0]
-    skew_d = np.zeros((n, 3, 3))
-    skew_d[:, 0, 1] = -d[:, 2]
-    skew_d[:, 0, 2] = d[:, 1]
-    skew_d[:, 1, 0] = d[:, 2]
-    skew_d[:, 1, 2] = -d[:, 0]
-    skew_d[:, 2, 0] = -d[:, 1]
-    skew_d[:, 2, 1] = d[:, 0]
-
-    radial = wdotd[:, None] * w[None, :] - theta2 * d
-    dv_dw = (
-        -ca * wxd[:, :, None] * w[None, None, :]
-        + a * skew_d
-        + cb * radial[:, :, None] * w[None, None, :]
-        + b
-        * (
-            wdotd[:, None, None] * np.eye(3)[None, :, :]
-            + w[None, :, None] * d[:, None, :]
-            - 2.0 * d[:, :, None] * w[None, None, :]
-        )
-    )
-    return v, dv_dw
+    poses = theta[5 + nk :].reshape(n_views, 6)
+    return A, spec, tuple(ViewExtrinsics(pose[:3], pose[3:]) for pose in poses)
 
 
 def _residuals_and_jacobian(
@@ -449,77 +486,37 @@ def _residuals_and_jacobian(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked pixel residuals and their dense Jacobian in packing order."""
     nk = n_coefficients(model)
-    A, spec, extrinsics = _unpack_params(theta, model, corr.n_views)
-    n_params = 5 + nk + 6 * corr.n_views
-    m = 2 * corr.n_points
-    res = np.zeros(m)
-    jac = np.zeros((m, n_params))
+    s = _forward(theta, corr, model)
+    A, n, (x, y) = s.A, corr.n_points, s.xy.T
+    # Row 2j is point j's u, row 2j + 1 its v.
+    jac = np.zeros((n, 2, 5 + nk + 6 * corr.n_views))
 
-    row = 0
-    for i, (view, E) in enumerate(zip(corr.views, extrinsics)):
-        n = view.n_points
-        w = np.asarray(E.axis_angle)
-        d = _world3(view) - E.t[None, :]
-        pc, dpc_dw = _rotation_transpose_apply_jacobian(w, d)
-        z = pc[:, 2]
-        if np.any(z <= 0.0):
-            raise DepthNotPositive(
-                f"view {view.view_id} has points at non-positive depth"
-            )
-        x = pc[:, 0] / z
-        y = pc[:, 1] / z
-        r = np.hypot(x, y)
-        f = warp_factor(spec, r)
-        slope_over_r = np.where(r > 1e-12, warp_slope(spec, r) / np.where(r > 1e-12, r, 1.0), 0.0)
-        xd, yd = x * f, y * f
+    # d(pixel)/d(intrinsics), columns [alpha, beta, gamma, u0, v0]
+    jac[:, 0, 0], jac[:, 0, 2], jac[:, 1, 1] = x * s.f, y * s.f, y * s.f
+    jac[:, 0, 3] = jac[:, 1, 4] = 1.0
 
-        u = A.alpha * xd + A.gamma * yd + A.u0
-        v = A.beta * yd + A.v0
-        res[row : row + 2 * n : 2] = u - view.pixels[:, 0]
-        res[row + 1 : row + 2 * n : 2] = v - view.pixels[:, 1]
+    # d(pixel)/d(coefficients) through the warp basis
+    basis = coefficient_basis(model, s.r)
+    dxd_dk = x[:, None] * basis
+    dyd_dk = y[:, None] * basis
+    jac[:, 0, 5 : 5 + nk] = A.alpha * dxd_dk + A.gamma * dyd_dk
+    jac[:, 1, 5 : 5 + nk] = A.beta * dyd_dk
 
-        # d(pixel)/d(intrinsics), columns [alpha, beta, gamma, u0, v0]
-        jac[row : row + 2 * n : 2, 0] = xd
-        jac[row : row + 2 * n : 2, 2] = yd
-        jac[row : row + 2 * n : 2, 3] = 1.0
-        jac[row + 1 : row + 2 * n : 2, 1] = yd
-        jac[row + 1 : row + 2 * n : 2, 4] = 1.0
-
-        # d(pixel)/d(coefficients) through the warp basis
-        basis = coefficient_basis(model, r)
-        dxd_dk = x[:, None] * basis
-        dyd_dk = y[:, None] * basis
-        jac[row : row + 2 * n : 2, 5 : 5 + nk] = A.alpha * dxd_dk + A.gamma * dyd_dk
-        jac[row + 1 : row + 2 * n : 2, 5 : 5 + nk] = A.beta * dyd_dk
-
-        # d(distorted)/d(normalized): f on the diagonal plus the radial term
-        D = np.empty((n, 2, 2))
-        D[:, 0, 0] = f + x * x * slope_over_r
-        D[:, 0, 1] = x * y * slope_over_r
-        D[:, 1, 0] = D[:, 0, 1]
-        D[:, 1, 1] = f + y * y * slope_over_r
-
-        MA = np.array([[A.alpha, A.gamma], [0.0, A.beta]])
-        dpix_dxy = np.einsum("ab,nbc->nac", MA, D)
-
-        dxy_dpc = np.zeros((n, 2, 3))
-        dxy_dpc[:, 0, 0] = 1.0 / z
-        dxy_dpc[:, 0, 2] = -x / z
-        dxy_dpc[:, 1, 1] = 1.0 / z
-        dxy_dpc[:, 1, 2] = -y / z
-
-        dpix_dpc = np.einsum("nab,nbc->nac", dpix_dxy, dxy_dpc)
-        dpix_dwv = np.einsum("nab,nbc->nac", dpix_dpc, dpc_dw)
-        # pc = R^T (P - t): the translation enters only through d = P - t.
-        dpix_dt = np.einsum("nab,bc->nac", dpix_dpc, -E.rotation.T)
-
-        col = 5 + nk + 6 * i
-        jac[row : row + 2 * n : 2, col : col + 3] = dpix_dwv[:, 0, :]
-        jac[row + 1 : row + 2 * n : 2, col : col + 3] = dpix_dwv[:, 1, :]
-        jac[row : row + 2 * n : 2, col + 3 : col + 6] = dpix_dt[:, 0, :]
-        jac[row + 1 : row + 2 * n : 2, col + 3 : col + 6] = dpix_dt[:, 1, :]
-        row += 2 * n
-    return res, jac
+    # d(distorted)/d(normalized): f on the diagonal plus the radial term
+    r = s.r
+    slope_over_r = np.where(r > 1e-12, warp_slope(s.spec, r) / np.where(r > 1e-12, r, 1.0), 0.0)
+    outer = s.xy[:, :, None] * s.xy[:, None, :]
+    D = s.f[:, None, None] * np.eye(2) + outer * slope_over_r[:, None, None]
+    MA = np.array([[A.alpha, A.gamma], [0.0, A.beta]])
+    # d(normalized)/d(camera point): [I / z, -(x, y) / z]
+    dxy_dpc = np.concatenate([np.eye(2) / s.z[:, :, None], -(s.xy / s.z)[:, :, None]], axis=2)
+    dpix_dpc = np.einsum("nab,nbc->nac", np.einsum("ab,nbc->nac", MA, D), dxy_dpc)
+    # Each point's six pose columns [w, t] sit in its own view's block.
+    cols = 5 + nk + 6 * corr.view_index[:, None] + np.arange(6)
+    jac[np.arange(n)[:, None, None], np.arange(2)[:, None], cols[:, None, :]] = np.einsum(
+        "nab,nbc->nac", dpix_dpc, _pose_jacobian(s.rot, s.d)
+    )
+    return (s.pixels - corr.pixels).ravel(), jac.reshape(2 * n, -1)
 
 
 def objective_gradient(
@@ -564,6 +561,8 @@ def _levenberg_marquardt(
         n_iter += 1
         grad = jac.T @ res
         hess = jac.T @ jac
+        # Hold one Jacobian at a time: the trial's is built next.
+        jac = jac_new = None
         if mu < 0.0:
             dmax = float(hess.diagonal().max())
             mu = 1e-3 * (dmax if dmax > 0.0 else 1.0)
@@ -584,13 +583,12 @@ def _levenberg_marquardt(
             trial = x + delta
             try:
                 res_new, jac_new = eval_fn(trial)
-                n_fev += 1
                 cost_new = float(res_new @ res_new)
             except ValueError:
                 # Invalid trial point (behind-camera or out-of-domain params):
                 # reject and shrink the step.
-                n_fev += 1
                 cost_new = math.inf
+            n_fev += 1
             if cost_new < cost:
                 gain_den = float(delta @ (mu * delta - grad))
                 rho = (cost - cost_new) / gain_den if gain_den > 0.0 else 1.0
@@ -603,6 +601,7 @@ def _levenberg_marquardt(
                     reason = "objective decrease below tol_fun"
                 accepted = True
                 break
+            jac_new = None
             mu *= nu
             nu *= 2.0
             if not math.isfinite(mu) or mu > 1e32:
@@ -623,24 +622,19 @@ def _build_result(
     j_init: float | None = None,
     stop_reason: str = "",
 ) -> CalibrationResult:
-    residuals = []
-    total = 0.0
-    n_total = 0
-    for view, E in zip(corr.views, extrinsics):
-        diff = project_points(A, spec, E, _world3(view)) - view.pixels
-        dist = np.linalg.norm(diff, axis=1)
-        dist.setflags(write=False)
-        residuals.append(dist)
-        total += float(np.sum(dist * dist))
-        n_total += view.n_points
+    diff = _forward(_pack_params(A, spec, extrinsics), corr, spec.model).pixels - corr.pixels
+    dist = np.linalg.norm(diff, axis=1)
+    dist.setflags(write=False)
+    total = float(np.sum(dist * dist))
+    ends = np.cumsum(np.bincount(corr.view_index, minlength=corr.n_views))
     return CalibrationResult(
         intrinsics=A,
         distortion=spec,
         view_ids=tuple(v.view_id for v in corr.views),
         extrinsics=extrinsics,
         j_final=total,
-        rms_px=math.sqrt(total / n_total),
-        per_point_residuals=tuple(residuals),
+        rms_px=math.sqrt(total / corr.n_points),
+        per_point_residuals=tuple(np.split(dist, ends[:-1])),
         converged=converged,
         n_iterations=n_iterations,
         j_init=j_init,

@@ -433,15 +433,14 @@ class RadiusCubic:
             return r
         return self._general(r_d)
 
-    def solve_array(self, r_d: np.ndarray) -> np.ndarray:
+    def solve_array(self, r_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``solve`` for a 1-D array of observed radii, in one array pass.
 
         The same closed form, selection rule, polish and verification, lane
-        by lane. Radii at or below the zero threshold give 0. A lane that
-        solve would send to the general path or answer with NoRealSolution
-        (undecided discriminant, no admissible root, failed verification),
-        and a non-finite radius, gives NaN: the caller settles those lanes
-        with ``solve``.
+        by lane. Radii at or below the zero threshold give 0. Also returns a
+        mask of the NaN lanes that solve would send to the general path, for
+        the caller to settle with ``solve``; the other NaN lanes have a
+        non-finite radius or no admissible root (NoRealSolution in solve).
         """
         r_d = np.asarray(r_d, dtype=float)
         r = np.where(r_d <= _INPUT_ZERO, 0.0, np.nan)
@@ -451,6 +450,7 @@ class RadiusCubic:
             # Past the fold the square root of a negative gives NaN.
             with np.errstate(invalid="ignore"):
                 best = 2.0 * y / (1.0 + np.sqrt(1.0 + 4.0 * self.p * y))
+            undecided = np.zeros(y.shape, dtype=bool)
         else:
             Q = self.Q0 - y / self.q
             half = 0.5 * Q
@@ -479,9 +479,13 @@ class RadiusCubic:
                 rows = np.arange(k.size)
                 best[three] = np.where(np.isfinite(dist[rows, k]), raw[rows, k], np.nan)
             best[~(best >= -sign_tol)] = np.nan
+            undecided = ~(one | three)
         x = _fast_polish_array(y, self.p, self.q, best)
-        r[lanes] = np.where(x > _ZERO_ROOT, x, np.nan)
-        return r
+        settled = x > _ZERO_ROOT
+        r[lanes] = np.where(settled, x, np.nan)
+        general = np.zeros(r_d.shape, dtype=bool)
+        general[lanes] = ~settled & (undecided | ~np.isnan(best))
+        return r, general
 
     def _general(self, r_d: float) -> float:
         """The positive root nearest ``r_d`` among all real roots."""

@@ -301,12 +301,13 @@ def undistort_array(spec: DistortionSpec, xy: np.ndarray) -> np.ndarray:
     r_d = np.hypot(xy[:, 0], xy[:, 1])
     if spec.model is Model.MODEL1:
         r = _newton_radius_array(spec, r_d)
+        retry = np.isnan(r) & np.isfinite(r_d)
     else:
-        r = _radius_cubic(spec).solve_array(r_d)
+        r, retry = _radius_cubic(spec).solve_array(r_d)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = xy * (r / r_d)[:, None]
     out[r == 0.0] = 0.0
-    for i in np.flatnonzero(np.isnan(r) & np.isfinite(r_d)):
+    for i in np.flatnonzero(retry):
         x, y = xy[i].tolist()
         try:
             n = undistort(spec, NormalizedPoint(x, y))

@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -27,8 +28,14 @@ from radialcal.calibration import (
     objective_gradient,
     refine,
 )
-from radialcal.distortion import Model
-from radialcal.geometry import AbsoluteConic, Homography, IntrinsicMatrix
+from radialcal.distortion import Model, project_points
+from radialcal.geometry import (
+    AbsoluteConic,
+    DepthNotPositive,
+    Homography,
+    IntrinsicMatrix,
+    ViewExtrinsics,
+)
 
 from conftest import make_scene
 from oracles import project_pinhole, rot_x, rot_y
@@ -39,6 +46,20 @@ def view_from_pose(world_xy, A, R_wc, t_wc, view_id=0):
     world3 = np.column_stack([world_xy, np.zeros(len(world_xy))])
     pixels = project_pinhole(world3, R_wc, t_wc, A.matrix)
     return CalibrationView(view_id=view_id, world_xy=world_xy, pixels=pixels)
+
+
+def ragged_scene():
+    """Views of 4, 9 and 16 points with ids 7, 2 and 40, plus the truth."""
+    corr, truth = make_scene(44, grid_nx=4, grid_ny=4, noise_sigma=0.5)
+    views = tuple(
+        CalibrationView(view_id, v.world_xy[:n], v.pixels[:n])
+        for view_id, n, v in zip((7, 2, 40), (4, 9, 16), corr.views)
+    )
+    return CorrespondenceSet(views), truth
+
+
+def world3(view):
+    return np.column_stack([view.world_xy, np.zeros(view.n_points)])
 
 
 def grid_xy(n=6, spacing=0.2):
@@ -224,6 +245,40 @@ class TestObjective:
         J = objective(CorrespondenceSet(views), truth.intrinsics, truth.distortion, truth.extrinsics)
         assert abs(J - 125.0) <= 1e-9
 
+    def test_ragged_views_match_per_view_projection(self):
+        corr, truth = ragged_scene()
+        A, spec = truth.intrinsics, truth.distortion
+        per_view = [
+            project_points(A, spec, E, world3(v)) - v.pixels
+            for v, E in zip(corr.views, truth.extrinsics)
+        ]
+        want = sum(float(np.sum(d * d)) for d in per_view)
+        assert abs(objective(corr, A, spec, truth.extrinsics) - want) <= 1e-12 * want
+        result = _build_result(corr, A, spec, truth.extrinsics)
+        assert result.view_ids == (7, 2, 40)
+        assert [len(r) for r in result.per_point_residuals] == [4, 9, 16]
+        for got, d in zip(result.per_point_residuals, per_view):
+            assert np.allclose(got, np.linalg.norm(d, axis=1), rtol=1e-12, atol=1e-12)
+
+    def test_depth_error_names_the_view_of_the_deepest_point_behind(self):
+        # Views 2 and 40 are moved past the target along their optical
+        # axes, view 40 furthest: its points have the smallest depths.
+        corr, truth = ragged_scene()
+        extrinsics = list(truth.extrinsics)
+        for k, margin in ((1, 0.1), (2, 5.0)):
+            E = extrinsics[k]
+            axis = E.rotation[:, 2]
+            depth = (world3(corr.views[k]) - E.t) @ axis
+            extrinsics[k] = ViewExtrinsics(E.axis_angle, E.t + (depth.max() + margin) * axis)
+        A, spec = truth.intrinsics, truth.distortion
+        theta = _pack_params(A, spec, extrinsics)
+        with pytest.raises(DepthNotPositive, match="^view 40 has a point at camera depth -5"):
+            objective(corr, A, spec, extrinsics)
+        with pytest.raises(DepthNotPositive, match="^view 40 has a point at camera depth -5"):
+            _residuals_and_jacobian(theta, corr, spec.model)
+        with pytest.raises(DepthNotPositive, match="^view 40 "):
+            init_distortion(corr, A, extrinsics, spec.model)
+
     def test_extrinsics_count_mismatch(self):
         corr, truth = make_scene(34)
         with pytest.raises(ValueError):
@@ -248,22 +303,25 @@ class TestDerivatives:
                 assert np.max(np.abs(dv_dw[:, :, k] - fd)) < 1e-6
 
     def test_residual_jacobian_matches_finite_differences(self):
-        corr, truth = make_scene(42, grid_nx=4, grid_ny=4)
-        model = truth.distortion.model
-        theta = _pack_params(truth.intrinsics, truth.distortion, truth.extrinsics)
-        rng = np.random.default_rng(0)
-        theta = theta + rng.normal(0, 1e-3, theta.size) * np.maximum(1.0, np.abs(theta))
+        # The ragged views (4, 9 and 16 points, ids 7, 2, 40) catch row and
+        # column offsets that equal-sized views numbered 0..V-1 would hide.
+        for corr, truth in (make_scene(42, grid_nx=4, grid_ny=4), ragged_scene()):
+            model = truth.distortion.model
+            theta = _pack_params(truth.intrinsics, truth.distortion, truth.extrinsics)
+            rng = np.random.default_rng(0)
+            theta = theta + rng.normal(0, 1e-3, theta.size) * np.maximum(1.0, np.abs(theta))
 
-        res, jac = _residuals_and_jacobian(theta, corr, model)
-        h = 1e-6
-        for k in range(theta.size):
-            e = np.zeros(theta.size)
-            e[k] = h * max(1.0, abs(theta[k]))
-            rp, _ = _residuals_and_jacobian(theta + e, corr, model)
-            rm, _ = _residuals_and_jacobian(theta - e, corr, model)
-            fd = (rp - rm) / (2 * e[k])
-            denom = max(1.0, float(np.max(np.abs(fd))))
-            assert np.max(np.abs(jac[:, k] - fd)) / denom < 1e-5
+            res, jac = _residuals_and_jacobian(theta, corr, model)
+            assert jac.shape == (2 * corr.n_points, theta.size)
+            h = 1e-6
+            for k in range(theta.size):
+                e = np.zeros(theta.size)
+                e[k] = h * max(1.0, abs(theta[k]))
+                rp, _ = _residuals_and_jacobian(theta + e, corr, model)
+                rm, _ = _residuals_and_jacobian(theta - e, corr, model)
+                fd = (rp - rm) / (2 * e[k])
+                denom = max(1.0, float(np.max(np.abs(fd))))
+                assert np.max(np.abs(jac[:, k] - fd)) / denom < 1e-5
 
     def test_objective_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(43)
@@ -324,6 +382,24 @@ class TestRefine:
         assert math.isclose(
             result.rms_px, math.sqrt(J / corr.n_points), rel_tol=1e-12
         )
+
+    def test_lm_holds_one_jacobian_at_a_time(self):
+        # A dense Jacobian is 140 MB at 100 views: no evaluation may start
+        # while the LM still holds an earlier one.
+        corr, truth = make_scene(57, noise_sigma=0.5)
+        theta = _pack_params(truth.intrinsics, truth.distortion, truth.extrinsics)
+        rng = np.random.default_rng(1)
+        theta = theta + rng.normal(0, 1e-3, theta.size) * np.maximum(1.0, np.abs(theta))
+        held = []
+
+        def evaluate(th):
+            assert all(ref() is None for ref in held)
+            res, jac = _residuals_and_jacobian(th, corr, truth.distortion.model)
+            held.append(weakref.ref(jac))
+            return res, jac
+
+        calibration._levenberg_marquardt(evaluate, theta, OptimizerOptions())
+        assert len(held) >= 3
 
     def test_iteration_cap_flags_not_converged(self):
         corr, _ = make_scene(55, noise_sigma=0.5)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialcal import distortion
-from radialcal.cubic import _Q_NEGLIGIBLE, NoRealSolution
+from radialcal.cubic import _Q_NEGLIGIBLE, NoRealSolution, RadiusCubic
 from radialcal.distortion import (
     DistortionSpec,
     Model,
@@ -444,7 +444,8 @@ class TestUndistortArray:
     def test_quadratic_regime_settles_in_the_array_pass(self, monkeypatch, k1, k2):
         # With k2 below the cubic threshold the radius equation is the
         # quadratic r + k1 r^2 = r_d; for k1 < 0 it folds at r = -1/(2 k1),
-        # and observed radii past 1 + 4 k1 r_d = 0 have no root.
+        # and observed radii past 1 + 4 k1 r_d = 0 have no root: NaN rows
+        # that are not solved a second time by the scalar path.
         spec = DistortionSpec(Model.MODEL3, k1, k2)
         rng = np.random.default_rng(47)
         r = 3.0 * rng.uniform(size=2000) ** 2
@@ -463,7 +464,43 @@ class TestUndistortArray:
         got = undistort_array(spec, xy)
         assert_rows_agree(got, want)
         assert np.isnan(got[past_fold]).all()
-        assert len(calls) == past_fold.sum()
+        assert not calls
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DistortionSpec(Model.MODEL3, -0.6, 0.0),
+            DistortionSpec(Model.MODEL3, -0.6, -0.2),
+            DistortionSpec(Model.MODEL3, -0.1, -0.05),
+            DistortionSpec(Model.MODEL2, -0.5),
+        ],
+    )
+    def test_rows_without_a_root_are_not_solved_again(self, monkeypatch, spec):
+        # A row whose closed form has no admissible root is NaN at once;
+        # only rows that the scalar solve sends on to the general cubic path
+        # reach it, so every scalar call ends in one _general call.
+        rng = np.random.default_rng(53)
+        r = np.sqrt(rng.uniform(size=20000)) * (3.0 if spec.k1 == -0.1 else 1.0)
+        phi = rng.uniform(-math.pi, math.pi, r.size)
+        xy = np.vstack([np.column_stack([r * np.cos(phi), r * np.sin(phi)]), [[0.72, 0.96]]])
+        want = scalar_undistort_rows(spec, xy)
+        calls, general = [], []
+        real_general = RadiusCubic._general
+
+        def counted(s, d):
+            calls.append(d)
+            return undistort(s, d)
+
+        def counted_general(cubic, r_d):
+            general.append(r_d)
+            return real_general(cubic, r_d)
+
+        monkeypatch.setattr(distortion, "undistort", counted)
+        monkeypatch.setattr(RadiusCubic, "_general", counted_general)
+        got = undistort_array(spec, xy)
+        assert_rows_agree(got, want)
+        assert np.isnan(got).sum() > 1000
+        assert len(calls) == len(general)
 
 
 class TestRadialSymmetry:
