@@ -11,7 +11,8 @@ of the squared reprojection error
 where the prediction mhat is the forward model of ``distortion.project_points``:
 pinhole projection, the radial warp on the unit focal plane, the intrinsics.
 ``_forward`` evaluates it for all views in one array pass, which every stage
-after the linear one reads.
+after the linear one reads. Each view's pose enters through two 3x3 matrices
+built once per view: ``R^T`` and the right Jacobian ``J_r`` of SO(3).
 """
 
 from __future__ import annotations
@@ -329,56 +330,44 @@ def extrinsics_from_homography(H: Homography, A: IntrinsicMatrix) -> ViewExtrins
 # Objective and derivatives
 
 
-def _rotate(w: np.ndarray, view: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """``v_j = R(w_i)^T d_j`` for the rows d_j of view ``i = view[j]``.
+def _rotation_blocks(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``R(w)^T`` and the right Jacobian ``J_r(w)`` of SO(3) for each row of w.
 
-    Uses ``R^T d = d - a (w x d) + b (w (w.d) - theta^2 d)`` with
-    ``a = sin(theta)/theta`` and ``b = (1 - cos(theta))/theta^2``. These and
-    the derivatives over theta ``ca = a'/theta``, ``cb = b'/theta`` are
-    computed once per row of w and switch to series below theta = 1e-4, so
-    the expression stays smooth through w = 0. Also returns, per point, the
-    view's w and then theta^2, a, b, ca and cb as ``(n, 1)``.
+    With ``K = [w]_x``, ``R^T = I - a K + b K^2`` and ``J_r = I - b K + c K^2``,
+    where ``a = sin(theta)/theta``, ``b = (1 - cos(theta))/theta^2`` and
+    ``c = (theta - sin(theta))/theta^3``; below theta = 1e-4 these switch to
+    series, so both stay smooth through w = 0. Returns two ``(v, 3, 3)``.
+    ``J_r`` carries a change of w into the rotated point:
+    ``d(R^T d)/dw = [R^T d]_x J_r`` (Sola et al. 2018, *A micro Lie theory*).
     """
     theta2 = np.einsum("vi,vi->v", w, w)
     theta = np.sqrt(theta2)
     small = theta < 1e-4
     t, t2 = np.where(small, 1.0, theta), np.where(small, 1.0, theta2)
-    s, c = np.sin(t), np.cos(t)
-    coefficients = [theta2] + [
-        np.where(small, series, closed)
+    s = np.sin(t)
+    a, b, c = (
+        np.where(small, series, closed)[:, None, None]
         for series, closed in (
             (1.0 - theta2 / 6.0, s / t),
-            (0.5 - theta2 / 24.0, (1.0 - c) / t2),
-            (theta2 / 30.0 - 1.0 / 3.0, (t * c - s) / (t2 * t)),
-            (theta2 / 180.0 - 1.0 / 12.0, (t * s - 2.0 * (1.0 - c)) / (t2 * t2)),
+            (0.5 - theta2 / 24.0, (1.0 - np.cos(t)) / t2),
+            (1.0 / 6.0 - theta2 / 120.0, (t - s) / (t2 * t)),
         )
-    ]
-    w, theta2, a, b, _, _ = rot = (w[view], *(x[view, None] for x in coefficients))
-    wdotd = np.einsum("ni,ni->n", d, w)
-    return d - a * np.cross(w, d) + b * (wdotd[:, None] * w - theta2 * d), rot
-
-
-def _pose_jacobian(rot: tuple[np.ndarray, ...], d: np.ndarray) -> np.ndarray:
-    """Derivatives of ``v = R(w)^T d``, ``d = P - t``, in the pose ``(w, t)``: ``(n, 3, 6)``."""
-    w, theta2, a, b, ca, cb = rot
+    )
     eye = np.eye(3)
-    # Cross-product matrices: [x]_j y = x_j cross y for the rows x_j of x.
-    d_cross, w_cross = (-np.cross(x[:, None, :], eye) for x in (d, w))
-    wdotd = np.einsum("ni,ni->n", d, w)[:, None]
-    left = cb * (wdotd * w - theta2 * d) - ca * np.cross(w, d) - 2.0 * b * d
-    theta2, a, b = (x[:, :, None] for x in (theta2, a, b))
-    dv_dw = left[:, :, None] * w[:, None, :] + a * d_cross
-    dv_dw += b * (w[:, :, None] * d[:, None, :] + wdotd[:, :, None] * eye)
-    rotation_t = eye - a * w_cross + b * (w[:, :, None] * w[:, None, :] - theta2 * eye)
-    return np.concatenate([dv_dw, -rotation_t], axis=2)
+    # Cross-product matrices: [w]_x y = w cross y.
+    K = -np.cross(w[:, None, :], eye)
+    K2 = K @ K
+    return eye - a * K + b * K2, eye - b * K + c * K2
 
 
 def _rotation_transpose_apply_jacobian(
     w: np.ndarray, d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values and w-derivatives of ``v = R(w)^T d`` for one w and rows of d."""
-    v, rot = _rotate(w[None, :], np.zeros(len(d), dtype=int), d)
-    return v, _pose_jacobian(rot, d)[:, :, :3]
+    rotation_t, jr = _rotation_blocks(w[None, :])
+    v = d @ rotation_t[0].T
+    # Row i of [v]_x is e_i cross v, as dpix_dpc's rows are in the Jacobian.
+    return v, np.cross(np.eye(3), v[:, None, :]) @ jr[0]
 
 
 @dataclass(frozen=True)
@@ -387,10 +376,10 @@ class _Stacked:
 
     A: IntrinsicMatrix
     spec: DistortionSpec
-    rot: tuple[np.ndarray, ...]  # each point's view rotation, from _rotate
-    d: np.ndarray  # (n, 3) target point minus camera center, P - t
+    rotation_t: np.ndarray  # (v, 3, 3) each view's R^T, from _rotation_blocks
+    jr: np.ndarray  # (v, 3, 3) each view's right Jacobian J_r(w)
+    pc: np.ndarray  # (n, 3) camera points R^T (P - t)
     xy: np.ndarray  # (n, 2) pinhole points on the unit focal plane
-    z: np.ndarray  # (n, 1) camera depths
     r: np.ndarray
     f: np.ndarray  # warp factors f(r)
     pixels: np.ndarray  # (n, 2) predicted pixels
@@ -411,8 +400,8 @@ def _forward(theta: np.ndarray, corr: CorrespondenceSet, model: Model) -> _Stack
     if not np.all(np.isfinite(poses)):
         raise ValueError("view poses must be finite")
     view = corr.view_index
-    d = corr.world - poses[view, 3:]
-    pc, rot = _rotate(poses[:, :3], view, d)
+    rotation_t, jr = _rotation_blocks(poses[:, :3])
+    pc = np.einsum("nij,nj->ni", rotation_t[view], corr.world - poses[view, 3:])
     z = pc[:, 2:]
     if np.any(z <= 0.0):
         where = f"view {corr.views[view[np.argmin(z)]].view_id} has a point at camera depth"
@@ -421,7 +410,7 @@ def _forward(theta: np.ndarray, corr: CorrespondenceSet, model: Model) -> _Stack
     r = np.hypot(xy[:, 0], xy[:, 1])
     f = warp_factor(spec, r)
     pixels = to_pixel_array(xy * f[:, None], A)
-    return _Stacked(A, spec, rot, d, xy, z, r, f, pixels)
+    return _Stacked(A, spec, rotation_t, jr, pc, xy, r, f, pixels)
 
 
 def objective(
@@ -509,12 +498,18 @@ def _residuals_and_jacobian(
     D = s.f[:, None, None] * np.eye(2) + outer * slope_over_r[:, None, None]
     MA = np.array([[A.alpha, A.gamma], [0.0, A.beta]])
     # d(normalized)/d(camera point): [I / z, -(x, y) / z]
-    dxy_dpc = np.concatenate([np.eye(2) / s.z[:, :, None], -(s.xy / s.z)[:, :, None]], axis=2)
+    z = s.pc[:, 2:, None]
+    dxy_dpc = np.concatenate([np.eye(2) / z, -s.xy[:, :, None] / z], axis=2)
     dpix_dpc = np.einsum("nab,nbc->nac", np.einsum("ab,nbc->nac", MA, D), dxy_dpc)
-    # Each point's six pose columns [w, t] sit in its own view's block.
-    cols = 5 + nk + 6 * corr.view_index[:, None] + np.arange(6)
-    jac[np.arange(n)[:, None, None], np.arange(2)[:, None], cols[:, None, :]] = np.einsum(
-        "nab,nbc->nac", dpix_dpc, _pose_jacobian(s.rot, s.d)
+    # Pose columns: d pc/dw = [pc]_x J_r, whose rows give (g cross pc) J_r for
+    # each row g of dpix_dpc, and d pc/dt = -R^T. Each point's six columns
+    # [w, t] sit in its own view's block.
+    view = corr.view_index
+    dpix_dw = np.einsum("nab,nbc->nac", np.cross(dpix_dpc, s.pc[:, None, :]), s.jr[view])
+    dpix_dt = -np.einsum("nab,nbc->nac", dpix_dpc, s.rotation_t[view])
+    cols = 5 + nk + 6 * view[:, None] + np.arange(6)
+    jac[np.arange(n)[:, None, None], np.arange(2)[:, None], cols[:, None, :]] = np.concatenate(
+        [dpix_dw, dpix_dt], axis=2
     )
     return (s.pixels - corr.pixels).ravel(), jac.reshape(2 * n, -1)
 

@@ -114,9 +114,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     model = Model(f"model{args.model}")
     try:
         result = calibrate(corr, model, opts)
-    except _CONFIG_ERRORS as exc:
-        return _fail(str(exc), EXIT_DEGENERATE)
-    except DepthNotPositive as exc:
+    except (*_CONFIG_ERRORS, DepthNotPositive) as exc:
         return _fail(str(exc), EXIT_DEGENERATE)
     write_calibration(args.output, result, opts)
     print(f"J_init={fmt(result.j_init)}")
@@ -233,9 +231,12 @@ def _parse_floats(text: str, expected: int, what: str) -> list[float]:
     if len(parts) != expected:
         raise ParseError(f"{what} needs {expected} comma-separated numbers, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise ParseError(f"{what} contains a non-numeric value: {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ParseError(f"{what} contains a non-finite value: {text!r}")
+    return values
 
 
 def _cmd_localize(args: argparse.Namespace) -> int:
@@ -257,9 +258,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
             pose,
             try_both_orders=args.try_both_orders,
         )
-    except _GEOMETRY_ERRORS as exc:
-        return _fail(f"{type(exc).__name__}: {exc}", EXIT_GEOMETRY)
-    except (NoRealSolution, NotConverged) as exc:
+    except (*_GEOMETRY_ERRORS, NoRealSolution, NotConverged) as exc:
         return _fail(f"{type(exc).__name__}: {exc}", EXIT_GEOMETRY)
     payload = {
         "delta_theta_rad": fix.delta_theta,

@@ -222,15 +222,17 @@ def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
     )
 
 
-def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> np.ndarray:
+def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """invert_radius_newton on a 1-D array of observed radii, all lanes at once.
 
-    The same start, steps and tolerance, without the damping: a lane
-    whose full step would need halving, meets a non-increasing slope or does
-    not converge gives NaN, as does a non-finite radius, for the caller to
-    settle with invert_radius_newton itself.
+    The same start, steps and tolerance, without the damping. Returns the
+    radii, NaN where unsettled, and the mask of lanes whose full step needs
+    halving, for the caller to settle with invert_radius_newton. A lane that
+    first meets a non-increasing slope or uses up the step budget is not in
+    it: the scalar solve raises NotConverged on the same iterate.
     """
     r = np.where(r_d == 0.0, 0.0, np.nan)
+    retry = np.zeros(r_d.shape, dtype=bool)
     lanes = np.flatnonzero((r_d > 0.0) & np.isfinite(r_d))
     y = x = r_d[lanes]
     limit = _NEWTON_TOL * np.maximum(1.0, y)
@@ -246,11 +248,13 @@ def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> np.ndarray:
             slope = warp_factor(spec, x) + x * warp_slope(spec, x)
             x_new = x - res / slope
             res_new = x_new * warp_factor(spec, x_new) - y
-            go = (slope > 0.0) & (x_new >= 0.0) & (np.abs(res_new) < np.abs(res))
+            rising = slope > 0.0
+            go = rising & (x_new >= 0.0) & (np.abs(res_new) < np.abs(res))
+            retry[lanes[rising & ~go]] = True
             lanes, y, x, res, limit = lanes[go], y[go], x_new[go], res_new[go], limit[go]
     done = np.abs(res) <= limit
     r[lanes[done]] = x[done]
-    return r
+    return r, retry
 
 
 @lru_cache(maxsize=64)
@@ -300,8 +304,7 @@ def undistort_array(spec: DistortionSpec, xy: np.ndarray) -> np.ndarray:
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     r_d = np.hypot(xy[:, 0], xy[:, 1])
     if spec.model is Model.MODEL1:
-        r = _newton_radius_array(spec, r_d)
-        retry = np.isnan(r) & np.isfinite(r_d)
+        r, retry = _newton_radius_array(spec, r_d)
     else:
         r, retry = _radius_cubic(spec).solve_array(r_d)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -57,8 +57,8 @@ class SynthSpec:
             raise ValueError("spacing must be positive")
         if self.n_views < 1:
             raise ValueError("need at least one view")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise sigma must be nonnegative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise ValueError("noise sigma must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from radialcal.geometry import (
     Homography,
     IntrinsicMatrix,
     ViewExtrinsics,
+    rotation_from_axis_angle,
 )
 
 from conftest import make_scene
@@ -287,12 +288,16 @@ class TestObjective:
 
 class TestDerivatives:
     def test_rotation_point_jacobian_matches_finite_differences(self):
+        # Scales on both sides of the series switch at theta = 1e-4, and near
+        # pi, where downward-looking robot cameras sit.
         rng = np.random.default_rng(41)
-        for theta_scale in (1e-9, 1e-5, 0.1, 1.0, 2.5):
+        scales = (1e-9, 1e-5, 9.9e-5, 1.01e-4, 0.1, 1.0, 2.5, math.pi - 1e-3, math.pi - 1e-6)
+        for theta_scale in scales:
             w = rng.normal(size=3)
             w *= theta_scale / np.linalg.norm(w)
             d = rng.normal(size=(5, 3))
-            _, dv_dw = _rotation_transpose_apply_jacobian(w, d)
+            v, dv_dw = _rotation_transpose_apply_jacobian(w, d)
+            assert np.max(np.abs(v - d @ rotation_from_axis_angle(w))) < 1e-14
             h = 1e-7
             for k in range(3):
                 e = np.zeros(3)

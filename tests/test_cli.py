@@ -94,6 +94,15 @@ class TestSynth:
         assert "seed must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_noise_sigma_exits_2(self, tmp_path, synth_spec_file, capsys):
+        # NaN passes a plain "< 0" check and would write noiseless data.
+        spec = json.loads(synth_spec_file.read_text())
+        synth_spec_file.write_text(json.dumps({**spec, "noise_sigma": math.nan}))
+        out = tmp_path / "o.csv"
+        assert main(["synth", "--spec", str(synth_spec_file), "--output", str(out)]) == 2
+        assert "noise sigma must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_noiseless_end_to_end(self, tmp_path, synth_spec_file, capsys):
@@ -393,6 +402,15 @@ class TestLocalize:
         )
         assert main(argv) == 6
         assert "DegenerateLine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--line-map", "--observed"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, flag, value):
+        argv, _ = self._setup(tmp_path)
+        i = next(i for i, a in enumerate(argv) if a.startswith(flag + "="))
+        argv[i] = f"{flag}={value}," + argv[i].split(",", 1)[1]
+        assert main(argv) == 2
+        assert f"{flag} contains a non-finite value" in capsys.readouterr().err
 
     def test_text_output(self, tmp_path, capsys):
         argv, _ = self._setup(tmp_path)

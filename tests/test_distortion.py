@@ -22,6 +22,7 @@ from radialcal.distortion import (
     undistort_array,
     validate_monotone,
     warp_factor,
+    warp_slope,
 )
 from radialcal.geometry import (
     IntrinsicMatrix,
@@ -501,6 +502,46 @@ class TestUndistortArray:
         assert_rows_agree(got, want)
         assert np.isnan(got).sum() > 1000
         assert len(calls) == len(general)
+
+    @pytest.mark.parametrize("k1,k2", [(-0.5, 0.0), (0.3, -0.4), (-0.1, -0.3)])
+    def test_model1_rows_that_cannot_converge_are_not_solved_again(self, monkeypatch, k1, k2):
+        # Until its first damped step the scalar Newton takes the array
+        # pass's steps. A row that meets a non-increasing slope or uses up
+        # the step budget before then makes it raise on the same iterate, so
+        # only rows whose full step fails to shrink the residual reach it.
+        spec = DistortionSpec(Model.MODEL1, k1, k2)
+
+        def needs_damping(r_d):
+            r, res = r_d, r_d * warp_factor(spec, r_d) - r_d
+            for _ in range(50):
+                slope = warp_factor(spec, r) + r * warp_slope(spec, r)
+                if abs(res) <= 1e-12 * max(1.0, r_d) or not slope > 0.0:
+                    return False
+                r_new = r - res / slope
+                res_new = r_new * warp_factor(spec, r_new) - r_d
+                if r_new < 0.0 or not abs(res_new) < abs(res):
+                    return True
+                r, res = r_new, res_new
+            return False
+
+        rng = np.random.default_rng(61)
+        r = 2.0 * np.sqrt(rng.uniform(size=5000))
+        phi = rng.uniform(-math.pi, math.pi, r.size)
+        xy = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+        radii = np.hypot(xy[:, 0], xy[:, 1]).tolist()
+        damped = {tuple(row) for row, r_d in zip(xy.tolist(), radii) if needs_damping(r_d)}
+        want = scalar_undistort_rows(spec, xy)
+        calls = []
+
+        def counted(s, d):
+            calls.append((d.x, d.y))
+            return undistort(s, d)
+
+        monkeypatch.setattr(distortion, "undistort", counted)
+        got = undistort_array(spec, xy)
+        assert_rows_agree(got, want)
+        assert np.isnan(got).any(axis=1).sum() > len(damped)
+        assert sorted(calls) == sorted(damped)
 
 
 class TestRadialSymmetry:
