@@ -2,10 +2,11 @@
 """Layer benchmark of point undistortion and the point-CSV writer.
 
 Times, per distortion model, scalar ``undistort`` (one call per point) and
-``undistort_array`` (one call for all points) on the same seeded points, and
-``write_points``/``read_points`` on an image-sized point file. Sizes and the
-seed are fixed so that runs on different commits compare; the JSON written
-also records the machine.
+``undistort_array`` (one call for all points) on the same seeded points;
+``undistort_array`` on observed radii that reach past the fold of a folding
+spec of each model; and ``write_points``/``read_points`` on an image-sized
+point file. Sizes and seeds are fixed so that runs on different commits
+compare; the JSON written also records the machine.
 
     PYTHONPATH=src python scripts/bench_undistort.py [--output BENCH_undistort.json]
 """
@@ -46,6 +47,17 @@ SPECS = {
     "model3": DistortionSpec(Model.MODEL3, -0.1, -0.05),
     "model3_k2_0": DistortionSpec(Model.MODEL3, -0.1),
 }
+# Observed radii up to FOLD_R_MAX, drawn from their own generator so that the
+# rows above keep their inputs. Each spec folds inside that radius: rows past
+# the fold have no root, and rows near it need damped Newton steps (model1)
+# or the general cubic solve (model2, model3).
+FOLD_SEED = 1
+FOLD_R_MAX = 3.0
+FOLD_SPECS = {
+    "model1": DistortionSpec(Model.MODEL1, -0.5, 0.0),
+    "model2": DistortionSpec(Model.MODEL2, -0.5),
+    "model3": DistortionSpec(Model.MODEL3, -0.6, -0.2),
+}
 
 
 def median_seconds(fn) -> float:
@@ -79,6 +91,21 @@ def bench_undistort(rng) -> dict:
             "scalar_us_per_point": 1e6 * scalar / N_POINTS,
             "array_us_per_point": 1e6 * array / N_POINTS,
             "speedup": scalar / array,
+        }
+    return results
+
+
+def bench_past_the_fold(rng) -> dict:
+    results = {}
+    for name, spec in FOLD_SPECS.items():
+        r = FOLD_R_MAX * np.sqrt(rng.uniform(size=N_POINTS))
+        phi = rng.uniform(-math.pi, math.pi, N_POINTS)
+        xy = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+        array = median_seconds(lambda: undistort_array(spec, xy))
+        results[name] = {
+            "coefficients": list(spec.coefficients),
+            "nan_rows": int(np.isnan(undistort_array(spec, xy)).any(axis=1).sum()),
+            "array_us_per_point": 1e6 * array / N_POINTS,
         }
     return results
 
@@ -126,6 +153,11 @@ def main() -> None:
         "repeats": REPEATS,
         "statistic": "median",
         "undistort": bench_undistort(rng),
+        "past_the_fold": {
+            "seed": FOLD_SEED,
+            "r_max": FOLD_R_MAX,
+            **bench_past_the_fold(np.random.default_rng(FOLD_SEED)),
+        },
         "points_csv": bench_csv(rng),
         "machine": machine_info(),
     }

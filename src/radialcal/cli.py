@@ -25,6 +25,7 @@ from .calibration import (
     BehindCamera,
     ComparisonReport,
     DegenerateConfiguration,
+    ModelReport,
     OptimizerOptions,
     SingularConfiguration,
     calibrate,
@@ -133,11 +134,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 _TABLE_ROWS = ("J", "alpha", "gamma", "u0", "beta", "v0", "k1", "k2")
 
 
-def _report_cell(report: ComparisonReport, model: Model, row: str):
-    entry = report.entry(model)
-    if entry.result is None:
-        return None
+def _report_cells(entry: ModelReport) -> dict | None:
+    """One model's cells of the comparison table, by row; None if its fit failed."""
     res = entry.result
+    if res is None:
+        return None
     A = res.intrinsics
     return {
         "J": res.j_final,
@@ -148,31 +149,28 @@ def _report_cell(report: ComparisonReport, model: Model, row: str):
         "v0": A.v0,
         "k1": res.distortion.k1,
         "k2": res.distortion.k2,
-    }[row]
+    }
 
 
 def _report_as_dict(report: ComparisonReport) -> dict:
     out = {}
     for entry in report.entries:
-        name = entry.model.value
-        if entry.result is None:
-            out[name] = {"error": entry.error}
+        cells = _report_cells(entry)
+        if cells is None:
+            out[entry.model.value] = {"error": entry.error}
             continue
-        out[name] = {row: _report_cell(report, entry.model, row) for row in _TABLE_ROWS}
-        out[name]["init_k"] = list(entry.init_coefficients)
-        out[name]["converged"] = entry.result.converged
+        cells["init_k"] = list(entry.init_coefficients)
+        cells["converged"] = entry.result.converged
+        out[entry.model.value] = cells
     return out
 
 
 def _print_report_table(report: ComparisonReport) -> None:
-    models = [e.model for e in report.entries]
-    header = f"{'':>8}" + "".join(f"{m.value:>16}" for m in models)
+    columns = [_report_cells(e) for e in report.entries]
+    header = f"{'':>8}" + "".join(f"{e.model.value:>16}" for e in report.entries)
     print(header)
     for row in _TABLE_ROWS:
-        cells = []
-        for m in models:
-            val = _report_cell(report, m, row)
-            cells.append(f"{val:>16.6g}" if val is not None else f"{'error':>16}")
+        cells = [f"{c[row]:>16.6g}" if c is not None else f"{'error':>16}" for c in columns]
         print(f"{row:>8}" + "".join(cells))
     for entry in report.entries:
         if entry.error is not None:

@@ -13,7 +13,10 @@ The cubic is solved through the depressed-cubic substitution with the
 trigonometric method in the three-real-root regime and a cancellation-safe
 Cardano form otherwise, followed by a short Newton polish on the original
 equation. This is numerically equivalent to the textbook radical formulas but
-avoids complex intermediates and the division by ``q`` they require.
+avoids complex intermediates and the division by ``q`` they require. The
+scalar closed form is written once, in ``RadiusCubic.closed_form``: the
+radius solve polishes the admissible root nearest ``r_d``, and ``real_roots``
+(through ``_solve_cubic``) polishes all of them.
 
 The discriminant of the depressed cubic is itself a difference of two
 near-equal quantities once the coefficients span many decades, so its sign
@@ -259,73 +262,23 @@ def _deflated_pair(y: float, p: float, q: float, anchor: float) -> tuple[float, 
     return (u2 / q, gamma / u2)
 
 
-def _solve_cubic(y: float, p: float, q: float) -> tuple[float, ...]:
+def _solve_cubic(cubic: RadiusCubic, y: float) -> tuple[float, ...]:
     """All real roots as a plain tuple (unsorted); the core of real_roots."""
-    if abs(q) < _Q_NEGLIGIBLE * (1.0 + abs(p)):
+    p, q = cubic.p, cubic.q
+    if cubic.quadratic:
         return _quadratic_path(y, p, q)
-
-    # Monic form x^3 + B x^2 + C x + D, then depressed via x = z - B/3.
-    B = p / q
-    C = 1.0 / q
-    D = -y / q
-    shift = B / 3.0
-    P = C - B * B / 3.0
-    Q = 2.0 * B ** 3 / 27.0 - B * C / 3.0 + D
-    half = 0.5 * Q
-    third = P / 3.0
-    cube = third * third * third
-    disc = half * half + cube
-    noise = half * half + abs(cube)
-
-    if disc > _DISC_MARGIN * noise:
-        # Decisively one real root. Pick the large-magnitude cube root first
-        # and recover the other factor through u v = -P/3, which dodges the
-        # cancellation between Q and sqrt(disc).
-        sq = math.sqrt(disc)
-        u = _cbrt(-half + sq)
-        v = _cbrt(-half - sq)
-        if abs(u) >= abs(v):
-            z = u - third / u if u != 0.0 else 0.0
-        else:
-            z = v - third / v
-        x = _fast_polish(y, p, q, z - shift)
-        if x is not None:
-            return (x,)
-    elif disc < -_DISC_MARGIN * noise:
-        # Decisively three real roots, pairwise separated by the same margin
-        # (casus irreducibilis): trigonometric form.
-        m = 2.0 * math.sqrt(-third)
-        arg = 3.0 * Q / (P * m)
-        if arg > 1.0:
-            arg = 1.0
-        elif arg < -1.0:
-            arg = -1.0
-        phi = math.acos(arg)
-        out = []
-        failed = False
-        for k in _TRIG_OFFSETS:
-            x = _fast_polish(y, p, q, m * math.cos((phi + k) / 3.0) - shift)
-            if x is None:
-                failed = True
-                break
-            out.append(x)
-        if not failed:
-            return tuple(out)
-
+    raw, decided = cubic.closed_form(y)
+    if decided:
+        roots = [_fast_polish(y, p, q, x) for x in raw]
+        if None not in roots:
+            return tuple(roots)
     # Uncertain or failed-verification zone: the root multiset is rebuilt by
-    # deflation from one verified anchor root (largest magnitude is the
-    # best-conditioned choice). Covers wrong discriminant signs, root
-    # clusters collapsing onto a critical point, and exact multiple roots.
-    candidates = [
-        _polish(y, p, q, z - shift)
-        for z in ((_cbrt(-2.0 * half),) if P == 0.0 else ())
-    ]
-    if not candidates:
-        sq = math.sqrt(abs(disc))
-        u = _cbrt(-half + sq)
-        z = u - third / u if u != 0.0 else 0.0
-        candidates.append(_polish(y, p, q, z - shift))
-    verified = [x for x in candidates if _is_true_root(y, p, q, x)]
+    # deflation from one verified anchor root, polished from the closed
+    # form's values (largest magnitude is the best-conditioned choice).
+    # Covers wrong discriminant signs, root clusters collapsing onto a
+    # critical point, and exact multiple roots.
+    polished = (_polish(y, p, q, x) for x in raw)
+    verified = [x for x in polished if _is_true_root(y, p, q, x)]
     anchor = (
         max(verified, key=abs)
         if verified
@@ -341,22 +294,20 @@ def real_roots(c: CubicCoeffs) -> RootSet:
     Degenerate leading coefficients fall back to the quadratic/linear cases;
     complex-conjugate pairs are never returned.
     """
-    return RootSet(_solve_cubic(c.y, c.p, c.q))
-
-
+    return RootSet(_solve_cubic(RadiusCubic(c.p, c.q), c.y))
 
 
 class RadiusCubic:
     """The radius equation ``r + p r^2 + q r^3 = r_d`` of one warp.
 
     model3 has ``(p, q) = (k1, k2)`` and model2 ``(0, k1)``. Everything of the
-    closed form that depends only on (p, q) is computed here once; ``solve``
-    adds the ``r_d`` term, takes the admissible root nearest ``r_d`` in closed
-    form, and polishes and verifies that root only. With a negligible ``q``
-    the equation is the quadratic ``r + p r^2 = r_d`` and that root is its
-    small one; otherwise the depressed cubic has one real root (Cardano) or
-    three (trigonometric form). An undecided discriminant or a failed
-    verification sends the point through the general _solve_cubic path.
+    closed form that depends only on (p, q) is computed here once;
+    ``closed_form`` adds the ``r_d`` term and returns the raw roots of the
+    depressed cubic. ``solve`` takes the admissible root nearest ``r_d``, and
+    polishes and verifies that root only. With a negligible ``q`` the
+    equation is the quadratic ``r + p r^2 = r_d`` and that root is its small
+    one. An undecided discriminant or a failed verification sends the point
+    to ``_general``, which chooses among all real roots (_solve_cubic).
     """
 
     __slots__ = ("p", "q", "quadratic", "shift", "Q0", "P", "third", "cube", "m")
@@ -368,7 +319,8 @@ class RadiusCubic:
         self.quadratic = abs(q) < _Q_NEGLIGIBLE * (1.0 + abs(p))
         if self.quadratic:
             return
-        # The same substitution as _solve_cubic, minus the r_d-dependent D.
+        # Monic form x^3 + B x^2 + C x + D (D = -r_d / q), depressed via
+        # x = z - B/3; Q0 is the depressed constant term without D.
         B = p / q
         C = 1.0 / q
         self.shift = B / 3.0
@@ -377,6 +329,39 @@ class RadiusCubic:
         self.third = self.P / 3.0
         self.cube = self.third * self.third * self.third
         self.m = 2.0 * math.sqrt(-self.third) if self.third < 0.0 else 0.0
+
+    def closed_form(self, r_d: float) -> tuple[tuple[float, ...], bool]:
+        """Raw roots of the cubic for ``r_d``, and whether they are decided.
+
+        One real root (Cardano) when the depressed cubic's discriminant is
+        decisively positive, three (trigonometric form) when it is decisively
+        negative. Inside the cancellation noise of the discriminant the count
+        is undecided, and the one value returned is Cardano's formula on its
+        magnitude: a Newton start, not a root. Not for the quadratic regime.
+        """
+        Q = self.Q0 - r_d / self.q
+        half = 0.5 * Q
+        cube = self.cube
+        disc = half * half + cube
+        noise = half * half + abs(cube)
+        if disc < -_DISC_MARGIN * noise:
+            # Three real roots, pairwise separated by the same margin (casus
+            # irreducibilis).
+            m = self.m
+            arg = 3.0 * Q / (self.P * m)
+            if arg > 1.0:
+                arg = 1.0
+            elif arg < -1.0:
+                arg = -1.0
+            phi = math.acos(arg)
+            roots = [m * math.cos((phi + k) / 3.0) - self.shift for k in _TRIG_OFFSETS]
+            return tuple(roots), True
+        # The larger-magnitude cube root: its radicand adds sqrt(disc) to
+        # -half without cancelling, and the other factor is -third / u.
+        sq = math.sqrt(abs(disc))
+        u = _cbrt(-half + sq if half <= 0.0 else -half - sq)
+        root = (u - self.third / u if u != 0.0 else 0.0) - self.shift
+        return (root,), disc > _DISC_MARGIN * noise
 
     def solve(self, r_d: float) -> float:
         """Undistorted radius for the observed radius ``r_d >= 0``.
@@ -395,37 +380,15 @@ class RadiusCubic:
             if disc >= 0.0:
                 best = 2.0 * r_d / (1.0 + math.sqrt(disc))
         else:
-            Q = self.Q0 - r_d / self.q
-            half = 0.5 * Q
-            cube = self.cube
-            disc = half * half + cube
-            noise = half * half + abs(cube)
-            sign_tol = 1e-6 * (1.0 + r_d)
-            if disc > _DISC_MARGIN * noise:
-                # One real root: the larger-magnitude cube root, as in
-                # _solve_cubic, is the one whose radicand adds sqrt(disc) to
-                # -half without cancelling; the other factor is -third / u.
-                sq = math.sqrt(disc)
-                u = _cbrt(-half + sq if half <= 0.0 else -half - sq)
-                raw = (u - self.third / u if u != 0.0 else 0.0) - self.shift
-                if raw >= -sign_tol:
-                    best = raw
-            elif disc < -_DISC_MARGIN * noise:
-                # Three real roots: the admissible one nearest r_d.
-                m = self.m
-                arg = 3.0 * Q / (self.P * m)
-                if arg > 1.0:
-                    arg = 1.0
-                elif arg < -1.0:
-                    arg = -1.0
-                phi = math.acos(arg)
-                best_dist = math.inf
-                for k in _TRIG_OFFSETS:
-                    raw = m * math.cos((phi + k) / 3.0) - self.shift
-                    if raw >= -sign_tol and abs(raw - r_d) < best_dist:
-                        best, best_dist = raw, abs(raw - r_d)
-            else:
+            raw, decided = self.closed_form(r_d)
+            if not decided:
                 return self._general(r_d)
+            # The admissible root nearest r_d.
+            sign_tol = 1e-6 * (1.0 + r_d)
+            best_dist = math.inf
+            for x in raw:
+                if x >= -sign_tol and abs(x - r_d) < best_dist:
+                    best, best_dist = x, abs(x - r_d)
         if best is None:
             raise NoRealSolution(self._no_root_message(r_d))
         r = _fast_polish(r_d, self.p, self.q, best)
@@ -433,14 +396,13 @@ class RadiusCubic:
             return r
         return self._general(r_d)
 
-    def solve_array(self, r_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``solve`` for a 1-D array of observed radii, in one array pass.
+    def solve_array(self, r_d: np.ndarray) -> np.ndarray:
+        """``solve`` for a 1-D array of observed radii, NaN where it raises.
 
         The same closed form, selection rule, polish and verification, lane
-        by lane. Radii at or below the zero threshold give 0. Also returns a
-        mask of the NaN lanes that solve would send to the general path, for
-        the caller to settle with ``solve``; the other NaN lanes have a
-        non-finite radius or no admissible root (NoRealSolution in solve).
+        by lane in one array pass; the lanes that solve sends to ``_general``
+        go there one by one. Radii at or below the zero threshold give 0,
+        and a non-finite radius gives NaN.
         """
         r_d = np.asarray(r_d, dtype=float)
         r = np.where(r_d <= _INPUT_ZERO, 0.0, np.nan)
@@ -483,13 +445,17 @@ class RadiusCubic:
         x = _fast_polish_array(y, self.p, self.q, best)
         settled = x > _ZERO_ROOT
         r[lanes] = np.where(settled, x, np.nan)
-        general = np.zeros(r_d.shape, dtype=bool)
-        general[lanes] = ~settled & (undecided | ~np.isnan(best))
-        return r, general
+        general = ~settled & (undecided | ~np.isnan(best))
+        for i, r_d_i in zip(lanes[general].tolist(), y[general].tolist()):
+            try:
+                r[i] = self._general(r_d_i)
+            except NoRealSolution:
+                pass
+        return r
 
     def _general(self, r_d: float) -> float:
         """The positive root nearest ``r_d`` among all real roots."""
-        roots = [x for x in _solve_cubic(r_d, self.p, self.q) if x > _ZERO_ROOT]
+        roots = [x for x in _solve_cubic(self, r_d) if x > _ZERO_ROOT]
         if not roots:
             raise NoRealSolution(self._no_root_message(r_d))
         return min(roots, key=lambda x: abs(x - r_d))

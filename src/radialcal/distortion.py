@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .cubic import NoRealSolution, RadiusCubic
+from .cubic import RadiusCubic
 from .geometry import (
     IntrinsicMatrix,
     NormalizedPoint,
@@ -68,6 +68,13 @@ class DistortionSpec:
             return (self.k1,)
         return (self.k1, self.k2)
 
+    @cached_property
+    def radius_cubic(self) -> RadiusCubic:
+        """The radius equation ``r f(r) = r_d`` of model2 or model3 as a cubic."""
+        if self.model is Model.MODEL2:
+            return RadiusCubic(0.0, self.k1)
+        return RadiusCubic(self.k1, self.k2)
+
     @classmethod
     def from_coefficients(cls, model: Model, coeffs) -> "DistortionSpec":
         coeffs = tuple(float(c) for c in coeffs)
@@ -102,7 +109,7 @@ def warp_factor(spec: DistortionSpec, r):
 def warp_slope(spec: DistortionSpec, r):
     """``df/dr``; scalar or array alongside warp_factor."""
     if spec.model is Model.MODEL1:
-        return 2.0 * spec.k1 * r + 4.0 * spec.k2 * r ** 3
+        return 2.0 * spec.k1 * r + 4.0 * spec.k2 * (r * r * r)
     if spec.model is Model.MODEL2:
         return 2.0 * spec.k1 * r
     return spec.k1 + 2.0 * spec.k2 * r
@@ -175,10 +182,11 @@ def validate_monotone(spec: DistortionSpec, dom: WorkingDomain) -> bool:
     return not any(0.0 <= r <= dom.r_max for r in critical)
 
 
-# Residual tolerance (relative to max(1, r_d)) and step budget of the
-# Newton radius inversion, scalar and array alike.
+# Residual tolerance (relative to max(1, r_d)), step budget and halvings per
+# step of the damped Newton radius inversion, scalar and array alike.
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
+_NEWTON_HALVINGS = 40
 
 
 def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
@@ -205,7 +213,7 @@ def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
             )
         step = res / slope
         # Halve the step until the residual actually shrinks (monotone damping).
-        for _ in range(40):
+        for _ in range(_NEWTON_HALVINGS):
             r_new = r - step
             if r_new >= 0.0:
                 res_new = r_new * warp_factor(spec, r_new) - r_d
@@ -222,19 +230,17 @@ def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
     )
 
 
-def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> np.ndarray:
     """invert_radius_newton on a 1-D array of observed radii, all lanes at once.
 
-    The same start, steps and tolerance, without the damping. Returns the
-    radii, NaN where unsettled, and the mask of lanes whose full step needs
-    halving, for the caller to settle with invert_radius_newton. A lane that
-    first meets a non-increasing slope or uses up the step budget is not in
-    it: the scalar solve raises NotConverged on the same iterate.
+    The same start, damped steps and tolerance, lane by lane: only the lanes
+    whose full step fails to shrink the residual are halved. NaN where the
+    scalar solve raises NotConverged, and for a non-finite radius.
     """
     r = np.where(r_d == 0.0, 0.0, np.nan)
-    retry = np.zeros(r_d.shape, dtype=bool)
     lanes = np.flatnonzero((r_d > 0.0) & np.isfinite(r_d))
-    y = x = r_d[lanes]
+    y = r_d[lanes]
+    x = y.copy()
     limit = _NEWTON_TOL * np.maximum(1.0, y)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         res = x * warp_factor(spec, x) - y
@@ -246,27 +252,26 @@ def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> tuple[np.ndar
             if lanes.size == 0:
                 break
             slope = warp_factor(spec, x) + x * warp_slope(spec, x)
-            x_new = x - res / slope
-            res_new = x_new * warp_factor(spec, x_new) - y
-            rising = slope > 0.0
-            go = rising & (x_new >= 0.0) & (np.abs(res_new) < np.abs(res))
-            retry[lanes[rising & ~go]] = True
-            lanes, y, x, res, limit = lanes[go], y[go], x_new[go], res_new[go], limit[go]
+            step = res / slope
+            # A lane whose slope is not positive, or whose step does not
+            # shrink the residual within the halvings, stops unsettled: the
+            # scalar solve raises NotConverged there.
+            moved = np.zeros(x.shape, dtype=bool)
+            pending = np.flatnonzero(slope > 0.0)
+            for _ in range(_NEWTON_HALVINGS):
+                if pending.size == 0:
+                    break
+                xp = x[pending] - step[pending]
+                rp = xp * warp_factor(spec, xp) - y[pending]
+                shrinks = (xp >= 0.0) & (np.abs(rp) < np.abs(res[pending]))
+                ok = pending[shrinks]
+                x[ok], res[ok], moved[ok] = xp[shrinks], rp[shrinks], True
+                pending = pending[~shrinks]
+                step[pending] *= 0.5
+            lanes, y, x, res, limit = lanes[moved], y[moved], x[moved], res[moved], limit[moved]
     done = np.abs(res) <= limit
     r[lanes[done]] = x[done]
-    return r, retry
-
-
-@lru_cache(maxsize=64)
-def _cached_radius_cubic(p: float, q: float) -> RadiusCubic:
-    return RadiusCubic(p, q)
-
-
-def _radius_cubic(spec: DistortionSpec) -> RadiusCubic:
-    """The radius equation ``r f(r) = r_d`` of model2 or model3 as a cubic."""
-    if spec.model is Model.MODEL2:
-        return _cached_radius_cubic(0.0, spec.k1)
-    return _cached_radius_cubic(spec.k1, spec.k2)
+    return r
 
 
 def undistort(spec: DistortionSpec, d: NormalizedPoint) -> NormalizedPoint:
@@ -277,14 +282,15 @@ def undistort(spec: DistortionSpec, d: NormalizedPoint) -> NormalizedPoint:
     per point in closed form and rescale ``(x_d, y_d)`` by ``r / r_d``. For
     model3 this is the paper's component cubic with ``r = sqrt(1 + c^2) |x|``,
     and inside the monotone domain both give the same point. model1 has no
-    closed form and falls back to the damped-Newton radius inversion. Past the fold of ``r f(r)`` no positive radius exists:
-    NoRealSolution (model2, model3) or NotConverged (model1).
+    closed form and falls back to the damped-Newton radius inversion. Past
+    the fold of ``r f(r)`` no positive radius exists: NoRealSolution (model2,
+    model3) or NotConverged (model1).
     """
     r_d = d.radius
     if spec.model is Model.MODEL1:
         r = invert_radius_newton(spec, r_d)
     else:
-        r = _radius_cubic(spec).solve(r_d)
+        r = spec.radius_cubic.solve(r_d)
     if r == 0.0:
         return NormalizedPoint(0.0, 0.0)
     s = r / r_d
@@ -294,27 +300,20 @@ def undistort(spec: DistortionSpec, d: NormalizedPoint) -> NormalizedPoint:
 def undistort_array(spec: DistortionSpec, xy: np.ndarray) -> np.ndarray:
     """undistort for an ``(n, 2)`` array of distorted normalized points.
 
-    The radius equation is solved for all rows in one array pass: the
-    closed-form radius cubic for model2 and model3, an undamped Newton for
-    model1. Rows the array pass cannot settle (an undecided discriminant, a
-    failed residual check, a step that needs damping) go through undistort
-    itself, so both give the same points. Rows with no admissible solution,
-    and rows with a non-finite component, come back as NaN.
+    The radius equation is solved for all rows at once, by the same steps as
+    undistort: the closed-form radius cubic for model2 and model3, whose rows
+    with an undecided discriminant or a failed residual check go on to the
+    general cubic solve one by one, and the damped Newton for model1. Rows
+    with no admissible solution, and rows with a non-finite component, come
+    back as NaN.
     """
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     r_d = np.hypot(xy[:, 0], xy[:, 1])
     if spec.model is Model.MODEL1:
-        r, retry = _newton_radius_array(spec, r_d)
+        r = _newton_radius_array(spec, r_d)
     else:
-        r, retry = _radius_cubic(spec).solve_array(r_d)
+        r = spec.radius_cubic.solve_array(r_d)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = xy * (r / r_d)[:, None]
     out[r == 0.0] = 0.0
-    for i in np.flatnonzero(retry):
-        x, y = xy[i].tolist()
-        try:
-            n = undistort(spec, NormalizedPoint(x, y))
-        except (NoRealSolution, NotConverged):
-            continue
-        out[i] = n.x, n.y
     return out

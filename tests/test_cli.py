@@ -325,6 +325,21 @@ class TestUndistort:
         out = read_points(tmp_path / "out.csv")
         assert np.isfinite(out[0]).all() and np.isnan(out[1]).all()
 
+    def test_huge_point_gives_nan_row_and_exit_5(self, tmp_path, capsys):
+        # At u = 1e203 the normalized radius is about 1e200, whose cube
+        # overflows a float; the model1 inverse reports no solution.
+        A = IntrinsicMatrix(800.0, 800.0, 0.2, 320.0, 240.0)
+        write_exact_calibration(tmp_path / "calib.json", A, DistortionSpec(Model.MODEL1, 0.2, 0.1))
+        write_points(tmp_path / "pts.csv", np.array([[100.0, 200.0], [1e203, 0.0]]))
+        code = main(
+            ["undistort", "--calib", str(tmp_path / "calib.json"), "--points",
+             str(tmp_path / "pts.csv"), "--output", str(tmp_path / "out.csv")]
+        )
+        assert code == 5
+        assert "1 of 2" in capsys.readouterr().out
+        out = read_points(tmp_path / "out.csv")
+        assert np.isfinite(out[0]).all() and np.isnan(out[1]).all()
+
     def test_points_that_are_not_utf8_exit_2(self, tmp_path, capsys):
         A = IntrinsicMatrix(800.0, 800.0, 0.2, 320.0, 240.0)
         write_exact_calibration(tmp_path / "calib.json", A, DistortionSpec(Model.MODEL3, -0.12, -0.14))
@@ -402,6 +417,17 @@ class TestLocalize:
         )
         assert main(argv) == 6
         assert "DegenerateLine" in capsys.readouterr().err
+
+    def test_huge_observed_pixel_exits_6(self, tmp_path, capsys):
+        # A model1 calibration cannot invert the radius of u = 1e203, whose
+        # cube overflows a float: NotConverged, not a traceback.
+        argv, _ = self._setup(tmp_path)
+        A = IntrinsicMatrix(800.0, 800.0, 0.0, 320.0, 240.0)
+        write_exact_calibration(tmp_path / "calib.json", A, DistortionSpec(Model.MODEL1, 0.2, 0.1))
+        i = next(i for i, a in enumerate(argv) if a.startswith("--observed="))
+        argv[i] = "--observed=1e203," + argv[i].split(",", 1)[1]
+        assert main(argv) == 6
+        assert "NotConverged" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["--line-map", "--observed"])
