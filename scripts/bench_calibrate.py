@@ -5,21 +5,23 @@ On one seeded scene family (seed 3, a 12x12 target grid, model3 warp,
 sigma = 0.3 px pixel noise; the camera and warp of the repository
 benchmark's 100-view session) at 10, 30 and 100 views, times:
 
-* one residual+Jacobian evaluation at the fitted parameters;
-* the dense normal equations ``J^T J`` plus one damped solve, as one
-  Levenberg-Marquardt step forms them;
+* one evaluation of the residuals and their per-point Jacobian blocks at
+  the fitted parameters;
+* the blocked normal equations plus one damped Schur-complement step, as
+  one Levenberg-Marquardt iteration forms and solves them;
 * ``refine`` per LM iteration (its time over its iteration count);
 * the linear stage: homographies, intrinsics, extrinsics and the
   distortion initialization;
-* ``calibrate`` end to end;
+* ``calibrate`` end to end.
 
-and the process's peak resident memory (``ru_maxrss``) once that view
-count is done. The peak never falls, so each figure covers every smaller
-view count too.
-
-Each time is the median of a fixed number of repeats. BLAS runs one thread
-unless OPENBLAS_NUM_THREADS is set, as in the repository benchmark. The
-JSON written also records the machine.
+The view counts are interleaved: each of the repeats times every stage at
+every view count once, so a drift in the host's speed reaches all rows
+alike. Each time is reported as its median, minimum and interquartile
+range over the repeats. ``peak_rss_mb`` is the peak resident memory
+(``ru_maxrss``) of a fresh process that builds the scene and runs
+``calibrate`` once at that view count. BLAS runs one thread unless
+OPENBLAS_NUM_THREADS is set, as in the repository benchmark. The JSON
+written also records the machine.
 
     PYTHONPATH=src python scripts/bench_calibrate.py [--output BENCH_calibrate.json]
 """
@@ -31,8 +33,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import multiprocessing  # noqa: E402
 import resource  # noqa: E402
 import time  # noqa: E402
+from concurrent.futures import ProcessPoolExecutor  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -41,8 +45,10 @@ from bench_undistort import machine_info  # noqa: E402
 from radialcal.calibration import (  # noqa: E402
     _build_result,
     _linear_stage,
+    _normal_equations,
     _pack_params,
-    _residuals_and_jacobian,
+    _residuals_and_blocks,
+    _schur_step,
     calibrate,
     init_distortion,
     refine,
@@ -53,7 +59,7 @@ from radialcal.synth import SynthSpec, generate_scene  # noqa: E402
 
 SEED = 3
 VIEWS = (10, 30, 100)
-REPEATS = 3
+REPEATS = 21
 MODEL = Model.MODEL3
 SCENE = dict(
     intrinsics=IntrinsicMatrix(alpha=277.0, beta=270.5, gamma=-0.57, u0=154.0, v0=119.8),
@@ -65,16 +71,8 @@ SCENE = dict(
 )
 
 
-def timed(fn, repeats: int = REPEATS):
-    """Median wall time of ``repeats`` calls, and the last call's result."""
-    times = []
-    for _ in range(repeats):
-        # The last result can be a dense Jacobian: never hold two at once.
-        result = None
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
-    return float(np.median(times)), result
+def scene(n_views: int):
+    return generate_scene(SynthSpec(seed=SEED, n_views=n_views, **SCENE))[0]
 
 
 def linear_stage(corr):
@@ -83,40 +81,70 @@ def linear_stage(corr):
     return stage, _build_result(stage.corr, stage.intrinsics, spec0, stage.extrinsics)
 
 
-def normal_equations_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
-    hess = jac.T @ jac
-    mu = 1e-3 * float(hess.diagonal().max())
-    return np.linalg.solve(hess + mu * np.eye(hess.shape[0]), -(jac.T @ res))
+def normal_equations_step(blocks, offsets) -> np.ndarray:
+    ne = _normal_equations(*blocks, offsets)
+    return _schur_step(ne, 1e-3 * float(ne.u.diagonal().max()))
 
 
-def bench_views(n_views: int) -> dict:
-    corr, _ = generate_scene(SynthSpec(seed=SEED, n_views=n_views, **SCENE))
-    linear_s, (stage, init) = timed(lambda: linear_stage(corr))
-    refine_s, fit = timed(lambda: refine(stage.corr, init))
-    calibrate_s, _ = timed(lambda: calibrate(corr, MODEL))
-    theta = _pack_params(fit.intrinsics, fit.distortion, fit.extrinsics)
-    eval_s, (res, jac) = timed(lambda: _residuals_and_jacobian(theta, stage.corr, MODEL))
-    solve_s, _ = timed(lambda: normal_equations_step(jac, res))
-    return {
-        "views": n_views,
-        "points": corr.n_points,
-        "jacobian_shape": list(jac.shape),
-        "jacobian_nonzero_frac": float(np.count_nonzero(jac) / jac.size),
-        "lm_iterations": fit.n_iterations,
-        "jacobian_eval_ms": 1e3 * eval_s,
-        "normal_equations_solve_ms": 1e3 * solve_s,
-        "refine_ms_per_iter": 1e3 * refine_s / fit.n_iterations,
-        "linear_stage_ms": 1e3 * linear_s,
-        "calibrate_s": calibrate_s,
-        "rms_px": fit.rms_px,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-    }
+def peak_rss_mb(n_views: int) -> float:
+    """Run in a fresh process: build the scene, calibrate once, report the peak."""
+    calibrate(scene(n_views), MODEL)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+class Case:
+    """One view count: its scene, its fit, and the stages timed on them."""
+
+    def __init__(self, n_views: int):
+        self.n_views = n_views
+        self.corr = corr = scene(n_views)
+        stage, init = linear_stage(corr)
+        self.fit = fit = refine(stage.corr, init)
+        theta = _pack_params(fit.intrinsics, fit.distortion, fit.extrinsics)
+        blocks = _residuals_and_blocks(theta, stage.corr, MODEL)
+        self.n_params = theta.size
+        self.stages = {
+            "jacobian_eval_ms": (1e3, lambda: _residuals_and_blocks(theta, stage.corr, MODEL)),
+            "normal_equations_step_ms": (1e3, lambda: normal_equations_step(blocks, stage.corr.offsets)),
+            "refine_ms_per_iter": (1e3 / fit.n_iterations, lambda: refine(stage.corr, init)),
+            "linear_stage_ms": (1e3, lambda: linear_stage(corr)),
+            "calibrate_s": (1.0, lambda: calibrate(corr, MODEL)),
+        }
+        self.times = {name: [] for name in self.stages}
+
+    def run_once(self) -> None:
+        for name, (scale, fn) in self.stages.items():
+            start = time.perf_counter()
+            fn()
+            self.times[name].append(scale * (time.perf_counter() - start))
+
+    def report(self, rss_mb: float) -> dict:
+        row = {
+            "views": self.n_views,
+            "points": self.corr.n_points,
+            "parameters": self.n_params,
+            "lm_iterations": self.fit.n_iterations,
+        }
+        for name, times in self.times.items():
+            q1, median, q3 = np.percentile(times, [25, 50, 75])
+            row[name] = {"median": float(median), "min": float(min(times)), "iqr": float(q3 - q1)}
+        row["rms_px"] = self.fit.rms_px
+        row["peak_rss_mb"] = rss_mb
+        return row
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--output", default="BENCH_calibrate.json")
     args = parser.parse_args()
+    rss = {}
+    for n_views in VIEWS:
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            rss[n_views] = pool.submit(peak_rss_mb, n_views).result()
+    cases = [Case(n) for n in VIEWS]
+    for _ in range(REPEATS):
+        for case in cases:
+            case.run_once()
     report = {
         "seed": SEED,
         "scene": {
@@ -127,8 +155,8 @@ def main() -> None:
             "noise_sigma_px": SCENE["noise_sigma"],
         },
         "repeats": REPEATS,
-        "statistic": "median",
-        "calibration": [bench_views(n) for n in VIEWS],
+        "statistic": "median, min and interquartile range over the repeats",
+        "calibration": [case.report(rss[case.n_views]) for case in cases],
         "machine": {**machine_info(), "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"]},
     }
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")

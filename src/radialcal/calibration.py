@@ -13,6 +13,13 @@ pinhole projection, the radial warp on the unit focal plane, the intrinsics.
 ``_forward`` evaluates it for all views in one array pass, which every stage
 after the linear one reads. Each view's pose enters through two 3x3 matrices
 built once per view: ``R^T`` and the right Jacobian ``J_r`` of SO(3).
+
+The Jacobian is block-sparse: each point depends on the shared parameters
+(intrinsics and coefficients) and on its own view's six pose parameters
+only. ``_residuals_and_blocks`` returns just those per-point blocks, the
+normal equations are summed from them view by view, and each damped step
+is solved by the Schur complement on the shared block, so one LM iteration
+costs time and memory linear in the number of views.
 """
 
 from __future__ import annotations
@@ -88,12 +95,14 @@ class CorrespondenceSet:
     Every view's points are also stacked once, in view order: ``world``
     holds the target points on z = 0 as ``(n, 3)``, ``pixels`` the observed
     pixels, and ``view_index`` the position in ``views`` of each point's view.
+    View k's points are rows ``offsets[k]:offsets[k + 1]``.
     """
 
     views: tuple[CalibrationView, ...]
     world: np.ndarray = field(init=False, repr=False, compare=False)
     pixels: np.ndarray = field(init=False, repr=False, compare=False)
     view_index: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         views = tuple(self.views)
@@ -103,9 +112,12 @@ class CorrespondenceSet:
         world_xy = np.concatenate([np.empty((0, 2))] + [v.world_xy for v in views])
         world = np.column_stack([world_xy, np.zeros(len(world_xy))])
         pixels = np.concatenate([np.empty((0, 2))] + [v.pixels for v in views])
-        view_index = np.repeat(np.arange(len(views)), [v.n_points for v in views])
+        counts = [v.n_points for v in views]
+        view_index = np.repeat(np.arange(len(views)), counts)
+        offsets = np.concatenate([[0], np.cumsum(counts, dtype=int)])
         object.__setattr__(self, "views", views)
-        for name, value in (("world", world), ("pixels", pixels), ("view_index", view_index)):
+        stacked = (("world", world), ("pixels", pixels), ("view_index", view_index), ("offsets", offsets))
+        for name, value in stacked:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -222,7 +234,8 @@ def estimate_homography(view: CalibrationView) -> Homography:
     design[1::2, 6:8] = -p[:, 1:2] * w
     design[1::2, 8] = -p[:, 1]
 
-    _, sv, vt = np.linalg.svd(design)
+    # Four points give 8 rows, and only the full V^T holds the null vector.
+    _, sv, vt = np.linalg.svd(design, full_matrices=2 * n < 9)
     if sv[7] < 1e-10 * sv[0]:
         raise DegenerateConfiguration(
             "design matrix is rank-deficient (collinear points?)"
@@ -286,7 +299,7 @@ def intrinsics_from_homographies(
             f"intrinsics need at least 3 views, got {len(homographies)}"
         )
     V = np.vstack([_conic_rows(H.matrix) for H in homographies])
-    _, sv, vt = np.linalg.svd(V)
+    _, sv, vt = np.linalg.svd(V, full_matrices=False)
     if sv[4] < 1e-10 * sv[0]:
         raise SingularConfiguration(
             "conic constraints are rank-deficient (parallel planes provide "
@@ -358,16 +371,6 @@ def _rotation_blocks(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     K = -np.cross(w[:, None, :], eye)
     K2 = K @ K
     return eye - a * K + b * K2, eye - b * K + c * K2
-
-
-def _rotation_transpose_apply_jacobian(
-    w: np.ndarray, d: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Values and w-derivatives of ``v = R(w)^T d`` for one w and rows of d."""
-    rotation_t, jr = _rotation_blocks(w[None, :])
-    v = d @ rotation_t[0].T
-    # Row i of [v]_x is e_i cross v, as dpix_dpc's rows are in the Jacobian.
-    return v, np.cross(np.eye(3), v[:, None, :]) @ jr[0]
 
 
 @dataclass(frozen=True)
@@ -470,48 +473,130 @@ def _unpack_params(
     return A, spec, tuple(ViewExtrinsics(pose[:3], pose[3:]) for pose in poses)
 
 
-def _residuals_and_jacobian(
+def _residuals_and_blocks(
     theta: np.ndarray, corr: CorrespondenceSet, model: Model
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked pixel residuals and their dense Jacobian in packing order."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pixel residuals and their Jacobian as per-point blocks.
+
+    Returns the residuals (predicted minus observed) as ``(n, 2)``; their
+    derivatives in the shared columns ``[alpha, beta, gamma, u0, v0,
+    coefficients]`` as ``(n, 2, 5 + nk)``; and those in the columns
+    ``[w, t]`` of each point's own view as ``(n, 2, 6)``. Every other entry
+    of the Jacobian is zero.
+    """
     nk = n_coefficients(model)
     s = _forward(theta, corr, model)
     A, n, (x, y) = s.A, corr.n_points, s.xy.T
-    # Row 2j is point j's u, row 2j + 1 its v.
-    jac = np.zeros((n, 2, 5 + nk + 6 * corr.n_views))
 
     # d(pixel)/d(intrinsics), columns [alpha, beta, gamma, u0, v0]
-    jac[:, 0, 0], jac[:, 0, 2], jac[:, 1, 1] = x * s.f, y * s.f, y * s.f
-    jac[:, 0, 3] = jac[:, 1, 4] = 1.0
-
+    jc = np.zeros((n, 2, 5 + nk))
+    jc[:, 0, 0], jc[:, 0, 2], jc[:, 1, 1] = x * s.f, y * s.f, y * s.f
+    jc[:, 0, 3] = jc[:, 1, 4] = 1.0
     # d(pixel)/d(coefficients) through the warp basis
     basis = coefficient_basis(model, s.r)
     dxd_dk = x[:, None] * basis
     dyd_dk = y[:, None] * basis
-    jac[:, 0, 5 : 5 + nk] = A.alpha * dxd_dk + A.gamma * dyd_dk
-    jac[:, 1, 5 : 5 + nk] = A.beta * dyd_dk
+    jc[:, 0, 5:] = A.alpha * dxd_dk + A.gamma * dyd_dk
+    jc[:, 1, 5:] = A.beta * dyd_dk
 
-    # d(distorted)/d(normalized): f on the diagonal plus the radial term
+    # d(pixel)/d(camera point) = MA D [I/z, -(x, y)/z], with MA = [[alpha,
+    # gamma], [0, beta]] and D = f I + (f'/r) (x, y)(x, y)^T the derivative of
+    # the distorted point by the normalized one; entry by entry.
     r = s.r
     slope_over_r = np.where(r > 1e-12, warp_slope(s.spec, r) / np.where(r > 1e-12, r, 1.0), 0.0)
-    outer = s.xy[:, :, None] * s.xy[:, None, :]
-    D = s.f[:, None, None] * np.eye(2) + outer * slope_over_r[:, None, None]
-    MA = np.array([[A.alpha, A.gamma], [0.0, A.beta]])
-    # d(normalized)/d(camera point): [I / z, -(x, y) / z]
-    z = s.pc[:, 2:, None]
-    dxy_dpc = np.concatenate([np.eye(2) / z, -s.xy[:, :, None] / z], axis=2)
-    dpix_dpc = np.einsum("nab,nbc->nac", np.einsum("ab,nbc->nac", MA, D), dxy_dpc)
+    d01 = slope_over_r * x * y
+    d00, d11 = s.f + slope_over_r * x * x, s.f + slope_over_r * y * y
+    m00, m01 = A.alpha * d00 + A.gamma * d01, A.alpha * d01 + A.gamma * d11
+    m10, m11 = A.beta * d01, A.beta * d11
+    iz = 1.0 / s.pc[:, 2]
+    dpix_dpc = np.empty((n, 2, 3))
+    for row, (m0, m1) in enumerate(((m00, m01), (m10, m11))):
+        dpix_dpc[:, row, 0] = m0 * iz
+        dpix_dpc[:, row, 1] = m1 * iz
+        dpix_dpc[:, row, 2] = -(m0 * x + m1 * y) * iz
     # Pose columns: d pc/dw = [pc]_x J_r, whose rows give (g cross pc) J_r for
-    # each row g of dpix_dpc, and d pc/dt = -R^T. Each point's six columns
-    # [w, t] sit in its own view's block.
+    # each row g of dpix_dpc, and d pc/dt = -R^T.
+    (g0, g1, g2), (p0, p1, p2) = dpix_dpc.transpose(2, 0, 1), s.pc.T[:, :, None]
+    cross = np.stack([g1 * p2 - g2 * p1, g2 * p0 - g0 * p2, g0 * p1 - g1 * p0], axis=2)
     view = corr.view_index
-    dpix_dw = np.einsum("nab,nbc->nac", np.cross(dpix_dpc, s.pc[:, None, :]), s.jr[view])
-    dpix_dt = -np.einsum("nab,nbc->nac", dpix_dpc, s.rotation_t[view])
-    cols = 5 + nk + 6 * view[:, None] + np.arange(6)
-    jac[np.arange(n)[:, None, None], np.arange(2)[:, None], cols[:, None, :]] = np.concatenate(
-        [dpix_dw, dpix_dt], axis=2
+    jp = np.empty((n, 2, 6))
+    np.matmul(cross, s.jr[view], out=jp[:, :, :3])
+    np.matmul(dpix_dpc, (-s.rotation_t)[view], out=jp[:, :, 3:])
+    return s.pixels - corr.pixels, jc, jp
+
+
+def _view_sums(a: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sums of the rows of a over each view's contiguous rows, zero for a
+    view without points."""
+    starts = offsets[:-1]
+    nonempty = starts < offsets[1:]
+    sums = np.zeros((len(starts),) + a.shape[1:])
+    sums[nonempty] = np.add.reduceat(a, starts[nonempty], axis=0)
+    return sums
+
+
+def _gradient(
+    res: np.ndarray, jc: np.ndarray, jp: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """``J^T r`` in packing order, summed from the per-point blocks."""
+    shared = jc.reshape(res.size, -1).T @ res.ravel()
+    poses = _view_sums(np.einsum("nak,na->nk", jp, res), offsets)
+    return np.concatenate([shared, poses.ravel()])
+
+
+@dataclass(frozen=True)
+class _NormalEquations:
+    """``J^T J`` and ``J^T r`` by block: ``u`` is the shared block ``U``
+    ``(p, p)``, ``wt[k]`` view k's pose-by-shared block ``W_k^T`` ``(6, p)``
+    and ``v[k]`` its pose block ``V_k`` ``(6, 6)``; the pose blocks of two
+    views never meet."""
+
+    u: np.ndarray
+    wt: np.ndarray
+    v: np.ndarray
+    grad: np.ndarray  # J^T r in packing order
+
+
+def _normal_equations(
+    res: np.ndarray, jc: np.ndarray, jp: np.ndarray, offsets: np.ndarray
+) -> _NormalEquations:
+    flat = jc.reshape(res.size, -1)
+    jp_t = jp.transpose(0, 2, 1)
+    return _NormalEquations(
+        u=flat.T @ flat,
+        wt=_view_sums(jp_t @ jc, offsets),
+        # A copy: on jp^T @ jp itself numpy calls a BLAS syrk per 6x6
+        # product, four times slower at 100 views.
+        v=_view_sums(jp_t @ jp.copy(), offsets),
+        grad=_gradient(res, jc, jp, offsets),
     )
-    return (s.pixels - corr.pixels).ravel(), jac.reshape(2 * n, -1)
+
+
+def _schur_step(ne: _NormalEquations, mu: float) -> np.ndarray:
+    """Solve ``(J^T J + mu I) delta = -J^T r`` by the Schur complement on the
+    shared block (Triggs et al. 2000, *Bundle Adjustment -- A Modern
+    Synthesis*, section 6).
+
+    Eliminating each view's pose step leaves ``S = U + mu I - sum_k W_k
+    (V_k + mu I)^-1 W_k^T`` for the shared step; each pose step then
+    follows from its own view's block. The damped blocks are solved against
+    ``[W_k^T, g_k]``, not inverted: on a 29-point test scene at mu = 1e-6 of
+    the largest diagonal entry, an explicit inverse put the step 1e-9 off
+    the exact one, and a solve 1e-12.
+    """
+    p = ne.u.shape[0]
+    g_shared, g_pose = ne.grad[:p], ne.grad[p:].reshape(-1, 6)
+    damped = ne.v + mu * np.eye(6)
+    solved = np.linalg.solve(damped, np.concatenate([ne.wt, g_pose[:, :, None]], axis=2))
+    v_inv_wt, v_inv_g = solved[:, :, :p], solved[:, :, p]
+    schur = ne.u + mu * np.eye(p) - np.tensordot(ne.wt, v_inv_wt, axes=([0, 1], [0, 1]))
+    rhs = np.tensordot(ne.wt, v_inv_g, axes=([0, 1], [0, 1])) - g_shared
+    try:
+        d_shared = np.linalg.solve(schur, rhs)
+    except np.linalg.LinAlgError:
+        d_shared = np.linalg.lstsq(schur, rhs, rcond=None)[0]
+    d_pose = -(v_inv_g + v_inv_wt @ d_shared)
+    return np.concatenate([d_shared, d_pose.ravel()])
 
 
 def objective_gradient(
@@ -522,8 +607,8 @@ def objective_gradient(
 ) -> np.ndarray:
     """Gradient of the objective with respect to the packed parameter vector."""
     theta = _pack_params(A, spec, extrinsics)
-    res, jac = _residuals_and_jacobian(theta, corr, spec.model)
-    return 2.0 * jac.T @ res
+    res, jc, jp = _residuals_and_blocks(theta, corr, spec.model)
+    return 2.0 * _gradient(res, jc, jp, corr.offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -531,21 +616,23 @@ def objective_gradient(
 
 
 def _levenberg_marquardt(
-    eval_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    eval_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
     x0: np.ndarray,
     opts: OptimizerOptions,
+    offsets: np.ndarray,
 ) -> tuple[np.ndarray, int, int, bool, str]:
     """Damped Gauss-Newton descent honoring all four stopping thresholds.
 
-    Only improving steps are accepted, so the final cost never exceeds the
+    eval_fn returns the residuals and Jacobian blocks of
+    ``_residuals_and_blocks``; offsets delimit each view's rows. Only
+    improving steps are accepted, so the final cost never exceeds the
     initial one. A trial point that raises ValueError (behind the camera, or
     parameters out of their domain) is rejected and the step shrinks.
     """
     x = np.array(x0, dtype=float)
-    res, jac = eval_fn(x)
+    res, jc, jp = eval_fn(x)
     n_fev = 1
-    cost = float(res @ res)
-    identity = np.eye(x.size)
+    cost = float(res.ravel() @ res.ravel())
     mu = -1.0
     nu = 2.0
     converged = False
@@ -554,20 +641,16 @@ def _levenberg_marquardt(
 
     while n_iter < opts.max_iter:
         n_iter += 1
-        grad = jac.T @ res
-        hess = jac.T @ jac
+        ne = _normal_equations(res, jc, jp, offsets)
         # Hold one Jacobian at a time: the trial's is built next.
-        jac = jac_new = None
+        jc = jp = jc_new = jp_new = None
         if mu < 0.0:
-            dmax = float(hess.diagonal().max())
+            dmax = max(float(ne.u.diagonal().max()), float(np.einsum("kii->ki", ne.v).max()))
             mu = 1e-3 * (dmax if dmax > 0.0 else 1.0)
 
         accepted = False
         while True:
-            try:
-                delta = np.linalg.solve(hess + mu * identity, -grad)
-            except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(hess + mu * identity, -grad, rcond=None)[0]
+            delta = _schur_step(ne, mu)
             if float(np.max(np.abs(delta) / (1.0 + np.abs(x)))) <= opts.tol_x:
                 converged = True
                 reason = "step below tol_x"
@@ -577,26 +660,26 @@ def _levenberg_marquardt(
                 break
             trial = x + delta
             try:
-                res_new, jac_new = eval_fn(trial)
-                cost_new = float(res_new @ res_new)
+                res_new, jc_new, jp_new = eval_fn(trial)
+                cost_new = float(res_new.ravel() @ res_new.ravel())
             except ValueError:
                 # Invalid trial point (behind-camera or out-of-domain params):
                 # reject and shrink the step.
                 cost_new = math.inf
             n_fev += 1
             if cost_new < cost:
-                gain_den = float(delta @ (mu * delta - grad))
+                gain_den = float(delta @ (mu * delta - ne.grad))
                 rho = (cost - cost_new) / gain_den if gain_den > 0.0 else 1.0
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
                 decrease = cost - cost_new
-                x, res, jac, cost = trial, res_new, jac_new, cost_new
+                x, res, jc, jp, cost = trial, res_new, jc_new, jp_new, cost_new
                 if decrease <= opts.tol_fun * (1.0 + cost_new):
                     converged = True
                     reason = "objective decrease below tol_fun"
                 accepted = True
                 break
-            jac_new = None
+            jc_new = jp_new = None
             mu *= nu
             nu *= 2.0
             if not math.isfinite(mu) or mu > 1e32:
@@ -621,7 +704,6 @@ def _build_result(
     dist = np.linalg.norm(diff, axis=1)
     dist.setflags(write=False)
     total = float(np.sum(dist * dist))
-    ends = np.cumsum(np.bincount(corr.view_index, minlength=corr.n_views))
     return CalibrationResult(
         intrinsics=A,
         distortion=spec,
@@ -629,7 +711,7 @@ def _build_result(
         extrinsics=extrinsics,
         j_final=total,
         rms_px=math.sqrt(total / corr.n_points),
-        per_point_residuals=tuple(np.split(dist, ends[:-1])),
+        per_point_residuals=tuple(np.split(dist, corr.offsets[1:-1])),
         converged=converged,
         n_iterations=n_iterations,
         j_init=j_init,
@@ -651,7 +733,7 @@ def refine(
     model = init.distortion.model
     theta0 = _pack_params(init.intrinsics, init.distortion, init.extrinsics)
     theta, n_iter, _, converged, reason = _levenberg_marquardt(
-        lambda th: _residuals_and_jacobian(th, corr, model), theta0, opts
+        lambda th: _residuals_and_blocks(th, corr, model), theta0, opts, corr.offsets
     )
     A, spec, extrinsics = _unpack_params(theta, model, corr.n_views)
     return _build_result(

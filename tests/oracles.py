@@ -3,8 +3,11 @@
 Everything here deliberately avoids the library's own solution paths: cubic
 roots come from derivative-bracketed bisection, scalar radius inversion from
 numpy's companion-matrix roots, and projections from inline matrix algebra.
-The exception is the paper's component form of the model3 inverse, written
-over the public real_roots, which the bisection oracle checks in turn.
+The exceptions are the paper's component form of the model3 inverse, written
+over the public real_roots, which the bisection oracle checks in turn, and
+two views of the calibration Jacobian that the finite-difference tests
+check: a rotated point's derivative from the library's per-view rotation
+blocks, and the dense matrix scattered from the per-point blocks.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 
 import numpy as np
 
+from radialcal.calibration import _rotation_blocks
 from radialcal.cubic import CubicCoeffs, NoRealSolution, real_roots
 
 # Components at most COMPONENT_ZERO map to zero; roots within ROOT_ZERO of
@@ -165,6 +169,33 @@ def project_pinhole(
     pc = world @ R_wc.T + t_wc
     uvw = pc @ K.T
     return uvw[:, :2] / uvw[:, 2:3]
+
+
+def rotation_transpose_apply_jacobian(
+    w: np.ndarray, d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and w-derivatives of ``v = R(w)^T d`` for one w and rows of d."""
+    rotation_t, jr = _rotation_blocks(w[None, :])
+    v = d @ rotation_t[0].T
+    # Row i of [v]_x is e_i cross v.
+    return v, np.cross(np.eye(3), v[:, None, :]) @ jr[0]
+
+
+def dense_jacobian(jc: np.ndarray, jp: np.ndarray, view_index: np.ndarray) -> np.ndarray:
+    """Scatter per-point Jacobian blocks into the dense ``(2n, P)`` matrix.
+
+    Columns are in packing order: the shared block ``jc`` first, then six
+    pose columns per view, of which each point fills only its own view's.
+    Row 2j is point j's u residual and row 2j + 1 its v residual.
+    """
+    n, _, n_shared = jc.shape
+    n_views = int(view_index.max()) + 1
+    jac = np.zeros((n, 2, n_shared + 6 * n_views))
+    jac[:, :, :n_shared] = jc
+    for j, view in enumerate(view_index):
+        start = n_shared + 6 * view
+        jac[j, :, start : start + 6] = jp[j]
+    return jac.reshape(2 * n, -1)
 
 
 def rot_x(a: float) -> np.ndarray:

@@ -13,9 +13,10 @@ from radialcal.calibration import (
     OptimizerOptions,
     SingularConfiguration,
     _build_result,
+    _normal_equations,
     _pack_params,
-    _residuals_and_jacobian,
-    _rotation_transpose_apply_jacobian,
+    _residuals_and_blocks,
+    _schur_step,
     _unpack_params,
     calibrate,
     compare_models,
@@ -39,7 +40,13 @@ from radialcal.geometry import (
 )
 
 from conftest import make_scene
-from oracles import project_pinhole, rot_x, rot_y
+from oracles import (
+    dense_jacobian,
+    project_pinhole,
+    rot_x,
+    rot_y,
+    rotation_transpose_apply_jacobian,
+)
 
 
 def view_from_pose(world_xy, A, R_wc, t_wc, view_id=0):
@@ -49,9 +56,9 @@ def view_from_pose(world_xy, A, R_wc, t_wc, view_id=0):
     return CalibrationView(view_id=view_id, world_xy=world_xy, pixels=pixels)
 
 
-def ragged_scene():
+def ragged_scene(model=Model.MODEL3):
     """Views of 4, 9 and 16 points with ids 7, 2 and 40, plus the truth."""
-    corr, truth = make_scene(44, grid_nx=4, grid_ny=4, noise_sigma=0.5)
+    corr, truth = make_scene(44, model=model, grid_nx=4, grid_ny=4, noise_sigma=0.5)
     views = tuple(
         CalibrationView(view_id, v.world_xy[:n], v.pixels[:n])
         for view_id, n, v in zip((7, 2, 40), (4, 9, 16), corr.views)
@@ -276,7 +283,7 @@ class TestObjective:
         with pytest.raises(DepthNotPositive, match="^view 40 has a point at camera depth -5"):
             objective(corr, A, spec, extrinsics)
         with pytest.raises(DepthNotPositive, match="^view 40 has a point at camera depth -5"):
-            _residuals_and_jacobian(theta, corr, spec.model)
+            _residuals_and_blocks(theta, corr, spec.model)
         with pytest.raises(DepthNotPositive, match="^view 40 "):
             init_distortion(corr, A, extrinsics, spec.model)
 
@@ -296,14 +303,14 @@ class TestDerivatives:
             w = rng.normal(size=3)
             w *= theta_scale / np.linalg.norm(w)
             d = rng.normal(size=(5, 3))
-            v, dv_dw = _rotation_transpose_apply_jacobian(w, d)
+            v, dv_dw = rotation_transpose_apply_jacobian(w, d)
             assert np.max(np.abs(v - d @ rotation_from_axis_angle(w))) < 1e-14
             h = 1e-7
             for k in range(3):
                 e = np.zeros(3)
                 e[k] = h
-                vp, _ = _rotation_transpose_apply_jacobian(w + e, d)
-                vm, _ = _rotation_transpose_apply_jacobian(w - e, d)
+                vp, _ = rotation_transpose_apply_jacobian(w + e, d)
+                vm, _ = rotation_transpose_apply_jacobian(w - e, d)
                 fd = (vp - vm) / (2 * h)
                 assert np.max(np.abs(dv_dw[:, :, k] - fd)) < 1e-6
 
@@ -316,17 +323,47 @@ class TestDerivatives:
             rng = np.random.default_rng(0)
             theta = theta + rng.normal(0, 1e-3, theta.size) * np.maximum(1.0, np.abs(theta))
 
-            res, jac = _residuals_and_jacobian(theta, corr, model)
+            res, jc, jp = _residuals_and_blocks(theta, corr, model)
+            assert res.shape == (corr.n_points, 2)
+            assert jc.shape == (corr.n_points, 2, 5 + len(truth.distortion.coefficients))
+            assert jp.shape == (corr.n_points, 2, 6)
+            # Every column, the zero ones of the other views' poses included.
+            jac = dense_jacobian(jc, jp, corr.view_index)
             assert jac.shape == (2 * corr.n_points, theta.size)
             h = 1e-6
             for k in range(theta.size):
                 e = np.zeros(theta.size)
                 e[k] = h * max(1.0, abs(theta[k]))
-                rp, _ = _residuals_and_jacobian(theta + e, corr, model)
-                rm, _ = _residuals_and_jacobian(theta - e, corr, model)
-                fd = (rp - rm) / (2 * e[k])
+                rp, _, _ = _residuals_and_blocks(theta + e, corr, model)
+                rm, _, _ = _residuals_and_blocks(theta - e, corr, model)
+                fd = (rp - rm).ravel() / (2 * e[k])
                 denom = max(1.0, float(np.max(np.abs(fd))))
                 assert np.max(np.abs(jac[:, k] - fd)) / denom < 1e-5
+
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("scene", ["ragged", "five_views"])
+    def test_schur_step_matches_dense_solve(self, scene, model):
+        # One damped step from the blocks, against the dense normal
+        # equations of the scattered Jacobian, at damping from far below to
+        # far above the largest diagonal entry.
+        if scene == "ragged":
+            corr, truth = ragged_scene(model)
+        else:
+            corr, truth = make_scene(45, model=model, k1=-0.15, k2=-0.05, n_views=5, grid_nx=5, grid_ny=5)
+        theta = _pack_params(truth.intrinsics, truth.distortion, truth.extrinsics)
+        rng = np.random.default_rng(2)
+        theta = theta + rng.normal(0, 1e-3, theta.size) * np.maximum(1.0, np.abs(theta))
+        res, jc, jp = _residuals_and_blocks(theta, corr, model)
+        ne = _normal_equations(res, jc, jp, corr.offsets)
+        jac = dense_jacobian(jc, jp, corr.view_index)
+        hess, grad = jac.T @ jac, jac.T @ res.ravel()
+        assert np.linalg.norm(ne.grad - grad) <= 1e-12 * np.linalg.norm(grad)
+        dmax = float(hess.diagonal().max())
+        for factor in (1e-6, 1e-3, 1.0, 1e3):
+            mu = factor * dmax
+            want = np.linalg.solve(hess + mu * np.eye(theta.size), -grad)
+            got = _schur_step(ne, mu)
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), factor
 
     def test_objective_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(43)
@@ -389,8 +426,8 @@ class TestRefine:
         )
 
     def test_lm_holds_one_jacobian_at_a_time(self):
-        # A dense Jacobian is 140 MB at 100 views: no evaluation may start
-        # while the LM still holds an earlier one.
+        # No evaluation may start while the LM still holds the Jacobian
+        # blocks of an earlier one.
         corr, truth = make_scene(57, noise_sigma=0.5)
         theta = _pack_params(truth.intrinsics, truth.distortion, truth.extrinsics)
         rng = np.random.default_rng(1)
@@ -399,12 +436,29 @@ class TestRefine:
 
         def evaluate(th):
             assert all(ref() is None for ref in held)
-            res, jac = _residuals_and_jacobian(th, corr, truth.distortion.model)
-            held.append(weakref.ref(jac))
-            return res, jac
+            res, jc, jp = _residuals_and_blocks(th, corr, truth.distortion.model)
+            held.extend((weakref.ref(jc), weakref.ref(jp)))
+            return res, jc, jp
 
-        calibration._levenberg_marquardt(evaluate, theta, OptimizerOptions())
+        calibration._levenberg_marquardt(evaluate, theta, OptimizerOptions(), corr.offsets)
         assert len(held) >= 3
+
+    def test_view_without_points_is_left_alone(self):
+        # A zero-length segment of np.add.reduceat yields its next row, not
+        # zero: the empty view must neither move nor disturb the others.
+        corr, truth = make_scene(57, noise_sigma=0.5)
+        empty = CalibrationView(9, np.empty((0, 2)), np.empty((0, 2)))
+        padded = CorrespondenceSet(corr.views[:1] + (empty,) + corr.views[1:])
+        fits = [
+            refine(c, _build_result(c, truth.intrinsics, truth.distortion, extrinsics))
+            for c, extrinsics in ((corr, truth.extrinsics), (padded, truth.extrinsics[:1] + truth.extrinsics))
+        ]
+        assert fits[1].n_iterations == fits[0].n_iterations
+        assert np.array_equal(fits[1].extrinsics[1].axis_angle, truth.extrinsics[0].axis_angle)
+        assert np.array_equal(fits[1].extrinsics[1].t, truth.extrinsics[0].t)
+        want = _pack_params(fits[0].intrinsics, fits[0].distortion, fits[0].extrinsics)
+        got = _pack_params(fits[1].intrinsics, fits[1].distortion, fits[1].extrinsics[:1] + fits[1].extrinsics[2:])
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_iteration_cap_flags_not_converged(self):
         corr, _ = make_scene(55, noise_sigma=0.5)
