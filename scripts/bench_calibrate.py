@@ -41,7 +41,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from bench_undistort import machine_info  # noqa: E402
+from bench_undistort import machine_info, summary  # noqa: E402
 from radialcal.calibration import (  # noqa: E402
     _build_result,
     _linear_stage,
@@ -126,8 +126,7 @@ class Case:
             "lm_iterations": self.fit.n_iterations,
         }
         for name, times in self.times.items():
-            q1, median, q3 = np.percentile(times, [25, 50, 75])
-            row[name] = {"median": float(median), "min": float(min(times)), "iqr": float(q3 - q1)}
+            row[name] = summary(times)
         row["rms_px"] = self.fit.rms_px
         row["peak_rss_mb"] = rss_mb
         return row

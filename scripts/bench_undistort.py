@@ -8,6 +8,11 @@ spec of each model; and ``write_points``/``read_points`` on an image-sized
 point file. Sizes and seeds are fixed so that runs on different commits
 compare; the JSON written also records the machine.
 
+The cases are interleaved: after one warm-up pass, each of the repeats
+times every case once, so a drift in the host's speed reaches all rows
+alike. Each figure is reported as its median, minimum and interquartile
+range over the repeats.
+
     PYTHONPATH=src python scripts/bench_undistort.py [--output BENCH_undistort.json]
 """
 
@@ -25,7 +30,7 @@ import numpy as np
 from radialcal.distortion import (
     DistortionSpec,
     Model,
-    distort_normalized,
+    distort_array,
     undistort,
     undistort_array,
 )
@@ -38,7 +43,7 @@ N_POINTS = 20_000
 # 520 px focal length, inside every spec's monotone domain.
 R_MAX = 0.75
 CSV_ROWS = 76_800  # a 320x240 grid
-REPEATS = 5
+REPEATS = 21
 # The coefficients of the repository benchmark's point workload, then model3
 # with its default k2 = 0, where the radius equation is a quadratic.
 SPECS = {
@@ -60,68 +65,91 @@ FOLD_SPECS = {
 }
 
 
-def median_seconds(fn) -> float:
-    fn()  # warm-up: caches and lazy imports
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return float(np.median(times))
+def summary(values) -> dict:
+    """Median, minimum and interquartile range of one row's repeats."""
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "min": float(min(values)), "iqr": float(q3 - q1)}
 
 
-def distorted_points(spec: DistortionSpec, rng) -> np.ndarray:
-    r = R_MAX * np.sqrt(rng.uniform(size=N_POINTS))
+def disk_points(r_max: float, rng) -> np.ndarray:
+    r = r_max * np.sqrt(rng.uniform(size=N_POINTS))
     phi = rng.uniform(-math.pi, math.pi, N_POINTS)
-    out = [
-        distort_normalized(spec, NormalizedPoint(x, y))
-        for x, y in zip((r * np.cos(phi)).tolist(), (r * np.sin(phi)).tolist())
-    ]
-    return np.array([(n.x, n.y) for n in out])
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
 
 
-def bench_undistort(rng) -> dict:
-    results = {}
-    for name, spec in SPECS.items():
-        xy = distorted_points(spec, rng)
-        points = [NormalizedPoint(x, y) for x, y in xy.tolist()]
-        scalar = median_seconds(lambda: [undistort(spec, d) for d in points])
-        array = median_seconds(lambda: undistort_array(spec, xy))
-        results[name] = {
-            "scalar_us_per_point": 1e6 * scalar / N_POINTS,
-            "array_us_per_point": 1e6 * array / N_POINTS,
-            "speedup": scalar / array,
-        }
-    return results
+def undistort_rows(rng) -> dict:
+    """Each SPECS entry's observed points: seeded undistorted points, warped."""
+    return {name: distort_array(spec, disk_points(R_MAX, rng)) for name, spec in SPECS.items()}
 
 
-def bench_past_the_fold(rng) -> dict:
-    results = {}
-    for name, spec in FOLD_SPECS.items():
-        r = FOLD_R_MAX * np.sqrt(rng.uniform(size=N_POINTS))
-        phi = rng.uniform(-math.pi, math.pi, N_POINTS)
-        xy = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
-        array = median_seconds(lambda: undistort_array(spec, xy))
-        results[name] = {
-            "coefficients": list(spec.coefficients),
-            "nan_rows": int(np.isnan(undistort_array(spec, xy)).any(axis=1).sum()),
-            "array_us_per_point": 1e6 * array / N_POINTS,
-        }
-    return results
+def fold_rows() -> dict:
+    """Each FOLD_SPECS entry's observed points, up to FOLD_R_MAX."""
+    rng = np.random.default_rng(FOLD_SEED)
+    return {name: disk_points(FOLD_R_MAX, rng) for name in FOLD_SPECS}
 
 
-def bench_csv(rng) -> dict:
+def timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def run_cases(cases: dict) -> dict:
+    """Seconds per call of each case: a warm-up pass, then REPEATS
+    interleaved passes."""
+    for fn in cases.values():
+        fn()
+    seconds = {key: [] for key in cases}
+    for _ in range(REPEATS):
+        for key, fn in cases.items():
+            seconds[key].append(timed(fn))
+    return {key: np.array(times) for key, times in seconds.items()}
+
+
+def bench(rng, tmp: Path) -> dict:
+    rows, folded = undistort_rows(rng), fold_rows()
     pts = np.column_stack([rng.uniform(0, 640, CSV_ROWS), rng.uniform(0, 480, CSV_ROWS)])
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "points.csv"
-        write = median_seconds(lambda: write_points(path, pts))
-        read = median_seconds(lambda: read_points(path))
-        size = path.stat().st_size
-    return {
+    csv = tmp / "points.csv"
+    cases = {}
+    for name, spec in SPECS.items():
+        xy = rows[name]
+        points = [NormalizedPoint(x, y) for x, y in xy.tolist()]
+        cases["scalar", name] = lambda spec=spec, points=points: [undistort(spec, d) for d in points]
+        cases["array", name] = lambda spec=spec, xy=xy: undistort_array(spec, xy)
+    for name, spec in FOLD_SPECS.items():
+        cases["fold", name] = lambda spec=spec, xy=folded[name]: undistort_array(spec, xy)
+    cases["csv", "write"] = lambda: write_points(csv, pts)
+    cases["csv", "read"] = lambda: read_points(csv)
+    seconds = run_cases(cases)
+
+    us = {key: 1e6 * times / N_POINTS for key, times in seconds.items()}
+    undistort_report = {
+        name: {
+            "scalar_us_per_point": summary(us["scalar", name]),
+            "array_us_per_point": summary(us["array", name]),
+            "speedup": float(np.median(seconds["scalar", name] / seconds["array", name])),
+        }
+        for name in SPECS
+    }
+    fold_report = {
+        name: {
+            "coefficients": list(spec.coefficients),
+            "nan_rows": int(np.isnan(undistort_array(spec, folded[name])).any(axis=1).sum()),
+            "array_us_per_point": summary(us["fold", name]),
+        }
+        for name, spec in FOLD_SPECS.items()
+    }
+    size = csv.stat().st_size
+    csv_report = {
         "rows": CSV_ROWS,
         "bytes": size,
-        "write_points_MBps": size / write / 1e6,
-        "read_points_MBps": size / read / 1e6,
+        "write_points_MBps": summary(size / seconds["csv", "write"] / 1e6),
+        "read_points_MBps": summary(size / seconds["csv", "read"] / 1e6),
+    }
+    return {
+        "undistort": undistort_report,
+        "past_the_fold": {"seed": FOLD_SEED, "r_max": FOLD_R_MAX, **fold_report},
+        "points_csv": csv_report,
     }
 
 
@@ -145,20 +173,15 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--output", default="BENCH_undistort.json")
     args = parser.parse_args()
-    rng = np.random.default_rng(SEED)
+    with tempfile.TemporaryDirectory() as tmp:
+        results = bench(np.random.default_rng(SEED), Path(tmp))
     report = {
         "seed": SEED,
         "n_points": N_POINTS,
         "r_max": R_MAX,
         "repeats": REPEATS,
-        "statistic": "median",
-        "undistort": bench_undistort(rng),
-        "past_the_fold": {
-            "seed": FOLD_SEED,
-            "r_max": FOLD_R_MAX,
-            **bench_past_the_fold(np.random.default_rng(FOLD_SEED)),
-        },
-        "points_csv": bench_csv(rng),
+        "statistic": "median, min and interquartile range over the repeats",
+        **results,
         "machine": machine_info(),
     }
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Fit equivalence: a fixed, seeded set of calibrations to compare two
-versions of the fitting code on.
+"""Fit equivalence: a fixed, seeded set of calibrations and array inverses
+to compare two versions of the code on.
 
 The set is ``compare_models`` on 20 five-view sessions shaped like the
 repository benchmark's ``session-paper`` sessions (seeds 5000-5019), and
@@ -8,15 +8,18 @@ repository benchmark's ``session-paper`` sessions (seeds 5000-5019), and
 For each fit the JSON holds the LM iteration count, the stop reason and the
 parameters (the five intrinsics, the coefficients, then each view's
 axis-angle and translation), or the error that a failed model reported.
+It also holds the SHA-256 of ``undistort_array``'s output on each seeded
+row set of ``bench_undistort.py`` (``SPECS`` and ``FOLD_SPECS``).
 
     PYTHONPATH=src python scripts/equivalence.py --output fits.json
     PYTHONPATH=src python scripts/equivalence.py --against fits.json
 
 ``--against FILE`` compares the set with FILE. It prints each fit whose
-iteration count, stop reason or error differs, and the largest relative
-parameter difference ``|a - b| / max(1, |a|, |b|)``. It exits with status 1
-when a count, reason or error differs, or a parameter differs by more than
-1e-9 relative. BLAS runs one thread unless OPENBLAS_NUM_THREADS is set, so
+iteration count, stop reason or error differs, each array whose hash
+differs, and the largest relative parameter difference
+``|a - b| / max(1, |a|, |b|)``. It exits with status 1 when a count,
+reason, error or hash differs, or a parameter differs by more than 1e-9
+relative. BLAS runs one thread unless OPENBLAS_NUM_THREADS is set, so
 that a rerun on one machine repeats every bit.
 """
 
@@ -26,6 +29,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -33,8 +37,9 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 import bench_calibrate  # noqa: E402
+import bench_undistort  # noqa: E402
 from radialcal.calibration import calibrate, compare_models  # noqa: E402
-from radialcal.distortion import DistortionSpec, Model  # noqa: E402
+from radialcal.distortion import DistortionSpec, Model, undistort_array  # noqa: E402
 from radialcal.synth import SynthSpec, generate_scene  # noqa: E402
 
 PAPER_SEEDS = range(5000, 5020)
@@ -75,8 +80,30 @@ def run_fits() -> dict:
     return fits
 
 
+def array_hashes() -> dict:
+    """SHA-256 of undistort_array's output on bench_undistort's row sets."""
+    rows = bench_undistort.undistort_rows(np.random.default_rng(bench_undistort.SEED))
+    sets = (
+        ("undistort", bench_undistort.SPECS, rows),
+        ("past_the_fold", bench_undistort.FOLD_SPECS, bench_undistort.fold_rows()),
+    )
+    return {
+        f"undistort_array/{section}/{name}": {
+            "sha256": hashlib.sha256(undistort_array(spec, row_sets[name]).tobytes()).hexdigest()
+        }
+        for section, specs, row_sets in sets
+        for name, spec in specs.items()
+    }
+
+
 def outcome(fit: dict) -> tuple:
-    return (fit.get("error"), fit.get("n_iterations"), fit.get("stop_reason"), len(fit.get("params", [])))
+    return (
+        fit.get("error"),
+        fit.get("n_iterations"),
+        fit.get("stop_reason"),
+        fit.get("sha256"),
+        len(fit.get("params", [])),
+    )
 
 
 def compare(base: dict, fits: dict) -> bool:
@@ -89,14 +116,14 @@ def compare(base: dict, fits: dict) -> bool:
         a, b = base[key], fits[key]
         if outcome(a) != outcome(b):
             mismatched.append(key)
-            print(f"{key}: reference {outcome(a)[:3]}, this run {outcome(b)[:3]}")
+            print(f"{key}: reference {outcome(a)[:4]}, this run {outcome(b)[:4]}")
             continue
         if "params" in a:
             pa, pb = np.array(a["params"]), np.array(b["params"])
             rel = float(np.max(np.abs(pa - pb) / np.maximum(1.0, np.maximum(np.abs(pa), np.abs(pb)))))
             if rel > worst:
                 worst, worst_key = rel, key
-    print(f"{len(fits)} fits; {len(mismatched)} with another iteration count, stop reason or error")
+    print(f"{len(fits)} records; {len(mismatched)} with another iteration count, stop reason, error or hash")
     if worst_key is None:
         print("parameters: no difference")
     else:
@@ -109,7 +136,7 @@ def main() -> int:
     parser.add_argument("--output", help="write the fits to this JSON file")
     parser.add_argument("--against", help="compare the fits with this JSON file")
     args = parser.parse_args()
-    fits = run_fits()
+    fits = {**run_fits(), **array_hashes()}
     if args.output:
         Path(args.output).write_text(json.dumps(fits, indent=1) + "\n")
     if args.against:

@@ -14,14 +14,13 @@ import math
 
 import numpy as np
 
-from radialcal.calibration import calibrate
+from radialcal.calibration import calibrate, project
 from radialcal.distortion import Model, distort_normalized
 from radialcal.geometry import (
     IntrinsicMatrix,
     NormalizedPoint,
     PixelPoint,
     ViewExtrinsics,
-    project,
     to_normalized,
     to_pixel,
 )

@@ -8,11 +8,12 @@ of the squared reprojection error
 
     J = sum_i sum_j || m_ij - mhat(A, k, R_i, t_i, M_j) ||^2
 
-where the prediction mhat is the forward model of ``distortion.project_points``:
-pinhole projection, the radial warp on the unit focal plane, the intrinsics.
-``_forward`` evaluates it for all views in one array pass, which every stage
-after the linear one reads. Each view's pose enters through two 3x3 matrices
-built once per view: ``R^T`` and the right Jacobian ``J_r`` of SO(3).
+where the prediction mhat is the forward model: pinhole projection, the
+radial warp on the unit focal plane, the intrinsics. ``project_views`` is the
+package's one code for it, over all views in one array pass: every stage
+after the linear one, ``project`` and ``synth.generate_scene`` call it. Each
+view's pose enters through two 3x3 matrices built once per view: ``R^T`` and
+the right Jacobian ``J_r`` of SO(3).
 
 The Jacobian is block-sparse: each point depends on the shared parameters
 (intrinsics and coefficients) and on its own view's six pose parameters
@@ -44,7 +45,9 @@ from .geometry import (
     DepthNotPositive,
     Homography,
     IntrinsicMatrix,
+    PixelPoint,
     ViewExtrinsics,
+    WorldPoint,
     to_pixel_array,
 )
 
@@ -128,6 +131,10 @@ class CorrespondenceSet:
     @property
     def n_points(self) -> int:
         return len(self.view_index)
+
+    @property
+    def view_ids(self) -> tuple[int, ...]:
+        return tuple(v.view_id for v in self.views)
 
 
 @dataclass(frozen=True)
@@ -375,7 +382,7 @@ def _rotation_blocks(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Stacked:
-    """The forward model at every stacked point of a CorrespondenceSet."""
+    """The forward model at every stacked point, and what its derivatives need."""
 
     A: IntrinsicMatrix
     spec: DistortionSpec
@@ -388,32 +395,56 @@ class _Stacked:
     pixels: np.ndarray  # (n, 2) predicted pixels
 
 
-def _forward(theta: np.ndarray, corr: CorrespondenceSet, model: Model) -> _Stacked:
-    """Evaluate the forward model for all views of corr in one array pass.
+def project_views(
+    A: IntrinsicMatrix,
+    spec: DistortionSpec,
+    poses: np.ndarray,
+    world: np.ndarray,
+    view_index: np.ndarray,
+    view_ids: Sequence[int],
+) -> _Stacked:
+    """The forward model: world points of many views to pixels in one array pass.
 
-    theta is in packing order. Pinhole projection ``P_c = R^T (P - t)``,
-    the radial warp on the unit focal plane, then the intrinsics. Raises
-    DepthNotPositive naming the view of the point with the smallest depth
-    when any point is behind (or on) its camera plane.
+    poses holds each view's axis-angle and camera center ``[w, t]`` as
+    ``(v, 6)``, world the points as ``(n, 3)``, and view_index each point's
+    row of poses. Pinhole projection ``P_c = R^T (P - t)``, the radial warp
+    on the unit focal plane, then the intrinsics. Raises DepthNotPositive
+    naming (by view_ids) the view of the point with the smallest depth when
+    any point is behind (or on) its camera plane.
     """
-    nk = n_coefficients(model)
-    A = IntrinsicMatrix(*theta[:5])
-    spec = DistortionSpec.from_coefficients(model, theta[5 : 5 + nk])
-    poses = theta[5 + nk :].reshape(corr.n_views, 6)
     if not np.all(np.isfinite(poses)):
         raise ValueError("view poses must be finite")
-    view = corr.view_index
     rotation_t, jr = _rotation_blocks(poses[:, :3])
-    pc = np.einsum("nij,nj->ni", rotation_t[view], corr.world - poses[view, 3:])
+    pc = np.einsum("nij,nj->ni", rotation_t[view_index], world - poses[view_index, 3:])
     z = pc[:, 2:]
     if np.any(z <= 0.0):
-        where = f"view {corr.views[view[np.argmin(z)]].view_id} has a point at camera depth"
+        where = f"view {view_ids[view_index[np.argmin(z)]]} has a point at camera depth"
         raise DepthNotPositive(f"{where} {z.min()}; must be positive")
     xy = pc[:, :2] / z
     r = np.hypot(xy[:, 0], xy[:, 1])
     f = warp_factor(spec, r)
     pixels = to_pixel_array(xy * f[:, None], A)
     return _Stacked(A, spec, rotation_t, jr, pc, xy, r, f, pixels)
+
+
+def project(P: WorldPoint, E: ViewExtrinsics, A: IntrinsicMatrix) -> PixelPoint:
+    """Undistorted pinhole projection of one world point: project_views with
+    model2 at k1 = 0, whose f = 1 + 0 r r is exactly 1 at every finite radius.
+    Raises DepthNotPositive when the point is behind (or on) the camera plane.
+    """
+    pose = np.concatenate([E.axis_angle, E.t])[None, :]
+    no_warp = DistortionSpec(Model.MODEL2, 0.0)
+    s = project_views(A, no_warp, pose, P.array[None, :], np.zeros(1, dtype=int), (0,))
+    return PixelPoint(*s.pixels[0].tolist())
+
+
+def _forward(theta: np.ndarray, corr: CorrespondenceSet, model: Model) -> _Stacked:
+    """project_views at the packed parameters theta for all views of corr."""
+    nk = n_coefficients(model)
+    A = IntrinsicMatrix(*theta[:5])
+    spec = DistortionSpec.from_coefficients(model, theta[5 : 5 + nk])
+    poses = theta[5 + nk :].reshape(corr.n_views, 6)
+    return project_views(A, spec, poses, corr.world, corr.view_index, corr.view_ids)
 
 
 def objective(
@@ -707,7 +738,7 @@ def _build_result(
     return CalibrationResult(
         intrinsics=A,
         distortion=spec,
-        view_ids=tuple(v.view_id for v in corr.views),
+        view_ids=corr.view_ids,
         extrinsics=extrinsics,
         j_final=total,
         rms_px=math.sqrt(total / corr.n_points),

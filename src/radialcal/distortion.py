@@ -1,4 +1,4 @@
-"""Radial distortion models, the forward model, and undistortion dispatch.
+"""Radial distortion models, the warp, and undistortion dispatch.
 
 Three radial warp factors are supported, each acting on the normalized image
 plane as ``(x_d, y_d) = f(r) * (x, y)`` with ``r = sqrt(x^2 + y^2)``:
@@ -22,13 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .cubic import RadiusCubic
-from .geometry import (
-    IntrinsicMatrix,
-    NormalizedPoint,
-    ViewExtrinsics,
-    normalize_world_array,
-    to_pixel_array,
-)
+from .geometry import NormalizedPoint
 
 
 class NotConverged(RuntimeError):
@@ -134,18 +128,6 @@ def distort_normalized(spec: DistortionSpec, n: NormalizedPoint) -> NormalizedPo
 def distort_array(spec: DistortionSpec, xy: np.ndarray) -> np.ndarray:
     """distort_normalized for an ``(n, 2)`` array of normalized points."""
     return xy * warp_factor(spec, np.hypot(xy[:, 0], xy[:, 1]))[:, None]
-
-
-def project_points(
-    A: IntrinsicMatrix, spec: DistortionSpec, E: ViewExtrinsics, world: np.ndarray
-) -> np.ndarray:
-    """The forward model: ``(n, 3)`` world points to ``(n, 2)`` observed pixels.
-
-    Pinhole projection under the view's pose, the radial warp on the unit
-    focal plane, then the intrinsics. Raises DepthNotPositive when any point
-    is behind (or on) the camera plane.
-    """
-    return to_pixel_array(distort_array(spec, normalize_world_array(world, E)), A)
 
 
 def _quadratic_real_roots(a: float, b: float, c: float) -> tuple[float, ...]:

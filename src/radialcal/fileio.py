@@ -3,14 +3,15 @@
 CSV numbers are written with 17 significant digits so parsing them back is
 lossless for doubles; readers accept both LF and CRLF line endings. All
 writers go through a temp-file-plus-rename so partially written outputs never
-appear under the final name.
+appear under the final name; the file gets the mode that the umask gives a
+new file.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+import uuid
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -43,7 +44,10 @@ def fmt(x: float) -> str:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    # Created as open() creates a file, so that the umask sets its mode
+    # (mkstemp's is 0600); O_EXCL keeps the random name from clobbering.
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)

@@ -76,7 +76,8 @@ class NormalizedPoint:
 
     @property
     def radius(self) -> float:
-        return math.hypot(self.x, self.y)
+        # np.hypot, as every array path computes the radius.
+        return float(np.hypot(self.x, self.y))
 
 
 @dataclass(frozen=True)
@@ -315,25 +316,3 @@ def to_normalized_array(uv: np.ndarray, A: IntrinsicMatrix) -> np.ndarray:
     du = uv[:, 0] - A.u0
     dv = uv[:, 1] - A.v0
     return np.column_stack([du / a - g * dv / (a * b), dv / b])
-
-
-def normalize_world_array(world: np.ndarray, E: ViewExtrinsics) -> np.ndarray:
-    """Map ``(n, 3)`` world points to ``(n, 2)`` points on the unit focal plane.
-
-    The pinhole step of the forward model. Raises DepthNotPositive when any
-    point is behind (or on) the camera plane.
-    """
-    R, t = E.world_to_camera()
-    pc = world @ R.T + t
-    if np.any(pc[:, 2] <= 0.0):
-        raise DepthNotPositive(f"point has camera depth {pc[:, 2].min()}; must be positive")
-    return pc[:, :2] / pc[:, 2:]
-
-
-def project(P: WorldPoint, E: ViewExtrinsics, A: IntrinsicMatrix) -> PixelPoint:
-    """Undistorted pinhole projection of a world point.
-
-    Raises DepthNotPositive when the point is behind (or on) the camera plane.
-    """
-    ((u, v),) = to_pixel_array(normalize_world_array(P.array[None, :], E), A).tolist()
-    return PixelPoint(u, v)

@@ -2,7 +2,9 @@
 
 Stands in for real extracted feature data in tests and experiments. A scene
 is fully determined by its spec (including the RNG seed), so generated
-correspondences are bit-reproducible.
+correspondences are bit-reproducible. The pixels come from the forward
+model that calibration fits, ``calibration.project_views``, so a noiseless
+scene has objective exactly 0 at its generating parameters.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CalibrationView, CorrespondenceSet
-from .distortion import DistortionSpec, project_points
+from .calibration import CalibrationView, CorrespondenceSet, project_views
+from .distortion import DistortionSpec
 from .geometry import (
     DepthNotPositive,
     IntrinsicMatrix,
@@ -97,7 +99,8 @@ def _sample_pose(spec: SynthSpec, rng: np.random.Generator) -> ViewExtrinsics:
 
 
 def generate_scene(spec: SynthSpec) -> tuple[CorrespondenceSet, SceneTruth]:
-    """Project the target grid per view, warp, and optionally add pixel noise.
+    """Draw each view's pose (then its noise), project all views in one
+    ``project_views`` call, and add the noise.
 
     Returns the observed correspondences together with the generating truth.
     Raises ValueError if a sampled pose places target points at non-positive
@@ -105,27 +108,27 @@ def generate_scene(spec: SynthSpec) -> tuple[CorrespondenceSet, SceneTruth]:
     """
     rng = np.random.default_rng(spec.seed)
     world = _grid_points(spec)
-    world3 = np.column_stack([world, np.zeros(len(world))])
-    A = spec.intrinsics
-
-    views = []
-    extrinsics = []
-    for view_id in range(spec.n_views):
-        E = _sample_pose(spec, rng)
-        try:
-            pixels = project_points(A, spec.distortion, E, world3)
-        except DepthNotPositive as exc:
-            raise ValueError(
-                f"sampled pose for view {view_id} puts target points behind "
-                "the camera; widen the distance range"
-            ) from exc
+    ids = range(spec.n_views)
+    extrinsics, noise = [], []
+    for _ in ids:
+        extrinsics.append(_sample_pose(spec, rng))
         if spec.noise_sigma > 0.0:
-            pixels = pixels + rng.normal(0.0, spec.noise_sigma, pixels.shape)
-        views.append(CalibrationView(view_id=view_id, world_xy=world, pixels=pixels))
-        extrinsics.append(E)
-
+            noise.append(rng.normal(0.0, spec.noise_sigma, world.shape))
+    poses = np.array([[*E.axis_angle, *E.t] for E in extrinsics])
+    world3 = np.tile(np.column_stack([world, np.zeros(len(world))]), (spec.n_views, 1))
+    try:
+        s = project_views(
+            spec.intrinsics, spec.distortion, poses, world3, np.repeat(ids, len(world)), ids
+        )
+    except DepthNotPositive as exc:
+        raise ValueError(
+            f"sampled poses put target points behind the camera ({exc}); "
+            "widen the distance range"
+        ) from exc
+    pixels = s.pixels + np.concatenate(noise) if noise else s.pixels
+    views = [CalibrationView(k, world, p) for k, p in zip(ids, np.split(pixels, spec.n_views))]
     truth = SceneTruth(
-        intrinsics=A,
+        intrinsics=spec.intrinsics,
         distortion=spec.distortion,
         extrinsics=tuple(extrinsics),
         noise_sigma=spec.noise_sigma,

@@ -13,6 +13,7 @@ from radialcal.calibration import (
     OptimizerOptions,
     SingularConfiguration,
     _build_result,
+    _forward,
     _normal_equations,
     _pack_params,
     _residuals_and_blocks,
@@ -27,9 +28,10 @@ from radialcal.calibration import (
     intrinsics_from_homographies,
     objective,
     objective_gradient,
+    project_views,
     refine,
 )
-from radialcal.distortion import Model, project_points
+from radialcal.distortion import DistortionSpec, Model
 from radialcal.geometry import (
     AbsoluteConic,
     DepthNotPositive,
@@ -45,6 +47,7 @@ from oracles import (
     project_pinhole,
     rot_x,
     rot_y,
+    rot_z,
     rotation_transpose_apply_jacobian,
 )
 
@@ -68,6 +71,12 @@ def ragged_scene(model=Model.MODEL3):
 
 def world3(view):
     return np.column_stack([view.world_xy, np.zeros(view.n_points)])
+
+
+def one_view(A, spec, E, world, view_id=0):
+    """project_views on the points of one view."""
+    pose = np.concatenate([E.axis_angle, E.t])[None, :]
+    return project_views(A, spec, pose, world, np.zeros(len(world), dtype=int), (view_id,))
 
 
 def grid_xy(n=6, spacing=0.2):
@@ -226,6 +235,69 @@ class TestInitDistortion:
         assert abs(spec.k2 - k2) <= 1e-6
 
 
+class TestProjectViews:
+    @pytest.mark.parametrize(
+        "model,k1,k2",
+        [
+            (Model.MODEL1, -0.3435, 0.1232),
+            (Model.MODEL2, -0.2, 0.0),
+            (Model.MODEL3, -0.12, -0.14),
+        ],
+    )
+    def test_matches_independent_projection(self, model, k1, k2):
+        # Oracle: the inline pinhole u ~ K (R P + t) with K = I gives the
+        # normalized point; the warp and the intrinsic rows are written out.
+        rng = np.random.default_rng(41)
+        R = rot_x(0.3) @ rot_y(-0.2) @ rot_z(0.4)
+        t = np.array([0.05, -0.08, 1.3])
+        world = np.column_stack([rng.uniform(-0.5, 0.5, (200, 2)), rng.uniform(-0.1, 0.1, 200)])
+        xy = project_pinhole(world, R, t, np.eye(3))
+        r = np.hypot(xy[:, 0], xy[:, 1])
+        f = {
+            Model.MODEL1: 1.0 + k1 * r**2 + k2 * r**4,
+            Model.MODEL2: 1.0 + k1 * r**2,
+            Model.MODEL3: 1.0 + k1 * r + k2 * r**2,
+        }[model]
+        xd, yd = xy[:, 0] * f, xy[:, 1] * f
+        A = IntrinsicMatrix(832.5, 830.7, 0.21, 303.96, 206.59)
+        expected = np.column_stack([A.alpha * xd + A.gamma * yd + A.u0, A.beta * yd + A.v0])
+
+        E = ViewExtrinsics.from_world_to_camera(R, t)
+        got = one_view(A, DistortionSpec(model, k1, k2), E, world).pixels
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_pinhole_step_matches_convention(self):
+        # P_c = R^-1 (P_w - t) with R the stored rotation, then divide by depth.
+        E = ViewExtrinsics(np.array([0.3, -0.2, 2.5]), np.array([1.0, 2.0, -3.0]))
+        P = np.array([[0.4, -0.6, 0.2], [-1.5, 0.7, 0.0]])
+        pc = (P - E.t) @ E.rotation
+        assert np.all(pc[:, 2] > 0.0)
+        expected = pc[:, :2] / pc[:, 2:]
+        s = one_view(IntrinsicMatrix(1.0, 1.0, 0.0, 0.0, 0.0), DistortionSpec(Model.MODEL3, 0.0), E, P)
+        assert np.max(np.abs(s.xy - expected)) <= 1e-15
+
+    def test_requires_positive_depth(self):
+        # Camera at z = 0.5 looking along +z: z = 0.5 is on the camera plane,
+        # z = 0 behind it, z = 1 in front.
+        E = ViewExtrinsics(np.zeros(3), np.array([0.0, 0.0, 0.5]))
+        A, spec = IntrinsicMatrix(1.0, 1.0, 0.0, 0.0, 0.0), DistortionSpec(Model.MODEL3, 0.0)
+        assert one_view(A, spec, E, np.array([[0.0, 0.0, 1.0]])).xy.tolist() == [[0.0, 0.0]]
+        for z in (0.5, 0.0):
+            with pytest.raises(DepthNotPositive, match="^view 9 has a point at camera depth"):
+                one_view(A, spec, E, np.array([[0.0, 0.0, 1.0], [0.1, 0.2, z]]), view_id=9)
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_noiseless_scene_is_the_kernel_at_its_truth(self, model):
+        # Synthesis runs the kernel that calibration fits: at the generating
+        # parameters the predictions are the observations, bit for bit.
+        for seed in range(5):
+            corr, truth = make_scene(seed, model=model, k1=-0.2, k2=0.05, n_views=6)
+            A, spec, extrinsics = truth.intrinsics, truth.distortion, truth.extrinsics
+            predicted = _forward(_pack_params(A, spec, extrinsics), corr, model).pixels
+            assert np.array_equal(predicted, corr.pixels)
+            assert objective(corr, A, spec, extrinsics) == 0.0
+
+
 class TestObjective:
     def test_zero_on_perfect_data(self):
         corr, truth = make_scene(31)
@@ -257,7 +329,7 @@ class TestObjective:
         corr, truth = ragged_scene()
         A, spec = truth.intrinsics, truth.distortion
         per_view = [
-            project_points(A, spec, E, world3(v)) - v.pixels
+            one_view(A, spec, E, world3(v)).pixels - v.pixels
             for v, E in zip(corr.views, truth.extrinsics)
         ]
         want = sum(float(np.sum(d * d)) for d in per_view)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from radialcal.calibration import OptimizerOptions, _build_result
+from radialcal.calibration import OptimizerOptions, _build_result, project
 from radialcal.cli import main
 from radialcal.distortion import DistortionSpec, Model, distort_normalized
 from radialcal.fileio import (
@@ -16,7 +16,7 @@ from radialcal.fileio import (
     write_points,
     write_pose,
 )
-from radialcal.geometry import IntrinsicMatrix, ViewExtrinsics, WorldPoint, project, to_normalized, to_pixel
+from radialcal.geometry import IntrinsicMatrix, ViewExtrinsics, WorldPoint, to_normalized, to_pixel
 from radialcal.localize import _z_rotation
 
 from conftest import make_scene

@@ -17,7 +17,6 @@ from radialcal.distortion import (
     distort_normalized,
     invert_radius_newton,
     n_coefficients,
-    project_points,
     undistort,
     undistort_array,
     validate_monotone,
@@ -28,21 +27,12 @@ from radialcal.geometry import (
     IntrinsicMatrix,
     NormalizedPoint,
     PixelPoint,
-    ViewExtrinsics,
     to_normalized,
     to_normalized_array,
     to_pixel,
     to_pixel_array,
 )
-from conftest import make_scene
-from oracles import (
-    project_pinhole,
-    radius_from_distorted_model3,
-    rot_x,
-    rot_y,
-    rot_z,
-    undistort_xy,
-)
+from oracles import radius_from_distorted_model3, undistort_xy
 
 
 def sample_disk(rng, r_max):
@@ -151,47 +141,6 @@ class TestDistort:
 def pixel_warp(spec, uv, A):
     """The forward warp on pixels, as CLI undistort --direction forward runs it."""
     return to_pixel_array(distort_array(spec, to_normalized_array(uv, A)), A)
-
-
-class TestProjectPoints:
-    @pytest.mark.parametrize(
-        "model,k1,k2",
-        [
-            (Model.MODEL1, -0.3435, 0.1232),
-            (Model.MODEL2, -0.2, 0.0),
-            (Model.MODEL3, -0.12, -0.14),
-        ],
-    )
-    def test_matches_independent_projection(self, model, k1, k2):
-        # Oracle: the inline pinhole u ~ K (R P + t) with K = I gives the
-        # normalized point; the warp and the intrinsic rows are written out.
-        rng = np.random.default_rng(41)
-        R = rot_x(0.3) @ rot_y(-0.2) @ rot_z(0.4)
-        t = np.array([0.05, -0.08, 1.3])
-        world = np.column_stack([rng.uniform(-0.5, 0.5, (200, 2)), rng.uniform(-0.1, 0.1, 200)])
-        xy = project_pinhole(world, R, t, np.eye(3))
-        r = np.hypot(xy[:, 0], xy[:, 1])
-        f = {
-            Model.MODEL1: 1.0 + k1 * r**2 + k2 * r**4,
-            Model.MODEL2: 1.0 + k1 * r**2,
-            Model.MODEL3: 1.0 + k1 * r + k2 * r**2,
-        }[model]
-        xd, yd = xy[:, 0] * f, xy[:, 1] * f
-        A = IntrinsicMatrix(832.5, 830.7, 0.21, 303.96, 206.59)
-        expected = np.column_stack([A.alpha * xd + A.gamma * yd + A.u0, A.beta * yd + A.v0])
-
-        E = ViewExtrinsics.from_world_to_camera(R, t)
-        got = project_points(A, DistortionSpec(model, k1, k2), E, world)
-        assert np.max(np.abs(got - expected)) <= 1e-12
-
-    def test_noiseless_scene_is_the_kernel(self):
-        # Synthesis and calibration share one forward model, bit for bit.
-        for model in Model:
-            corr, truth = make_scene(5, model=model, k1=-0.2, k2=0.05, n_views=4)
-            for view, E in zip(corr.views, truth.extrinsics):
-                world = np.column_stack([view.world_xy, np.zeros(view.n_points)])
-                kernel = project_points(truth.intrinsics, truth.distortion, E, world)
-                assert np.array_equal(view.pixels, kernel)
 
 
 class TestValidateMonotone:
@@ -559,10 +508,9 @@ class TestUndistortArray:
         assert_rows_agree(got, want)
         assert np.isnan(got).any(axis=1).sum() > len(damped)
         assert not calls
-        # From the same radius both take the same steps, to the bit; but
-        # np.hypot and math.hypot round a few radii (19 of these) apart.
-        same = np.array([math.hypot(*row) for row in xy.tolist()]) == radii
-        assert np.array_equal(got[same], want[same], equal_nan=True)
+        # Both compute the radius by np.hypot and take the same steps from
+        # it, so every row agrees to the bit.
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestRadialSymmetry:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -431,6 +432,22 @@ class TestAtomicity:
         write_correspondences(tmp_path / "corr.csv", corr)
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o002])
+    def test_written_file_takes_the_umask_mode(self, tmp_path, umask):
+        path = tmp_path / "pts.csv"
+        old = os.umask(umask)
+        try:
+            write_points(path, np.array([[1.0, 2.0]]))
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+            # Overwriting keeps that mode, whatever the old file had.
+            path.chmod(0o600)
+            write_points(path, np.array([[3.0, 4.0]]))
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+            (tmp_path / "touched").touch()
+            assert (tmp_path / "touched").stat().st_mode & 0o777 == 0o666 & ~umask
+        finally:
+            os.umask(old)
 
     def test_overwrite_replaces_whole_file(self, tmp_path):
         path = tmp_path / "pts.csv"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from radialcal.calibration import project
 from radialcal.geometry import (
     AbsoluteConic,
     DepthNotPositive,
@@ -16,8 +17,6 @@ from radialcal.geometry import (
     ViewExtrinsics,
     WorldPoint,
     axis_angle_from_rotation,
-    normalize_world_array,
-    project,
     rotation_from_axis_angle,
     to_normalized,
     to_normalized_array,
@@ -222,24 +221,6 @@ class TestViewExtrinsics:
             R_back, t_back = E.world_to_camera()
             assert np.max(np.abs(R_back - R)) < 1e-12
             assert np.max(np.abs(t_back - t)) < 1e-12
-
-    def test_transform_matches_convention(self):
-        # P_c = R^-1 (P_w - t) with R the stored rotation, then divide by depth.
-        E = ViewExtrinsics(np.array([0.3, -0.2, 2.5]), np.array([1.0, 2.0, -3.0]))
-        P = np.array([[0.4, -0.6, 0.2], [-1.5, 0.7, 0.0]])
-        pc = (P - E.t) @ E.rotation
-        assert np.all(pc[:, 2] > 0.0)
-        expected = pc[:, :2] / pc[:, 2:]
-        assert np.max(np.abs(normalize_world_array(P, E) - expected)) <= 1e-15
-
-    def test_normalize_world_requires_positive_depth(self):
-        # Camera at z = 0.5 looking along +z: z = 0.5 is on the camera plane,
-        # z = 0 behind it, z = 1 in front.
-        E = ViewExtrinsics(np.zeros(3), np.array([0.0, 0.0, 0.5]))
-        assert normalize_world_array(np.array([[0.0, 0.0, 1.0]]), E).tolist() == [[0.0, 0.0]]
-        for z in (0.5, 0.0):
-            with pytest.raises(DepthNotPositive):
-                normalize_world_array(np.array([[0.0, 0.0, 1.0], [0.1, 0.2, z]]), E)
 
 
 class TestHomography:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from radialcal.calibration import project
 from radialcal.distortion import DistortionSpec, Model, distort_normalized
 from radialcal.geometry import (
     IntrinsicMatrix,
@@ -10,7 +11,6 @@ from radialcal.geometry import (
     PixelPoint,
     ViewExtrinsics,
     WorldPoint,
-    project,
     to_normalized,
     to_pixel,
 )
