@@ -5,10 +5,11 @@ On one seeded scene family (seed 3, a 12x12 target grid, model3 warp,
 sigma = 0.3 px pixel noise; the camera and warp of the repository
 benchmark's 100-view session) at 10, 30 and 100 views, times:
 
-* one evaluation of the residuals and their per-point Jacobian blocks at
-  the fitted parameters;
-* the blocked normal equations plus one damped Schur-complement step, as
-  one Levenberg-Marquardt iteration forms and solves them;
+* one evaluation of the residuals and their Jacobian at the fitted
+  parameters: each point's rows ``[G | J_c | r]`` and each view's pose map;
+* the normal equations from one Gram product per view plus one damped
+  Schur-complement step, as one Levenberg-Marquardt iteration forms and
+  solves them;
 * ``refine`` per LM iteration (its time over its iteration count);
 * the linear stage: homographies, intrinsics, extrinsics and the
   distortion initialization;

@@ -17,10 +17,13 @@ the right Jacobian ``J_r`` of SO(3).
 
 The Jacobian is block-sparse: each point depends on the shared parameters
 (intrinsics and coefficients) and on its own view's six pose parameters
-only. ``_residuals_and_blocks`` returns just those per-point blocks, the
-normal equations are summed from them view by view, and each damped step
-is solved by the Schur complement on the shared block, so one LM iteration
-costs time and memory linear in the number of views.
+only, and those six enter through one 6x6 map per view, ``M_k =
+blockdiag(J_r, -R^T)``. ``_residuals_and_blocks`` returns each point's rows
+``[G | J_c | r]`` and each view's ``M_k``; its pose block ``G M_k`` is never
+formed. The normal equations come from one Gram product ``Q_k = A_k^T A_k``
+of each view's rows A_k, with ``M_k`` applied to it once per view, and each
+damped step is solved by the Schur complement on the shared block, so one
+LM iteration costs time and memory linear in the number of views.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .geometry import (
     DepthNotPositive,
     Homography,
     IntrinsicMatrix,
+    InvalidParameters,
     PixelPoint,
     ViewExtrinsics,
     WorldPoint,
@@ -375,7 +379,9 @@ def _rotation_blocks(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
     eye = np.eye(3)
     # Cross-product matrices: [w]_x y = w cross y.
-    K = -np.cross(w[:, None, :], eye)
+    (w0, w1, w2), K = w.T, np.zeros((len(w), 3, 3))
+    K[:, 0, 1], K[:, 0, 2], K[:, 1, 2] = -w2, w1, -w0
+    K[:, 1, 0], K[:, 2, 0], K[:, 2, 1] = w2, -w1, w0
     K2 = K @ K
     return eye - a * K + b * K2, eye - b * K + c * K2
 
@@ -413,7 +419,7 @@ def project_views(
     any point is behind (or on) its camera plane.
     """
     if not np.all(np.isfinite(poses)):
-        raise ValueError("view poses must be finite")
+        raise InvalidParameters("view poses must be finite")
     rotation_t, jr = _rotation_blocks(poses[:, :3])
     pc = np.einsum("nij,nj->ni", rotation_t[view_index], world - poses[view_index, 3:])
     z = pc[:, 2:]
@@ -506,31 +512,35 @@ def _unpack_params(
 
 def _residuals_and_blocks(
     theta: np.ndarray, corr: CorrespondenceSet, model: Model
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pixel residuals and their Jacobian as per-point blocks.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel residuals and their Jacobian, as per-point columns and per-view maps.
 
-    Returns the residuals (predicted minus observed) as ``(n, 2)``; their
-    derivatives in the shared columns ``[alpha, beta, gamma, u0, v0,
-    coefficients]`` as ``(n, 2, 5 + nk)``; and those in the columns
-    ``[w, t]`` of each point's own view as ``(n, 2, 6)``. Every other entry
-    of the Jacobian is zero.
+    Returns the columns of every point's two rows ``[G | J_c | r]`` as
+    ``(7 + p, n, 2)``: ``r`` is the residual (predicted minus observed),
+    ``J_c`` its derivative in the p shared columns ``[alpha, beta, gamma,
+    u0, v0, coefficients]``, and ``G = [g x P_c, g]`` with ``g =
+    d(pixel)/d(P_c)``. Also returns each view's pose map ``M_k =
+    blockdiag(J_r, -R^T)`` as ``(v, 6, 6)``: a point's derivative in the
+    columns ``[w, t]`` of its own view k is ``G M_k``, and every other entry
+    of the Jacobian is zero. Stored by column, each entry is written
+    contiguously.
     """
     nk = n_coefficients(model)
     s = _forward(theta, corr, model)
     A, n, (x, y) = s.A, corr.n_points, s.xy.T
+    columns = np.zeros((12 + nk, n, 2))
 
     # d(pixel)/d(intrinsics), columns [alpha, beta, gamma, u0, v0]
-    jc = np.zeros((n, 2, 5 + nk))
-    jc[:, 0, 0], jc[:, 0, 2], jc[:, 1, 1] = x * s.f, y * s.f, y * s.f
-    jc[:, 0, 3] = jc[:, 1, 4] = 1.0
+    jc = columns[6:-1]
+    jc[0, :, 0], jc[2, :, 0], jc[1, :, 1] = x * s.f, y * s.f, y * s.f
+    jc[3, :, 0] = jc[4, :, 1] = 1.0
     # d(pixel)/d(coefficients) through the warp basis
-    basis = coefficient_basis(model, s.r)
-    dxd_dk = x[:, None] * basis
-    dyd_dk = y[:, None] * basis
-    jc[:, 0, 5:] = A.alpha * dxd_dk + A.gamma * dyd_dk
-    jc[:, 1, 5:] = A.beta * dyd_dk
+    basis = coefficient_basis(model, s.r).T
+    dxd_dk, dyd_dk = x * basis, y * basis
+    jc[5:, :, 0] = A.alpha * dxd_dk + A.gamma * dyd_dk
+    jc[5:, :, 1] = A.beta * dyd_dk
 
-    # d(pixel)/d(camera point) = MA D [I/z, -(x, y)/z], with MA = [[alpha,
+    # g = d(pixel)/d(camera point) = MA D [I/z, -(x, y)/z], with MA = [[alpha,
     # gamma], [0, beta]] and D = f I + (f'/r) (x, y)(x, y)^T the derivative of
     # the distorted point by the normalized one; entry by entry.
     r = s.r
@@ -540,39 +550,19 @@ def _residuals_and_blocks(
     m00, m01 = A.alpha * d00 + A.gamma * d01, A.alpha * d01 + A.gamma * d11
     m10, m11 = A.beta * d01, A.beta * d11
     iz = 1.0 / s.pc[:, 2]
-    dpix_dpc = np.empty((n, 2, 3))
+    g0, g1, g2 = g = columns[3:6]
     for row, (m0, m1) in enumerate(((m00, m01), (m10, m11))):
-        dpix_dpc[:, row, 0] = m0 * iz
-        dpix_dpc[:, row, 1] = m1 * iz
-        dpix_dpc[:, row, 2] = -(m0 * x + m1 * y) * iz
-    # Pose columns: d pc/dw = [pc]_x J_r, whose rows give (g cross pc) J_r for
-    # each row g of dpix_dpc, and d pc/dt = -R^T.
-    (g0, g1, g2), (p0, p1, p2) = dpix_dpc.transpose(2, 0, 1), s.pc.T[:, :, None]
-    cross = np.stack([g1 * p2 - g2 * p1, g2 * p0 - g0 * p2, g0 * p1 - g1 * p0], axis=2)
-    view = corr.view_index
-    jp = np.empty((n, 2, 6))
-    np.matmul(cross, s.jr[view], out=jp[:, :, :3])
-    np.matmul(dpix_dpc, (-s.rotation_t)[view], out=jp[:, :, 3:])
-    return s.pixels - corr.pixels, jc, jp
-
-
-def _view_sums(a: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Sums of the rows of a over each view's contiguous rows, zero for a
-    view without points."""
-    starts = offsets[:-1]
-    nonempty = starts < offsets[1:]
-    sums = np.zeros((len(starts),) + a.shape[1:])
-    sums[nonempty] = np.add.reduceat(a, starts[nonempty], axis=0)
-    return sums
-
-
-def _gradient(
-    res: np.ndarray, jc: np.ndarray, jp: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """``J^T r`` in packing order, summed from the per-point blocks."""
-    shared = jc.reshape(res.size, -1).T @ res.ravel()
-    poses = _view_sums(np.einsum("nak,na->nk", jp, res), offsets)
-    return np.concatenate([shared, poses.ravel()])
+        g[0, :, row] = m0 * iz
+        g[1, :, row] = m1 * iz
+        g[2, :, row] = -(m0 * x + m1 * y) * iz
+    # d pc/dw = [pc]_x J_r, whose rows give (g cross pc) J_r for each row g;
+    # d pc/dt = -R^T.
+    p0, p1, p2 = s.pc.T[:, :, None]
+    columns[0], columns[1], columns[2] = g1 * p2 - g2 * p1, g2 * p0 - g0 * p2, g0 * p1 - g1 * p0
+    columns[-1] = s.pixels - corr.pixels
+    maps = np.zeros((corr.n_views, 6, 6))
+    maps[:, :3, :3], maps[:, 3:, 3:] = s.jr, -s.rotation_t
+    return columns, maps
 
 
 @dataclass(frozen=True)
@@ -588,18 +578,24 @@ class _NormalEquations:
     grad: np.ndarray  # J^T r in packing order
 
 
-def _normal_equations(
-    res: np.ndarray, jc: np.ndarray, jp: np.ndarray, offsets: np.ndarray
-) -> _NormalEquations:
-    flat = jc.reshape(res.size, -1)
-    jp_t = jp.transpose(0, 2, 1)
+def _normal_equations(columns: np.ndarray, maps: np.ndarray, offsets: np.ndarray) -> _NormalEquations:
+    """The blocks of ``J^T J`` and ``J^T r`` from one Gram product per view.
+
+    With ``A_k`` view k's rows ``[G | J_c | r]`` (offsets delimit them) and
+    ``Q_k = A_k^T A_k``: ``U = sum_k Q_k[c, c]``, ``W_k^T = M_k^T Q_k[g, c]``,
+    ``V_k = M_k^T Q_k[g, g] M_k``, and ``J^T r`` is ``sum_k Q_k[c, r]`` for
+    the shared columns and ``M_k^T Q_k[g, r]`` for view k's. A view without
+    points has ``Q_k = 0``.
+    """
+    flat = columns.reshape(len(columns), -1)
+    grams = np.stack([a @ a.T for a in np.split(flat, 2 * offsets[1:-1], axis=1)])
+    mq = maps.transpose(0, 2, 1) @ grams[:, :6]
+    shared = grams[:, 6:, 6:].sum(axis=0)
     return _NormalEquations(
-        u=flat.T @ flat,
-        wt=_view_sums(jp_t @ jc, offsets),
-        # A copy: on jp^T @ jp itself numpy calls a BLAS syrk per 6x6
-        # product, four times slower at 100 views.
-        v=_view_sums(jp_t @ jp.copy(), offsets),
-        grad=_gradient(res, jc, jp, offsets),
+        u=shared[:-1, :-1],
+        wt=mq[:, :, 6:-1],
+        v=mq[:, :, :6] @ maps,
+        grad=np.concatenate([shared[:-1, -1], mq[:, :, -1].ravel()]),
     )
 
 
@@ -638,8 +634,8 @@ def objective_gradient(
 ) -> np.ndarray:
     """Gradient of the objective with respect to the packed parameter vector."""
     theta = _pack_params(A, spec, extrinsics)
-    res, jc, jp = _residuals_and_blocks(theta, corr, spec.model)
-    return 2.0 * _gradient(res, jc, jp, corr.offsets)
+    columns, maps = _residuals_and_blocks(theta, corr, spec.model)
+    return 2.0 * _normal_equations(columns, maps, corr.offsets).grad
 
 
 # ---------------------------------------------------------------------------
@@ -647,23 +643,24 @@ def objective_gradient(
 
 
 def _levenberg_marquardt(
-    eval_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    eval_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: np.ndarray,
     opts: OptimizerOptions,
     offsets: np.ndarray,
 ) -> tuple[np.ndarray, int, int, bool, str]:
     """Damped Gauss-Newton descent honoring all four stopping thresholds.
 
-    eval_fn returns the residuals and Jacobian blocks of
-    ``_residuals_and_blocks``; offsets delimit each view's rows. Only
-    improving steps are accepted, so the final cost never exceeds the
-    initial one. A trial point that raises ValueError (behind the camera, or
-    parameters out of their domain) is rejected and the step shrinks.
+    eval_fn returns the columns and pose maps of ``_residuals_and_blocks``;
+    offsets delimit each view's rows. Only improving steps are accepted, so
+    the final cost never exceeds the initial one. A trial point that raises
+    DepthNotPositive (behind the camera) or InvalidParameters (out of the
+    parameters' domain) is rejected and the step shrinks; any other error
+    propagates.
     """
     x = np.array(x0, dtype=float)
-    res, jc, jp = eval_fn(x)
+    blocks = eval_fn(x)
     n_fev = 1
-    cost = float(res.ravel() @ res.ravel())
+    cost = float(np.vdot(blocks[0][-1], blocks[0][-1]))
     mu = -1.0
     nu = 2.0
     converged = False
@@ -672,9 +669,9 @@ def _levenberg_marquardt(
 
     while n_iter < opts.max_iter:
         n_iter += 1
-        ne = _normal_equations(res, jc, jp, offsets)
+        ne = _normal_equations(*blocks, offsets)
         # Hold one Jacobian at a time: the trial's is built next.
-        jc = jp = jc_new = jp_new = None
+        blocks = blocks_new = None
         if mu < 0.0:
             dmax = max(float(ne.u.diagonal().max()), float(np.einsum("kii->ki", ne.v).max()))
             mu = 1e-3 * (dmax if dmax > 0.0 else 1.0)
@@ -691,11 +688,9 @@ def _levenberg_marquardt(
                 break
             trial = x + delta
             try:
-                res_new, jc_new, jp_new = eval_fn(trial)
-                cost_new = float(res_new.ravel() @ res_new.ravel())
-            except ValueError:
-                # Invalid trial point (behind-camera or out-of-domain params):
-                # reject and shrink the step.
+                blocks_new = eval_fn(trial)
+                cost_new = float(np.vdot(blocks_new[0][-1], blocks_new[0][-1]))
+            except (InvalidParameters, DepthNotPositive):
                 cost_new = math.inf
             n_fev += 1
             if cost_new < cost:
@@ -704,13 +699,13 @@ def _levenberg_marquardt(
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
                 decrease = cost - cost_new
-                x, res, jc, jp, cost = trial, res_new, jc_new, jp_new, cost_new
+                x, blocks, cost = trial, blocks_new, cost_new
                 if decrease <= opts.tol_fun * (1.0 + cost_new):
                     converged = True
                     reason = "objective decrease below tol_fun"
                 accepted = True
                 break
-            jc_new = jp_new = None
+            blocks_new = None
             mu *= nu
             nu *= 2.0
             if not math.isfinite(mu) or mu > 1e32:

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .cubic import RadiusCubic
-from .geometry import NormalizedPoint
+from .geometry import InvalidParameters, NormalizedPoint
 
 
 class NotConverged(RuntimeError):
@@ -50,7 +50,7 @@ class DistortionSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", Model(self.model))
         if not (math.isfinite(self.k1) and math.isfinite(self.k2)):
-            raise ValueError("distortion coefficients must be finite")
+            raise InvalidParameters("distortion coefficients must be finite")
         # Stored as plain floats: numpy scalars would make every per-point
         # warp and inverse several times slower.
         object.__setattr__(self, "k1", float(self.k1))

@@ -24,6 +24,11 @@ class DepthNotPositive(ValueError):
     """Point has non-positive depth in the camera frame; cannot project."""
 
 
+class InvalidParameters(ValueError):
+    """Camera or warp parameters outside their domain: not finite, or a
+    focal scale that is not positive."""
+
+
 class NotARotation(ValueError):
     """Matrix is not a rotation within tolerance."""
 
@@ -108,9 +113,9 @@ class IntrinsicMatrix:
 
     def __post_init__(self) -> None:
         if not _finite(self.alpha, self.beta, self.gamma, self.u0, self.v0):
-            raise ValueError("intrinsic parameters must be finite")
+            raise InvalidParameters("intrinsic parameters must be finite")
         if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("focal scales alpha and beta must be positive")
+            raise InvalidParameters("focal scales alpha and beta must be positive")
 
     @property
     def matrix(self) -> np.ndarray:

@@ -7,7 +7,8 @@ The exceptions are the paper's component form of the model3 inverse, written
 over the public real_roots, which the bisection oracle checks in turn, and
 two views of the calibration Jacobian that the finite-difference tests
 check: a rotated point's derivative from the library's per-view rotation
-blocks, and the dense matrix scattered from the per-point blocks.
+blocks, and the dense matrix scattered from the per-point rows and the
+per-view pose maps.
 """
 
 from __future__ import annotations
@@ -181,20 +182,23 @@ def rotation_transpose_apply_jacobian(
     return v, np.cross(np.eye(3), v[:, None, :]) @ jr[0]
 
 
-def dense_jacobian(jc: np.ndarray, jp: np.ndarray, view_index: np.ndarray) -> np.ndarray:
-    """Scatter per-point Jacobian blocks into the dense ``(2n, P)`` matrix.
+def dense_jacobian(columns: np.ndarray, maps: np.ndarray, view_index: np.ndarray) -> np.ndarray:
+    """The dense ``(2n, P)`` Jacobian from the columns of the rows ``[G | J_c
+    | r]`` and the pose maps ``M_k`` of ``_residuals_and_blocks``.
 
-    Columns are in packing order: the shared block ``jc`` first, then six
-    pose columns per view, of which each point fills only its own view's.
-    Row 2j is point j's u residual and row 2j + 1 its v residual.
+    Columns are in packing order: the shared block ``J_c`` first, then six
+    pose columns per view, of which each point fills only its own view's,
+    with ``G M_k``. Row 2j is point j's u residual and row 2j + 1 its v
+    residual.
     """
-    n, _, n_shared = jc.shape
-    n_views = int(view_index.max()) + 1
-    jac = np.zeros((n, 2, n_shared + 6 * n_views))
-    jac[:, :, :n_shared] = jc
+    rows = columns.transpose(1, 2, 0)
+    n, _, width = rows.shape
+    n_shared = width - 7
+    jac = np.zeros((n, 2, n_shared + 6 * len(maps)))
+    jac[:, :, :n_shared] = rows[:, :, 6:-1]
     for j, view in enumerate(view_index):
         start = n_shared + 6 * view
-        jac[j, :, start : start + 6] = jp[j]
+        jac[j, :, start : start + 6] = rows[j, :, :6] @ maps[view]
     return jac.reshape(2 * n, -1)
 
 

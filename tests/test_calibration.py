@@ -37,6 +37,7 @@ from radialcal.geometry import (
     DepthNotPositive,
     Homography,
     IntrinsicMatrix,
+    InvalidParameters,
     ViewExtrinsics,
     rotation_from_axis_angle,
 )
@@ -286,6 +287,12 @@ class TestProjectViews:
             with pytest.raises(DepthNotPositive, match="^view 9 has a point at camera depth"):
                 one_view(A, spec, E, np.array([[0.0, 0.0, 1.0], [0.1, 0.2, z]]), view_id=9)
 
+    def test_rejects_non_finite_poses(self):
+        A, spec = IntrinsicMatrix(1.0, 1.0, 0.0, 0.0, 0.0), DistortionSpec(Model.MODEL3, 0.0)
+        pose = np.array([[0.0, 0.0, math.nan, 0.0, 0.0, -1.0]])
+        with pytest.raises(InvalidParameters, match="poses must be finite"):
+            project_views(A, spec, pose, np.zeros((1, 3)), np.zeros(1, dtype=int), (0,))
+
     @pytest.mark.parametrize("model", list(Model))
     def test_noiseless_scene_is_the_kernel_at_its_truth(self, model):
         # Synthesis runs the kernel that calibration fits: at the generating
@@ -395,19 +402,18 @@ class TestDerivatives:
             rng = np.random.default_rng(0)
             theta = theta + rng.normal(0, 1e-3, theta.size) * np.maximum(1.0, np.abs(theta))
 
-            res, jc, jp = _residuals_and_blocks(theta, corr, model)
-            assert res.shape == (corr.n_points, 2)
-            assert jc.shape == (corr.n_points, 2, 5 + len(truth.distortion.coefficients))
-            assert jp.shape == (corr.n_points, 2, 6)
+            columns, maps = _residuals_and_blocks(theta, corr, model)
+            assert columns.shape == (6 + 5 + len(truth.distortion.coefficients) + 1, corr.n_points, 2)
+            assert maps.shape == (corr.n_views, 6, 6)
             # Every column, the zero ones of the other views' poses included.
-            jac = dense_jacobian(jc, jp, corr.view_index)
+            jac = dense_jacobian(columns, maps, corr.view_index)
             assert jac.shape == (2 * corr.n_points, theta.size)
             h = 1e-6
             for k in range(theta.size):
                 e = np.zeros(theta.size)
                 e[k] = h * max(1.0, abs(theta[k]))
-                rp, _, _ = _residuals_and_blocks(theta + e, corr, model)
-                rm, _, _ = _residuals_and_blocks(theta - e, corr, model)
+                rp = _residuals_and_blocks(theta + e, corr, model)[0][-1]
+                rm = _residuals_and_blocks(theta - e, corr, model)[0][-1]
                 fd = (rp - rm).ravel() / (2 * e[k])
                 denom = max(1.0, float(np.max(np.abs(fd))))
                 assert np.max(np.abs(jac[:, k] - fd)) / denom < 1e-5
@@ -425,10 +431,10 @@ class TestDerivatives:
         theta = _pack_params(truth.intrinsics, truth.distortion, truth.extrinsics)
         rng = np.random.default_rng(2)
         theta = theta + rng.normal(0, 1e-3, theta.size) * np.maximum(1.0, np.abs(theta))
-        res, jc, jp = _residuals_and_blocks(theta, corr, model)
-        ne = _normal_equations(res, jc, jp, corr.offsets)
-        jac = dense_jacobian(jc, jp, corr.view_index)
-        hess, grad = jac.T @ jac, jac.T @ res.ravel()
+        columns, maps = _residuals_and_blocks(theta, corr, model)
+        ne = _normal_equations(columns, maps, corr.offsets)
+        jac = dense_jacobian(columns, maps, corr.view_index)
+        hess, grad = jac.T @ jac, jac.T @ columns[-1].ravel()
         assert np.linalg.norm(ne.grad - grad) <= 1e-12 * np.linalg.norm(grad)
         dmax = float(hess.diagonal().max())
         for factor in (1e-6, 1e-3, 1.0, 1e3):
@@ -436,6 +442,34 @@ class TestDerivatives:
             want = np.linalg.solve(hess + mu * np.eye(theta.size), -grad)
             got = _schur_step(ne, mu)
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), factor
+
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("scene", ["ragged", "empty_view"])
+    def test_normal_equations_match_dense(self, scene, model):
+        # U, every W_k^T and V_k, and J^T r from the per-view Gram products,
+        # against J^T J and J^T r of the scattered dense Jacobian. A view
+        # without points must come out exactly zero.
+        corr, truth = ragged_scene(model)
+        extrinsics = truth.extrinsics
+        if scene == "empty_view":
+            empty = CalibrationView(9, np.empty((0, 2)), np.empty((0, 2)))
+            corr = CorrespondenceSet(corr.views[:1] + (empty,) + corr.views[1:])
+            extrinsics = extrinsics[:1] + extrinsics
+        theta = _pack_params(truth.intrinsics, truth.distortion, extrinsics)
+        rng = np.random.default_rng(3)
+        theta = theta + rng.normal(0, 1e-3, theta.size) * np.maximum(1.0, np.abs(theta))
+        columns, maps = _residuals_and_blocks(theta, corr, model)
+        ne = _normal_equations(columns, maps, corr.offsets)
+        jac = dense_jacobian(columns, maps, corr.view_index)
+        hess, grad = jac.T @ jac, jac.T @ columns[-1].ravel()
+        p = ne.u.shape[0]
+        blocks = [(ne.u, hess[:p, :p]), (ne.grad, grad)]
+        for k in range(corr.n_views):
+            cols = slice(p + 6 * k, p + 6 * k + 6)
+            blocks += [(ne.wt[k], hess[cols, :p]), (ne.v[k], hess[cols, cols])]
+        for got, want in blocks:
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_objective_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(43)
@@ -508,16 +542,44 @@ class TestRefine:
 
         def evaluate(th):
             assert all(ref() is None for ref in held)
-            res, jc, jp = _residuals_and_blocks(th, corr, truth.distortion.model)
-            held.extend((weakref.ref(jc), weakref.ref(jp)))
-            return res, jc, jp
+            columns, maps = _residuals_and_blocks(th, corr, truth.distortion.model)
+            held.extend((weakref.ref(columns), weakref.ref(maps)))
+            return columns, maps
 
         calibration._levenberg_marquardt(evaluate, theta, OptimizerOptions(), corr.offsets)
         assert len(held) >= 3
 
+    @pytest.mark.parametrize(
+        "error,rejected", [(InvalidParameters, True), (DepthNotPositive, True), (ValueError, False)]
+    )
+    def test_lm_rejects_a_trial_only_on_a_domain_error(self, error, rejected):
+        # A trial point out of the parameters' domain or behind a camera is
+        # rejected and the step shrinks; any other error is a fault and
+        # propagates.
+        corr, truth = make_scene(57, noise_sigma=0.5)
+        theta = _pack_params(truth.intrinsics, truth.distortion, truth.extrinsics)
+        rng = np.random.default_rng(1)
+        theta = theta + rng.normal(0, 1e-3, theta.size) * np.maximum(1.0, np.abs(theta))
+        calls = []
+
+        def evaluate(th):
+            calls.append(th)
+            if len(calls) == 2:
+                raise error("trial point refused")
+            return _residuals_and_blocks(th, corr, truth.distortion.model)
+
+        if rejected:
+            _, _, n_fev, converged, _ = calibration._levenberg_marquardt(
+                evaluate, theta, OptimizerOptions(), corr.offsets
+            )
+            assert converged and n_fev == len(calls) > 3
+        else:
+            with pytest.raises(ValueError, match="trial point refused"):
+                calibration._levenberg_marquardt(evaluate, theta, OptimizerOptions(), corr.offsets)
+
     def test_view_without_points_is_left_alone(self):
-        # A zero-length segment of np.add.reduceat yields its next row, not
-        # zero: the empty view must neither move nor disturb the others.
+        # A view without points has a zero Gram product: it must neither
+        # move nor disturb the others.
         corr, truth = make_scene(57, noise_sigma=0.5)
         empty = CalibrationView(9, np.empty((0, 2)), np.empty((0, 2)))
         padded = CorrespondenceSet(corr.views[:1] + (empty,) + corr.views[1:])

@@ -25,6 +25,7 @@ from radialcal.distortion import (
 )
 from radialcal.geometry import (
     IntrinsicMatrix,
+    InvalidParameters,
     NormalizedPoint,
     PixelPoint,
     to_normalized,
@@ -56,7 +57,7 @@ class TestSpecTypes:
         assert spec == DistortionSpec(Model.MODEL3, -0.1, -0.05)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameters):
             DistortionSpec(Model.MODEL1, math.inf, 0.0)
 
     def test_working_domain_positive(self):

@@ -11,6 +11,7 @@ from radialcal.geometry import (
     DepthNotPositive,
     Homography,
     IntrinsicMatrix,
+    InvalidParameters,
     NormalizedPoint,
     NotARotation,
     PixelPoint,
@@ -37,13 +38,13 @@ intrinsics_st = st.builds(
 
 class TestIntrinsicMatrix:
     def test_rejects_nonpositive_focal_scales(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameters):
             IntrinsicMatrix(0.0, 800.0, 0.0, 320.0, 240.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameters):
             IntrinsicMatrix(800.0, -1.0, 0.0, 320.0, 240.0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameters):
             IntrinsicMatrix(800.0, 800.0, math.nan, 320.0, 240.0)
 
     @given(intrinsics_st)
