@@ -78,8 +78,8 @@ def scene(n_views: int):
 
 def linear_stage(corr):
     stage = _linear_stage(corr)
-    spec0 = init_distortion(stage.corr, stage.intrinsics, stage.extrinsics, MODEL)
-    return stage, _build_result(stage.corr, stage.intrinsics, spec0, stage.extrinsics)
+    spec0 = init_distortion(stage.corr, stage.intrinsics, stage.poses, MODEL)
+    return stage, _build_result(stage.corr, stage.intrinsics, spec0, stage.poses)
 
 
 def normal_equations_step(blocks, offsets) -> np.ndarray:

@@ -23,7 +23,15 @@ blockdiag(J_r, -R^T)``. ``_residuals_and_blocks`` returns each point's rows
 formed. The normal equations come from one Gram product ``Q_k = A_k^T A_k``
 of each view's rows A_k, with ``M_k`` applied to it once per view, and each
 damped step is solved by the Schur complement on the shared block, so one
-LM iteration costs time and memory linear in the number of views.
+LM iteration costs time and memory linear in the number of views. One
+``refine`` allocates those rows once and every evaluation writes into them.
+
+The linear stage also runs over all views at once, on the stacked points of
+``CorrespondenceSet``: the views are grouped by point count, each group's
+DLT designs are solved as one stack, and the conic rows, the Procrustes
+rotations and their axis-angles are batched; the poses reach the LM as one
+``(v, 6)`` array. The public one-view functions (``estimate_homography``,
+``extrinsics_from_homography``) call the same kernels.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,6 +61,8 @@ from .geometry import (
     PixelPoint,
     ViewExtrinsics,
     WorldPoint,
+    axis_angles_from_rotations,
+    canonical_homographies,
     to_pixel_array,
 )
 
@@ -161,12 +172,17 @@ class OptimizerOptions:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Estimated parameters plus the exact objective they achieve."""
+    """Estimated parameters plus the exact objective they achieve.
+
+    ``poses`` holds each view's axis-angle and camera center ``[w, t]`` as a
+    read-only ``(v, 6)`` array; ``extrinsics`` is the same poses as
+    ViewExtrinsics, built when first read.
+    """
 
     intrinsics: IntrinsicMatrix
     distortion: DistortionSpec
     view_ids: tuple[int, ...]
-    extrinsics: tuple[ViewExtrinsics, ...]
+    poses: np.ndarray
     j_final: float
     rms_px: float
     per_point_residuals: tuple[np.ndarray, ...]
@@ -174,6 +190,10 @@ class CalibrationResult:
     n_iterations: int = 0
     j_init: float | None = None
     stop_reason: str = ""
+
+    @cached_property
+    def extrinsics(self) -> tuple[ViewExtrinsics, ...]:
+        return tuple(ViewExtrinsics(pose[:3], pose[3:]) for pose in self.poses)
 
 
 @dataclass(frozen=True)
@@ -203,20 +223,61 @@ class ComparisonReport:
 # Linear estimation
 
 
-def _conditioning_transform(pts: np.ndarray) -> np.ndarray:
-    """Isotropic normalization: centroid to origin, mean radius sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    mean_dist = float(np.linalg.norm(pts - centroid, axis=1).mean())
-    if mean_dist < 1e-12:
-        raise DegenerateConfiguration("points are (nearly) coincident")
-    s = math.sqrt(2.0) / mean_dist
-    return np.array(
-        [
-            [s, 0.0, -s * centroid[0]],
-            [0.0, s, -s * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+def _conditioning_transforms(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Isotropic normalization of each of k point sets ``(k, m, 2)``: centroid
+    to origin, mean radius sqrt(2). Returns the transforms ``(k, 3, 3)`` and
+    which sets are (nearly) coincident; those get the scale sqrt(2)."""
+    centroid = pts.mean(axis=1)
+    dx, dy = (pts - centroid[:, None, :]).transpose(2, 0, 1)
+    mean_dist = np.sqrt(dx * dx + dy * dy).mean(axis=1)
+    coincident = mean_dist < 1e-12
+    s = math.sqrt(2.0) / np.where(coincident, 1.0, mean_dist)
+    T = np.zeros((len(pts), 3, 3))
+    T[:, 0, 0] = T[:, 1, 1] = s
+    T[:, :2, 2] = -s[:, None] * centroid
+    T[:, 2, 2] = 1.0
+    return T, coincident
+
+
+def _homographies(world_xy: np.ndarray, pixels: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+    """Normalized DLT for k views of m points each, both arrays ``(k, m, 2)``.
+
+    Returns each view's homography ``(k, 3, 3)``, not yet canonical, and for
+    each view None or why it has none: fewer than four points, (nearly)
+    coincident points, or a rank-deficient design matrix (collinear points).
+    The matrix of a view without a homography means nothing.
+    """
+    k, m, _ = world_xy.shape
+    if m < 4:
+        return np.zeros((k, 3, 3)), [f"homography estimation needs at least 4 points, got {m}"] * k
+    Tw, world_coincident = _conditioning_transforms(world_xy)
+    Tp, pixels_coincident = _conditioning_transforms(pixels)
+    w = world_xy * Tw[:, None, None, 0, 0] + Tw[:, None, :2, 2]
+    p = pixels * Tp[:, None, None, 0, 0] + Tp[:, None, :2, 2]
+
+    # Point j's rows 2j and 2j + 1: [w~, 0, -p_u w~] and [0, w~, -p_v w~],
+    # with w~ = (w, 1).
+    wh = np.concatenate([w, np.ones((k, m, 1))], axis=2)
+    design = np.zeros((k, m, 2, 9))
+    design[:, :, 0, 0:3] = design[:, :, 1, 3:6] = wh
+    design[:, :, :, 6:9] = -p[:, :, :, None] * wh[:, :, None, :]
+
+    design = design.reshape(k, 2 * m, 9)
+    if m > 4:
+        # design = QR: R (9 x 9) has the singular values and right singular
+        # vectors of design, and its SVD costs less than that of design.
+        design = np.linalg.qr(design, mode="r")
+    # Four points give 8 rows, and only the full V^T holds the null vector.
+    _, sv, vt = np.linalg.svd(design)
+    rank_deficient = sv[:, 7] < 1e-10 * sv[:, 0]
+    H = np.linalg.inv(Tp) @ vt[:, -1].reshape(k, 3, 3) @ Tw
+    reasons = [
+        "points are (nearly) coincident" if coincident
+        else "design matrix is rank-deficient (collinear points?)" if deficient
+        else None
+        for coincident, deficient in zip(world_coincident | pixels_coincident, rank_deficient)
+    ]
+    return H, reasons
 
 
 def estimate_homography(view: CalibrationView) -> Homography:
@@ -225,42 +286,19 @@ def estimate_homography(view: CalibrationView) -> Homography:
     Raises DegenerateConfiguration for fewer than four points or a
     rank-deficient design matrix (collinear/coincident configurations).
     """
-    n = view.n_points
-    if n < 4:
-        raise DegenerateConfiguration(
-            f"homography estimation needs at least 4 points, got {n}"
-        )
-    Tw = _conditioning_transform(view.world_xy)
-    Tp = _conditioning_transform(view.pixels)
-    w = view.world_xy * Tw[0, 0] + Tw[:2, 2]
-    p = view.pixels * Tp[0, 0] + Tp[:2, 2]
-
-    design = np.zeros((2 * n, 9))
-    design[0::2, 0:2] = w
-    design[0::2, 2] = 1.0
-    design[0::2, 6:8] = -p[:, :1] * w
-    design[0::2, 8] = -p[:, 0]
-    design[1::2, 3:5] = w
-    design[1::2, 5] = 1.0
-    design[1::2, 6:8] = -p[:, 1:2] * w
-    design[1::2, 8] = -p[:, 1]
-
-    # Four points give 8 rows, and only the full V^T holds the null vector.
-    _, sv, vt = np.linalg.svd(design, full_matrices=2 * n < 9)
-    if sv[7] < 1e-10 * sv[0]:
-        raise DegenerateConfiguration(
-            "design matrix is rank-deficient (collinear points?)"
-        )
-    Hn = vt[-1].reshape(3, 3)
-    return Homography(np.linalg.inv(Tp) @ Hn @ Tw)
+    H, (reason,) = _homographies(view.world_xy[None], view.pixels[None])
+    if reason is not None:
+        raise DegenerateConfiguration(reason)
+    return Homography(H[0])
 
 
 def _conic_rows(H: np.ndarray) -> np.ndarray:
-    """The two orthonormality constraints one homography puts on the conic."""
+    """The two orthonormality constraints that each homography of a
+    ``(k, 3, 3)`` stack puts on the conic, as ``(k, 2, 6)``."""
 
     def v(i: int, j: int) -> np.ndarray:
-        hi, hj = H[:, i], H[:, j]
-        return np.array(
+        hi, hj = H[:, :, i].T, H[:, :, j].T
+        return np.stack(
             [
                 hi[0] * hj[0],
                 hi[0] * hj[1] + hi[1] * hj[0],
@@ -268,10 +306,11 @@ def _conic_rows(H: np.ndarray) -> np.ndarray:
                 hi[2] * hj[0] + hi[0] * hj[2],
                 hi[2] * hj[1] + hi[1] * hj[2],
                 hi[2] * hj[2],
-            ]
+            ],
+            axis=-1,
         )
 
-    return np.vstack([v(0, 1), v(0, 0) - v(1, 1)])
+    return np.stack([v(0, 1), v(0, 0) - v(1, 1)], axis=1)
 
 
 def intrinsics_from_conic(conic: AbsoluteConic) -> IntrinsicMatrix:
@@ -295,22 +334,11 @@ def intrinsics_from_conic(conic: AbsoluteConic) -> IntrinsicMatrix:
     return IntrinsicMatrix(alpha, beta, gamma, u0, v0)
 
 
-def intrinsics_from_homographies(
-    homographies: Sequence[Homography],
-) -> IntrinsicMatrix:
-    """Estimate the intrinsics from at least three non-parallel plane views.
-
-    Stacks both conic constraints per homography and solves the homogeneous
-    least-squares problem for the six distinct entries of B. Raises
-    SingularConfiguration when the constraints do not determine B (for
-    example mutually parallel target planes) or B is not definite.
-    """
-    if len(homographies) < 3:
-        raise SingularConfiguration(
-            f"intrinsics need at least 3 views, got {len(homographies)}"
-        )
-    V = np.vstack([_conic_rows(H.matrix) for H in homographies])
-    _, sv, vt = np.linalg.svd(V, full_matrices=False)
+def _intrinsics(H: np.ndarray) -> IntrinsicMatrix:
+    """intrinsics_from_homographies on a ``(k, 3, 3)`` stack."""
+    if len(H) < 3:
+        raise SingularConfiguration(f"intrinsics need at least 3 views, got {len(H)}")
+    _, sv, vt = np.linalg.svd(_conic_rows(H).reshape(-1, 6), full_matrices=False)
     if sv[4] < 1e-10 * sv[0]:
         raise SingularConfiguration(
             "conic constraints are rank-deficient (parallel planes provide "
@@ -327,27 +355,55 @@ def intrinsics_from_homographies(
     return intrinsics_from_conic(AbsoluteConic(B))
 
 
-def extrinsics_from_homography(H: Homography, A: IntrinsicMatrix) -> ViewExtrinsics:
-    """Recover a view's pose from its homography and known intrinsics.
+def intrinsics_from_homographies(
+    homographies: Sequence[Homography],
+) -> IntrinsicMatrix:
+    """Estimate the intrinsics from at least three non-parallel plane views.
+
+    Stacks both conic constraints per homography and solves the homogeneous
+    least-squares problem for the six distinct entries of B. Raises
+    SingularConfiguration when the constraints do not determine B (for
+    example mutually parallel target planes) or B is not definite.
+    """
+    return _intrinsics(np.array([H.matrix for H in homographies]).reshape(-1, 3, 3))
+
+
+def _poses_from_homographies(H: np.ndarray, A: IntrinsicMatrix) -> np.ndarray:
+    """Each view's pose ``[w, t]`` as ``(k, 6)``, from a ``(k, 3, 3)`` stack of
+    homographies and known intrinsics.
 
     The first two rotation columns come from the scaled ``A^-1 H``; the
     closest proper rotation (orthogonal Procrustes) replaces the raw columns,
     and the overall sign is fixed so the target plane sits at positive depth.
+    The first view that fails names the error.
     """
-    G = A.inverse_matrix @ H.matrix
-    scale = float(np.linalg.norm(G[:, 0]))
-    if scale < 1e-12:
-        raise SingularConfiguration("homography column collapses under A^-1")
-    G = G / scale
-    if G[2, 2] < 0.0:
-        G = -G
-    t = G[:, 2]
-    if abs(t[2]) < 1e-12:
+    G = A.inverse_matrix @ H
+    scale = np.linalg.norm(G[:, :, 0], axis=1)
+    collapsed = scale < 1e-12
+    G = G / np.where(collapsed, 1.0, scale)[:, None, None]
+    G = np.where(G[:, 2:, 2:] < 0.0, -G, G)
+    t = G[:, :, 2]
+    failed = collapsed | (np.abs(t[:, 2]) < 1e-12)
+    if np.any(failed):
+        if collapsed[np.argmax(failed)]:
+            raise SingularConfiguration("homography column collapses under A^-1")
         raise BehindCamera("target plane passes through the camera center")
-    Q = np.column_stack([G[:, 0], G[:, 1], np.cross(G[:, 0], G[:, 1])])
+    Q = np.stack([G[:, :, 0], G[:, :, 1], np.cross(G[:, :, 0], G[:, :, 1])], axis=2)
     u, _, vt = np.linalg.svd(Q)
-    R = u @ np.diag([1.0, 1.0, float(np.linalg.det(u @ vt))]) @ vt
-    return ViewExtrinsics.from_world_to_camera(R, t)
+    flip = np.ones((len(H), 1, 3))
+    flip[:, 0, 2] = np.linalg.det(u @ vt)
+    # The world-to-camera R becomes the stored camera-to-world R^T, and t
+    # the camera center -R^T t.
+    rotation = ((u * flip) @ vt).transpose(0, 2, 1)
+    center = -(rotation @ t[:, :, None])[:, :, 0]
+    return np.concatenate([axis_angles_from_rotations(rotation), center], axis=1)
+
+
+def extrinsics_from_homography(H: Homography, A: IntrinsicMatrix) -> ViewExtrinsics:
+    """Recover a view's pose from its homography and known intrinsics
+    (the one-view _poses_from_homographies)."""
+    pose = _poses_from_homographies(H.matrix[None], A)[0]
+    return ViewExtrinsics(pose[:3], pose[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +477,10 @@ def project_views(
     if not np.all(np.isfinite(poses)):
         raise InvalidParameters("view poses must be finite")
     rotation_t, jr = _rotation_blocks(poses[:, :3])
-    pc = np.einsum("nij,nj->ni", rotation_t[view_index], world - poses[view_index, 3:])
+    # np.take gathers each point's view rows several times faster than fancy
+    # indexing does.
+    rotation_t_of, center_of = (np.take(a, view_index, axis=0) for a in (rotation_t, poses[:, 3:]))
+    pc = np.einsum("nij,nj->ni", rotation_t_of, world - center_of)
     z = pc[:, 2:]
     if np.any(z <= 0.0):
         where = f"view {view_ids[view_index[np.argmin(z)]]} has a point at camera depth"
@@ -446,10 +505,7 @@ def project(P: WorldPoint, E: ViewExtrinsics, A: IntrinsicMatrix) -> PixelPoint:
 
 def _forward(theta: np.ndarray, corr: CorrespondenceSet, model: Model) -> _Stacked:
     """project_views at the packed parameters theta for all views of corr."""
-    nk = n_coefficients(model)
-    A = IntrinsicMatrix(*theta[:5])
-    spec = DistortionSpec.from_coefficients(model, theta[5 : 5 + nk])
-    poses = theta[5 + nk :].reshape(corr.n_views, 6)
+    A, spec, poses = _unpack_params(theta, model, corr.n_views)
     return project_views(A, spec, poses, corr.world, corr.view_index, corr.view_ids)
 
 
@@ -457,9 +513,13 @@ def objective(
     corr: CorrespondenceSet,
     A: IntrinsicMatrix,
     spec: DistortionSpec,
-    extrinsics: Sequence[ViewExtrinsics],
+    extrinsics: Sequence[ViewExtrinsics] | np.ndarray,
 ) -> float:
-    """Sum of squared pixel distances between observations and predictions."""
+    """Sum of squared pixel distances between observations and predictions.
+
+    extrinsics is one ViewExtrinsics per view, or their ``(v, 6)`` rows
+    ``[w, t]``; so in init_distortion and objective_gradient.
+    """
     if len(extrinsics) != corr.n_views:
         raise ValueError("one extrinsics entry per view is required")
     diff = _forward(_pack_params(A, spec, extrinsics), corr, spec.model).pixels - corr.pixels
@@ -469,7 +529,7 @@ def objective(
 def init_distortion(
     corr: CorrespondenceSet,
     A: IntrinsicMatrix,
-    extrinsics: Sequence[ViewExtrinsics],
+    extrinsics: Sequence[ViewExtrinsics] | np.ndarray,
     model: Model,
 ) -> DistortionSpec:
     """Linear least-squares distortion coefficients from pixel displacements.
@@ -483,7 +543,7 @@ def init_distortion(
     # With zero coefficients f = 1 exactly: the predictions are undistorted.
     s = _forward(_pack_params(A, DistortionSpec(model, 0.0), extrinsics), corr, model)
     basis = coefficient_basis(model, s.r)
-    design = (s.pixels - (A.u0, A.v0))[:, :, None] * basis[:, None, :]
+    design = np.einsum("ni,nk->nik", s.pixels - (A.u0, A.v0), basis)
     target = corr.pixels - s.pixels
     coeffs, _, rank, _ = np.linalg.lstsq(design.reshape(-1, nk), target.ravel(), rcond=None)
     if rank < nk:
@@ -491,27 +551,47 @@ def init_distortion(
     return DistortionSpec.from_coefficients(model, coeffs)
 
 
+def _pose_rows(extrinsics: Sequence[ViewExtrinsics] | np.ndarray) -> np.ndarray:
+    """Each view's pose as a row ``[w, t]`` of a ``(v, 6)`` array; such an
+    array is returned as it is."""
+    if isinstance(extrinsics, np.ndarray):
+        return extrinsics
+    return np.array([np.concatenate([E.axis_angle, E.t]) for E in extrinsics]).reshape(-1, 6)
+
+
 def _pack_params(
     A: IntrinsicMatrix,
     spec: DistortionSpec,
-    extrinsics: Sequence[ViewExtrinsics],
+    extrinsics: Sequence[ViewExtrinsics] | np.ndarray,
 ) -> np.ndarray:
-    poses = [x for E in extrinsics for x in (E.axis_angle, E.t)]
-    return np.concatenate([[A.alpha, A.beta, A.gamma, A.u0, A.v0], spec.coefficients, *poses])
+    intrinsics = [A.alpha, A.beta, A.gamma, A.u0, A.v0]
+    return np.concatenate([intrinsics, spec.coefficients, _pose_rows(extrinsics).ravel()])
 
 
 def _unpack_params(
     theta: np.ndarray, model: Model, n_views: int
-) -> tuple[IntrinsicMatrix, DistortionSpec, tuple[ViewExtrinsics, ...]]:
+) -> tuple[IntrinsicMatrix, DistortionSpec, np.ndarray]:
+    """The intrinsics, the warp and the ``(v, 6)`` poses packed in theta."""
     nk = n_coefficients(model)
     A = IntrinsicMatrix(*theta[:5])
     spec = DistortionSpec.from_coefficients(model, theta[5 : 5 + nk])
-    poses = theta[5 + nk :].reshape(n_views, 6)
-    return A, spec, tuple(ViewExtrinsics(pose[:3], pose[3:]) for pose in poses)
+    return A, spec, theta[5 + nk :].reshape(n_views, 6)
+
+
+def _jacobian_workspace(n_points: int, n_views: int, model: Model) -> tuple[np.ndarray, np.ndarray]:
+    """Storage for the columns and pose maps of ``_residuals_and_blocks``,
+    holding the entries that no parameter moves: the structural zeros, and
+    the ones of ``d(pixel)/d(u0, v0)``."""
+    columns = np.zeros((12 + n_coefficients(model), n_points, 2))
+    columns[9, :, 0] = columns[10, :, 1] = 1.0
+    return columns, np.zeros((n_views, 6, 6))
 
 
 def _residuals_and_blocks(
-    theta: np.ndarray, corr: CorrespondenceSet, model: Model
+    theta: np.ndarray,
+    corr: CorrespondenceSet,
+    model: Model,
+    workspace: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pixel residuals and their Jacobian, as per-point columns and per-view maps.
 
@@ -524,16 +604,18 @@ def _residuals_and_blocks(
     columns ``[w, t]`` of its own view k is ``G M_k``, and every other entry
     of the Jacobian is zero. Stored by column, each entry is written
     contiguously.
-    """
-    nk = n_coefficients(model)
-    s = _forward(theta, corr, model)
-    A, n, (x, y) = s.A, corr.n_points, s.xy.T
-    columns = np.zeros((12 + nk, n, 2))
 
-    # d(pixel)/d(intrinsics), columns [alpha, beta, gamma, u0, v0]
+    Both are written into workspace, from ``_jacobian_workspace``, when it is
+    given: every evaluation of one fit can then share one allocation.
+    """
+    s = _forward(theta, corr, model)
+    A, (x, y) = s.A, s.xy.T
+    columns, maps = workspace or _jacobian_workspace(corr.n_points, corr.n_views, model)
+
+    # d(pixel)/d(intrinsics), columns [alpha, beta, gamma, u0, v0]; those of
+    # u0 and v0 are constant.
     jc = columns[6:-1]
     jc[0, :, 0], jc[2, :, 0], jc[1, :, 1] = x * s.f, y * s.f, y * s.f
-    jc[3, :, 0] = jc[4, :, 1] = 1.0
     # d(pixel)/d(coefficients) through the warp basis
     basis = coefficient_basis(model, s.r).T
     dxd_dk, dyd_dk = x * basis, y * basis
@@ -560,7 +642,6 @@ def _residuals_and_blocks(
     p0, p1, p2 = s.pc.T[:, :, None]
     columns[0], columns[1], columns[2] = g1 * p2 - g2 * p1, g2 * p0 - g0 * p2, g0 * p1 - g1 * p0
     columns[-1] = s.pixels - corr.pixels
-    maps = np.zeros((corr.n_views, 6, 6))
     maps[:, :3, :3], maps[:, 3:, 3:] = s.jr, -s.rotation_t
     return columns, maps
 
@@ -630,7 +711,7 @@ def objective_gradient(
     corr: CorrespondenceSet,
     A: IntrinsicMatrix,
     spec: DistortionSpec,
-    extrinsics: Sequence[ViewExtrinsics],
+    extrinsics: Sequence[ViewExtrinsics] | np.ndarray,
 ) -> np.ndarray:
     """Gradient of the objective with respect to the packed parameter vector."""
     theta = _pack_params(A, spec, extrinsics)
@@ -720,21 +801,24 @@ def _build_result(
     corr: CorrespondenceSet,
     A: IntrinsicMatrix,
     spec: DistortionSpec,
-    extrinsics: tuple[ViewExtrinsics, ...],
+    extrinsics: Sequence[ViewExtrinsics] | np.ndarray,
     converged: bool = True,
     n_iterations: int = 0,
     j_init: float | None = None,
     stop_reason: str = "",
 ) -> CalibrationResult:
-    diff = _forward(_pack_params(A, spec, extrinsics), corr, spec.model).pixels - corr.pixels
-    dist = np.linalg.norm(diff, axis=1)
+    poses = np.array(_pose_rows(extrinsics), dtype=float)
+    poses.setflags(write=False)
+    diff = _forward(_pack_params(A, spec, poses), corr, spec.model).pixels - corr.pixels
+    dx, dy = diff.T
+    dist = np.sqrt(dx * dx + dy * dy)
     dist.setflags(write=False)
     total = float(np.sum(dist * dist))
     return CalibrationResult(
         intrinsics=A,
         distortion=spec,
         view_ids=corr.view_ids,
-        extrinsics=extrinsics,
+        poses=poses,
         j_final=total,
         rms_px=math.sqrt(total / corr.n_points),
         per_point_residuals=tuple(np.split(dist, corr.offsets[1:-1])),
@@ -757,16 +841,20 @@ def refine(
     with ``converged=False`` rather than raising.
     """
     model = init.distortion.model
-    theta0 = _pack_params(init.intrinsics, init.distortion, init.extrinsics)
+    theta0 = _pack_params(init.intrinsics, init.distortion, init.poses)
+    # Every evaluation writes into one workspace: a fresh array per
+    # evaluation (3.5 MB at 100 views) is returned to the OS when dropped
+    # and faulted in again by the next.
+    workspace = _jacobian_workspace(corr.n_points, corr.n_views, model)
     theta, n_iter, _, converged, reason = _levenberg_marquardt(
-        lambda th: _residuals_and_blocks(th, corr, model), theta0, opts, corr.offsets
+        lambda th: _residuals_and_blocks(th, corr, model, workspace), theta0, opts, corr.offsets
     )
-    A, spec, extrinsics = _unpack_params(theta, model, corr.n_views)
+    A, spec, poses = _unpack_params(theta, model, corr.n_views)
     return _build_result(
         corr,
         A,
         spec,
-        extrinsics,
+        poses,
         converged=converged,
         n_iterations=n_iter,
         j_init=init.j_final,
@@ -780,33 +868,43 @@ def refine(
 
 @dataclass(frozen=True)
 class _LinearStage:
-    corr: CorrespondenceSet
+    corr: CorrespondenceSet  # the views kept
     intrinsics: IntrinsicMatrix
-    extrinsics: tuple[ViewExtrinsics, ...]
+    poses: np.ndarray  # (v, 6) each kept view's [w, t]
     dropped: tuple[int, ...]
 
 
 def _linear_stage(corr: CorrespondenceSet) -> _LinearStage:
-    kept = []
-    homographies = []
+    """Homographies, intrinsics and poses of all views in one batched pass.
+
+    The views are grouped by point count, and each group's DLT designs are
+    solved as one stack. A view without a homography is dropped with a
+    warning; fewer than three kept views raise DegenerateConfiguration.
+    """
+    counts = np.diff(corr.offsets)
+    H = np.empty((corr.n_views, 3, 3))
+    reasons: list[str | None] = [None] * corr.n_views
+    for m in np.unique(counts).tolist():
+        group = np.flatnonzero(counts == m)
+        rows = corr.offsets[group, None] + np.arange(m)
+        world_xy = np.take(corr.world, rows, axis=0)[:, :, :2]
+        H[group], why = _homographies(world_xy, np.take(corr.pixels, rows, axis=0))
+        for k, reason in zip(group.tolist(), why):
+            reasons[k] = reason
     dropped = []
-    for view in corr.views:
-        try:
-            homographies.append(estimate_homography(view))
-            kept.append(view)
-        except DegenerateConfiguration as exc:
+    for view, reason in zip(corr.views, reasons):
+        if reason is not None:
             dropped.append(view.view_id)
-            warnings.warn(
-                f"dropping view {view.view_id}: {exc}", RuntimeWarning, stacklevel=3
-            )
+            warnings.warn(f"dropping view {view.view_id}: {reason}", RuntimeWarning, stacklevel=3)
+    kept = [k for k, reason in enumerate(reasons) if reason is None]
     if len(kept) < 3:
         raise DegenerateConfiguration(
             f"calibration needs at least 3 usable views, got {len(kept)}"
         )
-    corr_kept = CorrespondenceSet(tuple(kept))
-    A = intrinsics_from_homographies(homographies)
-    extrinsics = tuple(extrinsics_from_homography(H, A) for H in homographies)
-    return _LinearStage(corr_kept, A, extrinsics, tuple(dropped))
+    corr_kept = CorrespondenceSet(tuple(corr.views[k] for k in kept)) if dropped else corr
+    H = canonical_homographies(H[kept])
+    A = _intrinsics(H)
+    return _LinearStage(corr_kept, A, _poses_from_homographies(H, A), tuple(dropped))
 
 
 def calibrate(
@@ -816,8 +914,8 @@ def calibrate(
 ) -> CalibrationResult:
     """Full pipeline: linear estimation, distortion guess, then refinement."""
     stage = _linear_stage(corr)
-    spec0 = init_distortion(stage.corr, stage.intrinsics, stage.extrinsics, model)
-    init = _build_result(stage.corr, stage.intrinsics, spec0, stage.extrinsics)
+    spec0 = init_distortion(stage.corr, stage.intrinsics, stage.poses, model)
+    init = _build_result(stage.corr, stage.intrinsics, spec0, stage.poses)
     return refine(stage.corr, init, opts)
 
 
@@ -835,8 +933,8 @@ def compare_models(
     entries = []
     for model in (Model.MODEL1, Model.MODEL2, Model.MODEL3):
         try:
-            spec0 = init_distortion(stage.corr, stage.intrinsics, stage.extrinsics, model)
-            init = _build_result(stage.corr, stage.intrinsics, spec0, stage.extrinsics)
+            spec0 = init_distortion(stage.corr, stage.intrinsics, stage.poses, model)
+            init = _build_result(stage.corr, stage.intrinsics, spec0, stage.poses)
             result = refine(stage.corr, init, opts)
             entries.append(
                 ModelReport(

@@ -208,7 +208,11 @@ def _pose_from_dict(d: dict) -> ViewExtrinsics:
 
 @dataclass(frozen=True)
 class CalibrationFile:
-    """Decoded calibration output file."""
+    """Decoded calibration output file.
+
+    The refinement's outcome (``converged`` to ``j_init``) is None when the
+    file does not record it, as files written before it was recorded do not.
+    """
 
     intrinsics: IntrinsicMatrix
     distortion: DistortionSpec
@@ -217,6 +221,10 @@ class CalibrationFile:
     j_final: float
     rms_px: float
     options: OptimizerOptions
+    converged: bool | None = None
+    stop_reason: str | None = None
+    n_iterations: int | None = None
+    j_init: float | None = None
 
 
 def calibration_to_dict(result: CalibrationResult, options: OptimizerOptions) -> dict:
@@ -227,8 +235,12 @@ def calibration_to_dict(result: CalibrationResult, options: OptimizerOptions) ->
             {"view_id": vid, **_pose_to_dict(E)}
             for vid, E in zip(result.view_ids, result.extrinsics)
         ],
+        "J_init": result.j_init,
         "J_final": result.j_final,
         "rms_px": result.rms_px,
+        "converged": result.converged,
+        "stop_reason": result.stop_reason,
+        "n_iterations": result.n_iterations,
         "options": asdict(options),
     }
 
@@ -242,6 +254,13 @@ def write_calibration(
 def read_calibration(path: str | Path) -> CalibrationFile:
     with _json_record(path, "calibration file") as data:
         opts = {**asdict(OptimizerOptions()), **data.get("options", {})}
+        converged, stop_reason, n_iterations, j_init = (
+            data.get(key) for key in ("converged", "stop_reason", "n_iterations", "J_init")
+        )
+        if not isinstance(converged, (bool, type(None))):
+            raise ValueError(f"converged must be true or false, got {converged!r}")
+        if not isinstance(stop_reason, (str, type(None))):
+            raise ValueError(f"stop_reason must be a string, got {stop_reason!r}")
         return CalibrationFile(
             intrinsics=_intrinsics_from_dict(data["intrinsics"]),
             distortion=_distortion_from_dict(data),
@@ -255,6 +274,10 @@ def read_calibration(path: str | Path) -> CalibrationFile:
                 max_iter=_int(opts["max_iter"], "max_iter"),
                 max_fun_evals=_int(opts["max_fun_evals"], "max_fun_evals"),
             ),
+            converged=converged,
+            stop_reason=stop_reason,
+            n_iterations=None if n_iterations is None else _int(n_iterations, "n_iterations"),
+            j_init=None if j_init is None else float(j_init),
         )
 
 

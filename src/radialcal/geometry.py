@@ -162,42 +162,53 @@ def rotation_from_axis_angle(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * K + b * (K @ K)
 
 
-def axis_angle_from_rotation(R: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Inverse Rodrigues map on the domain ``norm(w) < pi``.
+def axis_angles_from_rotations(R: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Inverse Rodrigues map of each rotation of a ``(v, 3, 3)`` stack, to
+    ``(v, 3)``, on the domain ``norm(w) < pi``.
 
-    Raises NotARotation when ``R^T R`` deviates from the identity beyond
-    ``tol`` or the determinant is not +1.
+    Raises NotARotation when some ``R^T R`` deviates from the identity beyond
+    ``tol`` or some determinant is not +1.
     """
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        raise ValueError("rotation matrix must be 3x3")
-    if np.max(np.abs(R.T @ R - np.eye(3))) > tol:
+    if R.ndim != 3 or R.shape[1:] != (3, 3):
+        raise ValueError("rotation matrices must have shape (v, 3, 3)")
+    if np.any(np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)) > tol):
         raise NotARotation("R^T R deviates from the identity beyond tolerance")
-    if np.linalg.det(R) < 0.0:
+    if np.any(np.linalg.det(R) < 0.0):
         raise NotARotation("determinant is negative (improper rotation)")
 
     # 2 s = vee(R - R^T) = 2 sin(theta) * axis, cos(theta) from the trace.
-    s = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    c = 0.5 * (np.trace(R) - 1.0)
-    sin_norm = float(np.linalg.norm(s))
-    theta = math.atan2(sin_norm, c)
-
-    if theta < 1e-7:
-        # w ~ s * (1 + theta^2 / 6); s itself is axis * sin(theta).
-        return s * (1.0 + theta * theta / 6.0)
-    if theta > math.pi - 1e-3:
+    s = 0.5 * np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]], axis=1)
+    c = 0.5 * (np.trace(R, axis1=1, axis2=2) - 1.0)
+    sin_norm = np.linalg.norm(s, axis=1)
+    theta = np.arctan2(sin_norm, c)
+    small, near_pi = theta < 1e-7, theta > math.pi - 1e-3
+    # w = s * theta / sin(theta); below theta = 1e-7, w ~ s * (1 + theta^2 / 6).
+    # The near-pi rows, replaced below, divide by 1 rather than by ~0.
+    sin_or_one = np.where(small | near_pi, 1.0, sin_norm)
+    w = s * np.where(small, 1.0 + theta * theta / 6.0, theta / sin_or_one)[:, None]
+    if np.any(near_pi):
         # sin(theta) ~ 0: recover the axis from the symmetric part instead.
         # (R + R^T)/2 - c I = (1 - c) a a^T; its largest-diagonal column is
         # (1 - c) a_k a with a_k^2 >= 1/3, so normalizing it keeps the
         # rounding error linear (a sqrt of the diagonal would amplify it).
-        M = (R + R.T) / 2.0 - c * np.eye(3)
-        k = int(np.argmax(np.diag(M)))
-        axis = M[:, k] / np.linalg.norm(M[:, k])
+        Rn, cn = R[near_pi], c[near_pi]
+        M = (Rn + Rn.transpose(0, 2, 1)) / 2.0 - cn[:, None, None] * np.eye(3)
+        k = np.argmax(np.diagonal(M, axis1=1, axis2=2), axis=1)
+        column = M[np.arange(len(M)), :, k]
+        axis = column / np.linalg.norm(column, axis=1)[:, None]
         # The skew part is sin(theta) * a: it still carries the sign.
-        if np.dot(axis, s) < 0.0:
-            axis = -axis
-        return theta * axis
-    return s * (theta / sin_norm)
+        flip = np.einsum("vi,vi->v", axis, s[near_pi]) < 0.0
+        w[near_pi] = theta[near_pi, None] * np.where(flip[:, None], -axis, axis)
+    return w
+
+
+def axis_angle_from_rotation(R: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """axis_angles_from_rotations of one ``(3, 3)`` rotation."""
+    R = np.asarray(R, dtype=float)
+    if R.shape != (3, 3):
+        raise ValueError("rotation matrix must be 3x3")
+    return axis_angles_from_rotations(R[None], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -252,20 +263,27 @@ class Homography:
         H = np.asarray(self.matrix, dtype=float)
         if H.shape != (3, 3):
             raise ValueError("homography must be 3x3")
-        if not np.all(np.isfinite(H)):
-            raise ValueError("homography entries must be finite")
-        norm = np.linalg.norm(H)
-        if norm == 0.0 or np.linalg.matrix_rank(H) < 3:
-            raise ValueError("homography must have rank 3")
-        H = H / norm
-        anchor = H[2, 2]
-        if anchor == 0.0:
-            flat = H.ravel()
-            anchor = flat[np.argmax(np.abs(flat))]
-        if anchor < 0.0:
-            H = -H
+        H = canonical_homographies(H[None])[0]
         H.setflags(write=False)
         object.__setattr__(self, "matrix", H)
+
+
+def canonical_homographies(H: np.ndarray) -> np.ndarray:
+    """Homography's canonical form for each map of a ``(k, 3, 3)`` stack.
+
+    Raises ValueError when an entry is not finite or a map has rank below 3.
+    """
+    if not np.all(np.isfinite(H)):
+        raise ValueError("homography entries must be finite")
+    norm = np.linalg.norm(H, axis=(1, 2))
+    if np.any(norm == 0.0) or np.any(np.linalg.matrix_rank(H) < 3):
+        raise ValueError("homography must have rank 3")
+    H = H / norm[:, None, None]
+    flat = H.reshape(len(H), 9)
+    anchor = flat[:, 8]
+    largest = flat[np.arange(len(H)), np.argmax(np.abs(flat), axis=1)]
+    anchor = np.where(anchor == 0.0, largest, anchor)
+    return np.where(anchor[:, None, None] < 0.0, -H, H)
 
 
 @dataclass(frozen=True)

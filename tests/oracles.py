@@ -8,16 +8,25 @@ over the public real_roots, which the bisection oracle checks in turn, and
 two views of the calibration Jacobian that the finite-difference tests
 check: a rotated point's derivative from the library's per-view rotation
 blocks, and the dense matrix scattered from the per-point rows and the
-per-view pose maps.
+per-view pose maps. The linear calibration stage is also here one view at
+a time, with the scalar inverse Rodrigues map, as the batched stage's
+oracle; it shares only the closed-form intrinsics_from_conic with it.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
-from radialcal.calibration import _rotation_blocks
+from radialcal.calibration import (
+    DegenerateConfiguration,
+    SingularConfiguration,
+    _rotation_blocks,
+    intrinsics_from_conic,
+)
+from radialcal.geometry import AbsoluteConic
 from radialcal.cubic import CubicCoeffs, NoRealSolution, real_roots
 
 # Components at most COMPONENT_ZERO map to zero; roots within ROOT_ZERO of
@@ -200,6 +209,126 @@ def dense_jacobian(columns: np.ndarray, maps: np.ndarray, view_index: np.ndarray
         start = n_shared + 6 * view
         jac[j, :, start : start + 6] = rows[j, :, :6] @ maps[view]
     return jac.reshape(2 * n, -1)
+
+
+def axis_angle_from_rotation(R: np.ndarray) -> np.ndarray:
+    """Inverse Rodrigues map of one rotation, by the scalar formula: the
+    skew part gives sin(theta) times the axis, the trace cos(theta); a
+    series below theta = 1e-7, and the symmetric part's largest-diagonal
+    column above pi - 1e-3."""
+    s = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    c = 0.5 * (np.trace(R) - 1.0)
+    sin_norm = float(np.linalg.norm(s))
+    theta = math.atan2(sin_norm, c)
+    if theta < 1e-7:
+        return s * (1.0 + theta * theta / 6.0)
+    if theta > math.pi - 1e-3:
+        M = (R + R.T) / 2.0 - c * np.eye(3)
+        k = int(np.argmax(np.diag(M)))
+        axis = M[:, k] / np.linalg.norm(M[:, k])
+        if np.dot(axis, s) < 0.0:
+            axis = -axis
+        return theta * axis
+    return s * (theta / sin_norm)
+
+
+def _conditioning_transform(pts: np.ndarray) -> np.ndarray:
+    centroid = pts.mean(axis=0)
+    mean_dist = float(np.linalg.norm(pts - centroid, axis=1).mean())
+    if mean_dist < 1e-12:
+        raise DegenerateConfiguration("points are (nearly) coincident")
+    s = math.sqrt(2.0) / mean_dist
+    return np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
+
+
+def homography(world_xy: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    """One view's normalized DLT, canonical: unit Frobenius norm and a
+    positive bottom-right entry."""
+    n = len(world_xy)
+    if n < 4:
+        raise DegenerateConfiguration(f"homography estimation needs at least 4 points, got {n}")
+    Tw, Tp = _conditioning_transform(world_xy), _conditioning_transform(pixels)
+    w = world_xy * Tw[0, 0] + Tw[:2, 2]
+    p = pixels * Tp[0, 0] + Tp[:2, 2]
+    design = np.zeros((2 * n, 9))
+    design[0::2, 0:2] = w
+    design[0::2, 2] = 1.0
+    design[0::2, 6:8] = -p[:, :1] * w
+    design[0::2, 8] = -p[:, 0]
+    design[1::2, 3:5] = w
+    design[1::2, 5] = 1.0
+    design[1::2, 6:8] = -p[:, 1:2] * w
+    design[1::2, 8] = -p[:, 1]
+    _, sv, vt = np.linalg.svd(design, full_matrices=2 * n < 9)
+    if sv[7] < 1e-10 * sv[0]:
+        raise DegenerateConfiguration("design matrix is rank-deficient (collinear points?)")
+    H = np.linalg.inv(Tp) @ vt[-1].reshape(3, 3) @ Tw
+    H = H / np.linalg.norm(H)
+    return -H if H[2, 2] < 0.0 else H
+
+
+def _conic_rows(H: np.ndarray) -> np.ndarray:
+    def v(i: int, j: int) -> np.ndarray:
+        hi, hj = H[:, i], H[:, j]
+        return np.array(
+            [
+                hi[0] * hj[0],
+                hi[0] * hj[1] + hi[1] * hj[0],
+                hi[1] * hj[1],
+                hi[2] * hj[0] + hi[0] * hj[2],
+                hi[2] * hj[1] + hi[1] * hj[2],
+                hi[2] * hj[2],
+            ]
+        )
+
+    return np.vstack([v(0, 1), v(0, 0) - v(1, 1)])
+
+
+def intrinsics(homographies: list[np.ndarray]):
+    if len(homographies) < 3:
+        raise SingularConfiguration(f"intrinsics need at least 3 views, got {len(homographies)}")
+    _, sv, vt = np.linalg.svd(np.vstack([_conic_rows(H) for H in homographies]), full_matrices=False)
+    if sv[4] < 1e-10 * sv[0]:
+        raise SingularConfiguration(
+            "conic constraints are rank-deficient (parallel planes provide the same information)"
+        )
+    b = vt[-1]
+    B = np.array([[b[0], b[1], b[3]], [b[1], b[2], b[4]], [b[3], b[4], b[5]]])
+    return intrinsics_from_conic(AbsoluteConic(B))
+
+
+def pose(H: np.ndarray, A) -> np.ndarray:
+    """One view's ``[w, t]`` from its homography: scaled ``A^-1 H``, the sign
+    that puts the plane in front, Procrustes, then the camera-to-world form."""
+    G = A.inverse_matrix @ H
+    G = G / float(np.linalg.norm(G[:, 0]))
+    if G[2, 2] < 0.0:
+        G = -G
+    t = G[:, 2]
+    Q = np.column_stack([G[:, 0], G[:, 1], np.cross(G[:, 0], G[:, 1])])
+    u, _, vt = np.linalg.svd(Q)
+    R = u @ np.diag([1.0, 1.0, float(np.linalg.det(u @ vt))]) @ vt
+    return np.concatenate([axis_angle_from_rotation(R.T), -R.T @ t])
+
+
+def linear_stage(corr):
+    """The linear stage one view at a time: ``(A, poses (v, 6), dropped ids)``.
+
+    A view whose homography fails is dropped with the warning ``dropping
+    view ID: REASON``; fewer than three kept views raise
+    DegenerateConfiguration.
+    """
+    kept, dropped = [], []
+    for view in corr.views:
+        try:
+            kept.append(homography(view.world_xy, view.pixels))
+        except DegenerateConfiguration as exc:
+            dropped.append(view.view_id)
+            warnings.warn(f"dropping view {view.view_id}: {exc}", RuntimeWarning)
+    if len(kept) < 3:
+        raise DegenerateConfiguration(f"calibration needs at least 3 usable views, got {len(kept)}")
+    A = intrinsics(kept)
+    return A, np.array([pose(H, A) for H in kept]), tuple(dropped)
 
 
 def rot_x(a: float) -> np.ndarray:

@@ -14,6 +14,7 @@ from radialcal.calibration import (
     SingularConfiguration,
     _build_result,
     _forward,
+    _linear_stage,
     _normal_equations,
     _pack_params,
     _residuals_and_blocks,
@@ -42,6 +43,7 @@ from radialcal.geometry import (
     rotation_from_axis_angle,
 )
 
+import oracles
 from conftest import make_scene
 from oracles import (
     dense_jacobian,
@@ -210,6 +212,71 @@ class TestExtrinsicsFromHomography:
         # rotation error stays small for half-pixel noise on a 64-point grid
         angle = math.acos(min(1.0, (np.trace(R_got.T @ R) - 1.0) / 2.0))
         assert angle < 0.05
+
+
+def linear_scene():
+    """Views of 4, 9 and 64 points (ids 7, 2, 40), plus a collinear view (31),
+    one whose pixels coincide (5) and one of two points (11)."""
+    corr, _ = make_scene(46, grid_nx=8, grid_ny=8, noise_sigma=0.5, n_views=6)
+    v = corr.views
+    corners = [0, 7, 56, 63]
+    sub_grid = [ix * 8 + iy for ix in (0, 3, 7) for iy in (0, 3, 7)]
+    row = [ix * 8 + 2 for ix in range(8)]
+    views = (
+        CalibrationView(7, v[0].world_xy[corners], v[0].pixels[corners]),
+        CalibrationView(2, v[1].world_xy[sub_grid], v[1].pixels[sub_grid]),
+        CalibrationView(31, v[2].world_xy[row], v[2].pixels[row]),
+        CalibrationView(40, v[3].world_xy, v[3].pixels),
+        CalibrationView(5, v[4].world_xy, np.tile(v[4].pixels[:1], (64, 1))),
+        CalibrationView(11, v[5].world_xy[:2], v[5].pixels[:2]),
+    )
+    return CorrespondenceSet(views)
+
+
+def warned(fn, *args):
+    """fn's result (or the error it raised) and the text of its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+        except ValueError as exc:
+            out = exc
+    return out, [str(w.message) for w in caught]
+
+
+class TestLinearStage:
+    def test_matches_the_per_view_stage(self):
+        corr = linear_scene()
+        stage, messages = warned(_linear_stage, corr)
+        (A, poses, dropped), want_messages = warned(oracles.linear_stage, corr)
+        assert messages == want_messages
+        assert messages == [
+            "dropping view 31: design matrix is rank-deficient (collinear points?)",
+            "dropping view 5: points are (nearly) coincident",
+            "dropping view 11: homography estimation needs at least 4 points, got 2",
+        ]
+        assert stage.dropped == dropped == (31, 5, 11)
+        assert stage.corr.view_ids == (7, 2, 40)
+        assert stage.poses.shape == poses.shape == (3, 6)
+        got = _pack_params(stage.intrinsics, DistortionSpec(Model.MODEL2, 0.0), stage.poses)
+        want = _pack_params(A, DistortionSpec(Model.MODEL2, 0.0), poses)
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+
+    def test_raises_the_per_view_stage_errors(self):
+        corr = linear_scene()
+        too_few = CorrespondenceSet(corr.views[:1] + corr.views[2:])
+        A = IntrinsicMatrix(800.0, 800.0, 0.0, 320.0, 240.0)
+        parallel = CorrespondenceSet(
+            tuple(
+                view_from_pose(grid_xy(), A, rot_x(0.3), np.array([dx, 0.0, 1.2 + dz]), i)
+                for i, (dx, dz) in enumerate(((0, 0), (0.2, 0.1), (-0.1, 0.3)))
+            )
+        )
+        for scene, error in ((too_few, DegenerateConfiguration), (parallel, SingularConfiguration)):
+            (got, messages), (want, want_messages) = warned(_linear_stage, scene), warned(oracles.linear_stage, scene)
+            assert type(got) is type(want) is error
+            assert str(got) == str(want)
+            assert messages == want_messages
 
 
 class TestInitDistortion:
@@ -548,6 +615,35 @@ class TestRefine:
 
         calibration._levenberg_marquardt(evaluate, theta, OptimizerOptions(), corr.offsets)
         assert len(held) >= 3
+
+    def test_refine_writes_every_evaluation_into_one_workspace(self, monkeypatch):
+        corr, truth = make_scene(57, noise_sigma=0.5)
+        model = truth.distortion.model
+        theta = _pack_params(truth.intrinsics, truth.distortion, truth.extrinsics)
+        rng = np.random.default_rng(1)
+        theta = theta + rng.normal(0, 1e-3, theta.size) * np.maximum(1.0, np.abs(theta))
+        init = _build_result(corr, *_unpack_params(theta, model, corr.n_views))
+        returned = []
+        evaluate = calibration._residuals_and_blocks
+
+        def recording(*args):
+            # Holding every result keeps a fresh allocation from landing
+            # on a freed one's address.
+            returned.append(evaluate(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(calibration, "_residuals_and_blocks", recording)
+        fit = refine(corr, init)
+        assert len(returned) >= 3
+        for columns, maps in returned:
+            assert columns.ctypes.data == returned[0][0].ctypes.data
+            assert maps.ctypes.data == returned[0][1].ctypes.data
+        # Bit for bit the fit of an evaluation that allocates afresh.
+        x, n_iter, _, converged, reason = calibration._levenberg_marquardt(
+            lambda th: evaluate(th, corr, model), theta, OptimizerOptions(), corr.offsets
+        )
+        assert np.array_equal(_pack_params(fit.intrinsics, fit.distortion, fit.poses), x)
+        assert (fit.n_iterations, fit.converged, fit.stop_reason) == (n_iter, converged, reason)
 
     @pytest.mark.parametrize(
         "error,rejected", [(InvalidParameters, True), (DepthNotPositive, True), (ValueError, False)]

@@ -239,13 +239,62 @@ class TestCalibrationJson:
         write_calibration(path, result, opts)
         data = json.loads(path.read_text())
         assert set(data) == {
-            "model", "k1", "k2", "intrinsics", "views", "J_final", "rms_px", "options",
+            "model", "k1", "k2", "intrinsics", "views", "J_init", "J_final", "rms_px",
+            "converged", "stop_reason", "n_iterations", "options",
         }
         assert data["model"] == "model2"
         assert data["k2"] == 0.0
         assert set(data["intrinsics"]) == {"alpha", "beta", "gamma", "u0", "v0"}
         assert set(data["views"][0]) == {"view_id", "axis_angle", "t"}
         assert set(data["options"]) == {"tol_x", "tol_fun", "max_iter", "max_fun_evals"}
+
+    def test_records_how_the_refinement_ended(self, tmp_path):
+        # An iteration cap stops the fit unconverged; the file says so, and
+        # writing the same result again gives the same bytes.
+        corr, _ = make_scene(8, noise_sigma=0.5)
+        opts = OptimizerOptions(max_iter=2, tol_x=1e-14, tol_fun=1e-14)
+        result = calibrate(corr, Model.MODEL3, opts)
+        paths = tmp_path / "a.json", tmp_path / "b.json"
+        for path in paths:
+            write_calibration(path, result, opts)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        calib = read_calibration(paths[0])
+        assert (calib.converged, calib.stop_reason, calib.n_iterations) == (
+            False, "iteration limit reached", 2,
+        )
+        assert calib.j_init == result.j_init > calib.j_final
+
+    def test_file_without_the_refinement_outcome_still_reads(self, tmp_path):
+        corr, _ = make_scene(8)
+        opts = OptimizerOptions()
+        path = tmp_path / "calib.json"
+        write_calibration(path, calibrate(corr, Model.MODEL2, opts), opts)
+        data = json.loads(path.read_text())
+        for key in ("J_init", "converged", "stop_reason", "n_iterations"):
+            del data[key]
+        path.write_text(json.dumps(data))
+        calib = read_calibration(path)
+        assert (calib.converged, calib.stop_reason, calib.n_iterations, calib.j_init) == (None,) * 4
+        assert calib.j_final == data["J_final"]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("converged", "yes", "converged must be true or false"),
+            ("stop_reason", 3, "stop_reason must be a string"),
+            ("n_iterations", 2.5, "n_iterations must be an integer"),
+        ],
+    )
+    def test_mistyped_refinement_outcome_is_parse_error(self, tmp_path, key, value, message):
+        corr, _ = make_scene(8)
+        opts = OptimizerOptions()
+        path = tmp_path / "calib.json"
+        write_calibration(path, calibrate(corr, Model.MODEL2, opts), opts)
+        data = json.loads(path.read_text())
+        data[key] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=message):
+            read_calibration(path)
 
     @pytest.mark.parametrize("key", ["tol_x", "tol_fun"])
     def test_non_finite_tolerance_is_parse_error(self, tmp_path, key):

@@ -18,12 +18,15 @@ from radialcal.geometry import (
     ViewExtrinsics,
     WorldPoint,
     axis_angle_from_rotation,
+    axis_angles_from_rotations,
+    canonical_homographies,
     rotation_from_axis_angle,
     to_normalized,
     to_normalized_array,
     to_pixel,
     to_pixel_array,
 )
+import oracles
 from oracles import rot_x
 
 intrinsics_st = st.builds(
@@ -209,6 +212,28 @@ class TestRodrigues:
         with pytest.raises(NotARotation):
             axis_angle_from_rotation(np.diag([1.0, 1.0, -1.0]))
 
+    def test_batch_matches_the_scalar_formula_in_every_branch(self):
+        # One stack through the series (theta < 1e-7), the generic formula
+        # and the symmetric part (theta > pi - 1e-3).
+        rng = np.random.default_rng(17)
+        thetas = (0.0, 1e-9, 1e-5, 1.3, math.pi - 1e-4, math.pi - 1e-9)
+        axes = rng.normal(size=(len(thetas), 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        R = np.array([rotation_from_axis_angle(a * t) for a, t in zip(axes, thetas)])
+        got = axis_angles_from_rotations(R)
+        assert got.shape == (len(thetas), 3)
+        for row, rotation in zip(got, R):
+            want = oracles.axis_angle_from_rotation(rotation)
+            assert np.max(np.abs(row - want)) <= 1e-15 * max(1.0, np.linalg.norm(want))
+            assert np.array_equal(axis_angle_from_rotation(rotation), row)
+
+    def test_batch_rejects_a_stack_with_one_non_rotation(self):
+        good = rotation_from_axis_angle(np.array([0.1, 0.2, 0.3]))
+        for bad in (np.eye(3) * 1.1, np.diag([1.0, 1.0, -1.0])):
+            with pytest.raises(NotARotation):
+                axis_angles_from_rotations(np.stack([good, bad, good]))
+        assert axis_angles_from_rotations(np.empty((0, 3, 3))).shape == (0, 3)
+
 
 class TestViewExtrinsics:
     def test_world_to_camera_round_trip(self):
@@ -240,6 +265,18 @@ class TestHomography:
         M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
         with pytest.raises(ValueError):
             Homography(M)
+        with pytest.raises(ValueError, match="rank 3"):
+            canonical_homographies(np.stack([np.eye(3), M]))
+
+    def test_stack_is_canonical_row_by_row(self):
+        # A zero bottom-right entry takes the sign of the largest entry.
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(4, 3, 3))
+        stack[1, 2, 2] = 0.0
+        stack[2] *= -7.0
+        got = canonical_homographies(stack)
+        for row, M in zip(got, stack):
+            assert np.array_equal(row, Homography(M).matrix)
 
 
 class TestAbsoluteConic:
