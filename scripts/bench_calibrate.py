@@ -44,12 +44,12 @@ import numpy as np  # noqa: E402
 
 from bench_undistort import machine_info, summary  # noqa: E402
 from radialcal.calibration import (  # noqa: E402
-    _build_result,
     _linear_stage,
     _normal_equations,
     _pack_params,
     _residuals_and_blocks,
     _schur_step,
+    _Start,
     calibrate,
     init_distortion,
     refine,
@@ -79,7 +79,7 @@ def scene(n_views: int):
 def linear_stage(corr):
     stage = _linear_stage(corr)
     spec0 = init_distortion(stage.corr, stage.intrinsics, stage.poses, MODEL)
-    return stage, _build_result(stage.corr, stage.intrinsics, spec0, stage.poses)
+    return stage, _Start(stage.intrinsics, spec0, stage.poses)
 
 
 def normal_equations_step(blocks, offsets) -> np.ndarray:

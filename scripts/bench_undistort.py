@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Layer benchmark of point undistortion and the point-CSV writer.
+"""Layer benchmark of point undistortion, the ground-line fix and the
+point-CSV writer.
 
 Times, per distortion model, scalar ``undistort`` (one call per point) and
 ``undistort_array`` (one call for all points) on the same seeded points;
 ``undistort_array`` on observed radii that reach past the fold of a folding
-spec of each model; and ``write_points``/``read_points`` on an image-sized
-point file. Sizes and seeds are fixed so that runs on different commits
-compare; the JSON written also records the machine.
+spec of each model; one ``localize`` fix, per model, over seeded noiseless
+fixes; and ``write_points``/``read_points`` on an image-sized point file.
+Sizes and seeds are fixed so that runs on different commits compare; the
+JSON written also records the machine.
 
 The cases are interleaved: after one warm-up pass, each of the repeats
 times every case once, so a drift in the host's speed reaches all rows
@@ -27,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from radialcal.calibration import project_views
 from radialcal.distortion import (
     DistortionSpec,
     Model,
@@ -35,7 +38,15 @@ from radialcal.distortion import (
     undistort_array,
 )
 from radialcal.fileio import read_points, write_points
-from radialcal.geometry import NormalizedPoint
+from radialcal.geometry import (
+    IntrinsicMatrix,
+    NormalizedPoint,
+    PixelPoint,
+    ViewExtrinsics,
+    WorldPoint,
+    rotation_from_axis_angle,
+)
+from radialcal.localize import LineMap, localize
 
 SEED = 0
 N_POINTS = 20_000
@@ -63,6 +74,12 @@ FOLD_SPECS = {
     "model2": DistortionSpec(Model.MODEL2, -0.5),
     "model3": DistortionSpec(Model.MODEL3, -0.6, -0.2),
 }
+# Noiseless ground-line fixes, from their own generator: N_FIXES per model
+# of SPECS, seen by the repository benchmark's camera.
+LOCALIZE_SEED = 2
+N_FIXES = 200
+LOCALIZE_MODELS = ("model1", "model2", "model3")
+CAMERA = IntrinsicMatrix(520.0, 515.0, 0.4, 321.5, 239.0)
 
 
 def summary(values) -> dict:
@@ -86,6 +103,45 @@ def fold_rows() -> dict:
     """Each FOLD_SPECS entry's observed points, up to FOLD_R_MAX."""
     rng = np.random.default_rng(FOLD_SEED)
     return {name: disk_points(FOLD_R_MAX, rng) for name in FOLD_SPECS}
+
+
+def _axis_rotation(axis: int, angle: float) -> np.ndarray:
+    """Rotation by angle about coordinate axis 0 (x) or 2 (z)."""
+    w = np.zeros(3)
+    w[axis] = angle
+    return rotation_from_axis_angle(w)
+
+
+def localize_cases(rng, spec: DistortionSpec, count: int, yaw=None, tilt=None) -> list[tuple]:
+    """Arguments of count noiseless localize fixes observed through spec.
+
+    The assumed pose looks down from 0.8-1.5 above the floor, as
+    ``Rz(yaw) Rx(pi - tilt)``; yaw and tilt are drawn when None. The true
+    pose differs by a yaw in (-pi/2, pi/2) and a shift in the floor plane.
+    The ground points and pixels are computed here and by project_views, not
+    by the localizer.
+    """
+    cases = []
+    while len(cases) < count:
+        rot = _axis_rotation(2, rng.uniform(-math.pi, math.pi) if yaw is None else yaw)
+        rot = rot @ _axis_rotation(0, math.pi - (rng.uniform(0.25, 0.8) if tilt is None else tilt))
+        position = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.5)])
+        assumed = ViewExtrinsics.from_rotation(rot, position)
+        delta = rng.uniform(-math.pi / 2, math.pi / 2)
+        dt = np.array([rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7), 0.0])
+        true = ViewExtrinsics.from_rotation(_axis_rotation(2, -delta) @ assumed.rotation, assumed.t - dt)
+        rays = np.column_stack([rng.uniform(-0.35, 0.35, (2, 2)), np.ones(2)]) @ true.rotation.T
+        if np.any(rays[:, 2] > -1e-3):
+            continue
+        ground = true.t + (-true.t[2] / rays[:, 2])[:, None] * rays
+        if math.hypot(*(ground[1, :2] - ground[0, :2])) < 0.2:
+            continue
+        ground[:, 2] = 0.0
+        pose_row = np.concatenate([true.axis_angle, true.t])[None, :]
+        pixels = project_views(CAMERA, spec, pose_row, ground, np.zeros(2, dtype=int), (0,)).pixels
+        line = LineMap(WorldPoint(*ground[0]), WorldPoint(*ground[1]))
+        cases.append((line, PixelPoint(*pixels[0]), PixelPoint(*pixels[1]), CAMERA, spec, assumed))
+    return cases
 
 
 def timed(fn) -> float:
@@ -118,6 +174,10 @@ def bench(rng, tmp: Path) -> dict:
         cases["array", name] = lambda spec=spec, xy=xy: undistort_array(spec, xy)
     for name, spec in FOLD_SPECS.items():
         cases["fold", name] = lambda spec=spec, xy=folded[name]: undistort_array(spec, xy)
+    fix_rng = np.random.default_rng(LOCALIZE_SEED)
+    for name in LOCALIZE_MODELS:
+        fixes = localize_cases(fix_rng, SPECS[name], N_FIXES)
+        cases["localize", name] = lambda fixes=fixes: [localize(*args) for args in fixes]
     cases["csv", "write"] = lambda: write_points(csv, pts)
     cases["csv", "read"] = lambda: read_points(csv)
     seconds = run_cases(cases)
@@ -139,6 +199,9 @@ def bench(rng, tmp: Path) -> dict:
         }
         for name, spec in FOLD_SPECS.items()
     }
+    localize_report = {
+        name: {"us_per_fix": summary(1e6 * seconds["localize", name] / N_FIXES)} for name in LOCALIZE_MODELS
+    }
     size = csv.stat().st_size
     csv_report = {
         "rows": CSV_ROWS,
@@ -149,6 +212,7 @@ def bench(rng, tmp: Path) -> dict:
     return {
         "undistort": undistort_report,
         "past_the_fold": {"seed": FOLD_SEED, "r_max": FOLD_R_MAX, **fold_report},
+        "localize": {"seed": LOCALIZE_SEED, "fixes": N_FIXES, **localize_report},
         "points_csv": csv_report,
     }
 

@@ -723,12 +723,35 @@ def objective_gradient(
 # Levenberg-Marquardt refinement
 
 
+def _residual_distances(diff: np.ndarray) -> tuple[np.ndarray, float]:
+    """Each point's residual length, read-only, and the objective, from the
+    ``(n, 2)`` residuals."""
+    dx, dy = diff.T
+    dist = np.sqrt(dx * dx + dy * dy)
+    dist.setflags(write=False)
+    return dist, float(np.sum(dist * dist))
+
+
+@dataclass(frozen=True)
+class _LMResult:
+    """Where the LM stopped: the objective at its start, and the residuals
+    (predicted minus observed, ``(n, 2)``) at ``x``."""
+
+    x: np.ndarray
+    n_iterations: int
+    n_fev: int
+    converged: bool
+    reason: str
+    j_init: float
+    residuals: np.ndarray
+
+
 def _levenberg_marquardt(
     eval_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: np.ndarray,
     opts: OptimizerOptions,
     offsets: np.ndarray,
-) -> tuple[np.ndarray, int, int, bool, str]:
+) -> _LMResult:
     """Damped Gauss-Newton descent honoring all four stopping thresholds.
 
     eval_fn returns the columns and pose maps of ``_residuals_and_blocks``;
@@ -740,6 +763,10 @@ def _levenberg_marquardt(
     """
     x = np.array(x0, dtype=float)
     blocks = eval_fn(x)
+    j_init = _residual_distances(blocks[0][-1])[1]
+    # eval_fn may write every evaluation into one workspace, which later
+    # trials overwrite: the residuals of each accepted point are copied out.
+    residuals = blocks[0][-1].copy()
     n_fev = 1
     cost = float(np.vdot(blocks[0][-1], blocks[0][-1]))
     mu = -1.0
@@ -781,6 +808,7 @@ def _levenberg_marquardt(
                 nu = 2.0
                 decrease = cost - cost_new
                 x, blocks, cost = trial, blocks_new, cost_new
+                residuals = blocks[0][-1].copy()
                 if decrease <= opts.tol_fun * (1.0 + cost_new):
                     converged = True
                     reason = "objective decrease below tol_fun"
@@ -794,7 +822,7 @@ def _levenberg_marquardt(
                 break
         if converged or not accepted:
             break
-    return x, n_iter, n_fev, converged, reason
+    return _LMResult(x, n_iter, n_fev, converged, reason, j_init, residuals)
 
 
 def _build_result(
@@ -806,14 +834,15 @@ def _build_result(
     n_iterations: int = 0,
     j_init: float | None = None,
     stop_reason: str = "",
+    residuals: np.ndarray | None = None,
 ) -> CalibrationResult:
+    """The result at these parameters; residuals, when given, are the
+    ``(n, 2)`` predicted minus observed pixels there, else computed."""
     poses = np.array(_pose_rows(extrinsics), dtype=float)
     poses.setflags(write=False)
-    diff = _forward(_pack_params(A, spec, poses), corr, spec.model).pixels - corr.pixels
-    dx, dy = diff.T
-    dist = np.sqrt(dx * dx + dy * dy)
-    dist.setflags(write=False)
-    total = float(np.sum(dist * dist))
+    if residuals is None:
+        residuals = _forward(_pack_params(A, spec, poses), corr, spec.model).pixels - corr.pixels
+    dist, total = _residual_distances(residuals)
     return CalibrationResult(
         intrinsics=A,
         distortion=spec,
@@ -829,16 +858,27 @@ def _build_result(
     )
 
 
+@dataclass(frozen=True)
+class _Start:
+    """Parameters a refinement starts from, not yet evaluated."""
+
+    intrinsics: IntrinsicMatrix
+    distortion: DistortionSpec
+    poses: np.ndarray  # (v, 6) each view's [w, t]
+
+
 def refine(
     corr: CorrespondenceSet,
-    init: CalibrationResult,
+    init: CalibrationResult | _Start,
     opts: OptimizerOptions = OptimizerOptions(),
 ) -> CalibrationResult:
     """Jointly refine intrinsics, distortion, and all view poses.
 
-    Never increases the objective relative to the initialization. On hitting
-    an iteration or evaluation cap, the best parameters so far are returned
-    with ``converged=False`` rather than raising.
+    Starts from init's intrinsics, distortion and poses; ``j_init`` is the
+    objective there on corr. Never increases the objective relative to the
+    initialization. On hitting an iteration or evaluation cap, the best
+    parameters so far are returned with ``converged=False`` rather than
+    raising.
     """
     model = init.distortion.model
     theta0 = _pack_params(init.intrinsics, init.distortion, init.poses)
@@ -846,19 +886,20 @@ def refine(
     # evaluation (3.5 MB at 100 views) is returned to the OS when dropped
     # and faulted in again by the next.
     workspace = _jacobian_workspace(corr.n_points, corr.n_views, model)
-    theta, n_iter, _, converged, reason = _levenberg_marquardt(
+    lm = _levenberg_marquardt(
         lambda th: _residuals_and_blocks(th, corr, model, workspace), theta0, opts, corr.offsets
     )
-    A, spec, poses = _unpack_params(theta, model, corr.n_views)
+    A, spec, poses = _unpack_params(lm.x, model, corr.n_views)
     return _build_result(
         corr,
         A,
         spec,
         poses,
-        converged=converged,
-        n_iterations=n_iter,
-        j_init=init.j_final,
-        stop_reason=reason,
+        converged=lm.converged,
+        n_iterations=lm.n_iterations,
+        j_init=lm.j_init,
+        stop_reason=lm.reason,
+        residuals=lm.residuals,
     )
 
 
@@ -915,8 +956,7 @@ def calibrate(
     """Full pipeline: linear estimation, distortion guess, then refinement."""
     stage = _linear_stage(corr)
     spec0 = init_distortion(stage.corr, stage.intrinsics, stage.poses, model)
-    init = _build_result(stage.corr, stage.intrinsics, spec0, stage.poses)
-    return refine(stage.corr, init, opts)
+    return refine(stage.corr, _Start(stage.intrinsics, spec0, stage.poses), opts)
 
 
 def compare_models(
@@ -934,8 +974,7 @@ def compare_models(
     for model in (Model.MODEL1, Model.MODEL2, Model.MODEL3):
         try:
             spec0 = init_distortion(stage.corr, stage.intrinsics, stage.poses, model)
-            init = _build_result(stage.corr, stage.intrinsics, spec0, stage.poses)
-            result = refine(stage.corr, init, opts)
+            result = refine(stage.corr, _Start(stage.intrinsics, spec0, stage.poses), opts)
             entries.append(
                 ModelReport(
                     model=model,

@@ -71,6 +71,7 @@ class LocalizationFix:
     grows with observation noise, so it doubles as a quality indicator.
     ``translation_consistency`` is the distance between the translation
     recovered from endpoint A (the reported one) and from endpoint B.
+    ``t1`` is stored as a read-only ``(3,)`` array.
     """
 
     delta_theta: float
@@ -79,6 +80,16 @@ class LocalizationFix:
     recovered_b: WorldPoint
     length_discrepancy: float
     translation_consistency: float
+
+    def __post_init__(self) -> None:
+        # No finiteness check, unlike geometry's frozen arrays: t1 comes
+        # from finite points and poses, and np.isfinite with np.all would
+        # add about 7 us to a fix of 30-50 us.
+        t1 = np.array(self.t1, dtype=float)
+        if t1.shape != (3,):
+            raise ValueError(f"t1 must have shape (3,), got {t1.shape}")
+        t1.setflags(write=False)
+        object.__setattr__(self, "t1", t1)
 
 
 def _wrap_angle(angle: float) -> float:
@@ -90,6 +101,8 @@ def _wrap_angle(angle: float) -> float:
 
 
 def _z_rotation(angle: float) -> np.ndarray:
+    """Rz(angle) as a matrix, for tests and scripts; the fix writes it by
+    components."""
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
@@ -98,20 +111,23 @@ def intersect_ground(n: NormalizedPoint, pose: ViewExtrinsics) -> WorldPoint:
     """Intersect the viewing ray of a normalized point with the z = 0 plane.
 
     The ray is ``P_w = t + s * R @ (x, y, 1)`` with s equal to the camera
-    depth, so the intersection must have s > 0 to be visible.
+    depth, so the intersection must have s > 0 to be visible. Written by
+    components in floats: numpy on 3-vectors costs more than the arithmetic.
     """
-    direction = pose.rotation @ np.array([n.x, n.y, 1.0])
-    if abs(direction[2]) < 1e-12:
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = pose.rotation.tolist()
+    tx, ty, tz = pose.t.tolist()
+    x, y = n.x, n.y
+    dz = r20 * x + r21 * y + r22
+    if abs(dz) < 1e-12:
         raise RayParallelToGround(
             "viewing ray is parallel to the ground plane"
         )
-    s = -pose.t[2] / direction[2]
+    s = -tz / dz
     if s <= 0.0:
         raise PointBehindCamera(
             f"ground intersection has camera depth {s}; point is not visible"
         )
-    hit = pose.t + s * direction
-    return WorldPoint(float(hit[0]), float(hit[1]), 0.0)
+    return WorldPoint(tx + s * (r00 * x + r01 * y + r02), ty + s * (r10 * x + r11 * y + r12), 0.0)
 
 
 def recover_delta_rotation(
@@ -131,6 +147,23 @@ def recover_delta_rotation(
     return _wrap_angle(math.atan2(cross, dot))
 
 
+def _camera_center(
+    mapped: WorldPoint,
+    recovered: WorldPoint,
+    c: float,
+    s: float,
+    t: list[float],
+) -> tuple[float, float, float]:
+    """``mapped - Rz(delta)^T (recovered - t)`` by components, with
+    ``c, s = cos(delta), sin(delta)``."""
+    dx, dy = recovered.x - t[0], recovered.y - t[1]
+    return (
+        mapped.x - (c * dx + s * dy),
+        mapped.y - (c * dy - s * dx),
+        mapped.z - (recovered.z - t[2]),
+    )
+
+
 def recover_translation(
     line: LineMap,
     recovered_a: WorldPoint,
@@ -138,8 +171,8 @@ def recover_translation(
     assumed_pose: ViewExtrinsics,
 ) -> np.ndarray:
     """True camera position from the A endpoint and the yaw deviation."""
-    dR = _z_rotation(delta_theta)
-    return line.a.array - dR.T @ (recovered_a.array - assumed_pose.t)
+    c, s = math.cos(delta_theta), math.sin(delta_theta)
+    return np.array(_camera_center(line.a, recovered_a, c, s, assumed_pose.t.tolist()))
 
 
 def localize(
@@ -179,11 +212,10 @@ def _localize_normalized(
     rec_a = intersect_ground(n_a, assumed_pose)
     rec_b = intersect_ground(n_b, assumed_pose)
     delta = recover_delta_rotation(line, rec_a, rec_b)
-    t1 = recover_translation(line, rec_a, delta, assumed_pose)
-    t1_from_b = (
-        line.b.array
-        - _z_rotation(delta).T @ (rec_b.array - assumed_pose.t)
-    )
+    # The camera center recovered from each endpoint; A's is the reported one.
+    c, s, t = math.cos(delta), math.sin(delta), assumed_pose.t.tolist()
+    t1 = _camera_center(line.a, rec_a, c, s, t)
+    t1_from_b = _camera_center(line.b, rec_b, c, s, t)
 
     len_map = math.hypot(line.b.x - line.a.x, line.b.y - line.a.y)
     len_rec = math.hypot(rec_b.x - rec_a.x, rec_b.y - rec_a.y)
@@ -193,5 +225,5 @@ def _localize_normalized(
         recovered_a=rec_a,
         recovered_b=rec_b,
         length_discrepancy=abs(len_rec - len_map) / len_map,
-        translation_consistency=float(np.linalg.norm(t1 - t1_from_b)),
+        translation_consistency=math.dist(t1, t1_from_b),
     )

@@ -10,7 +10,10 @@ check: a rotated point's derivative from the library's per-view rotation
 blocks, and the dense matrix scattered from the per-point rows and the
 per-view pose maps. The linear calibration stage is also here one view at
 a time, with the scalar inverse Rodrigues map, as the batched stage's
-oracle; it shares only the closed-form intrinsics_from_conic with it.
+oracle; it shares only the closed-form intrinsics_from_conic with it. The
+ground-line fix is here in numpy matrix algebra, as the oracle of the
+library's float arithmetic; it shares the undistortion, the signed angle
+between the segments and the exception types with it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,16 @@ from radialcal.calibration import (
     _rotation_blocks,
     intrinsics_from_conic,
 )
-from radialcal.geometry import AbsoluteConic
+from radialcal.geometry import AbsoluteConic, WorldPoint, to_normalized
 from radialcal.cubic import CubicCoeffs, NoRealSolution, real_roots
+from radialcal.distortion import undistort
+from radialcal.localize import (
+    EndpointsCoincide,
+    LocalizationFix,
+    PointBehindCamera,
+    RayParallelToGround,
+    recover_delta_rotation,
+)
 
 # Components at most COMPONENT_ZERO map to zero; roots within ROOT_ZERO of
 # zero belong to neither sign branch.
@@ -344,3 +355,52 @@ def rot_y(a: float) -> np.ndarray:
 def rot_z(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
     return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
+
+
+def intersect_ground(n, pose) -> WorldPoint:
+    """The viewing ray ``t + s R (x, y, 1)`` of n meets z = 0 at s > 0."""
+    direction = pose.rotation @ np.array([n.x, n.y, 1.0])
+    if abs(direction[2]) < 1e-12:
+        raise RayParallelToGround("viewing ray is parallel to the ground plane")
+    s = -pose.t[2] / direction[2]
+    if s <= 0.0:
+        raise PointBehindCamera(f"ground intersection has camera depth {s}; point is not visible")
+    hit = pose.t + s * direction
+    return WorldPoint(float(hit[0]), float(hit[1]), 0.0)
+
+
+def recover_translation(mapped: WorldPoint, recovered: WorldPoint, delta_theta: float, pose) -> np.ndarray:
+    """``mapped - Rz(delta)^T (recovered - t)``."""
+    return mapped.array - rot_z(delta_theta).T @ (recovered.array - pose.t)
+
+
+def localize(line, observed_a, observed_b, A, spec, assumed_pose, try_both_orders=False):
+    """The ground-line fix, with the same checks in the same order."""
+    n_a = undistort(spec, to_normalized(observed_a, A))
+    n_b = undistort(spec, to_normalized(observed_b, A))
+    if math.hypot(n_b.x - n_a.x, n_b.y - n_a.y) < 1e-12:
+        raise EndpointsCoincide("undistorted observations collapse to one point")
+    fix = _localize_normalized(line, n_a, n_b, assumed_pose)
+    if try_both_orders:
+        swapped = _localize_normalized(line, n_b, n_a, assumed_pose)
+        if swapped.length_discrepancy < fix.length_discrepancy:
+            return swapped
+    return fix
+
+
+def _localize_normalized(line, n_a, n_b, pose) -> LocalizationFix:
+    rec_a = intersect_ground(n_a, pose)
+    rec_b = intersect_ground(n_b, pose)
+    delta = recover_delta_rotation(line, rec_a, rec_b)
+    t1 = recover_translation(line.a, rec_a, delta, pose)
+    t1_from_b = recover_translation(line.b, rec_b, delta, pose)
+    len_map = math.hypot(line.b.x - line.a.x, line.b.y - line.a.y)
+    len_rec = math.hypot(rec_b.x - rec_a.x, rec_b.y - rec_a.y)
+    return LocalizationFix(
+        delta_theta=delta,
+        t1=t1,
+        recovered_a=rec_a,
+        recovered_b=rec_b,
+        length_discrepancy=abs(len_rec - len_map) / len_map,
+        translation_consistency=float(np.linalg.norm(t1 - t1_from_b)),
+    )

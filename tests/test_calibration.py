@@ -616,6 +616,32 @@ class TestRefine:
         calibration._levenberg_marquardt(evaluate, theta, OptimizerOptions(), corr.offsets)
         assert len(held) >= 3
 
+    def test_refine_reports_the_lm_evaluations(self, monkeypatch):
+        # J_init and the final residuals come from the LM's own evaluations,
+        # bit for bit what a separate forward pass gives.
+        corr, truth = make_scene(57, noise_sigma=0.5)
+        model = truth.distortion.model
+        theta = _pack_params(truth.intrinsics, truth.distortion, truth.extrinsics)
+        rng = np.random.default_rng(1)
+        theta = theta + rng.normal(0, 1e-3, theta.size) * np.maximum(1.0, np.abs(theta))
+        init = _build_result(corr, *_unpack_params(theta, model, corr.n_views))
+        counts = {"_forward": 0, "_residuals_and_blocks": 0}
+        for name in counts:
+            def counting(*args, _fn=getattr(calibration, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(calibration, name, counting)
+        fit = refine(corr, init)
+        # Every forward pass is one of the LM's evaluations.
+        assert counts["_forward"] == counts["_residuals_and_blocks"] >= 3
+        monkeypatch.undo()
+        again = _build_result(corr, fit.intrinsics, fit.distortion, fit.poses)
+        assert fit.j_init == init.j_final
+        assert (fit.j_final, fit.rms_px) == (again.j_final, again.rms_px)
+        for got, want in zip(fit.per_point_residuals, again.per_point_residuals, strict=True):
+            assert np.array_equal(got, want) and not got.flags.writeable
+
     def test_refine_writes_every_evaluation_into_one_workspace(self, monkeypatch):
         corr, truth = make_scene(57, noise_sigma=0.5)
         model = truth.distortion.model
@@ -639,11 +665,11 @@ class TestRefine:
             assert columns.ctypes.data == returned[0][0].ctypes.data
             assert maps.ctypes.data == returned[0][1].ctypes.data
         # Bit for bit the fit of an evaluation that allocates afresh.
-        x, n_iter, _, converged, reason = calibration._levenberg_marquardt(
+        lm = calibration._levenberg_marquardt(
             lambda th: evaluate(th, corr, model), theta, OptimizerOptions(), corr.offsets
         )
-        assert np.array_equal(_pack_params(fit.intrinsics, fit.distortion, fit.poses), x)
-        assert (fit.n_iterations, fit.converged, fit.stop_reason) == (n_iter, converged, reason)
+        assert np.array_equal(_pack_params(fit.intrinsics, fit.distortion, fit.poses), lm.x)
+        assert (fit.n_iterations, fit.converged, fit.stop_reason) == (lm.n_iterations, lm.converged, lm.reason)
 
     @pytest.mark.parametrize(
         "error,rejected", [(InvalidParameters, True), (DepthNotPositive, True), (ValueError, False)]
@@ -665,10 +691,8 @@ class TestRefine:
             return _residuals_and_blocks(th, corr, truth.distortion.model)
 
         if rejected:
-            _, _, n_fev, converged, _ = calibration._levenberg_marquardt(
-                evaluate, theta, OptimizerOptions(), corr.offsets
-            )
-            assert converged and n_fev == len(calls) > 3
+            lm = calibration._levenberg_marquardt(evaluate, theta, OptimizerOptions(), corr.offsets)
+            assert lm.converged and lm.n_fev == len(calls) > 3
         else:
             with pytest.raises(ValueError, match="trial point refused"):
                 calibration._levenberg_marquardt(evaluate, theta, OptimizerOptions(), corr.offsets)

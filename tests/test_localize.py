@@ -26,10 +26,17 @@ from radialcal.localize import (
     recover_delta_rotation,
     recover_translation,
 )
+import oracles
 from oracles import rot_x, rot_z
 
 CAMERA = IntrinsicMatrix(800.0, 800.0, 0.0, 320.0, 240.0)
 WARP = DistortionSpec(Model.MODEL3, -0.1, -0.05)
+# One warp per model; model1 and model2 as in the point benchmark.
+WARPS = {
+    "model1": DistortionSpec(Model.MODEL1, -0.2, 0.05),
+    "model2": DistortionSpec(Model.MODEL2, -0.15),
+    "model3": WARP,
+}
 
 
 def downward_pose(yaw=0.0, tilt=0.5, position=(0.0, 0.0, 1.0)):
@@ -38,10 +45,10 @@ def downward_pose(yaw=0.0, tilt=0.5, position=(0.0, 0.0, 1.0)):
     return ViewExtrinsics.from_rotation(R, np.asarray(position, dtype=float))
 
 
-def observe(point: WorldPoint, pose: ViewExtrinsics) -> PixelPoint:
+def observe(point: WorldPoint, pose: ViewExtrinsics, spec: DistortionSpec = WARP) -> PixelPoint:
     """Synthesize the distorted observation of a ground point."""
     n = to_normalized(project(point, pose, CAMERA), CAMERA)
-    return to_pixel(distort_normalized(WARP, n), CAMERA)
+    return to_pixel(distort_normalized(spec, n), CAMERA)
 
 
 class TestIntersectGround:
@@ -152,7 +159,7 @@ def synthesize_case(rng, spec=WARP):
         pose2 = ViewExtrinsics.from_rotation(
             _z_rotation(delta_theta) @ pose1.rotation, pose1.t + dt
         )
-        obs_a, obs_b = observe(pa, pose1), observe(pb, pose1)
+        obs_a, obs_b = observe(pa, pose1, spec), observe(pb, pose1, spec)
         return LineMap(pa, pb), pose1, pose2, delta_theta, obs_a, obs_b
 
 
@@ -250,3 +257,105 @@ class TestLocalize:
         # measured: p95 angle 6.7e-3 rad, p95 translation 8.0e-3 units
         assert np.quantile(angle_errors, 0.95) < 1.4e-2
         assert np.quantile(trans_errors, 0.95) < 1.6e-2
+
+
+def assumed_pose_case(rng, spec, yaw, tilt):
+    """A fix whose assumed pose is ``downward_pose(yaw, tilt)``: at yaw = +-pi
+    its rotation angle is pi up to rounding, whatever the tilt. The true pose
+    differs by a yaw in (-pi/2, pi/2) and an in-plane shift."""
+    assumed = downward_pose(yaw, tilt, (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.5)))
+    delta_theta = rng.uniform(-math.pi / 2, math.pi / 2)
+    dt = np.array([rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7), 0.0])
+    true = ViewExtrinsics.from_rotation(_z_rotation(-delta_theta) @ assumed.rotation, assumed.t - dt)
+    while True:
+        na = NormalizedPoint(*rng.uniform(-0.35, 0.35, 2))
+        nb = NormalizedPoint(*rng.uniform(-0.35, 0.35, 2))
+        pa, pb = intersect_ground(na, true), intersect_ground(nb, true)
+        if math.hypot(pb.x - pa.x, pb.y - pa.y) >= 0.2:
+            return LineMap(pa, pb), assumed, observe(pa, true, spec), observe(pb, true, spec)
+
+
+def fix_values(fix) -> np.ndarray:
+    return np.array(
+        [
+            fix.delta_theta,
+            *fix.t1,
+            fix.recovered_a.x,
+            fix.recovered_a.y,
+            fix.recovered_b.x,
+            fix.recovered_b.y,
+            fix.length_discrepancy,
+            fix.translation_consistency,
+        ]
+    )
+
+
+class TestAgainstOracle:
+    """The fix in float arithmetic against the numpy oracle, within 1e-12."""
+
+    @staticmethod
+    def check(line, obs_a, obs_b, spec, pose):
+        # Both endpoint orders, each alone and with the swapped order tried.
+        for a, b in ((obs_a, obs_b), (obs_b, obs_a)):
+            for both in (False, True):
+                args = (line, a, b, CAMERA, spec, pose, both)
+                got, want = fix_values(localize(*args)), fix_values(oracles.localize(*args))
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("model", sorted(WARPS))
+    def test_seeded_cases(self, model):
+        rng = np.random.default_rng(87)
+        for _ in range(30):
+            yaw, tilt = rng.uniform(-math.pi, math.pi), rng.uniform(0.25, 0.8)
+            line, pose, obs_a, obs_b = assumed_pose_case(rng, WARPS[model], yaw, tilt)
+            self.check(line, obs_a, obs_b, WARPS[model], pose)
+
+    @pytest.mark.parametrize("model", sorted(WARPS))
+    @pytest.mark.parametrize("yaw", [math.pi, -math.pi])
+    @pytest.mark.parametrize("tilt", [1e-6, 1e-3, 0.5])
+    def test_assumed_pose_near_half_turn(self, model, yaw, tilt):
+        rng = np.random.default_rng(88)
+        for _ in range(5):
+            line, pose, obs_a, obs_b = assumed_pose_case(rng, WARPS[model], yaw, tilt)
+            assert abs(float(np.linalg.norm(pose.axis_angle)) - math.pi) <= 1e-6
+            self.check(line, obs_a, obs_b, WARPS[model], pose)
+
+    @staticmethod
+    def raised(fn, *args):
+        with pytest.raises(ValueError) as info:
+            fn(*args)
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("model", sorted(WARPS))
+    def test_exceptions_match_the_oracle(self, model):
+        center = PixelPoint(CAMERA.u0, CAMERA.v0)
+        off_center = PixelPoint(CAMERA.u0 + 40.0, CAMERA.v0 - 25.0)
+        line = LineMap(WorldPoint(0.0, 0.0, 0.0), WorldPoint(1.0, 0.0, 0.0))
+        cases = {
+            EndpointsCoincide: (center, PixelPoint(CAMERA.u0, CAMERA.v0), downward_pose()),
+            # Optical axis parallel to the floor: the central ray never meets it.
+            RayParallelToGround: (center, off_center, downward_pose(tilt=math.pi / 2)),
+            # Looking up from height 1 (R = I exactly): every ray meets the
+            # floor at depth -1.
+            PointBehindCamera: (off_center, center, ViewExtrinsics(np.zeros(3), np.array([0.0, 0.0, 1.0]))),
+            # A camera 1e-6 above the floor: points 0.05 px apart land 1e-10 apart.
+            DegenerateLine: (
+                center,
+                PixelPoint(CAMERA.u0 + 0.05, CAMERA.v0),
+                downward_pose(tilt=0.3, position=(0.0, 0.0, 1e-6)),
+            ),
+        }
+        for error, (obs_a, obs_b, pose) in cases.items():
+            for both in (False, True):
+                args = (line, obs_a, obs_b, CAMERA, WARPS[model], pose, both)
+                got = self.raised(localize, *args)
+                assert got == self.raised(oracles.localize, *args)
+                assert got[0] is error
+
+
+def test_fix_translation_is_read_only():
+    rng = np.random.default_rng(81)
+    line, pose1, _, _, obs_a, obs_b = synthesize_case(rng)
+    fix = localize(line, obs_a, obs_b, CAMERA, WARP, pose1)
+    with pytest.raises(ValueError, match="read-only"):
+        fix.t1[0] = 0.0
