@@ -44,7 +44,6 @@ import numpy as np  # noqa: E402
 
 from bench_undistort import machine_info, summary  # noqa: E402
 from radialcal.calibration import (  # noqa: E402
-    _linear_stage,
     _normal_equations,
     _pack_params,
     _residuals_and_blocks,
@@ -52,6 +51,7 @@ from radialcal.calibration import (  # noqa: E402
     _Start,
     calibrate,
     init_distortion,
+    linear_stage,
     refine,
 )
 from radialcal.distortion import DistortionSpec, Model  # noqa: E402
@@ -76,8 +76,8 @@ def scene(n_views: int):
     return generate_scene(SynthSpec(seed=SEED, n_views=n_views, **SCENE))[0]
 
 
-def linear_stage(corr):
-    stage = _linear_stage(corr)
+def linear_start(corr):
+    stage = linear_stage(corr)
     spec0 = init_distortion(stage.corr, stage.intrinsics, stage.poses, MODEL)
     return stage, _Start(stage.intrinsics, spec0, stage.poses)
 
@@ -99,7 +99,7 @@ class Case:
     def __init__(self, n_views: int):
         self.n_views = n_views
         self.corr = corr = scene(n_views)
-        stage, init = linear_stage(corr)
+        stage, init = linear_start(corr)
         self.fit = fit = refine(stage.corr, init)
         theta = _pack_params(fit.intrinsics, fit.distortion, fit.extrinsics)
         blocks = _residuals_and_blocks(theta, stage.corr, MODEL)
@@ -108,7 +108,7 @@ class Case:
             "jacobian_eval_ms": (1e3, lambda: _residuals_and_blocks(theta, stage.corr, MODEL)),
             "normal_equations_step_ms": (1e3, lambda: normal_equations_step(blocks, stage.corr.offsets)),
             "refine_ms_per_iter": (1e3 / fit.n_iterations, lambda: refine(stage.corr, init)),
-            "linear_stage_ms": (1e3, lambda: linear_stage(corr)),
+            "linear_stage_ms": (1e3, lambda: linear_start(corr)),
             "calibrate_s": (1.0, lambda: calibrate(corr, MODEL)),
         }
         self.times = {name: [] for name in self.stages}

@@ -56,9 +56,9 @@ import bench_undistort  # noqa: E402
 from radialcal.calibration import (  # noqa: E402
     CalibrationView,
     CorrespondenceSet,
-    _linear_stage,
     calibrate,
     compare_models,
+    linear_stage,
 )
 from radialcal.distortion import DistortionSpec, Model, undistort_array  # noqa: E402
 from radialcal.geometry import PixelPoint, ViewExtrinsics, WorldPoint  # noqa: E402
@@ -97,10 +97,10 @@ def fit_record(result) -> dict:
 
 
 def linear_record(corr) -> dict:
-    stage = _linear_stage(corr)
+    stage = linear_stage(corr)
     A = stage.intrinsics
     return {
-        "dropped": list(stage.dropped),
+        "dropped": [view_id for view_id, _ in stage.dropped],
         "params": [float(x) for x in (A.alpha, A.beta, A.gamma, A.u0, A.v0, *stage.poses.ravel())],
     }
 

@@ -9,10 +9,7 @@ from .calibration import (
     OptimizerOptions,
     calibrate,
     compare_models,
-    estimate_homography,
-    extrinsics_from_homography,
     init_distortion,
-    intrinsics_from_homographies,
     objective,
     project,
     refine,
@@ -28,8 +25,6 @@ from .distortion import (
     warp_factor,
 )
 from .geometry import (
-    AbsoluteConic,
-    Homography,
     IntrinsicMatrix,
     NormalizedPoint,
     PixelPoint,
@@ -44,13 +39,11 @@ from .synth import PoseRanges, SceneTruth, SynthSpec, generate_scene
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbsoluteConic",
     "CalibrationResult",
     "CalibrationView",
     "ComparisonReport",
     "CorrespondenceSet",
     "DistortionSpec",
-    "Homography",
     "IntrinsicMatrix",
     "LineMap",
     "LocalizationFix",
@@ -67,12 +60,9 @@ __all__ = [
     "calibrate",
     "compare_models",
     "distort_normalized",
-    "estimate_homography",
-    "extrinsics_from_homography",
     "generate_scene",
     "init_distortion",
     "intersect_ground",
-    "intrinsics_from_homographies",
     "localize",
     "objective",
     "project",

@@ -26,12 +26,12 @@ damped step is solved by the Schur complement on the shared block, so one
 LM iteration costs time and memory linear in the number of views. One
 ``refine`` allocates those rows once and every evaluation writes into them.
 
-The linear stage also runs over all views at once, on the stacked points of
-``CorrespondenceSet``: the views are grouped by point count, each group's
-DLT designs are solved as one stack, and the conic rows, the Procrustes
-rotations and their axis-angles are batched; the poses reach the LM as one
-``(v, 6)`` array. The public one-view functions (``estimate_homography``,
-``extrinsics_from_homography``) call the same kernels.
+The linear stage, ``linear_stage``, also runs over all views at once, on the
+stacked points of ``CorrespondenceSet``: the views are grouped by point
+count, each group's DLT designs are solved as one stack, and the conic rows,
+the Procrustes rotations and their axis-angles are batched; the poses reach
+the LM as one ``(v, 6)`` array. A view without a homography is dropped, and
+the stage returns each dropped view's id with the reason.
 """
 
 from __future__ import annotations
@@ -53,16 +53,13 @@ from .distortion import (
     warp_slope,
 )
 from .geometry import (
-    AbsoluteConic,
     DepthNotPositive,
-    Homography,
     IntrinsicMatrix,
     InvalidParameters,
     PixelPoint,
     ViewExtrinsics,
     WorldPoint,
     axis_angles_from_rotations,
-    canonical_homographies,
     to_pixel_array,
 )
 
@@ -244,8 +241,9 @@ def _homographies(world_xy: np.ndarray, pixels: np.ndarray) -> tuple[np.ndarray,
 
     Returns each view's homography ``(k, 3, 3)``, not yet canonical, and for
     each view None or why it has none: fewer than four points, (nearly)
-    coincident points, or a rank-deficient design matrix (collinear points).
-    The matrix of a view without a homography means nothing.
+    coincident points, a rank-deficient design matrix (collinear points), or
+    a singular homography (collinear pixels of points that are not). The
+    matrix of a view without a homography means nothing.
     """
     k, m, _ = world_xy.shape
     if m < 4:
@@ -271,25 +269,28 @@ def _homographies(world_xy: np.ndarray, pixels: np.ndarray) -> tuple[np.ndarray,
     _, sv, vt = np.linalg.svd(design)
     rank_deficient = sv[:, 7] < 1e-10 * sv[:, 0]
     H = np.linalg.inv(Tp) @ vt[:, -1].reshape(k, 3, 3) @ Tw
+    singular = np.linalg.matrix_rank(H) < 3
     reasons = [
         "points are (nearly) coincident" if coincident
         else "design matrix is rank-deficient (collinear points?)" if deficient
+        else "homography is singular (collinear pixels?)" if degenerate
         else None
-        for coincident, deficient in zip(world_coincident | pixels_coincident, rank_deficient)
+        for coincident, deficient, degenerate in zip(world_coincident | pixels_coincident, rank_deficient, singular)
     ]
     return H, reasons
 
 
-def estimate_homography(view: CalibrationView) -> Homography:
-    """Least-squares plane-to-image homography by normalized DLT.
-
-    Raises DegenerateConfiguration for fewer than four points or a
-    rank-deficient design matrix (collinear/coincident configurations).
-    """
-    H, (reason,) = _homographies(view.world_xy[None], view.pixels[None])
-    if reason is not None:
-        raise DegenerateConfiguration(reason)
-    return Homography(H[0])
+def _canonical_homographies(H: np.ndarray) -> np.ndarray:
+    """Each homography of a ``(k, 3, 3)`` stack of rank 3, scaled to unit
+    Frobenius norm and signed so that its bottom-right entry (or, where that
+    is zero, its largest entry) is positive: maps equal up to scale become
+    identical."""
+    H = H / np.linalg.norm(H, axis=(1, 2))[:, None, None]
+    flat = H.reshape(len(H), 9)
+    anchor = flat[:, 8]
+    largest = flat[np.arange(len(H)), np.argmax(np.abs(flat), axis=1)]
+    anchor = np.where(anchor == 0.0, largest, anchor)
+    return np.where(anchor[:, None, None] < 0.0, -H, H)
 
 
 def _conic_rows(H: np.ndarray) -> np.ndarray:
@@ -313,9 +314,9 @@ def _conic_rows(H: np.ndarray) -> np.ndarray:
     return np.stack([v(0, 1), v(0, 0) - v(1, 1)], axis=1)
 
 
-def intrinsics_from_conic(conic: AbsoluteConic) -> IntrinsicMatrix:
-    """Closed-form extraction of the five intrinsics from ``B ~ A^-T A^-1``."""
-    B = conic.matrix
+def intrinsics_from_conic(B: np.ndarray) -> IntrinsicMatrix:
+    """Closed-form extraction of the five intrinsics from the symmetric
+    ``3x3`` ``B ~ A^-T A^-1`` (the image of the absolute conic), up to sign."""
     if B[0, 0] < 0.0:
         B = -B
     b11, b12, b22 = B[0, 0], B[0, 1], B[1, 1]
@@ -335,7 +336,14 @@ def intrinsics_from_conic(conic: AbsoluteConic) -> IntrinsicMatrix:
 
 
 def _intrinsics(H: np.ndarray) -> IntrinsicMatrix:
-    """intrinsics_from_homographies on a ``(k, 3, 3)`` stack."""
+    """The intrinsics from a ``(k, 3, 3)`` stack of homographies of at least
+    three non-parallel plane views.
+
+    Stacks both conic constraints per homography and solves the homogeneous
+    least-squares problem for the six distinct entries of B. Raises
+    SingularConfiguration when the constraints do not determine B (for
+    example mutually parallel target planes) or B is not definite.
+    """
     if len(H) < 3:
         raise SingularConfiguration(f"intrinsics need at least 3 views, got {len(H)}")
     _, sv, vt = np.linalg.svd(_conic_rows(H).reshape(-1, 6), full_matrices=False)
@@ -352,20 +360,7 @@ def _intrinsics(H: np.ndarray) -> IntrinsicMatrix:
             [b[3], b[4], b[5]],
         ]
     )
-    return intrinsics_from_conic(AbsoluteConic(B))
-
-
-def intrinsics_from_homographies(
-    homographies: Sequence[Homography],
-) -> IntrinsicMatrix:
-    """Estimate the intrinsics from at least three non-parallel plane views.
-
-    Stacks both conic constraints per homography and solves the homogeneous
-    least-squares problem for the six distinct entries of B. Raises
-    SingularConfiguration when the constraints do not determine B (for
-    example mutually parallel target planes) or B is not definite.
-    """
-    return _intrinsics(np.array([H.matrix for H in homographies]).reshape(-1, 3, 3))
+    return intrinsics_from_conic(B)
 
 
 def _poses_from_homographies(H: np.ndarray, A: IntrinsicMatrix) -> np.ndarray:
@@ -397,13 +392,6 @@ def _poses_from_homographies(H: np.ndarray, A: IntrinsicMatrix) -> np.ndarray:
     rotation = ((u * flip) @ vt).transpose(0, 2, 1)
     center = -(rotation @ t[:, :, None])[:, :, 0]
     return np.concatenate([axis_angles_from_rotations(rotation), center], axis=1)
-
-
-def extrinsics_from_homography(H: Homography, A: IntrinsicMatrix) -> ViewExtrinsics:
-    """Recover a view's pose from its homography and known intrinsics
-    (the one-view _poses_from_homographies)."""
-    pose = _poses_from_homographies(H.matrix[None], A)[0]
-    return ViewExtrinsics(pose[:3], pose[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -908,19 +896,22 @@ def refine(
 
 
 @dataclass(frozen=True)
-class _LinearStage:
+class LinearStage:
+    """The linear start of a calibration, and the views it could not use."""
+
     corr: CorrespondenceSet  # the views kept
     intrinsics: IntrinsicMatrix
     poses: np.ndarray  # (v, 6) each kept view's [w, t]
-    dropped: tuple[int, ...]
+    dropped: tuple[tuple[int, str], ...]  # (view id, reason) of each view dropped
 
 
-def _linear_stage(corr: CorrespondenceSet) -> _LinearStage:
+def linear_stage(corr: CorrespondenceSet) -> LinearStage:
     """Homographies, intrinsics and poses of all views in one batched pass.
 
     The views are grouped by point count, and each group's DLT designs are
     solved as one stack. A view without a homography is dropped with a
-    warning; fewer than three kept views raise DegenerateConfiguration.
+    warning, and ``dropped`` holds its id and the reason; fewer than three
+    kept views raise DegenerateConfiguration.
     """
     counts = np.diff(corr.offsets)
     H = np.empty((corr.n_views, 3, 3))
@@ -932,20 +923,18 @@ def _linear_stage(corr: CorrespondenceSet) -> _LinearStage:
         H[group], why = _homographies(world_xy, np.take(corr.pixels, rows, axis=0))
         for k, reason in zip(group.tolist(), why):
             reasons[k] = reason
-    dropped = []
-    for view, reason in zip(corr.views, reasons):
-        if reason is not None:
-            dropped.append(view.view_id)
-            warnings.warn(f"dropping view {view.view_id}: {reason}", RuntimeWarning, stacklevel=3)
+    dropped = tuple((view.view_id, reason) for view, reason in zip(corr.views, reasons) if reason is not None)
+    for view_id, reason in dropped:
+        warnings.warn(f"dropping view {view_id}: {reason}", RuntimeWarning, stacklevel=3)
     kept = [k for k, reason in enumerate(reasons) if reason is None]
     if len(kept) < 3:
         raise DegenerateConfiguration(
             f"calibration needs at least 3 usable views, got {len(kept)}"
         )
     corr_kept = CorrespondenceSet(tuple(corr.views[k] for k in kept)) if dropped else corr
-    H = canonical_homographies(H[kept])
+    H = _canonical_homographies(H[kept])
     A = _intrinsics(H)
-    return _LinearStage(corr_kept, A, _poses_from_homographies(H, A), tuple(dropped))
+    return LinearStage(corr_kept, A, _poses_from_homographies(H, A), dropped)
 
 
 def calibrate(
@@ -954,7 +943,7 @@ def calibrate(
     opts: OptimizerOptions = OptimizerOptions(),
 ) -> CalibrationResult:
     """Full pipeline: linear estimation, distortion guess, then refinement."""
-    stage = _linear_stage(corr)
+    stage = linear_stage(corr)
     spec0 = init_distortion(stage.corr, stage.intrinsics, stage.poses, model)
     return refine(stage.corr, _Start(stage.intrinsics, spec0, stage.poses), opts)
 
@@ -969,7 +958,7 @@ def compare_models(
     and poses are shared); a model that fails is reported inline without
     stopping the others.
     """
-    stage = _linear_stage(corr)
+    stage = linear_stage(corr)
     entries = []
     for model in (Model.MODEL1, Model.MODEL2, Model.MODEL3):
         try:

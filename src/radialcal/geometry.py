@@ -1,4 +1,4 @@
-"""Pinhole projection geometry: value types, intrinsics, extrinsics, homographies.
+"""Pinhole projection geometry: value types, intrinsics, extrinsics.
 
 Conventions used throughout the package:
 
@@ -14,7 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -203,14 +203,6 @@ def axis_angles_from_rotations(R: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return w
 
 
-def axis_angle_from_rotation(R: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """axis_angles_from_rotations of one ``(3, 3)`` rotation."""
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        raise ValueError("rotation matrix must be 3x3")
-    return axis_angles_from_rotations(R[None], tol)[0]
-
-
 @dataclass(frozen=True)
 class ViewExtrinsics:
     """Camera pose for one view: axis-angle rotation plus camera center.
@@ -234,7 +226,8 @@ class ViewExtrinsics:
 
     @classmethod
     def from_rotation(cls, R: np.ndarray, t: np.ndarray) -> "ViewExtrinsics":
-        return cls(axis_angle_from_rotation(R), np.asarray(t, dtype=float))
+        w = axis_angles_from_rotations(np.asarray(R, dtype=float)[None])[0]
+        return cls(w, np.asarray(t, dtype=float))
 
     @classmethod
     def from_world_to_camera(cls, R: np.ndarray, t: np.ndarray) -> "ViewExtrinsics":
@@ -247,65 +240,6 @@ class ViewExtrinsics:
         """Return ``(R, t)`` such that ``P_c = R P_w + t``."""
         R = self.rotation
         return R.T.copy(), -R.T @ self.t
-
-
-@dataclass(frozen=True)
-class Homography:
-    """3x3 plane-to-image map, canonicalized to unit Frobenius norm.
-
-    The sign is fixed by requiring a positive bottom-right entry, so equal
-    up-to-scale inputs produce identical stored matrices.
-    """
-
-    matrix: np.ndarray = field()
-
-    def __post_init__(self) -> None:
-        H = np.asarray(self.matrix, dtype=float)
-        if H.shape != (3, 3):
-            raise ValueError("homography must be 3x3")
-        H = canonical_homographies(H[None])[0]
-        H.setflags(write=False)
-        object.__setattr__(self, "matrix", H)
-
-
-def canonical_homographies(H: np.ndarray) -> np.ndarray:
-    """Homography's canonical form for each map of a ``(k, 3, 3)`` stack.
-
-    Raises ValueError when an entry is not finite or a map has rank below 3.
-    """
-    if not np.all(np.isfinite(H)):
-        raise ValueError("homography entries must be finite")
-    norm = np.linalg.norm(H, axis=(1, 2))
-    if np.any(norm == 0.0) or np.any(np.linalg.matrix_rank(H) < 3):
-        raise ValueError("homography must have rank 3")
-    H = H / norm[:, None, None]
-    flat = H.reshape(len(H), 9)
-    anchor = flat[:, 8]
-    largest = flat[np.arange(len(H)), np.argmax(np.abs(flat), axis=1)]
-    anchor = np.where(anchor == 0.0, largest, anchor)
-    return np.where(anchor[:, None, None] < 0.0, -H, H)
-
-
-@dataclass(frozen=True)
-class AbsoluteConic:
-    """Symmetric matrix ``B = A^-T A^-1`` whose entries encode the intrinsics."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        B = np.asarray(self.matrix, dtype=float)
-        if B.shape != (3, 3):
-            raise ValueError("conic matrix must be 3x3")
-        if np.max(np.abs(B - B.T)) > 1e-12 * max(1.0, float(np.max(np.abs(B)))):
-            raise ValueError("conic matrix must be symmetric")
-        B = (B + B.T) / 2.0
-        B.setflags(write=False)
-        object.__setattr__(self, "matrix", B)
-
-    @classmethod
-    def from_intrinsics(cls, A: IntrinsicMatrix) -> "AbsoluteConic":
-        G = A.inverse_matrix
-        return cls(G.T @ G)
 
 
 def to_pixel(n: NormalizedPoint, A: IntrinsicMatrix) -> PixelPoint:

@@ -9,8 +9,10 @@ two views of the calibration Jacobian that the finite-difference tests
 check: a rotated point's derivative from the library's per-view rotation
 blocks, and the dense matrix scattered from the per-point rows and the
 per-view pose maps. The linear calibration stage is also here one view at
-a time, with the scalar inverse Rodrigues map, as the batched stage's
-oracle; it shares only the closed-form intrinsics_from_conic with it. The
+a time, with the scalar inverse Rodrigues map and a scalar canonical form
+of the homography, as the oracle of the library's batched linear_stage and
+its kernels; it shares only the closed-form intrinsics_from_conic with
+them, which the round trip through conic_from_intrinsics checks. The
 ground-line fix is here in numpy matrix algebra, as the oracle of the
 library's float arithmetic; it shares the undistortion, the signed angle
 between the segments and the exception types with it.
@@ -29,7 +31,7 @@ from radialcal.calibration import (
     _rotation_blocks,
     intrinsics_from_conic,
 )
-from radialcal.geometry import AbsoluteConic, WorldPoint, to_normalized
+from radialcal.geometry import WorldPoint, to_normalized
 from radialcal.cubic import CubicCoeffs, NoRealSolution, real_roots
 from radialcal.distortion import undistort
 from radialcal.localize import (
@@ -252,9 +254,16 @@ def _conditioning_transform(pts: np.ndarray) -> np.ndarray:
     return np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
 
 
+def canonical(H: np.ndarray) -> np.ndarray:
+    """H at unit Frobenius norm, with a positive bottom-right entry, or where
+    that is zero a positive largest entry."""
+    H = H / np.linalg.norm(H)
+    anchor = H[2, 2] if H[2, 2] != 0.0 else H.flat[np.argmax(np.abs(H))]
+    return -H if anchor < 0.0 else H
+
+
 def homography(world_xy: np.ndarray, pixels: np.ndarray) -> np.ndarray:
-    """One view's normalized DLT, canonical: unit Frobenius norm and a
-    positive bottom-right entry."""
+    """One view's normalized DLT, canonical."""
     n = len(world_xy)
     if n < 4:
         raise DegenerateConfiguration(f"homography estimation needs at least 4 points, got {n}")
@@ -274,8 +283,9 @@ def homography(world_xy: np.ndarray, pixels: np.ndarray) -> np.ndarray:
     if sv[7] < 1e-10 * sv[0]:
         raise DegenerateConfiguration("design matrix is rank-deficient (collinear points?)")
     H = np.linalg.inv(Tp) @ vt[-1].reshape(3, 3) @ Tw
-    H = H / np.linalg.norm(H)
-    return -H if H[2, 2] < 0.0 else H
+    if np.linalg.matrix_rank(H) < 3:
+        raise DegenerateConfiguration("homography is singular (collinear pixels?)")
+    return canonical(H)
 
 
 def _conic_rows(H: np.ndarray) -> np.ndarray:
@@ -305,7 +315,13 @@ def intrinsics(homographies: list[np.ndarray]):
         )
     b = vt[-1]
     B = np.array([[b[0], b[1], b[3]], [b[1], b[2], b[4]], [b[3], b[4], b[5]]])
-    return intrinsics_from_conic(AbsoluteConic(B))
+    return intrinsics_from_conic(B)
+
+
+def conic_from_intrinsics(A) -> np.ndarray:
+    """The image of the absolute conic, ``B = A^-T A^-1``."""
+    G = A.inverse_matrix
+    return G.T @ G
 
 
 def pose(H: np.ndarray, A) -> np.ndarray:
@@ -323,7 +339,8 @@ def pose(H: np.ndarray, A) -> np.ndarray:
 
 
 def linear_stage(corr):
-    """The linear stage one view at a time: ``(A, poses (v, 6), dropped ids)``.
+    """The linear stage one view at a time: ``(A, poses (v, 6), dropped)``,
+    where dropped holds ``(view id, reason)`` pairs.
 
     A view whose homography fails is dropped with the warning ``dropping
     view ID: REASON``; fewer than three kept views raise
@@ -334,7 +351,7 @@ def linear_stage(corr):
         try:
             kept.append(homography(view.world_xy, view.pixels))
         except DegenerateConfiguration as exc:
-            dropped.append(view.view_id)
+            dropped.append((view.view_id, str(exc)))
             warnings.warn(f"dropping view {view.view_id}: {exc}", RuntimeWarning)
     if len(kept) < 3:
         raise DegenerateConfiguration(f"calibration needs at least 3 usable views, got {len(kept)}")

@@ -13,20 +13,21 @@ from radialcal.calibration import (
     OptimizerOptions,
     SingularConfiguration,
     _build_result,
+    _canonical_homographies,
     _forward,
-    _linear_stage,
+    _homographies,
+    _intrinsics,
     _normal_equations,
     _pack_params,
+    _poses_from_homographies,
     _residuals_and_blocks,
     _schur_step,
     _unpack_params,
     calibrate,
     compare_models,
-    estimate_homography,
-    extrinsics_from_homography,
     init_distortion,
     intrinsics_from_conic,
-    intrinsics_from_homographies,
+    linear_stage,
     objective,
     objective_gradient,
     project_views,
@@ -34,9 +35,7 @@ from radialcal.calibration import (
 )
 from radialcal.distortion import DistortionSpec, Model
 from radialcal.geometry import (
-    AbsoluteConic,
     DepthNotPositive,
-    Homography,
     IntrinsicMatrix,
     InvalidParameters,
     ViewExtrinsics,
@@ -88,36 +87,101 @@ def grid_xy(n=6, spacing=0.2):
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-class TestEstimateHomography:
+def homography(view):
+    """The canonical homography of one view by the batched kernels, or
+    DegenerateConfiguration naming why it has none."""
+    H, (reason,) = _homographies(view.world_xy[None], view.pixels[None])
+    if reason is not None:
+        raise DegenerateConfiguration(reason)
+    return _canonical_homographies(H)[0]
+
+
+def oracle_homography(view):
+    return oracles.homography(view.world_xy, view.pixels)
+
+
+def same_error(fn, oracle, *args):
+    """fn and its oracle raise the same error type with the same message."""
+    with pytest.raises(ValueError) as got:
+        fn(*args)
+    with pytest.raises(ValueError) as want:
+        oracle(*args)
+    assert got.type is want.type
+    assert str(got.value) == str(want.value)
+    return got.value
+
+
+def assert_intrinsics_close(got, want, rel):
+    for name in ("alpha", "beta", "gamma", "u0", "v0"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert abs(a - b) <= rel * max(1.0, abs(b)), name
+
+
+class TestHomographies:
     def test_identity_mapping(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        H = estimate_homography(CalibrationView(0, pts, pts.copy()))
-        assert np.allclose(H.matrix, np.eye(3) / math.sqrt(3.0), atol=1e-12)
+        H = homography(CalibrationView(0, pts, pts.copy()))
+        assert np.allclose(H, np.eye(3) / math.sqrt(3.0), atol=1e-12)
+        assert np.max(np.abs(H - oracles.homography(pts, pts))) <= 1e-12
 
     def test_matches_pose_construction(self):
         A = IntrinsicMatrix(832.5, 832.5, 0.2, 303.96, 206.59)
         R = rot_x(0.3) @ rot_y(-0.2)
         t = np.array([0.05, -0.1, 1.2])
         view = view_from_pose(grid_xy(), A, R, t)
-        H = estimate_homography(view)
-        expected = Homography(A.matrix @ np.column_stack([R[:, 0], R[:, 1], t]))
-        assert np.max(np.abs(H.matrix - expected.matrix)) < 1e-8
+        H = homography(view)
+        expected = oracles.canonical(A.matrix @ np.column_stack([R[:, 0], R[:, 1], t]))
+        assert np.max(np.abs(H - expected)) < 1e-8
+        assert np.max(np.abs(H - oracles.homography(view.world_xy, view.pixels))) <= 1e-12
 
     def test_collinear_points_raise(self):
         world = np.column_stack([np.linspace(0, 1, 8), np.linspace(0, 2, 8)])
-        pixels = world * 100.0 + 5.0
-        with pytest.raises(DegenerateConfiguration):
-            estimate_homography(CalibrationView(0, world, pixels))
+        view = CalibrationView(0, world, world * 100.0 + 5.0)
+        error = same_error(homography, oracle_homography, view)
+        assert "rank-deficient" in str(error)
+
+    def test_collinear_pixels_raise(self):
+        # The design matrix has full rank, since the points are not collinear;
+        # the homography that solves it is singular. Only that view of a
+        # stack gets the reason.
+        pts = grid_xy()
+        flat = np.column_stack([pts[:, 0], 100.0 + 0.5 * pts[:, 0]])
+        _, reasons = _homographies(np.stack([pts, pts]), np.stack([pts * 50.0, flat]))
+        assert reasons == [None, "homography is singular (collinear pixels?)"]
+        with pytest.raises(DegenerateConfiguration, match=r"^homography is singular \(collinear pixels\?\)$"):
+            oracles.homography(pts, flat)
 
     def test_too_few_points_raise(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(DegenerateConfiguration):
-            estimate_homography(CalibrationView(0, pts, pts.copy()))
+        view = CalibrationView(0, pts, pts.copy())
+        same_error(homography, oracle_homography, view)
+
+
+class TestCanonicalHomographies:
+    def test_canonical_scale(self):
+        (H,) = _canonical_homographies(np.diag([2.0, 2.0, 2.0])[None])
+        assert math.isclose(np.linalg.norm(H), 1.0, rel_tol=1e-15)
+        assert H[2, 2] > 0
+
+    def test_scale_and_sign_invariance(self):
+        M = np.array([[1.0, 0.2, 3.0], [-0.1, 0.9, 1.0], [0.01, -0.02, 1.0]])
+        H, H_scaled = _canonical_homographies(np.stack([M, -3.7 * M]))
+        assert np.allclose(H, H_scaled, atol=1e-15)
+
+    def test_stack_is_canonical_row_by_row(self):
+        # A zero bottom-right entry takes the sign of the largest entry.
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(4, 3, 3))
+        stack[1, 2, 2] = 0.0
+        stack[2] *= -7.0
+        got = _canonical_homographies(stack)
+        for row, M in zip(got, stack):
+            assert np.max(np.abs(row - oracles.canonical(M))) <= 1e-15
 
 
 class TestIntrinsicsFromConic:
     def test_identity_conic(self):
-        A = intrinsics_from_conic(AbsoluteConic(np.eye(3)))
+        A = intrinsics_from_conic(np.eye(3))
         assert (A.alpha, A.beta, A.gamma, A.u0, A.v0) == (1.0, 1.0, 0.0, 0.0, 0.0)
 
     def test_round_trip_random_intrinsics(self):
@@ -130,22 +194,20 @@ class TestIntrinsicsFromConic:
                 rng.uniform(0, 600),
                 rng.uniform(0, 600),
             )
+            B = oracles.conic_from_intrinsics(A)
+            np.linalg.cholesky(B)  # positive definite, else it raises
             scale = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
-            conic = AbsoluteConic(scale * AbsoluteConic.from_intrinsics(A).matrix)
-            back = intrinsics_from_conic(conic)
-            for name in ("alpha", "beta", "gamma", "u0", "v0"):
-                want, got = getattr(A, name), getattr(back, name)
-                assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+            assert_intrinsics_close(intrinsics_from_conic(scale * B), A, 1e-9)
 
     def test_indefinite_conic_raises(self):
         with pytest.raises(SingularConfiguration):
-            intrinsics_from_conic(AbsoluteConic(np.diag([1.0, -1.0, 1.0])))
+            intrinsics_from_conic(np.diag([1.0, -1.0, 1.0]))
 
 
-class TestIntrinsicsFromHomographies:
+class TestIntrinsics:
     def _homographies(self, A, poses):
         views = [view_from_pose(grid_xy(), A, R, t, i) for i, (R, t) in enumerate(poses)]
-        return [estimate_homography(v) for v in views]
+        return np.array([homography(v) for v in views])
 
     def test_recovers_known_intrinsics(self):
         A = IntrinsicMatrix(832.5, 832.5, 0.2, 303.96, 206.59)
@@ -154,38 +216,47 @@ class TestIntrinsicsFromHomographies:
             (rot_y(0.4), np.array([0.1, -0.1, 1.4])),
             (rot_x(-0.25) @ rot_y(0.2), np.array([-0.1, 0.05, 1.1])),
         ]
-        got = intrinsics_from_homographies(self._homographies(A, poses))
-        for name in ("alpha", "beta", "gamma", "u0", "v0"):
-            want = getattr(A, name)
-            assert abs(getattr(got, name) - want) <= 1e-6 * max(1.0, abs(want))
+        H = self._homographies(A, poses)
+        got = _intrinsics(H)
+        assert_intrinsics_close(got, A, 1e-6)
+        assert_intrinsics_close(got, oracles.intrinsics(list(H)), 1e-12)
 
     def test_parallel_planes_are_singular(self):
         A = IntrinsicMatrix(800.0, 800.0, 0.0, 320.0, 240.0)
         R = rot_x(0.3)
         poses = [(R, np.array([dx, 0.0, 1.2 + dz])) for dx, dz in ((0, 0), (0.2, 0.1), (-0.1, 0.3))]
-        with pytest.raises(SingularConfiguration):
-            intrinsics_from_homographies(self._homographies(A, poses))
+        H = self._homographies(A, poses)
+        error = same_error(lambda H: _intrinsics(H), lambda H: oracles.intrinsics(list(H)), H)
+        assert isinstance(error, SingularConfiguration)
 
     def test_needs_three_views(self):
         A = IntrinsicMatrix(800.0, 800.0, 0.0, 320.0, 240.0)
         poses = [(rot_x(0.3), np.array([0.0, 0.0, 1.2])), (rot_y(0.2), np.array([0.0, 0.0, 1.3]))]
-        with pytest.raises(SingularConfiguration):
-            intrinsics_from_homographies(self._homographies(A, poses))
+        H = self._homographies(A, poses)
+        error = same_error(lambda H: _intrinsics(H), lambda H: oracles.intrinsics(list(H)), H)
+        assert isinstance(error, SingularConfiguration)
 
 
-class TestExtrinsicsFromHomography:
+def pose_of(H, A):
+    """_poses_from_homographies on one homography, checked against the oracle
+    to 1e-12, as ViewExtrinsics."""
+    pose = _poses_from_homographies(H[None], A)[0]
+    want = oracles.pose(H, A)
+    assert np.max(np.abs(pose - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+    return ViewExtrinsics(pose[:3], pose[3:])
+
+
+class TestPosesFromHomographies:
     def test_homography_equal_to_intrinsics(self):
         # H = A means R = I, t = e_z in the projection form.
         A = IntrinsicMatrix(832.5, 830.7, 0.2, 303.96, 206.59)
-        E = extrinsics_from_homography(Homography(A.matrix), A)
-        R, t = E.world_to_camera()
+        R, t = pose_of(A.matrix, A).world_to_camera()
         assert np.max(np.abs(R - np.eye(3))) < 1e-10
         assert np.max(np.abs(t - np.array([0.0, 0.0, 1.0]))) < 1e-10
 
     def test_sign_flip_gives_same_pose(self):
         A = IntrinsicMatrix(832.5, 830.7, 0.2, 303.96, 206.59)
-        E1 = extrinsics_from_homography(Homography(A.matrix), A)
-        E2 = extrinsics_from_homography(Homography(-A.matrix), A)
+        E1, E2 = pose_of(A.matrix, A), pose_of(-A.matrix, A)
         assert np.allclose(E1.rotation, E2.rotation, atol=1e-14)
         assert np.allclose(E1.t, E2.t, atol=1e-14)
 
@@ -193,8 +264,7 @@ class TestExtrinsicsFromHomography:
         A = IntrinsicMatrix(800.0, 790.0, 0.3, 310.0, 230.0)
         R = rot_x(0.35) @ rot_y(-0.15)
         t = np.array([0.12, -0.07, 1.3])
-        H = estimate_homography(view_from_pose(grid_xy(), A, R, t))
-        E = extrinsics_from_homography(H, A)
+        E = pose_of(homography(view_from_pose(grid_xy(), A, R, t)), A)
         R_got, t_got = E.world_to_camera()
         assert np.max(np.abs(R_got - R)) < 1e-8
         assert np.max(np.abs(t_got - t)) < 1e-8
@@ -206,8 +276,7 @@ class TestExtrinsicsFromHomography:
         t = np.array([0.0, 0.1, 1.2])
         view = view_from_pose(grid_xy(8), A, R, t)
         noisy = CalibrationView(0, view.world_xy, view.pixels + rng.normal(0, 0.5, view.pixels.shape))
-        E = extrinsics_from_homography(estimate_homography(noisy), A)
-        R_got, _ = E.world_to_camera()
+        R_got, _ = pose_of(homography(noisy), A).world_to_camera()
         assert np.max(np.abs(R_got.T @ R_got - np.eye(3))) < 1e-12
         # rotation error stays small for half-pixel noise on a 64-point grid
         angle = math.acos(min(1.0, (np.trace(R_got.T @ R) - 1.0) / 2.0))
@@ -216,7 +285,8 @@ class TestExtrinsicsFromHomography:
 
 def linear_scene():
     """Views of 4, 9 and 64 points (ids 7, 2, 40), plus a collinear view (31),
-    one whose pixels coincide (5) and one of two points (11)."""
+    one whose pixels coincide (5), one of two points (11) and one whose
+    pixels lie on a line though its points do not (23)."""
     corr, _ = make_scene(46, grid_nx=8, grid_ny=8, noise_sigma=0.5, n_views=6)
     v = corr.views
     corners = [0, 7, 56, 63]
@@ -229,6 +299,7 @@ def linear_scene():
         CalibrationView(40, v[3].world_xy, v[3].pixels),
         CalibrationView(5, v[4].world_xy, np.tile(v[4].pixels[:1], (64, 1))),
         CalibrationView(11, v[5].world_xy[:2], v[5].pixels[:2]),
+        CalibrationView(23, v[5].world_xy, np.column_stack([v[5].pixels[:, 0], 100.0 + 0.5 * v[5].pixels[:, 0]])),
     )
     return CorrespondenceSet(views)
 
@@ -247,15 +318,17 @@ def warned(fn, *args):
 class TestLinearStage:
     def test_matches_the_per_view_stage(self):
         corr = linear_scene()
-        stage, messages = warned(_linear_stage, corr)
+        stage, messages = warned(linear_stage, corr)
         (A, poses, dropped), want_messages = warned(oracles.linear_stage, corr)
         assert messages == want_messages
         assert messages == [
             "dropping view 31: design matrix is rank-deficient (collinear points?)",
             "dropping view 5: points are (nearly) coincident",
             "dropping view 11: homography estimation needs at least 4 points, got 2",
+            "dropping view 23: homography is singular (collinear pixels?)",
         ]
-        assert stage.dropped == dropped == (31, 5, 11)
+        assert stage.dropped == dropped
+        assert [f"dropping view {i}: {reason}" for i, reason in stage.dropped] == messages
         assert stage.corr.view_ids == (7, 2, 40)
         assert stage.poses.shape == poses.shape == (3, 6)
         got = _pack_params(stage.intrinsics, DistortionSpec(Model.MODEL2, 0.0), stage.poses)
@@ -273,7 +346,7 @@ class TestLinearStage:
             )
         )
         for scene, error in ((too_few, DegenerateConfiguration), (parallel, SingularConfiguration)):
-            (got, messages), (want, want_messages) = warned(_linear_stage, scene), warned(oracles.linear_stage, scene)
+            (got, messages), (want, want_messages) = warned(linear_stage, scene), warned(oracles.linear_stage, scene)
             assert type(got) is type(want) is error
             assert str(got) == str(want)
             assert messages == want_messages

@@ -1,10 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from radialcal.calibration import OptimizerOptions, _build_result, project
+from radialcal.calibration import CalibrationView, CorrespondenceSet, OptimizerOptions, _build_result, project
 from radialcal.cli import main
 from radialcal.distortion import DistortionSpec, Model, distort_normalized
 from radialcal.fileio import (
@@ -133,6 +134,29 @@ class TestCalibrate:
         )
         assert code == 3
         assert "3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["calibrate", "compare"])
+    def test_view_with_collinear_pixels_is_dropped(self, tmp_path, capsys, command):
+        # View 3's points span the target, but its pixels lie on one line:
+        # the session gives what views 0-2 alone give, with a warning.
+        corr, _ = make_scene(3, grid_nx=6, grid_ny=6, n_views=4)
+        views = corr.views
+        u = views[3].pixels[:, 0]
+        flat = CalibrationView(3, views[3].world_xy, np.column_stack([u, 100.0 + 0.5 * u]))
+        outputs, messages = [], []
+        for name, session in (("four", views[:3] + (flat,)), ("three", views[:3])):
+            corr_path, out_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            write_correspondences(corr_path, CorrespondenceSet(session))
+            argv = [command, "--input", str(corr_path)]
+            argv += ["--model", "3", "--output", str(out_path)] if command == "calibrate" else ["--json"]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(argv) == 0
+            messages.append([str(w.message) for w in caught])
+            out = capsys.readouterr().out
+            outputs.append(json.loads(out_path.read_text() if command == "calibrate" else out))
+        assert messages == [["dropping view 3: homography is singular (collinear pixels?)"], []]
+        assert outputs[0] == outputs[1]
 
     def test_malformed_csv_exit_2(self, tmp_path, capsys):
         corr_path = tmp_path / "corr.csv"

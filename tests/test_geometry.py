@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from radialcal.calibration import project
 from radialcal.geometry import (
-    AbsoluteConic,
     DepthNotPositive,
-    Homography,
     IntrinsicMatrix,
     InvalidParameters,
     NormalizedPoint,
@@ -17,9 +15,7 @@ from radialcal.geometry import (
     PixelPoint,
     ViewExtrinsics,
     WorldPoint,
-    axis_angle_from_rotation,
     axis_angles_from_rotations,
-    canonical_homographies,
     rotation_from_axis_angle,
     to_normalized,
     to_normalized_array,
@@ -187,8 +183,10 @@ class TestRodrigues:
             axis = np.array([1.0, 0.0, 0.0])
             norm = 1.0
         w = axis / norm * theta
-        back = axis_angle_from_rotation(rotation_from_axis_angle(w))
+        R = rotation_from_axis_angle(w)
+        (back,) = axis_angles_from_rotations(R[None])
         assert np.max(np.abs(back - w)) < 1e-10
+        assert np.max(np.abs(back - oracles.axis_angle_from_rotation(R))) <= 1e-12
 
     def test_round_trip_near_pi(self):
         rng = np.random.default_rng(3)
@@ -196,8 +194,10 @@ class TestRodrigues:
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             w = axis * (math.pi - 10 ** rng.uniform(-9, -2))
-            back = axis_angle_from_rotation(rotation_from_axis_angle(w))
+            R = rotation_from_axis_angle(w)
+            (back,) = axis_angles_from_rotations(R[None])
             assert np.max(np.abs(back - w)) < 1e-9
+            assert np.max(np.abs(back - oracles.axis_angle_from_rotation(R))) <= 1e-12
 
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     @settings(max_examples=300)
@@ -208,9 +208,11 @@ class TestRodrigues:
 
     def test_rejects_non_rotation(self):
         with pytest.raises(NotARotation):
-            axis_angle_from_rotation(np.eye(3) * 1.1)
+            ViewExtrinsics.from_rotation(np.eye(3) * 1.1, np.zeros(3))
         with pytest.raises(NotARotation):
-            axis_angle_from_rotation(np.diag([1.0, 1.0, -1.0]))
+            ViewExtrinsics.from_rotation(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+        with pytest.raises(ValueError, match="shape"):
+            ViewExtrinsics.from_rotation(np.eye(2), np.zeros(3))
 
     def test_batch_matches_the_scalar_formula_in_every_branch(self):
         # One stack through the series (theta < 1e-7), the generic formula
@@ -225,7 +227,7 @@ class TestRodrigues:
         for row, rotation in zip(got, R):
             want = oracles.axis_angle_from_rotation(rotation)
             assert np.max(np.abs(row - want)) <= 1e-15 * max(1.0, np.linalg.norm(want))
-            assert np.array_equal(axis_angle_from_rotation(rotation), row)
+            assert np.array_equal(ViewExtrinsics.from_rotation(rotation, np.zeros(3)).axis_angle, row)
 
     def test_batch_rejects_a_stack_with_one_non_rotation(self):
         good = rotation_from_axis_angle(np.array([0.1, 0.2, 0.3]))
@@ -247,54 +249,3 @@ class TestViewExtrinsics:
             R_back, t_back = E.world_to_camera()
             assert np.max(np.abs(R_back - R)) < 1e-12
             assert np.max(np.abs(t_back - t)) < 1e-12
-
-
-class TestHomography:
-    def test_canonical_scale(self):
-        H = Homography(np.diag([2.0, 2.0, 2.0]))
-        assert math.isclose(np.linalg.norm(H.matrix), 1.0, rel_tol=1e-15)
-        assert H.matrix[2, 2] > 0
-
-    def test_scale_and_sign_invariance(self):
-        M = np.array([[1.0, 0.2, 3.0], [-0.1, 0.9, 1.0], [0.01, -0.02, 1.0]])
-        assert np.allclose(
-            Homography(M).matrix, Homography(-3.7 * M).matrix, atol=1e-15
-        )
-
-    def test_rejects_rank_deficient(self):
-        M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-        with pytest.raises(ValueError):
-            Homography(M)
-        with pytest.raises(ValueError, match="rank 3"):
-            canonical_homographies(np.stack([np.eye(3), M]))
-
-    def test_stack_is_canonical_row_by_row(self):
-        # A zero bottom-right entry takes the sign of the largest entry.
-        rng = np.random.default_rng(5)
-        stack = rng.normal(size=(4, 3, 3))
-        stack[1, 2, 2] = 0.0
-        stack[2] *= -7.0
-        got = canonical_homographies(stack)
-        for row, M in zip(got, stack):
-            assert np.array_equal(row, Homography(M).matrix)
-
-
-class TestAbsoluteConic:
-    def test_rejects_asymmetric(self):
-        M = np.eye(3)
-        M[0, 1] = 1e-6
-        with pytest.raises(ValueError):
-            AbsoluteConic(M)
-
-    def test_from_intrinsics_is_positive_definite(self):
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            A = IntrinsicMatrix(
-                rng.uniform(100, 1500),
-                rng.uniform(100, 1500),
-                rng.uniform(-3, 3),
-                rng.uniform(-200, 600),
-                rng.uniform(-200, 600),
-            )
-            B = AbsoluteConic.from_intrinsics(A)
-            np.linalg.cholesky(B.matrix)  # raises if not PD
