@@ -14,7 +14,13 @@ axis-angle and translation), or the error that a failed model reported.
 For each scene it holds the linear stage's intrinsics and poses and the ids
 of the views it dropped. It also holds the SHA-256 of ``undistort_array``'s
 output on each seeded row set of ``bench_undistort.py`` (``SPECS`` and
-``FOLD_SPECS``), and ``localize`` fixes per model: seeded noiseless cases
+``FOLD_SPECS``), and of the bytes that the CLI (``radialcal.cli.main``)
+writes: the calibration JSON of ``calibrate --model 3`` on the 10- and
+30-view scenes and the ragged scene, and ``undistort`` in both directions
+for each model on a jittered 320x240 grid of a 640x480 image (76,800
+points), whose ``--calib`` file is written as a plain dict, as the
+repository benchmark writes its own. It also holds ``localize`` fixes per
+model: seeded noiseless cases
 from ``bench_undistort.localize_cases``, some with the assumed pose's
 rotation angle at pi (yaw +-pi, tilt 1e-6 and 1e-3), each with the
 endpoints in both orders, with and without ``try_both_orders``, and four
@@ -42,10 +48,13 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -60,7 +69,9 @@ from radialcal.calibration import (  # noqa: E402
     compare_models,
     linear_stage,
 )
+from radialcal.cli import main as cli_main  # noqa: E402
 from radialcal.distortion import DistortionSpec, Model, undistort_array  # noqa: E402
+from radialcal.fileio import write_correspondences, write_points  # noqa: E402
 from radialcal.geometry import PixelPoint, ViewExtrinsics, WorldPoint  # noqa: E402
 from radialcal.localize import LineMap, localize  # noqa: E402
 from radialcal.synth import SynthSpec, generate_scene  # noqa: E402
@@ -75,6 +86,11 @@ PAPER_SESSION = dict(
     n_views=5,
     noise_sigma=0.2,
 )
+# The CLI undistort grid: one point jittered inside each cell of GRID over
+# an IMAGE-sized image, from its own generator.
+GRID_SEED = 4
+GRID = (320, 240)
+IMAGE = (640.0, 480.0)
 PARAM_RTOL = 1e-9
 FIX_ATOL = 1e-12
 # Record fields that must match exactly.
@@ -160,6 +176,51 @@ def array_hashes() -> dict:
         for section, specs, row_sets in sets
         for name, spec in specs.items()
     }
+
+
+def sha256_of(path: Path) -> dict:
+    return {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def run_cli(argv: list[str]) -> None:
+    """radialcal.cli.main on argv, its printed lines and warnings discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cli_main(argv)
+
+
+def cli_hashes(work: Path) -> dict:
+    """SHA-256 of the calibration JSON that CLI ``calibrate --model 3``
+    writes, and of CLI ``undistort``'s output on the grid."""
+    records = {}
+    scenes = {f"{n}v": bench_calibrate.scene(n) for n in bench_calibrate.VIEWS[:2]}
+    for name, corr in {**scenes, "ragged": ragged_scene()}.items():
+        corr_path, out = work / f"{name}.csv", work / f"{name}.json"
+        write_correspondences(corr_path, corr)
+        run_cli(["calibrate", "--input", str(corr_path), "--model", "3", "--output", str(out)])
+        records[f"cli/calibrate/{name}/model3"] = sha256_of(out)
+    rng = np.random.default_rng(GRID_SEED)
+    i, j = np.meshgrid(np.arange(GRID[0]), np.arange(GRID[1]), indexing="xy")
+    u = (i.ravel() + rng.uniform(0.0, 1.0, i.size)) * (IMAGE[0] / GRID[0])
+    v = (j.ravel() + rng.uniform(0.0, 1.0, j.size)) * (IMAGE[1] / GRID[1])
+    points = work / "grid.csv"
+    write_points(points, np.column_stack([u, v]))
+    A = bench_undistort.CAMERA
+    for model in bench_undistort.LOCALIZE_MODELS:
+        spec = bench_undistort.SPECS[model]
+        calib = {
+            "model": model, "k1": spec.k1, "k2": spec.k2,
+            "intrinsics": {"alpha": A.alpha, "beta": A.beta, "gamma": A.gamma, "u0": A.u0, "v0": A.v0},
+            "views": [], "J_final": 0.0, "rms_px": 0.0,
+        }
+        calib_path = work / f"calib_{model}.json"
+        calib_path.write_text(json.dumps(calib))
+        for direction in ("inverse", "forward"):
+            out = work / f"{direction}_{model}.csv"
+            run_cli(["undistort", "--calib", str(calib_path), "--points", str(points),
+                     "--direction", direction, "--output", str(out)])
+            records[f"cli/undistort/{direction}/{model}"] = sha256_of(out)
+    return records
 
 
 def fix_record(args: tuple, try_both_orders: bool) -> dict:
@@ -260,7 +321,8 @@ def main() -> int:
     parser.add_argument("--output", help="write the fits to this JSON file")
     parser.add_argument("--against", help="compare the fits with this JSON file")
     args = parser.parse_args()
-    fits = {**run_fits(), **array_hashes(), **fix_records()}
+    with tempfile.TemporaryDirectory() as work:
+        fits = {**run_fits(), **array_hashes(), **cli_hashes(Path(work)), **fix_records()}
     if args.output:
         Path(args.output).write_text(json.dumps(fits, indent=1) + "\n")
     if args.against:
