@@ -169,11 +169,14 @@ class OptimizerOptions:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Estimated parameters plus the exact objective they achieve.
+    """Estimated parameters, the exact objective they achieve, the options
+    the refinement ran with and how it ended.
 
     ``poses`` holds each view's axis-angle and camera center ``[w, t]`` as a
     read-only ``(v, 6)`` array; ``extrinsics`` is the same poses as
-    ViewExtrinsics, built when first read.
+    ViewExtrinsics, built when first read. Read back by
+    ``fileio.read_calibration``, ``per_point_residuals`` is None, as is each
+    outcome (``converged`` to ``stop_reason``) that the file lacks.
     """
 
     intrinsics: IntrinsicMatrix
@@ -182,11 +185,17 @@ class CalibrationResult:
     poses: np.ndarray
     j_final: float
     rms_px: float
-    per_point_residuals: tuple[np.ndarray, ...]
-    converged: bool = True
-    n_iterations: int = 0
-    j_init: float | None = None
-    stop_reason: str = ""
+    per_point_residuals: tuple[np.ndarray, ...] | None
+    options: OptimizerOptions
+    converged: bool | None
+    n_iterations: int | None
+    j_init: float | None
+    stop_reason: str | None
+
+    def __post_init__(self) -> None:
+        poses = np.array(self.poses, dtype=float).reshape(-1, 6)
+        poses.setflags(write=False)
+        object.__setattr__(self, "poses", poses)
 
     @cached_property
     def extrinsics(self) -> tuple[ViewExtrinsics, ...]:
@@ -818,6 +827,7 @@ def _build_result(
     A: IntrinsicMatrix,
     spec: DistortionSpec,
     extrinsics: Sequence[ViewExtrinsics] | np.ndarray,
+    options: OptimizerOptions = OptimizerOptions(),
     converged: bool = True,
     n_iterations: int = 0,
     j_init: float | None = None,
@@ -826,19 +836,18 @@ def _build_result(
 ) -> CalibrationResult:
     """The result at these parameters; residuals, when given, are the
     ``(n, 2)`` predicted minus observed pixels there, else computed."""
-    poses = np.array(_pose_rows(extrinsics), dtype=float)
-    poses.setflags(write=False)
     if residuals is None:
-        residuals = _forward(_pack_params(A, spec, poses), corr, spec.model).pixels - corr.pixels
+        residuals = _forward(_pack_params(A, spec, extrinsics), corr, spec.model).pixels - corr.pixels
     dist, total = _residual_distances(residuals)
     return CalibrationResult(
         intrinsics=A,
         distortion=spec,
         view_ids=corr.view_ids,
-        poses=poses,
+        poses=_pose_rows(extrinsics),
         j_final=total,
         rms_px=math.sqrt(total / corr.n_points),
         per_point_residuals=tuple(np.split(dist, corr.offsets[1:-1])),
+        options=options,
         converged=converged,
         n_iterations=n_iterations,
         j_init=j_init,
@@ -863,10 +872,10 @@ def refine(
     """Jointly refine intrinsics, distortion, and all view poses.
 
     Starts from init's intrinsics, distortion and poses; ``j_init`` is the
-    objective there on corr. Never increases the objective relative to the
-    initialization. On hitting an iteration or evaluation cap, the best
-    parameters so far are returned with ``converged=False`` rather than
-    raising.
+    objective there on corr, and ``options`` is opts. Never increases the
+    objective relative to the initialization. On hitting an iteration or
+    evaluation cap, the best parameters so far are returned with
+    ``converged=False`` rather than raising.
     """
     model = init.distortion.model
     theta0 = _pack_params(init.intrinsics, init.distortion, init.poses)
@@ -883,6 +892,7 @@ def refine(
         A,
         spec,
         poses,
+        options=opts,
         converged=lm.converged,
         n_iterations=lm.n_iterations,
         j_init=lm.j_init,

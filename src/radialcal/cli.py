@@ -117,7 +117,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         result = calibrate(corr, model, opts)
     except (*_CONFIG_ERRORS, DepthNotPositive) as exc:
         return _fail(str(exc), EXIT_DEGENERATE)
-    write_calibration(args.output, result, opts)
+    write_calibration(args.output, result)
     print(f"J_init={fmt(result.j_init)}")
     print(f"J_final={fmt(result.j_final)}")
     print(f"iterations={result.n_iterations}")

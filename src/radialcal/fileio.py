@@ -13,7 +13,7 @@ import json
 import os
 import uuid
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -206,52 +206,34 @@ def _pose_from_dict(d: dict) -> ViewExtrinsics:
 # Calibration JSON
 
 
-@dataclass(frozen=True)
-class CalibrationFile:
-    """Decoded calibration output file.
+def write_calibration(path: str | Path, result: CalibrationResult) -> None:
+    """The record as JSON; ``per_point_residuals`` is not stored."""
+    _write_json(
+        path,
+        {
+            **_distortion_to_dict(result.distortion),
+            "intrinsics": asdict(result.intrinsics),
+            "views": [
+                {"view_id": vid, "axis_angle": pose[:3], "t": pose[3:]}
+                for vid, pose in zip(result.view_ids, result.poses.tolist())
+            ],
+            "J_init": result.j_init,
+            "J_final": result.j_final,
+            "rms_px": result.rms_px,
+            "converged": result.converged,
+            "stop_reason": result.stop_reason,
+            "n_iterations": result.n_iterations,
+            "options": asdict(result.options),
+        },
+    )
 
-    The refinement's outcome (``converged`` to ``j_init``) is None when the
-    file does not record it, as files written before it was recorded do not.
+
+def read_calibration(path: str | Path) -> CalibrationResult:
+    """The record write_calibration wrote, without per-point residuals.
+
+    Missing options take their defaults, and an outcome field that the file
+    lacks is None, as files written before it was recorded lack it.
     """
-
-    intrinsics: IntrinsicMatrix
-    distortion: DistortionSpec
-    view_ids: tuple[int, ...]
-    extrinsics: tuple[ViewExtrinsics, ...]
-    j_final: float
-    rms_px: float
-    options: OptimizerOptions
-    converged: bool | None = None
-    stop_reason: str | None = None
-    n_iterations: int | None = None
-    j_init: float | None = None
-
-
-def calibration_to_dict(result: CalibrationResult, options: OptimizerOptions) -> dict:
-    return {
-        **_distortion_to_dict(result.distortion),
-        "intrinsics": asdict(result.intrinsics),
-        "views": [
-            {"view_id": vid, **_pose_to_dict(E)}
-            for vid, E in zip(result.view_ids, result.extrinsics)
-        ],
-        "J_init": result.j_init,
-        "J_final": result.j_final,
-        "rms_px": result.rms_px,
-        "converged": result.converged,
-        "stop_reason": result.stop_reason,
-        "n_iterations": result.n_iterations,
-        "options": asdict(options),
-    }
-
-
-def write_calibration(
-    path: str | Path, result: CalibrationResult, options: OptimizerOptions
-) -> None:
-    _write_json(path, calibration_to_dict(result, options))
-
-
-def read_calibration(path: str | Path) -> CalibrationFile:
     with _json_record(path, "calibration file") as data:
         opts = {**asdict(OptimizerOptions()), **data.get("options", {})}
         converged, stop_reason, n_iterations, j_init = (
@@ -261,13 +243,14 @@ def read_calibration(path: str | Path) -> CalibrationFile:
             raise ValueError(f"converged must be true or false, got {converged!r}")
         if not isinstance(stop_reason, (str, type(None))):
             raise ValueError(f"stop_reason must be a string, got {stop_reason!r}")
-        return CalibrationFile(
+        return CalibrationResult(
             intrinsics=_intrinsics_from_dict(data["intrinsics"]),
             distortion=_distortion_from_dict(data),
             view_ids=tuple(_int(v["view_id"], "view_id") for v in data["views"]),
-            extrinsics=tuple(_pose_from_dict(v) for v in data["views"]),
+            poses=[[*E.axis_angle, *E.t] for E in map(_pose_from_dict, data["views"])],
             j_final=float(data["J_final"]),
             rms_px=float(data["rms_px"]),
+            per_point_residuals=None,
             options=OptimizerOptions(
                 tol_x=float(opts["tol_x"]),
                 tol_fun=float(opts["tol_fun"]),

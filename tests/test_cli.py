@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from radialcal.calibration import CalibrationView, CorrespondenceSet, OptimizerOptions, _build_result, project
+from radialcal.calibration import CalibrationView, CorrespondenceSet, _build_result, project
 from radialcal.cli import main
 from radialcal.distortion import DistortionSpec, Model, distort_normalized
 from radialcal.fileio import (
@@ -47,7 +47,7 @@ def write_exact_calibration(path, intrinsics, spec, corr=None, truth=None):
     if corr is None:
         corr, truth = make_scene(3, model=spec.model, k1=spec.k1, k2=spec.k2, intrinsics=intrinsics)
     result = _build_result(corr, intrinsics, spec, truth.extrinsics)
-    write_calibration(path, result, OptimizerOptions())
+    write_calibration(path, result)
     return corr
 
 

@@ -217,7 +217,7 @@ class TestCalibrationJson:
         opts = OptimizerOptions()
         result = calibrate(corr, Model.MODEL3, opts)
         path = tmp_path / "calib.json"
-        write_calibration(path, result, opts)
+        write_calibration(path, result)
 
         calib = read_calibration(path)
         assert calib.distortion == result.distortion
@@ -236,7 +236,7 @@ class TestCalibrationJson:
         opts = OptimizerOptions()
         result = calibrate(corr, Model.MODEL2, opts)
         path = tmp_path / "calib.json"
-        write_calibration(path, result, opts)
+        write_calibration(path, result)
         data = json.loads(path.read_text())
         assert set(data) == {
             "model", "k1", "k2", "intrinsics", "views", "J_init", "J_final", "rms_px",
@@ -256,7 +256,7 @@ class TestCalibrationJson:
         result = calibrate(corr, Model.MODEL3, opts)
         paths = tmp_path / "a.json", tmp_path / "b.json"
         for path in paths:
-            write_calibration(path, result, opts)
+            write_calibration(path, result)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         calib = read_calibration(paths[0])
         assert (calib.converged, calib.stop_reason, calib.n_iterations) == (
@@ -268,7 +268,7 @@ class TestCalibrationJson:
         corr, _ = make_scene(8)
         opts = OptimizerOptions()
         path = tmp_path / "calib.json"
-        write_calibration(path, calibrate(corr, Model.MODEL2, opts), opts)
+        write_calibration(path, calibrate(corr, Model.MODEL2, opts))
         data = json.loads(path.read_text())
         for key in ("J_init", "converged", "stop_reason", "n_iterations"):
             del data[key]
@@ -289,7 +289,7 @@ class TestCalibrationJson:
         corr, _ = make_scene(8)
         opts = OptimizerOptions()
         path = tmp_path / "calib.json"
-        write_calibration(path, calibrate(corr, Model.MODEL2, opts), opts)
+        write_calibration(path, calibrate(corr, Model.MODEL2, opts))
         data = json.loads(path.read_text())
         data[key] = value
         path.write_text(json.dumps(data))
@@ -301,7 +301,7 @@ class TestCalibrationJson:
         corr, _ = make_scene(8)
         opts = OptimizerOptions()
         path = tmp_path / "calib.json"
-        write_calibration(path, calibrate(corr, Model.MODEL2, opts), opts)
+        write_calibration(path, calibrate(corr, Model.MODEL2, opts))
         data = json.loads(path.read_text())
         data["options"][key] = math.nan
         path.write_text(json.dumps(data))
