@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .cubic import RadiusCubic
-from .geometry import InvalidParameters, NormalizedPoint
+from .geometry import InvalidParameters, NormalizedPoint, radius_array
 
 
 class NotConverged(RuntimeError):
@@ -127,7 +127,7 @@ def distort_normalized(spec: DistortionSpec, n: NormalizedPoint) -> NormalizedPo
 
 def distort_array(spec: DistortionSpec, xy: np.ndarray) -> np.ndarray:
     """distort_normalized for an ``(n, 2)`` array of normalized points."""
-    return xy * warp_factor(spec, np.hypot(xy[:, 0], xy[:, 1]))[:, None]
+    return xy * warp_factor(spec, radius_array(xy))[:, None]
 
 
 def _quadratic_real_roots(a: float, b: float, c: float) -> tuple[float, ...]:
@@ -290,7 +290,7 @@ def undistort_array(spec: DistortionSpec, xy: np.ndarray) -> np.ndarray:
     back as NaN.
     """
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-    r_d = np.hypot(xy[:, 0], xy[:, 1])
+    r_d = radius_array(xy)
     if spec.model is Model.MODEL1:
         r = _newton_radius_array(spec, r_d)
     else:

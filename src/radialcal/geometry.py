@@ -64,6 +64,25 @@ class WorldPoint:
         return np.array([self.x, self.y, self.z])
 
 
+# A radius is sqrt(x*x + y*y) where that sum lies between these bounds: no
+# square has overflowed, and one that underflowed is below the sum's
+# rounding. Elsewhere (radii beyond about 1e150 or below 1e-150, zero, and
+# non-finite rows) it is np.hypot's.
+_SQUARES_LO, _SQUARES_HI = 1e-300, 1e300
+
+
+def radius_array(xy: np.ndarray) -> np.ndarray:
+    """NormalizedPoint.radius of each row of an ``(n, 2)`` array, to the bit."""
+    x, y = xy[:, 0], xy[:, 1]
+    with np.errstate(over="ignore"):
+        s = x * x + y * y
+    r = np.sqrt(s)
+    far = ~((s > _SQUARES_LO) & (s < _SQUARES_HI))
+    if far.any():
+        r[far] = np.hypot(x[far], y[far])
+    return r
+
+
 @dataclass(frozen=True)
 class NormalizedPoint:
     """Point on the unit focal plane (intrinsics removed).
@@ -81,7 +100,10 @@ class NormalizedPoint:
 
     @property
     def radius(self) -> float:
-        # np.hypot, as every array path computes the radius.
+        # As radius_array computes it, to the bit.
+        s = self.x * self.x + self.y * self.y
+        if _SQUARES_LO < s < _SQUARES_HI:
+            return math.sqrt(s)
         return float(np.hypot(self.x, self.y))
 
 

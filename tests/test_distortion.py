@@ -509,8 +509,8 @@ class TestUndistortArray:
         assert_rows_agree(got, want)
         assert np.isnan(got).any(axis=1).sum() > len(damped)
         assert not calls
-        # Both compute the radius by np.hypot and take the same steps from
-        # it, so every row agrees to the bit.
+        # Both compute the radius as sqrt(x*x + y*y) and take the same
+        # steps from it, so every row agrees to the bit.
         assert np.array_equal(got, want, equal_nan=True)
 
 

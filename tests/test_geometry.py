@@ -16,6 +16,7 @@ from radialcal.geometry import (
     ViewExtrinsics,
     WorldPoint,
     axis_angles_from_rotations,
+    radius_array,
     rotation_from_axis_angle,
     to_normalized,
     to_normalized_array,
@@ -150,6 +151,22 @@ class TestPixelNormalizedMaps:
         assert xy.tolist() == [[n.x, n.y] for n in normalized]
         pixels = [to_pixel(NormalizedPoint(x, y), A) for x, y in xy]
         assert to_pixel_array(xy, A).tolist() == [[p.u, p.v] for p in pixels]
+
+    def test_array_radii_equal_scalar_radii(self):
+        # Rows of every scale from 1e-200 to 1e200, both sides of the
+        # bounds where the radius leaves sqrt(x*x + y*y) for np.hypot.
+        rng = np.random.default_rng(19)
+        xy = rng.uniform(-1.0, 1.0, (2000, 2)) * 10.0 ** rng.uniform(-200.0, 200.0, (2000, 1))
+        assert radius_array(xy).tolist() == [NormalizedPoint(x, y).radius for x, y in xy.tolist()]
+
+    @pytest.mark.parametrize("r", [0.0, 1e-160, 1e155, 1e200])
+    def test_radius_at_extreme_scales_is_hypot_on_both_sides(self, r):
+        # Here x*x + y*y underflows or overflows; both sides fall back to
+        # np.hypot and keep its answer.
+        xy = np.array([[0.6 * r, 0.8 * r], [r, 0.0], [-0.28 * r, 0.96 * r], [0.3 * r, -0.7 * r]])
+        scalar = np.array([NormalizedPoint(x, y).radius for x, y in xy.tolist()])
+        array = radius_array(xy)
+        assert array.tobytes() == scalar.tobytes() == np.hypot(xy[:, 0], xy[:, 1]).tobytes()
 
     @given(intrinsics_st, st.floats(-1500, 1500), st.floats(-1500, 1500))
     def test_round_trip_pixels(self, A, u, v):
