@@ -919,9 +919,10 @@ def linear_stage(corr: CorrespondenceSet) -> LinearStage:
     """Homographies, intrinsics and poses of all views in one batched pass.
 
     The views are grouped by point count, and each group's DLT designs are
-    solved as one stack. A view without a homography is dropped with a
-    warning, and ``dropped`` holds its id and the reason; fewer than three
-    kept views raise DegenerateConfiguration.
+    solved as one stack. A view without a homography is dropped, and
+    ``dropped`` holds its id and the reason (``calibrate`` and
+    ``compare_models`` warn of it); fewer than three kept views raise
+    DegenerateConfiguration.
     """
     counts = np.diff(corr.offsets)
     H = np.empty((corr.n_views, 3, 3))
@@ -934,8 +935,6 @@ def linear_stage(corr: CorrespondenceSet) -> LinearStage:
         for k, reason in zip(group.tolist(), why):
             reasons[k] = reason
     dropped = tuple((view.view_id, reason) for view, reason in zip(corr.views, reasons) if reason is not None)
-    for view_id, reason in dropped:
-        warnings.warn(f"dropping view {view_id}: {reason}", RuntimeWarning, stacklevel=3)
     kept = [k for k, reason in enumerate(reasons) if reason is None]
     if len(kept) < 3:
         raise DegenerateConfiguration(
@@ -952,8 +951,13 @@ def calibrate(
     model: Model,
     opts: OptimizerOptions = OptimizerOptions(),
 ) -> CalibrationResult:
-    """Full pipeline: linear estimation, distortion guess, then refinement."""
+    """Full pipeline: linear estimation, distortion guess, then refinement.
+
+    Each view that the linear stage drops is named in a RuntimeWarning.
+    """
     stage = linear_stage(corr)
+    for view_id, reason in stage.dropped:
+        warnings.warn(f"dropping view {view_id}: {reason}", RuntimeWarning, stacklevel=2)
     spec0 = init_distortion(stage.corr, stage.intrinsics, stage.poses, model)
     return refine(stage.corr, _Start(stage.intrinsics, spec0, stage.poses), opts)
 
@@ -966,9 +970,12 @@ def compare_models(
 
     The distortion initialization is re-fit per model (the linear intrinsics
     and poses are shared); a model that fails is reported inline without
-    stopping the others.
+    stopping the others. Each view that the linear stage drops is named in
+    a RuntimeWarning.
     """
     stage = linear_stage(corr)
+    for view_id, reason in stage.dropped:
+        warnings.warn(f"dropping view {view_id}: {reason}", RuntimeWarning, stacklevel=2)
     entries = []
     for model in (Model.MODEL1, Model.MODEL2, Model.MODEL3):
         try:

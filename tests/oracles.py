@@ -21,7 +21,6 @@ between the segments and the exception types with it.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -342,9 +341,8 @@ def linear_stage(corr):
     """The linear stage one view at a time: ``(A, poses (v, 6), dropped)``,
     where dropped holds ``(view id, reason)`` pairs.
 
-    A view whose homography fails is dropped with the warning ``dropping
-    view ID: REASON``; fewer than three kept views raise
-    DegenerateConfiguration.
+    A view whose homography fails is dropped; fewer than three kept views
+    raise DegenerateConfiguration.
     """
     kept, dropped = [], []
     for view in corr.views:
@@ -352,7 +350,6 @@ def linear_stage(corr):
             kept.append(homography(view.world_xy, view.pixels))
         except DegenerateConfiguration as exc:
             dropped.append((view.view_id, str(exc)))
-            warnings.warn(f"dropping view {view.view_id}: {exc}", RuntimeWarning)
     if len(kept) < 3:
         raise DegenerateConfiguration(f"calibration needs at least 3 usable views, got {len(kept)}")
     A = intrinsics(kept)
