@@ -45,14 +45,17 @@ from oracles import bisect_cubic_roots
 
 
 @contextmanager
-def criterion(label: str):
+def criterion(label: str, budget: float | None = None):
+    """Print the criterion's outcome and its time, next to the time budget
+    that the test asserts, if it has one."""
     start = time.perf_counter()
     try:
         yield
     except BaseException:
         print(f"[FAIL] {label}")
         raise
-    print(f"[PASS] {label} ({time.perf_counter() - start:.2f}s)")
+    of_budget = "" if budget is None else f" of its {budget:g}s budget"
+    print(f"[PASS] {label} ({time.perf_counter() - start:.2f}s{of_budget})")
 
 
 def sample_disk(rng, r_max):
@@ -62,7 +65,7 @@ def sample_disk(rng, r_max):
 
 
 def test_criterion_1_analytic_undistortion_round_trip():
-    with criterion("1: closed-form undistortion round trip <= 1e-9 (10 specs x 1e4 points)"):
+    with criterion("1: closed-form undistortion round trip <= 1e-9 (10 specs x 1e4 points)", budget=2.0):
         rng = np.random.default_rng(1001)
         start = time.perf_counter()
         dom = WorkingDomain(0.8)
@@ -90,7 +93,7 @@ def test_criterion_1_analytic_undistortion_round_trip():
 
 
 def test_criterion_2_cubic_solver_oracle_equivalence():
-    with criterion("2: cubic roots match bisection oracle on 1e5 triples"):
+    with criterion("2: cubic roots match bisection oracle on 1e5 triples", budget=10.0):
         rng = np.random.default_rng(1002)
         start = time.perf_counter()
         n = 100_000
@@ -116,7 +119,7 @@ def test_criterion_2_cubic_solver_oracle_equivalence():
 
 
 def test_criterion_3_end_to_end_synthetic_calibration():
-    with criterion("3: noiseless synthetic calibration recovers the generator"):
+    with criterion("3: noiseless synthetic calibration recovers the generator", budget=30.0):
         start = time.perf_counter()
         truth_A = IntrinsicMatrix(800.0, 800.0, 0.2, 320.0, 240.0)
         corr, truth = make_scene(
@@ -137,7 +140,7 @@ def test_criterion_3_end_to_end_synthetic_calibration():
 
 
 def test_criterion_4_model_comparison_ordering():
-    with criterion("4: comparison ordering J1 <= J3 <= J2 with bounded middle gap"):
+    with criterion("4: comparison ordering J1 <= J3 <= J2 with bounded middle gap", budget=90.0):
         start = time.perf_counter()
         corr, _ = make_scene(
             1004, model=Model.MODEL1, k1=-0.3435, k2=0.1232, noise_sigma=0.3,
@@ -173,7 +176,7 @@ def test_criterion_5_single_coefficient_analytic_vs_newton():
 
 
 def test_criterion_6_localizer_noiseless_exactness():
-    with criterion("6: localizer exact to 1e-9 over 100 noiseless scenarios"):
+    with criterion("6: localizer exact to 1e-9 over 100 noiseless scenarios", budget=5.0):
         rng = np.random.default_rng(1006)
         start = time.perf_counter()
         for _ in range(100):

@@ -1,13 +1,14 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radialcal.calibration import OptimizerOptions, calibrate, objective
+from radialcal.calibration import CalibrationResult, OptimizerOptions, calibrate, objective
 from radialcal.distortion import Model
 from radialcal.fileio import (
     ParseError,
@@ -230,6 +231,39 @@ class TestCalibrationJson:
 
         J = objective(corr, calib.intrinsics, calib.distortion, calib.extrinsics)
         assert abs(J - calib.j_final) <= 1e-9 * max(1.0, calib.j_final)
+
+    def test_read_back_record_equals_the_fit(self, tmp_path):
+        # Every field but the residuals, which the file does not store;
+        # the poses to the bit, and the options the fit ran with.
+        corr, _ = make_scene(7, noise_sigma=0.25)
+        opts = OptimizerOptions(tol_x=1e-7, tol_fun=1e-8, max_iter=60)
+        fit = calibrate(corr, Model.MODEL3, opts)
+        path = tmp_path / "calib.json"
+        write_calibration(path, fit)
+        calib = read_calibration(path)
+        assert type(calib) is CalibrationResult
+        assert calib.per_point_residuals is None
+        assert calib.options == fit.options == opts
+        assert calib.poses.shape == (corr.n_views, 6) and not calib.poses.flags.writeable
+        assert calib.poses.tobytes() == fit.poses.tobytes()
+        for field in fields(CalibrationResult):
+            if field.name not in ("poses", "per_point_residuals"):
+                assert getattr(calib, field.name) == getattr(fit, field.name), field.name
+
+    def test_file_without_views_options_or_outcome_reads(self, tmp_path):
+        # The shape of the repository benchmark's calibration files.
+        data = {
+            "model": "model3", "k1": -0.1, "k2": -0.05,
+            "intrinsics": {"alpha": 520.0, "beta": 515.0, "gamma": 0.4, "u0": 321.5, "v0": 239.0},
+            "views": [], "J_final": 0.0, "rms_px": 0.0,
+        }
+        path = tmp_path / "calib.json"
+        path.write_text(json.dumps(data))
+        calib = read_calibration(path)
+        assert calib.poses.shape == (0, 6)
+        assert calib.view_ids == calib.extrinsics == ()
+        assert calib.options == OptimizerOptions()
+        assert (calib.converged, calib.stop_reason, calib.n_iterations, calib.j_init) == (None,) * 4
 
     def test_schema_field_names(self, tmp_path):
         corr, _ = make_scene(8)
