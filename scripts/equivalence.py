@@ -19,12 +19,11 @@ writes: the calibration JSON of ``calibrate --model 3`` on the 10- and
 30-view scenes and the ragged scene, and ``undistort`` in both directions
 for each model on a jittered 320x240 grid of a 640x480 image (76,800
 points), whose ``--calib`` file is written as a plain dict, as the
-repository benchmark writes its own. It also holds ``localize`` fixes per
-model: seeded noiseless cases
-from ``bench_undistort.localize_cases``, some with the assumed pose's
-rotation angle at pi (yaw +-pi, tilt 1e-6 and 1e-3), each with the
-endpoints in both orders, with and without ``try_both_orders``, and four
-inputs on which the fix must fail. A fix's record is its yaw deviation,
+repository benchmark writes its own. Last, it holds ``localize`` fixes
+per model: seeded noiseless cases from ``bench_undistort.localize_cases``,
+some with the assumed pose's rotation angle at pi (yaw +-pi, tilt 1e-6 and
+1e-3), each with the endpoints in both orders, with and without
+``try_both_orders``, and four inputs on which the fix must fail. A fix's record is its yaw deviation,
 ``t1``, both recovered endpoints and both discrepancies, or its error.
 
     PYTHONPATH=src python scripts/equivalence.py --output fits.json
@@ -33,7 +32,7 @@ inputs on which the fix must fail. A fix's record is its yaw deviation,
 ``--against FILE`` compares the set with FILE, which this script wrote
 (against another tree, run it with that tree's ``src`` on PYTHONPATH). It
 prints each record whose iteration count, stop reason, error, objective,
-residual hash, dropped views or array hash differs (the objective bit for
+residual hash, dropped views or output hash differs (the objective bit for
 bit), the largest relative parameter difference ``|a - b| / max(1, |a|,
 |b|)`` and the largest absolute difference of a fix. It exits with status 1
 when one of those differs, a parameter differs by more than 1e-9 relative
