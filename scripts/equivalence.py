@@ -22,9 +22,9 @@ points), whose ``--calib`` file is written as a plain dict, as the
 repository benchmark writes its own. Last, it holds ``localize`` fixes
 per model: seeded noiseless cases from ``bench_undistort.localize_cases``,
 some with the assumed pose's rotation angle at pi (yaw +-pi, tilt 1e-6 and
-1e-3), each with the endpoints in both orders, with and without
-``try_both_orders``, and four inputs on which the fix must fail. A fix's record is its yaw deviation,
-``t1``, both recovered endpoints and both discrepancies, or its error.
+1e-3), each with the endpoints in both orders, and four inputs on which
+the fix must fail. A fix's record is its yaw deviation, ``t1``, both
+recovered endpoints and both discrepancies, or its error.
 
     PYTHONPATH=src python scripts/equivalence.py --output fits.json
     PYTHONPATH=src python scripts/equivalence.py --against fits.json
@@ -222,9 +222,9 @@ def cli_hashes(work: Path) -> dict:
     return records
 
 
-def fix_record(args: tuple, try_both_orders: bool) -> dict:
+def fix_record(args: tuple) -> dict:
     try:
-        fix = localize(*args, try_both_orders=try_both_orders)
+        fix = localize(*args)
     except ValueError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     a, b = fix.recovered_a, fix.recovered_b
@@ -268,9 +268,7 @@ def fix_records() -> dict:
         for name, args in {**cases, **failing_fixes(spec)}.items():
             line, a, b, *rest = args
             for order, pair in (("ab", (a, b)), ("ba", (b, a))):
-                for both in (False, True):
-                    key = f"localize/{model}/{name}/{order}{'/both' if both else ''}"
-                    records[key] = fix_record((line, *pair, *rest), both)
+                records[f"localize/{model}/{name}/{order}"] = fix_record((line, *pair, *rest))
     return records
 
 

@@ -21,17 +21,16 @@ from radialcal.geometry import (
     NormalizedPoint,
     PixelPoint,
     ViewExtrinsics,
+    rotation_from_axis_angle,
     to_normalized,
     to_pixel,
 )
-from radialcal.localize import LineMap, _z_rotation, intersect_ground, localize
+from radialcal.localize import LineMap, intersect_ground, localize
 from radialcal.synth import SynthSpec, generate_scene
 from radialcal.distortion import DistortionSpec
 
 
 def downward_pose(rng):
-    from radialcal.geometry import rotation_from_axis_angle
-
     yaw = rng.uniform(-math.pi, math.pi)
     tilt = rng.uniform(0.3, 0.8)
     R = rotation_from_axis_angle(np.array([0.0, 0.0, yaw])) @ rotation_from_axis_angle(
@@ -60,7 +59,7 @@ def run_trials(A, spec, rng, n_trials, sigma):
         delta_theta = rng.uniform(-math.pi / 2, math.pi / 2)
         dt = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), 0.0])
         pose2 = ViewExtrinsics.from_rotation(
-            _z_rotation(delta_theta) @ pose1.rotation, pose1.t + dt
+            rotation_from_axis_angle(np.array([0.0, 0.0, delta_theta])) @ pose1.rotation, pose1.t + dt
         )
 
         observed = []

@@ -254,7 +254,6 @@ def _cmd_localize(args: argparse.Namespace) -> int:
             calib.intrinsics,
             calib.distortion,
             pose,
-            try_both_orders=args.try_both_orders,
         )
     except (*_GEOMETRY_ERRORS, NoRealSolution, NotConverged) as exc:
         return _fail(f"{type(exc).__name__}: {exc}", EXIT_GEOMETRY)
@@ -326,11 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--line-map", required=True, metavar="Ax,Ay,Bx,By")
     p.add_argument("--observed", required=True, metavar="uA,vA,uB,vB")
     p.add_argument("--json", action="store_true")
-    p.add_argument(
-        "--try-both-orders",
-        action="store_true",
-        help="also try the swapped endpoint correspondence",
-    )
     p.set_defaults(func=_cmd_localize)
 
     p = sub.add_parser("synth", help="generate a synthetic correspondence set")

@@ -208,6 +208,30 @@ def _any_root_bisect(y: float, p: float, q: float) -> float:
     return 0.5 * (a + b)
 
 
+def _quadratic_roots(a: float, b: float, c: float, noise: float = 0.0) -> tuple[float, ...]:
+    """Real roots of ``a x^2 + b x + c``; the one root of ``b x + c`` when
+    ``a == 0``.
+
+    The roots are ``u / a`` and ``c / u`` with ``u = -(b + sign(b)
+    sqrt(disc)) / 2``, a pairing in which b and sqrt(disc) never cancel. A
+    negative discriminant within ``noise`` of its terms' magnitudes is
+    rounding noise around a double root and counts as 0; beyond that the
+    roots are a complex pair and none is returned.
+    """
+    if a == 0.0:
+        return () if b == 0.0 else (-c / b,)
+    four_ac = 4.0 * a * c
+    disc = b * b - four_ac
+    if disc < 0.0:
+        if noise == 0.0 or disc < -noise * (b * b + abs(four_ac)):
+            return ()
+        disc = 0.0
+    u = -0.5 * (b + math.copysign(math.sqrt(disc), b if b != 0.0 else 1.0))
+    if u == 0.0:
+        return (0.0, 0.0)
+    return (u / a, c / u)
+
+
 def _quadratic_path(y: float, p: float, q: float) -> tuple[float, ...]:
     """Roots when the cubic term is negligible: ``p x^2 + x - y = 0``.
 
@@ -215,20 +239,7 @@ def _quadratic_path(y: float, p: float, q: float) -> tuple[float, ...]:
     when p is itself tiny, so candidates are kept only if they satisfy the
     full cubic.
     """
-    if abs(p) < 1e-300:
-        candidates: tuple[float, ...] = (y,)
-    else:
-        disc = 1.0 + 4.0 * p * y
-        if disc < 0.0:
-            return ()
-        sq = math.sqrt(disc)
-        # Citardauq pairing avoids cancellation between 1 and sqrt(disc).
-        u = -0.5 * (1.0 + sq)
-        if disc == 0.0:
-            candidates = (u / p, u / p)
-        else:
-            candidates = (u / p, -y / u)
-    polished = (_polish(y, p, q, x) for x in candidates)
+    polished = (_polish(y, p, q, x) for x in _quadratic_roots(p, 1.0, -y))
     return tuple(x for x in polished if _is_true_root(y, p, q, x))
 
 
@@ -238,7 +249,9 @@ def _deflated_pair(y: float, p: float, q: float, anchor: float) -> tuple[float, 
     Coefficients of ``q x^2 + beta x + gamma`` come from the symmetric
     functions of the remaining pair; ``gamma = y / anchor`` is a plain
     division, and ``beta`` falls back to the symmetric-function form when
-    the synthetic-division expression cancels.
+    the synthetic-division expression cancels. A slightly negative
+    discriminant of that quadratic is rounding noise around a genuine
+    double root.
     """
     if anchor == 0.0:
         # Only possible when y = 0: the cubic factors as x (q x^2 + p x + 1).
@@ -248,18 +261,7 @@ def _deflated_pair(y: float, p: float, q: float, anchor: float) -> tuple[float, 
         beta = p + q * anchor
         if abs(beta) < 1e-6 * (abs(p) + abs(q * anchor)):
             beta = -(1.0 - y / anchor) / anchor
-    disc2 = beta * beta - 4.0 * q * gamma
-    if disc2 < 0.0:
-        # A tiny negative value is rounding noise around a genuine double
-        # root; a decisively negative one means a complex pair.
-        if disc2 < -4e-15 * (beta * beta + abs(4.0 * q * gamma)):
-            return ()
-        disc2 = 0.0
-    sq2 = math.sqrt(disc2)
-    u2 = -0.5 * (beta + math.copysign(sq2, beta if beta != 0.0 else 1.0))
-    if u2 == 0.0:
-        return (0.0, 0.0)
-    return (u2 / q, gamma / u2)
+    return _quadratic_roots(q, beta, gamma, noise=4e-15)
 
 
 def _solve_cubic(cubic: RadiusCubic, y: float) -> tuple[float, ...]:

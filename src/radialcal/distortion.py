@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cubic import RadiusCubic
+from .cubic import RadiusCubic, _quadratic_roots
 from .geometry import InvalidParameters, NormalizedPoint, radius_array
 
 
@@ -130,22 +130,6 @@ def distort_array(spec: DistortionSpec, xy: np.ndarray) -> np.ndarray:
     return xy * warp_factor(spec, radius_array(xy))[:, None]
 
 
-def _quadratic_real_roots(a: float, b: float, c: float) -> tuple[float, ...]:
-    """Real roots of ``a x^2 + b x + c``, degree degradation included."""
-    if a == 0.0:
-        if b == 0.0:
-            return ()
-        return (-c / b,)
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return ()
-    sq = math.sqrt(disc)
-    u = -0.5 * (b + math.copysign(sq, b if b != 0.0 else 1.0))
-    if u == 0.0:
-        return (0.0, 0.0)
-    return (u / a, c / u)
-
-
 def validate_monotone(spec: DistortionSpec, dom: WorkingDomain) -> bool:
     """True iff ``F(r) = r f(r)`` is strictly increasing on ``[0, r_max]``.
 
@@ -155,10 +139,10 @@ def validate_monotone(spec: DistortionSpec, dom: WorkingDomain) -> bool:
     k1, k2 = spec.k1, spec.k2
     critical: list[float] = []
     if spec.model is Model.MODEL3:
-        critical = [r for r in _quadratic_real_roots(3.0 * k2, 2.0 * k1, 1.0)]
+        critical = list(_quadratic_roots(3.0 * k2, 2.0 * k1, 1.0))
     else:
         # F' = 1 + 3 k1 r^2 + 5 k2 r^4 (k2 = 0 covers model2): quadratic in r^2.
-        for s in _quadratic_real_roots(5.0 * k2, 3.0 * k1, 1.0):
+        for s in _quadratic_roots(5.0 * k2, 3.0 * k1, 1.0):
             if s >= 0.0:
                 critical.append(math.sqrt(s))
     return not any(0.0 <= r <= dom.r_max for r in critical)

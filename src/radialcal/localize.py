@@ -100,13 +100,6 @@ def _wrap_angle(angle: float) -> float:
     return wrapped
 
 
-def _z_rotation(angle: float) -> np.ndarray:
-    """Rz(angle) as a matrix, for tests and scripts; the fix writes it by
-    components."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def intersect_ground(n: NormalizedPoint, pose: ViewExtrinsics) -> WorldPoint:
     """Intersect the viewing ray of a normalized point with the z = 0 plane.
 
@@ -182,33 +175,19 @@ def localize(
     A: IntrinsicMatrix,
     spec: DistortionSpec,
     assumed_pose: ViewExtrinsics,
-    try_both_orders: bool = False,
 ) -> LocalizationFix:
     """Full fix from two observed (distorted) endpoint pixels.
 
-    ``try_both_orders`` also evaluates the swapped endpoint correspondence
-    and keeps whichever ordering yields the smaller segment-length
-    discrepancy; by default the input ordering is trusted.
+    ``observed_a`` must be the image of ``line.a`` and ``observed_b`` that
+    of ``line.b``. Swapping them recovers the same two ground points, so
+    the segment lengths, and with them ``length_discrepancy``, cannot tell
+    the orders apart; a swapped pair reports a yaw deviation off by pi.
     """
     n_a = undistort(spec, to_normalized(observed_a, A))
     n_b = undistort(spec, to_normalized(observed_b, A))
     if math.hypot(n_b.x - n_a.x, n_b.y - n_a.y) < 1e-12:
         raise EndpointsCoincide("undistorted observations collapse to one point")
 
-    fix = _localize_normalized(line, n_a, n_b, assumed_pose)
-    if try_both_orders:
-        swapped = _localize_normalized(line, n_b, n_a, assumed_pose)
-        if swapped.length_discrepancy < fix.length_discrepancy:
-            return swapped
-    return fix
-
-
-def _localize_normalized(
-    line: LineMap,
-    n_a: NormalizedPoint,
-    n_b: NormalizedPoint,
-    assumed_pose: ViewExtrinsics,
-) -> LocalizationFix:
     rec_a = intersect_ground(n_a, assumed_pose)
     rec_b = intersect_ground(n_b, assumed_pose)
     delta = recover_delta_rotation(line, rec_a, rec_b)

@@ -388,21 +388,12 @@ def recover_translation(mapped: WorldPoint, recovered: WorldPoint, delta_theta: 
     return mapped.array - rot_z(delta_theta).T @ (recovered.array - pose.t)
 
 
-def localize(line, observed_a, observed_b, A, spec, assumed_pose, try_both_orders=False):
+def localize(line, observed_a, observed_b, A, spec, pose) -> LocalizationFix:
     """The ground-line fix, with the same checks in the same order."""
     n_a = undistort(spec, to_normalized(observed_a, A))
     n_b = undistort(spec, to_normalized(observed_b, A))
     if math.hypot(n_b.x - n_a.x, n_b.y - n_a.y) < 1e-12:
         raise EndpointsCoincide("undistorted observations collapse to one point")
-    fix = _localize_normalized(line, n_a, n_b, assumed_pose)
-    if try_both_orders:
-        swapped = _localize_normalized(line, n_b, n_a, assumed_pose)
-        if swapped.length_discrepancy < fix.length_discrepancy:
-            return swapped
-    return fix
-
-
-def _localize_normalized(line, n_a, n_b, pose) -> LocalizationFix:
     rec_a = intersect_ground(n_a, pose)
     rec_b = intersect_ground(n_b, pose)
     delta = recover_delta_rotation(line, rec_a, rec_b)

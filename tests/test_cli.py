@@ -18,7 +18,6 @@ from radialcal.fileio import (
     write_pose,
 )
 from radialcal.geometry import IntrinsicMatrix, ViewExtrinsics, WorldPoint, to_normalized, to_pixel
-from radialcal.localize import _z_rotation
 
 from conftest import make_scene
 from oracles import rot_x, rot_z
@@ -406,7 +405,7 @@ class TestLocalize:
             p = to_pixel(distort_normalized(spec, n), A)
             obs += [p.u, p.v]
         pose2 = ViewExtrinsics.from_rotation(
-            _z_rotation(delta_theta) @ pose1.rotation, pose1.t + np.array([*dt, 0.0])
+            rot_z(delta_theta) @ pose1.rotation, pose1.t + np.array([*dt, 0.0])
         )
         write_pose(tmp_path / "pose.json", pose2)
         argv = [

@@ -22,6 +22,26 @@ def residual_scale(c: CubicCoeffs, x: float) -> float:
     return max(1.0, abs(c.y)) + ax + abs(c.p) * (ax * ax) + abs(c.q) * (ax * ax * ax)
 
 
+class TestQuadraticRoots:
+    def test_linear_and_constant_equations(self):
+        assert cubic._quadratic_roots(0.0, 2.0, -3.0) == (1.5,)
+        assert cubic._quadratic_roots(0.0, 0.0, 1.0) == ()
+
+    def test_small_root_does_not_cancel(self):
+        # x^2 + 1e8 x + 1: b - sqrt(disc) would lose the root near -1e-8.
+        big, small = cubic._quadratic_roots(1.0, 1e8, 1.0)
+        assert math.isclose(big, -1e8, rel_tol=1e-15)
+        assert math.isclose(small, -1e-8, rel_tol=1e-15)
+
+    def test_discriminant_within_noise_counts_as_zero(self):
+        # x^2 - 2x + (1 + 2^-52): the discriminant is -2^-50, 1.1e-16 of its
+        # terms' magnitudes.
+        c = 1.0 + 2.0 ** -52
+        assert cubic._quadratic_roots(1.0, -2.0, c, noise=4e-15) == (1.0, c)
+        assert cubic._quadratic_roots(1.0, -2.0, c) == ()
+        assert cubic._quadratic_roots(1.0, -2.0, 1.5, noise=4e-15) == ()
+
+
 class TestRealRoots:
     def test_linear_case(self):
         roots = real_roots(CubicCoeffs(y=0.42, p=0.0, q=0.0))

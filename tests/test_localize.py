@@ -20,7 +20,6 @@ from radialcal.localize import (
     LineMap,
     PointBehindCamera,
     RayParallelToGround,
-    _z_rotation,
     intersect_ground,
     localize,
     recover_delta_rotation,
@@ -100,7 +99,7 @@ class TestRecoverDeltaRotation:
         delta = recover_delta_rotation(self.LINE, a2, b2)
         v1 = self.LINE.b.array - self.LINE.a.array
         v2 = b2.array - a2.array
-        rotated = _z_rotation(delta) @ v1
+        rotated = rot_z(delta) @ v1
         cross = rotated[0] * v2[1] - rotated[1] * v2[0]
         assert abs(cross) / (np.linalg.norm(rotated) * np.linalg.norm(v2)) < 1e-12
 
@@ -157,7 +156,7 @@ def synthesize_case(rng, spec=WARP):
         delta_theta = rng.uniform(-math.pi / 2, math.pi / 2)
         dt = np.array([rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7), 0.0])
         pose2 = ViewExtrinsics.from_rotation(
-            _z_rotation(delta_theta) @ pose1.rotation, pose1.t + dt
+            rot_z(delta_theta) @ pose1.rotation, pose1.t + dt
         )
         obs_a, obs_b = observe(pa, pose1, spec), observe(pb, pose1, spec)
         return LineMap(pa, pb), pose1, pose2, delta_theta, obs_a, obs_b
@@ -180,7 +179,7 @@ class TestLocalize:
         pa, pb = intersect_ground(na, pose1), intersect_ground(nb, pose1)
         delta_theta, dt = 0.25, np.array([0.3, -0.1, 0.0])
         pose2 = ViewExtrinsics.from_rotation(
-            _z_rotation(delta_theta) @ pose1.rotation, pose1.t + dt
+            rot_z(delta_theta) @ pose1.rotation, pose1.t + dt
         )
         fix = localize(
             LineMap(pa, pb), observe(pa, pose1), observe(pb, pose1), CAMERA, WARP, pose2
@@ -198,7 +197,7 @@ class TestLocalize:
             # The recovered and mapped segments are parallel after rotation.
             v1 = line.b.array - line.a.array
             v2 = fix.recovered_b.array - fix.recovered_a.array
-            rotated = _z_rotation(fix.delta_theta) @ v1
+            rotated = rot_z(fix.delta_theta) @ v1
             sin_angle = abs(rotated[0] * v2[1] - rotated[1] * v2[0]) / (
                 np.linalg.norm(rotated) * np.linalg.norm(v2)
             )
@@ -214,7 +213,7 @@ class TestLocalize:
             assert math.hypot(p.u - obs.u, p.v - obs.v) <= 1e-9
 
     def test_rotation_deviation_matrix_structure(self):
-        R = _z_rotation(0.7)
+        R = rot_z(0.7)
         assert R[0, 2] == 0.0 and R[1, 2] == 0.0
         assert R[2, 0] == 0.0 and R[2, 1] == 0.0 and R[2, 2] == 1.0
 
@@ -230,13 +229,6 @@ class TestLocalize:
                 WARP,
                 pose,
             )
-
-    def test_try_both_orders_keeps_correct_ordering(self):
-        rng = np.random.default_rng(85)
-        line, _, pose2, delta_theta, obs_a, obs_b = synthesize_case(rng)
-        plain = localize(line, obs_a, obs_b, CAMERA, WARP, pose2)
-        both = localize(line, obs_a, obs_b, CAMERA, WARP, pose2, try_both_orders=True)
-        assert abs(plain.delta_theta - both.delta_theta) <= 1e-12
 
     def test_noisy_monte_carlo_regression(self):
         # Half-pixel observation noise, camera about one unit from a roughly
@@ -266,7 +258,7 @@ def assumed_pose_case(rng, spec, yaw, tilt):
     assumed = downward_pose(yaw, tilt, (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.5)))
     delta_theta = rng.uniform(-math.pi / 2, math.pi / 2)
     dt = np.array([rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7), 0.0])
-    true = ViewExtrinsics.from_rotation(_z_rotation(-delta_theta) @ assumed.rotation, assumed.t - dt)
+    true = ViewExtrinsics.from_rotation(rot_z(-delta_theta) @ assumed.rotation, assumed.t - dt)
     while True:
         na = NormalizedPoint(*rng.uniform(-0.35, 0.35, 2))
         nb = NormalizedPoint(*rng.uniform(-0.35, 0.35, 2))
@@ -295,12 +287,10 @@ class TestAgainstOracle:
 
     @staticmethod
     def check(line, obs_a, obs_b, spec, pose):
-        # Both endpoint orders, each alone and with the swapped order tried.
         for a, b in ((obs_a, obs_b), (obs_b, obs_a)):
-            for both in (False, True):
-                args = (line, a, b, CAMERA, spec, pose, both)
-                got, want = fix_values(localize(*args)), fix_values(oracles.localize(*args))
-                assert np.max(np.abs(got - want)) <= 1e-12
+            args = (line, a, b, CAMERA, spec, pose)
+            got, want = fix_values(localize(*args)), fix_values(oracles.localize(*args))
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("model", sorted(WARPS))
     def test_seeded_cases(self, model):
@@ -346,11 +336,10 @@ class TestAgainstOracle:
             ),
         }
         for error, (obs_a, obs_b, pose) in cases.items():
-            for both in (False, True):
-                args = (line, obs_a, obs_b, CAMERA, WARPS[model], pose, both)
-                got = self.raised(localize, *args)
-                assert got == self.raised(oracles.localize, *args)
-                assert got[0] is error
+            args = (line, obs_a, obs_b, CAMERA, WARPS[model], pose)
+            got = self.raised(localize, *args)
+            assert got == self.raised(oracles.localize, *args)
+            assert got[0] is error
 
 
 def test_fix_translation_is_read_only():
