@@ -60,6 +60,7 @@ from .geometry import (
     ViewExtrinsics,
     WorldPoint,
     axis_angles_from_rotations,
+    radius_array,
     to_pixel_array,
 )
 
@@ -483,7 +484,7 @@ def project_views(
         where = f"view {view_ids[view_index[np.argmin(z)]]} has a point at camera depth"
         raise DepthNotPositive(f"{where} {z.min()}; must be positive")
     xy = pc[:, :2] / z
-    r = np.hypot(xy[:, 0], xy[:, 1])
+    r = radius_array(xy)
     f = warp_factor(spec, r)
     pixels = to_pixel_array(xy * f[:, None], A)
     return _Stacked(A, spec, rotation_t, jr, pc, xy, r, f, pixels)
@@ -515,12 +516,13 @@ def objective(
     """Sum of squared pixel distances between observations and predictions.
 
     extrinsics is one ViewExtrinsics per view, or their ``(v, 6)`` rows
-    ``[w, t]``; so in init_distortion and objective_gradient.
+    ``[w, t]``; so in init_distortion and objective_gradient. At a fit's
+    parameters this is the fit's ``j_final``, to the bit.
     """
     if len(extrinsics) != corr.n_views:
         raise ValueError("one extrinsics entry per view is required")
     diff = _forward(_pack_params(A, spec, extrinsics), corr, spec.model).pixels - corr.pixels
-    return float(np.sum(diff * diff))
+    return _cost(diff)
 
 
 def init_distortion(
@@ -720,13 +722,11 @@ def objective_gradient(
 # Levenberg-Marquardt refinement
 
 
-def _residual_distances(diff: np.ndarray) -> tuple[np.ndarray, float]:
-    """Each point's residual length, read-only, and the objective, from the
-    ``(n, 2)`` residuals."""
-    dx, dy = diff.T
-    dist = np.sqrt(dx * dx + dy * dy)
-    dist.setflags(write=False)
-    return dist, float(np.sum(dist * dist))
+def _cost(residuals: np.ndarray) -> float:
+    """The objective J of the ``(n, 2)`` residuals: the package's one
+    formula for it, so the LM's costs, ``j_init``, ``j_final`` and
+    ``objective`` agree to the bit."""
+    return float(np.vdot(residuals, residuals))
 
 
 @dataclass(frozen=True)
@@ -760,12 +760,11 @@ def _levenberg_marquardt(
     """
     x = np.array(x0, dtype=float)
     blocks = eval_fn(x)
-    j_init = _residual_distances(blocks[0][-1])[1]
     # eval_fn may write every evaluation into one workspace, which later
     # trials overwrite: the residuals of each accepted point are copied out.
     residuals = blocks[0][-1].copy()
     n_fev = 1
-    cost = float(np.vdot(blocks[0][-1], blocks[0][-1]))
+    cost = j_init = _cost(residuals)
     mu = -1.0
     nu = 2.0
     converged = False
@@ -794,7 +793,7 @@ def _levenberg_marquardt(
             trial = x + delta
             try:
                 blocks_new = eval_fn(trial)
-                cost_new = float(np.vdot(blocks_new[0][-1], blocks_new[0][-1]))
+                cost_new = _cost(blocks_new[0][-1])
             except (InvalidParameters, DepthNotPositive):
                 cost_new = math.inf
             n_fev += 1
@@ -838,7 +837,9 @@ def _build_result(
     ``(n, 2)`` predicted minus observed pixels there, else computed."""
     if residuals is None:
         residuals = _forward(_pack_params(A, spec, extrinsics), corr, spec.model).pixels - corr.pixels
-    dist, total = _residual_distances(residuals)
+    total = _cost(residuals)
+    dist = radius_array(residuals)
+    dist.setflags(write=False)
     return CalibrationResult(
         intrinsics=A,
         distortion=spec,

@@ -670,10 +670,23 @@ class TestRefine:
         corr, _ = make_scene(54, noise_sigma=0.4)
         result = calibrate(corr, Model.MODEL1)
         J = objective(corr, result.intrinsics, result.distortion, result.extrinsics)
-        assert abs(J - result.j_final) <= 1e-9 * max(1.0, J)
-        assert math.isclose(
-            result.rms_px, math.sqrt(J / corr.n_points), rel_tol=1e-12
-        )
+        assert J == result.j_final
+        assert result.rms_px == math.sqrt(J / corr.n_points)
+
+    def test_objective_at_every_fit_is_its_j_final(self):
+        # J has one formula: at each fit's parameters objective() gives the
+        # LM's cost at its last accepted point, to the bit, for every model.
+        fits = 0
+        for seed in range(14):
+            corr, _ = make_scene(
+                300 + seed, Model.MODEL1, k1=-0.3435, k2=0.1232, noise_sigma=0.2, n_views=5
+            )
+            for entry in compare_models(corr).entries:
+                fit = entry.result
+                assert objective(corr, fit.intrinsics, fit.distortion, fit.poses) == fit.j_final
+                assert fit.j_final <= fit.j_init
+                fits += 1
+        assert fits == 42
 
     def test_lm_holds_one_jacobian_at_a_time(self):
         # No evaluation may start while the LM still holds the Jacobian
