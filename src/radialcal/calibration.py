@@ -77,7 +77,9 @@ class BehindCamera(ValueError):
     """No sign choice places the target plane in front of the camera."""
 
 
-@dataclass(frozen=True)
+# Records that hold arrays compare and hash by identity (eq=False): a
+# generated __eq__ would compare their arrays elementwise and raise.
+@dataclass(frozen=True, eq=False)
 class CalibrationView:
     """One image of the planar target: world (x, y) on z = 0 plus observed pixels."""
 
@@ -104,7 +106,7 @@ class CalibrationView:
         return self.world_xy.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrespondenceSet:
     """All views of one calibration session.
 
@@ -115,10 +117,10 @@ class CorrespondenceSet:
     """
 
     views: tuple[CalibrationView, ...]
-    world: np.ndarray = field(init=False, repr=False, compare=False)
-    pixels: np.ndarray = field(init=False, repr=False, compare=False)
-    view_index: np.ndarray = field(init=False, repr=False, compare=False)
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    world: np.ndarray = field(init=False, repr=False)
+    pixels: np.ndarray = field(init=False, repr=False)
+    view_index: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         views = tuple(self.views)
@@ -168,7 +170,7 @@ class OptimizerOptions:
             raise ValueError("iteration caps must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationResult:
     """Estimated parameters, the exact objective they achieve, the options
     the refinement ran with and how it ended.
@@ -906,7 +908,7 @@ def refine(
 # Pipeline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearStage:
     """The linear start of a calibration, and the views it could not use."""
 

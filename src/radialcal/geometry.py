@@ -184,17 +184,21 @@ def rotation_from_axis_angle(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * K + b * (K @ K)
 
 
-def axis_angles_from_rotations(R: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+# Largest entry of |R^T R - I| that a rotation matrix may have.
+_ROTATION_TOL = 1e-8
+
+
+def axis_angles_from_rotations(R: np.ndarray) -> np.ndarray:
     """Inverse Rodrigues map of each rotation of a ``(v, 3, 3)`` stack, to
     ``(v, 3)``, on the domain ``norm(w) < pi``.
 
     Raises NotARotation when some ``R^T R`` deviates from the identity beyond
-    ``tol`` or some determinant is not +1.
+    ``_ROTATION_TOL`` or some determinant is not +1.
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 3 or R.shape[1:] != (3, 3):
         raise ValueError("rotation matrices must have shape (v, 3, 3)")
-    if np.any(np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)) > tol):
+    if np.any(np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)) > _ROTATION_TOL):
         raise NotARotation("R^T R deviates from the identity beyond tolerance")
     if np.any(np.linalg.det(R) < 0.0):
         raise NotARotation("determinant is negative (improper rotation)")
@@ -225,7 +229,8 @@ def axis_angles_from_rotations(R: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity: it holds arrays.
+@dataclass(frozen=True, eq=False)
 class ViewExtrinsics:
     """Camera pose for one view: axis-angle rotation plus camera center.
 

@@ -62,7 +62,8 @@ class LineMap:
             raise DegenerateLine("mapped endpoints must be distinct")
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity: it holds arrays.
+@dataclass(frozen=True, eq=False)
 class LocalizationFix:
     """Recovered planar deviation plus diagnostics.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 import weakref
@@ -15,8 +16,10 @@ from radialcal.calibration import (
     _build_result,
     _canonical_homographies,
     _forward,
+    _cost,
     _homographies,
     _intrinsics,
+    _NormalEquations,
     _normal_equations,
     _pack_params,
     _poses_from_homographies,
@@ -39,8 +42,11 @@ from radialcal.geometry import (
     IntrinsicMatrix,
     InvalidParameters,
     ViewExtrinsics,
+    WorldPoint,
     rotation_from_axis_angle,
 )
+from radialcal.localize import LocalizationFix
+from radialcal.synth import SynthSpec, generate_scene
 
 import oracles
 from conftest import make_scene
@@ -804,6 +810,52 @@ class TestRefine:
         got = _pack_params(fits[1].intrinsics, fits[1].distortion, fits[1].extrinsics[:1] + fits[1].extrinsics[2:])
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @staticmethod
+    def perturbed_start():
+        corr, truth = make_scene(57, noise_sigma=0.5)
+        theta = _pack_params(truth.intrinsics, truth.distortion, truth.extrinsics)
+        rng = np.random.default_rng(1)
+        theta = theta + rng.normal(0, 1e-3, theta.size) * np.maximum(1.0, np.abs(theta))
+        return corr, truth.distortion.model, theta
+
+    def test_evaluation_cap_stops_without_converging(self):
+        corr, model, theta = self.perturbed_start()
+        opts = OptimizerOptions(tol_x=1e-14, tol_fun=1e-14, max_fun_evals=2)
+        lm = calibration._levenberg_marquardt(
+            lambda th: _residuals_and_blocks(th, corr, model), theta, opts, corr.offsets
+        )
+        assert lm.reason == "function evaluation limit reached"
+        assert not lm.converged and lm.n_fev == 2
+        assert _cost(lm.residuals) <= lm.j_init
+
+    def test_damping_overflow_when_every_trial_is_refused(self):
+        corr, model, theta = self.perturbed_start()
+        calls = []
+
+        def evaluate(th):
+            calls.append(th)
+            if len(calls) > 1:
+                raise DepthNotPositive("trial point refused")
+            return _residuals_and_blocks(th, corr, model)
+
+        opts = OptimizerOptions(tol_x=1e-300)
+        lm = calibration._levenberg_marquardt(evaluate, theta, opts, corr.offsets)
+        assert lm.reason == "damping overflow (no descent direction)"
+        assert not lm.converged and lm.n_iterations == 1 and lm.n_fev == len(calls)
+        assert np.array_equal(lm.x, theta)
+        assert _cost(lm.residuals) == lm.j_init
+
+    def test_singular_schur_complement_takes_the_least_squares_step(self):
+        # Two shared parameters that enter only as their sum, and one view
+        # that shares nothing with them: S = [[1, 1], [1, 1]] at mu = 0,
+        # which np.linalg.solve refuses.
+        g_pose = np.arange(1.0, 7.0)
+        ne = _NormalEquations(
+            u=np.ones((2, 2)), wt=np.zeros((1, 6, 2)), v=np.eye(6)[None], grad=np.concatenate([[1.0, 1.0], g_pose])
+        )
+        step = _schur_step(ne, 0.0)
+        assert np.allclose(step, np.concatenate([[-0.5, -0.5], -g_pose]), rtol=0.0, atol=1e-15)
+
     def test_iteration_cap_flags_not_converged(self):
         corr, _ = make_scene(55, noise_sigma=0.5)
         opts = OptimizerOptions(tol_x=1e-14, tol_fun=1e-14, max_iter=2, max_fun_evals=8000)
@@ -828,6 +880,33 @@ class TestRefine:
         # reported as converged, at about 60 times a full run's objective.
         with pytest.raises(ValueError, match="must be"):
             OptimizerOptions(**{field: value})
+
+
+class TestRecordIdentity:
+    """Records that hold arrays compare and hash by identity."""
+
+    @staticmethod
+    def records():
+        corr, truth = make_scene(58, noise_sigma=0.3)
+        fix = LocalizationFix(0.1, np.zeros(3), WorldPoint(0.0, 0.0), WorldPoint(1.0, 0.0), 0.0, 0.0)
+        return [
+            corr.views[0], corr, calibrate(corr, Model.MODEL3), linear_stage(corr), truth.extrinsics[0], fix
+        ]
+
+    def test_hash_and_equality_are_identity(self):
+        for record in self.records():
+            copy = dataclasses.replace(record)
+            assert hash(record) == hash(record) and hash(copy) != hash(record)
+            assert record == record
+            assert not record == copy and record != copy
+
+    def test_scene_truth_hashes_and_compares(self):
+        spec = SynthSpec(seed=58, intrinsics=IntrinsicMatrix(800.0, 800.0, 0.2, 320.0, 240.0),
+                         distortion=DistortionSpec(Model.MODEL3, -0.12, -0.14))
+        truth, again = generate_scene(spec)[1], generate_scene(spec)[1]
+        assert hash(truth) == hash(truth) and truth == truth
+        # Their poses are distinct ViewExtrinsics, which compare by identity.
+        assert truth != again
 
 
 class TestPipelinePolicies:

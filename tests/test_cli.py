@@ -5,7 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from radialcal.calibration import CalibrationView, CorrespondenceSet, _build_result, project
+from radialcal import calibration
+from radialcal.calibration import (
+    CalibrationView,
+    CorrespondenceSet,
+    SingularConfiguration,
+    _build_result,
+    project,
+)
 from radialcal.cli import main
 from radialcal.distortion import DistortionSpec, Model, distort_normalized
 from radialcal.fileio import (
@@ -239,6 +246,57 @@ class TestCompare:
         missing = tmp_path / "nope.csv"
         assert main(["compare", "--input", str(missing)]) == 2
 
+    @staticmethod
+    def session(tmp_path, n_views=3):
+        corr, _ = make_scene(15, model=Model.MODEL1, k1=-0.3435, k2=0.1232, noise_sigma=0.3, n_views=n_views)
+        corr_path = tmp_path / "corr.csv"
+        write_correspondences(corr_path, corr)
+        return str(corr_path)
+
+    @staticmethod
+    def refuse(monkeypatch, models):
+        """Make refine raise a library error for each of models."""
+        refine = calibration.refine
+
+        def refusing(corr, init, opts):
+            if init.distortion.model in models:
+                raise SingularConfiguration("refused")
+            return refine(corr, init, opts)
+
+        monkeypatch.setattr(calibration, "refine", refusing)
+
+    def test_max_iter_1_exits_4(self, tmp_path, capsys):
+        assert main(["compare", "--input", self.session(tmp_path), "--max-iter", "1", "--json"]) == 4
+        data = json.loads(capsys.readouterr().out)
+        assert [data[m]["converged"] for m in ("model1", "model2", "model3")] == [False] * 3
+
+    def test_failed_model_is_an_error_cell(self, tmp_path, capsys, monkeypatch):
+        self.refuse(monkeypatch, {Model.MODEL2})
+        corr_path = self.session(tmp_path)
+        assert main(["compare", "--input", corr_path]) == 0
+        captured = capsys.readouterr()
+        rows = [line.split() for line in captured.out.splitlines()[1:9]]
+        assert [row[2] for row in rows] == ["error"] * 8
+        assert all(math.isfinite(float(row[1])) and math.isfinite(float(row[3])) for row in rows)
+        assert captured.err == "model2: SingularConfiguration: refused\n"
+
+        assert main(["compare", "--input", corr_path, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["model2"] == {"error": "SingularConfiguration: refused"}
+        assert data["model1"]["converged"] and data["model3"]["converged"]
+
+    def test_every_model_failing_exits_3(self, tmp_path, capsys, monkeypatch):
+        self.refuse(monkeypatch, set(Model))
+        assert main(["compare", "--input", self.session(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert all(line.split()[1:] == ["error"] * 3 for line in captured.out.splitlines()[1:9])
+        assert captured.err.count("SingularConfiguration: refused") == 3
+
+    def test_fewer_than_3_usable_views_exits_3(self, tmp_path, capsys):
+        assert main(["compare", "--input", self.session(tmp_path, n_views=2)]) == 3
+        captured = capsys.readouterr()
+        assert "at least 3 usable views, got 2" in captured.err and captured.out == ""
+
 
 class TestUndistort:
     def test_forward_then_inverse_round_trip(self, tmp_path):
@@ -460,6 +518,21 @@ class TestLocalize:
         argv[i] = f"{flag}={value}," + argv[i].split(",", 1)[1]
         assert main(argv) == 2
         assert f"{flag} contains a non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "arg,message",
+        [
+            ("--line-map=1,2,3", "--line-map needs 4 comma-separated numbers, got 3"),
+            ("--observed=a,b,c,d", "--observed contains a non-numeric value: 'a,b,c,d'"),
+        ],
+    )
+    def test_malformed_numbers_exit_2(self, tmp_path, capsys, arg, message):
+        argv, _ = self._setup(tmp_path)
+        flag = arg.split("=")[0]
+        argv[next(i for i, a in enumerate(argv) if a.startswith(flag + "="))] = arg
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     def test_text_output(self, tmp_path, capsys):
         argv, _ = self._setup(tmp_path)
