@@ -220,32 +220,6 @@ class TestCalibrate:
 
 
 class TestCompare:
-    def test_table_schema_and_json_agree(self, tmp_path, capsys):
-        corr, _ = make_scene(15, model=Model.MODEL1, k1=-0.3435, k2=0.1232, noise_sigma=0.3)
-        corr_path = tmp_path / "corr.csv"
-        write_correspondences(corr_path, corr)
-
-        assert main(["compare", "--input", str(corr_path)]) == 0
-        table = capsys.readouterr().out.splitlines()
-        assert "model1" in table[0] and "model2" in table[0] and "model3" in table[0]
-        labels = [line.split()[0] for line in table[1:9]]
-        assert labels == ["J", "alpha", "gamma", "u0", "beta", "v0", "k1", "k2"]
-
-        assert main(["compare", "--input", str(corr_path), "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        # field-for-field agreement between the table and the json numbers
-        for i, model in enumerate(("model1", "model2", "model3")):
-            for row_idx, label in enumerate(labels):
-                cell = float(table[1 + row_idx].split()[1 + i])
-                assert math.isclose(data[model][label], cell, rel_tol=1e-5, abs_tol=1e-5)
-
-        j1, j2, j3 = (data[m]["J"] for m in ("model1", "model2", "model3"))
-        assert j1 <= j3 <= j2
-
-    def test_parse_error_exit_2(self, tmp_path):
-        missing = tmp_path / "nope.csv"
-        assert main(["compare", "--input", str(missing)]) == 2
-
     @staticmethod
     def session(tmp_path, n_views=3):
         corr, _ = make_scene(15, model=Model.MODEL1, k1=-0.3435, k2=0.1232, noise_sigma=0.3, n_views=n_views)
@@ -264,6 +238,30 @@ class TestCompare:
             return refine(corr, init, opts)
 
         monkeypatch.setattr(calibration, "refine", refusing)
+
+    def test_table_schema_and_json_agree(self, tmp_path, capsys):
+        corr_path = self.session(tmp_path)
+
+        assert main(["compare", "--input", corr_path]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert "model1" in table[0] and "model2" in table[0] and "model3" in table[0]
+        labels = [line.split()[0] for line in table[1:9]]
+        assert labels == ["J", "alpha", "gamma", "u0", "beta", "v0", "k1", "k2"]
+
+        assert main(["compare", "--input", corr_path, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        # field-for-field agreement between the table and the json numbers
+        for i, model in enumerate(("model1", "model2", "model3")):
+            for row_idx, label in enumerate(labels):
+                cell = float(table[1 + row_idx].split()[1 + i])
+                assert math.isclose(data[model][label], cell, rel_tol=1e-5, abs_tol=1e-5)
+
+        j1, j2, j3 = (data[m]["J"] for m in ("model1", "model2", "model3"))
+        assert j1 <= j3 <= j2
+
+    def test_parse_error_exit_2(self, tmp_path):
+        missing = tmp_path / "nope.csv"
+        assert main(["compare", "--input", str(missing)]) == 2
 
     def test_max_iter_1_exits_4(self, tmp_path, capsys):
         assert main(["compare", "--input", self.session(tmp_path), "--max-iter", "1", "--json"]) == 4
