@@ -147,7 +147,7 @@ def run_fits() -> dict:
     for seed in PAPER_SEEDS:
         corr, _ = generate_scene(SynthSpec(seed=seed, **PAPER_SESSION))
         fits[f"linear/seed{seed}"] = linear_record(corr)
-        for entry in compare_models(corr).entries:
+        for entry in compare_models(corr):
             key = f"compare/seed{seed}/{entry.model.value}"
             fits[key] = {"error": entry.error} if entry.result is None else fit_record(entry.result)
     scenes = {f"{n}v": bench_calibrate.scene(n) for n in bench_calibrate.VIEWS}

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from radialcal.calibration import calibrate, project
-from radialcal.distortion import Model, distort_normalized
+from radialcal.distortion import Model, distort_array
 from radialcal.geometry import (
     IntrinsicMatrix,
     NormalizedPoint,
@@ -23,7 +23,7 @@ from radialcal.geometry import (
     ViewExtrinsics,
     rotation_from_axis_angle,
     to_normalized,
-    to_pixel,
+    to_pixel_array,
 )
 from radialcal.localize import LineMap, intersect_ground, localize
 from radialcal.synth import SynthSpec, generate_scene
@@ -65,11 +65,9 @@ def run_trials(A, spec, rng, n_trials, sigma):
         observed = []
         for P in (pa, pb):
             n = to_normalized(project(P, pose1, A), A)
-            p = to_pixel(distort_normalized(spec, n), A)
+            ((u, v),) = to_pixel_array(distort_array(spec, np.array([[n.x, n.y]])), A).tolist()
             observed.append(
-                PixelPoint(p.u + rng.normal(0.0, sigma), p.v + rng.normal(0.0, sigma))
-                if sigma > 0
-                else p
+                PixelPoint(u + rng.normal(0.0, sigma), v + rng.normal(0.0, sigma)) if sigma > 0 else PixelPoint(u, v)
             )
 
         fix = localize(LineMap(pa, pb), observed[0], observed[1], A, spec, pose2)

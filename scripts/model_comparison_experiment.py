@@ -47,14 +47,14 @@ def run_scenario(name, intrinsics, distortion, seed, noise_sigma):
         pose=PoseRanges(distance=(1.1, 1.5), tilt_deg=(10.0, 30.0), offset=(-0.1, 0.1)),
     )
     corr, _ = generate_scene(spec)
-    report = compare_models(corr)
+    reports = compare_models(corr)
 
     print(f"\n== {name} (sigma = {noise_sigma} px, seed = {seed}) ==")
-    models = [e.model for e in report.entries]
+    models = [e.model for e in reports]
     print(f"{'':>8}" + "".join(f"{m.value:>14}" for m in models))
     for row in ROWS:
         cells = []
-        for entry in report.entries:
+        for entry in reports:
             res = entry.result
             A = res.intrinsics
             value = {
@@ -70,7 +70,7 @@ def run_scenario(name, intrinsics, distortion, seed, noise_sigma):
             cells.append(f"{value:>14.6g}")
         print(f"{row:>8}" + "".join(cells))
 
-    j = {e.model: e.result.j_final for e in report.entries}
+    j = {e.model: e.result.j_final for e in reports}
     ordered = j[Model.MODEL1] <= j[Model.MODEL3] <= j[Model.MODEL2]
     print(f"ordering J1 <= J3 <= J2: {'yes' if ordered else 'NO'}")
     return ordered

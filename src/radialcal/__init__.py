@@ -4,7 +4,6 @@ cubic undistortion path, and a single-view ground-line localizer."""
 from .calibration import (
     CalibrationResult,
     CalibrationView,
-    ComparisonReport,
     CorrespondenceSet,
     OptimizerOptions,
     calibrate,
@@ -18,7 +17,6 @@ from .distortion import (
     DistortionSpec,
     Model,
     WorkingDomain,
-    distort_normalized,
     undistort,
     undistort_array,
     validate_monotone,
@@ -31,7 +29,6 @@ from .geometry import (
     ViewExtrinsics,
     WorldPoint,
     to_normalized,
-    to_pixel,
 )
 from .localize import LineMap, LocalizationFix, intersect_ground, localize
 from .synth import PoseRanges, SceneTruth, SynthSpec, generate_scene
@@ -41,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CalibrationResult",
     "CalibrationView",
-    "ComparisonReport",
     "CorrespondenceSet",
     "DistortionSpec",
     "IntrinsicMatrix",
@@ -59,7 +55,6 @@ __all__ = [
     "WorldPoint",
     "calibrate",
     "compare_models",
-    "distort_normalized",
     "generate_scene",
     "init_distortion",
     "intersect_ground",
@@ -68,7 +63,6 @@ __all__ = [
     "project",
     "refine",
     "to_normalized",
-    "to_pixel",
     "undistort",
     "undistort_array",
     "validate_monotone",

@@ -159,15 +159,14 @@ class OptimizerOptions:
     tol_x: float = 1e-5
     tol_fun: float = 1e-5
     max_iter: int = 120
-    max_fun_evals: int = 8000
 
     def __post_init__(self) -> None:
         # NaN compares false and inf stops LM after one step: both rejected.
         tols = (self.tol_x, self.tol_fun)
         if not all(math.isfinite(t) and t > 0 for t in tols):
             raise ValueError(f"tolerances must be finite and positive: tol_x, tol_fun = {tols}")
-        if self.max_iter <= 0 or self.max_fun_evals <= 0:
-            raise ValueError("iteration caps must be positive")
+        if self.max_iter <= 0:
+            raise ValueError("the iteration cap must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,19 +212,6 @@ class ModelReport:
     result: CalibrationResult | None
     init_coefficients: tuple[float, ...] | None
     error: str | None = None
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Side-by-side refinement of all three models from one linear start."""
-
-    entries: tuple[ModelReport, ...]
-
-    def entry(self, model: Model) -> ModelReport:
-        for e in self.entries:
-            if e.model is model:
-                return e
-        raise KeyError(model)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +724,6 @@ class _LMResult:
 
     x: np.ndarray
     n_iterations: int
-    n_fev: int
     converged: bool
     reason: str
     j_init: float
@@ -765,7 +750,6 @@ def _levenberg_marquardt(
     # eval_fn may write every evaluation into one workspace, which later
     # trials overwrite: the residuals of each accepted point are copied out.
     residuals = blocks[0][-1].copy()
-    n_fev = 1
     cost = j_init = _cost(residuals)
     mu = -1.0
     nu = 2.0
@@ -789,16 +773,12 @@ def _levenberg_marquardt(
                 converged = True
                 reason = "step below tol_x"
                 break
-            if n_fev >= opts.max_fun_evals:
-                reason = "function evaluation limit reached"
-                break
             trial = x + delta
             try:
                 blocks_new = eval_fn(trial)
                 cost_new = _cost(blocks_new[0][-1])
             except (InvalidParameters, DepthNotPositive):
                 cost_new = math.inf
-            n_fev += 1
             if cost_new < cost:
                 gain_den = float(delta @ (mu * delta - ne.grad))
                 rho = (cost - cost_new) / gain_den if gain_den > 0.0 else 1.0
@@ -820,7 +800,7 @@ def _levenberg_marquardt(
                 break
         if converged or not accepted:
             break
-    return _LMResult(x, n_iter, n_fev, converged, reason, j_init, residuals)
+    return _LMResult(x, n_iter, converged, reason, j_init, residuals)
 
 
 def _build_result(
@@ -968,8 +948,9 @@ def calibrate(
 def compare_models(
     corr: CorrespondenceSet,
     opts: OptimizerOptions = OptimizerOptions(),
-) -> ComparisonReport:
-    """Refine all three distortion models from one shared linear start.
+) -> tuple[ModelReport, ...]:
+    """Refine all three distortion models from one shared linear start; one
+    report per model, in the order model1, model2, model3.
 
     The distortion initialization is re-fit per model (the linear intrinsics
     and poses are shared); a model that fails is reported inline without
@@ -1000,4 +981,4 @@ def compare_models(
                     error=f"{type(exc).__name__}: {exc}",
                 )
             )
-    return ComparisonReport(tuple(entries))
+    return tuple(entries)

@@ -23,7 +23,6 @@ import numpy as np
 
 from .calibration import (
     BehindCamera,
-    ComparisonReport,
     DegenerateConfiguration,
     ModelReport,
     OptimizerOptions,
@@ -90,18 +89,12 @@ def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-x", type=float, default=defaults.tol_x)
     parser.add_argument("--tol-fun", type=float, default=defaults.tol_fun)
     parser.add_argument("--max-iter", type=int, default=defaults.max_iter)
-    parser.add_argument("--max-fun-evals", type=int, default=defaults.max_fun_evals)
 
 
 def _options_from_args(args: argparse.Namespace) -> OptimizerOptions:
     """The optimizer flags; settings the options reject are a ParseError."""
     try:
-        return OptimizerOptions(
-            tol_x=args.tol_x,
-            tol_fun=args.tol_fun,
-            max_iter=args.max_iter,
-            max_fun_evals=args.max_fun_evals,
-        )
+        return OptimizerOptions(tol_x=args.tol_x, tol_fun=args.tol_fun, max_iter=args.max_iter)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -152,9 +145,9 @@ def _report_cells(entry: ModelReport) -> dict | None:
     }
 
 
-def _report_as_dict(report: ComparisonReport) -> dict:
+def _report_as_dict(reports: tuple[ModelReport, ...]) -> dict:
     out = {}
-    for entry in report.entries:
+    for entry in reports:
         cells = _report_cells(entry)
         if cells is None:
             out[entry.model.value] = {"error": entry.error}
@@ -165,14 +158,14 @@ def _report_as_dict(report: ComparisonReport) -> dict:
     return out
 
 
-def _print_report_table(report: ComparisonReport) -> None:
-    columns = [_report_cells(e) for e in report.entries]
-    header = f"{'':>8}" + "".join(f"{e.model.value:>16}" for e in report.entries)
+def _print_report_table(reports: tuple[ModelReport, ...]) -> None:
+    columns = [_report_cells(e) for e in reports]
+    header = f"{'':>8}" + "".join(f"{e.model.value:>16}" for e in reports)
     print(header)
     for row in _TABLE_ROWS:
         cells = [f"{c[row]:>16.6g}" if c is not None else f"{'error':>16}" for c in columns]
         print(f"{row:>8}" + "".join(cells))
-    for entry in report.entries:
+    for entry in reports:
         if entry.error is not None:
             print(f"{entry.model.value}: {entry.error}", file=sys.stderr)
 
@@ -184,16 +177,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     except (OSError, ParseError) as exc:
         return _fail(str(exc), EXIT_PARSE)
     try:
-        report = compare_models(corr, opts)
+        reports = compare_models(corr, opts)
     except _CONFIG_ERRORS as exc:
         return _fail(str(exc), EXIT_DEGENERATE)
     if args.json:
-        print(json.dumps(_report_as_dict(report), indent=2))
+        print(json.dumps(_report_as_dict(reports), indent=2))
     else:
-        _print_report_table(report)
-    if all(e.result is None for e in report.entries):
+        _print_report_table(reports)
+    if all(e.result is None for e in reports):
         return EXIT_DEGENERATE
-    if any(e.result is not None and not e.result.converged for e in report.entries):
+    if any(e.result is not None and not e.result.converged for e in reports):
         return EXIT_NOT_CONVERGED
     return EXIT_OK
 

@@ -12,11 +12,12 @@ the test suite's oracle for this radius form.
 The cubic is solved through the depressed-cubic substitution with the
 trigonometric method in the three-real-root regime and a cancellation-safe
 Cardano form otherwise, followed by a short Newton polish on the original
-equation. This is numerically equivalent to the textbook radical formulas but
-avoids complex intermediates and the division by ``q`` they require. The
-scalar closed form is written once, in ``RadiusCubic.closed_form``: the
-radius solve polishes the admissible root nearest ``r_d``, and ``real_roots``
-(through ``_solve_cubic``) polishes all of them.
+equation that never takes a step growing the residual. This is numerically
+equivalent to the textbook radical formulas but avoids complex intermediates
+and the division by ``q`` they require. The scalar closed form is written
+once, in ``RadiusCubic.closed_form``: the radius solve polishes the
+admissible root nearest ``r_d``, and ``real_roots(y, p, q)`` (through
+``_solve_cubic``) polishes all of them and returns them as a sorted tuple.
 
 The discriminant of the depressed cubic is itself a difference of two
 near-equal quantities once the coefficients span many decades, so its sign
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,46 +66,18 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-@dataclass(frozen=True)
-class CubicCoeffs:
-    """Coefficients of ``y = x + p x^2 + q x^3`` (observed value plus warp terms)."""
-
-    y: float
-    p: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.y, self.p, self.q))):
-            raise ValueError("cubic coefficients must be finite")
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """Real solutions in ascending order, with multiplicity, at most three."""
-
-    roots: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.roots) > 3:
-            raise ValueError("a cubic has at most three real roots")
-        object.__setattr__(self, "roots", tuple(sorted(self.roots)))
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-
 def _polish(y: float, p: float, q: float, x: float) -> float:
     """Guarded Newton iteration on the original cubic.
 
     Converges in two or three steps from closed-form values; the larger step
-    budget only matters for starts produced in ill-conditioned regimes.
+    budget only matters for starts produced in ill-conditioned regimes. A
+    step whose residual is larger than the current one is not taken: at a
+    double root the residual reaches its rounding noise before the step
+    does, and Newton would then wander along the flat of the cubic.
     """
+    xx = x * x
+    g = x + p * xx + q * (xx * x) - y
     for _ in range(_POLISH_STEPS):
-        xx = x * x
-        g = x + p * xx + q * (xx * x) - y
         dg = 1.0 + 2.0 * p * x + 3.0 * q * xx
         if dg == 0.0 or not math.isfinite(g):
             break
@@ -113,7 +85,11 @@ def _polish(y: float, p: float, q: float, x: float) -> float:
         x_new = x - step
         if not math.isfinite(x_new):
             break
-        x = x_new
+        xx_new = x_new * x_new
+        g_new = x_new + p * xx_new + q * (xx_new * x_new) - y
+        if not abs(g_new) <= abs(g):
+            break
+        x, xx, g = x_new, xx_new, g_new
         if abs(step) <= _STEP_TOL * (1.0 + abs(x)):
             break
     return x
@@ -290,13 +266,18 @@ def _solve_cubic(cubic: RadiusCubic, y: float) -> tuple[float, ...]:
     return (anchor,) + tuple(x for x in pair if _is_true_root(y, p, q, x))
 
 
-def real_roots(c: CubicCoeffs) -> RootSet:
-    """All real solutions of ``y = x + p x^2 + q x^3``.
+def real_roots(y: float, p: float, q: float) -> tuple[float, ...]:
+    """All real solutions of ``y = x + p x^2 + q x^3``, ascending and with
+    multiplicity.
 
     Degenerate leading coefficients fall back to the quadratic/linear cases;
-    complex-conjugate pairs are never returned.
+    complex-conjugate pairs are never returned. The coefficients are taken
+    as Python floats; a non-finite one raises ValueError.
     """
-    return RootSet(_solve_cubic(RadiusCubic(c.p, c.q), c.y))
+    y, p, q = float(y), float(p), float(q)
+    if not (math.isfinite(y) and math.isfinite(p) and math.isfinite(q)):
+        raise ValueError("cubic coefficients must be finite")
+    return tuple(sorted(_solve_cubic(RadiusCubic(p, q), y)))
 
 
 class RadiusCubic:

@@ -119,14 +119,9 @@ def coefficient_basis(model: Model, r: np.ndarray) -> np.ndarray:
     return np.stack([r, r ** 2], axis=-1)
 
 
-def distort_normalized(spec: DistortionSpec, n: NormalizedPoint) -> NormalizedPoint:
-    """Forward radial warp on the unit focal plane."""
-    f = warp_factor(spec, n.radius)
-    return NormalizedPoint(n.x * f, n.y * f)
-
-
 def distort_array(spec: DistortionSpec, xy: np.ndarray) -> np.ndarray:
-    """distort_normalized for an ``(n, 2)`` array of normalized points."""
+    """Forward radial warp on the unit focal plane, for an ``(n, 2)`` array of
+    normalized points: each is scaled by ``f(r)``."""
     return xy * warp_factor(spec, radius_array(xy))[:, None]
 
 
@@ -241,7 +236,7 @@ def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> np.ndarray:
 
 
 def undistort(spec: DistortionSpec, d: NormalizedPoint) -> NormalizedPoint:
-    """Inverse of distort_normalized on the spec's monotone working domain.
+    """Inverse of distort_array, one point, on the spec's monotone working domain.
 
     model2 and model3 solve their radius cubic ``r + k1 r^2 + k2 r^3 = r_d``
     (model2: ``r + k1 r^3 = r_d``; model3 with ``k2 = 0``: a quadratic) once

@@ -255,7 +255,6 @@ def read_calibration(path: str | Path) -> CalibrationResult:
                 tol_x=float(opts["tol_x"]),
                 tol_fun=float(opts["tol_fun"]),
                 max_iter=_int(opts["max_iter"], "max_iter"),
-                max_fun_evals=_int(opts["max_fun_evals"], "max_fun_evals"),
             ),
             converged=converged,
             stop_reason=stop_reason,

@@ -269,14 +269,6 @@ class ViewExtrinsics:
         return R.T.copy(), -R.T @ self.t
 
 
-def to_pixel(n: NormalizedPoint, A: IntrinsicMatrix) -> PixelPoint:
-    """Apply the intrinsic matrix: ``u = alpha x + gamma y + u0``, ``v = beta y + v0``."""
-    return PixelPoint(
-        A.alpha * n.x + A.gamma * n.y + A.u0,
-        A.beta * n.y + A.v0,
-    )
-
-
 def to_normalized(p: PixelPoint, A: IntrinsicMatrix) -> NormalizedPoint:
     """Remove the intrinsics by the explicit upper-triangular inverse.
 
@@ -289,7 +281,8 @@ def to_normalized(p: PixelPoint, A: IntrinsicMatrix) -> NormalizedPoint:
 
 
 def to_pixel_array(xy: np.ndarray, A: IntrinsicMatrix) -> np.ndarray:
-    """to_pixel for an ``(n, 2)`` array of normalized points, same arithmetic."""
+    """Apply the intrinsic matrix to an ``(n, 2)`` array of normalized points:
+    ``u = alpha x + gamma y + u0``, ``v = beta y + v0``."""
     x, y = xy[:, 0], xy[:, 1]
     return np.column_stack([A.alpha * x + A.gamma * y + A.u0, A.beta * y + A.v0])
 

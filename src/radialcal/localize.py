@@ -158,17 +158,6 @@ def _camera_center(
     )
 
 
-def recover_translation(
-    line: LineMap,
-    recovered_a: WorldPoint,
-    delta_theta: float,
-    assumed_pose: ViewExtrinsics,
-) -> np.ndarray:
-    """True camera position from the A endpoint and the yaw deviation."""
-    c, s = math.cos(delta_theta), math.sin(delta_theta)
-    return np.array(_camera_center(line.a, recovered_a, c, s, assumed_pose.t.tolist()))
-
-
 def localize(
     line: LineMap,
     observed_a: PixelPoint,

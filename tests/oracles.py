@@ -31,7 +31,7 @@ from radialcal.calibration import (
     intrinsics_from_conic,
 )
 from radialcal.geometry import WorldPoint, to_normalized
-from radialcal.cubic import CubicCoeffs, NoRealSolution, real_roots
+from radialcal.cubic import NoRealSolution, real_roots
 from radialcal.distortion import undistort
 from radialcal.localize import (
     EndpointsCoincide,
@@ -163,8 +163,8 @@ def undistort_component(x_d: float, c: float, k1: float, k2: float) -> float:
         return 0.0
     scale = 1.0 + c * c
     p, q = k1 * math.sqrt(scale), k2 * scale
-    candidates = [x for x in real_roots(CubicCoeffs(x_d, p, q)) if x > ROOT_ZERO]
-    candidates += [x for x in real_roots(CubicCoeffs(x_d, -p, q)) if x < -ROOT_ZERO]
+    candidates = [x for x in real_roots(x_d, p, q) if x > ROOT_ZERO]
+    candidates += [x for x in real_roots(x_d, -p, q) if x < -ROOT_ZERO]
     if not candidates:
         raise NoRealSolution(f"no sign-consistent real root for x_d={x_d!r}")
     return min(candidates, key=lambda x: abs(x - x_d))
@@ -383,7 +383,7 @@ def intersect_ground(n, pose) -> WorldPoint:
     return WorldPoint(float(hit[0]), float(hit[1]), 0.0)
 
 
-def recover_translation(mapped: WorldPoint, recovered: WorldPoint, delta_theta: float, pose) -> np.ndarray:
+def camera_center(mapped: WorldPoint, recovered: WorldPoint, delta_theta: float, pose) -> np.ndarray:
     """``mapped - Rz(delta)^T (recovered - t)``."""
     return mapped.array - rot_z(delta_theta).T @ (recovered.array - pose.t)
 
@@ -397,8 +397,8 @@ def localize(line, observed_a, observed_b, A, spec, pose) -> LocalizationFix:
     rec_a = intersect_ground(n_a, pose)
     rec_b = intersect_ground(n_b, pose)
     delta = recover_delta_rotation(line, rec_a, rec_b)
-    t1 = recover_translation(line.a, rec_a, delta, pose)
-    t1_from_b = recover_translation(line.b, rec_b, delta, pose)
+    t1 = camera_center(line.a, rec_a, delta, pose)
+    t1_from_b = camera_center(line.b, rec_b, delta, pose)
     len_map = math.hypot(line.b.x - line.a.x, line.b.y - line.a.y)
     len_rec = math.hypot(rec_b.x - rec_a.x, rec_b.y - rec_a.y)
     return LocalizationFix(

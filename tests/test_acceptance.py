@@ -22,12 +22,12 @@ from radialcal.calibration import (
     objective_gradient,
 )
 from radialcal.cli import main
-from radialcal.cubic import CubicCoeffs, real_roots
+from radialcal.cubic import real_roots
 from radialcal.distortion import (
     DistortionSpec,
     Model,
     WorkingDomain,
-    distort_normalized,
+    distort_array,
     invert_radius_newton,
     undistort,
     validate_monotone,
@@ -38,6 +38,7 @@ from radialcal.geometry import IntrinsicMatrix, NormalizedPoint
 from radialcal.localize import localize
 
 from conftest import make_scene
+from test_distortion import disk_array
 from test_localize import CAMERA as LOC_CAMERA
 from test_localize import WARP as LOC_WARP
 from test_localize import synthesize_case
@@ -58,12 +59,6 @@ def criterion(label: str, budget: float | None = None):
     print(f"[PASS] {label} ({time.perf_counter() - start:.2f}s{of_budget})")
 
 
-def sample_disk(rng, r_max):
-    r = r_max * math.sqrt(rng.uniform())
-    phi = rng.uniform(-math.pi, math.pi)
-    return NormalizedPoint(r * math.cos(phi), r * math.sin(phi))
-
-
 def test_criterion_1_analytic_undistortion_round_trip():
     with criterion("1: closed-form undistortion round trip <= 1e-9 (10 specs x 1e4 points)", budget=2.0):
         rng = np.random.default_rng(1001)
@@ -81,10 +76,10 @@ def test_criterion_1_analytic_undistortion_round_trip():
         ys = radii * np.sin(angles)
         worst = 0.0
         for s, spec in enumerate(specs):
-            for i in range(10_000):
-                n = NormalizedPoint(xs[s, i], ys[s, i])
-                back = undistort(spec, distort_normalized(spec, n))
-                err = math.hypot(back.x - n.x, back.y - n.y)
+            xy = np.column_stack([xs[s], ys[s]])
+            for (x, y), (x_d, y_d) in zip(xy.tolist(), distort_array(spec, xy).tolist()):
+                back = undistort(spec, NormalizedPoint(x_d, y_d))
+                err = math.hypot(back.x - x, back.y - y)
                 if err > worst:
                     worst = err
         elapsed = time.perf_counter() - start
@@ -104,7 +99,7 @@ def test_criterion_2_cubic_solver_oracle_equivalence():
         for i in range(n):
             y, p, q = ys[i], ps[i], qs[i]
             bracket = 10.0 * (1.0 + abs(y))
-            roots = list(real_roots(CubicCoeffs(y, p, q)))
+            roots = real_roots(y, p, q)
             for x in roots:
                 ax = abs(x)
                 scale = max(1.0, abs(y)) + ax + abs(p) * ax * ax + abs(q) * ax ** 3
@@ -145,10 +140,7 @@ def test_criterion_4_model_comparison_ordering():
         corr, _ = make_scene(
             1004, model=Model.MODEL1, k1=-0.3435, k2=0.1232, noise_sigma=0.3,
         )
-        report = compare_models(corr)
-        j1 = report.entry(Model.MODEL1).result.j_final
-        j2 = report.entry(Model.MODEL2).result.j_final
-        j3 = report.entry(Model.MODEL3).result.j_final
+        j1, j2, j3 = (e.result.j_final for e in compare_models(corr))
         assert j1 <= j3 <= j2, (j1, j3, j2)
         assert (j3 - j1) <= 0.5 * (j2 - j1), (j1, j3, j2)
         elapsed = time.perf_counter() - start
@@ -162,8 +154,8 @@ def test_criterion_5_single_coefficient_analytic_vs_newton():
         k1s = rng.uniform(-0.3, 0.0, 10)
         for k1 in k1s:
             spec = DistortionSpec(Model.MODEL2, float(k1))
-            for _ in range(1000):
-                d = distort_normalized(spec, sample_disk(rng, 0.8))
+            for x_d, y_d in distort_array(spec, disk_array(rng, 0.8, 1000)).tolist():
+                d = NormalizedPoint(x_d, y_d)
                 analytic = undistort(spec, d)
                 r_d = d.radius
                 if r_d == 0.0:
@@ -224,11 +216,11 @@ def test_criterion_8_odd_function_and_radial_symmetry():
         ]
         for spec in cases:
             assert validate_monotone(spec, WorkingDomain(0.8))
-            for _ in range(1000):
-                n = sample_disk(rng, 0.8)
-                d = distort_normalized(spec, n)
-                neg = distort_normalized(spec, NormalizedPoint(-n.x, -n.y))
-                assert abs(neg.x + d.x) <= 1e-12 and abs(neg.y + d.y) <= 1e-12
+            xy = disk_array(rng, 0.8, 1000)
+            distorted = distort_array(spec, xy)
+            assert np.abs(distort_array(spec, -xy) + distorted).max() <= 1e-12
+            for (x, y), (x_d, y_d) in zip(xy.tolist(), distorted.tolist()):
+                n, d = NormalizedPoint(x, y), NormalizedPoint(x_d, y_d)
                 if n.radius > 1e-6:
                     assert warp_factor(spec, n.radius) > 0
                     assert abs(math.atan2(d.y, d.x) - math.atan2(n.y, n.x)) <= 1e-12

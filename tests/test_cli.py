@@ -14,7 +14,7 @@ from radialcal.calibration import (
     project,
 )
 from radialcal.cli import main
-from radialcal.distortion import DistortionSpec, Model, distort_normalized
+from radialcal.distortion import DistortionSpec, Model, distort_array
 from radialcal.fileio import (
     read_calibration,
     read_points,
@@ -24,7 +24,7 @@ from radialcal.fileio import (
     write_points,
     write_pose,
 )
-from radialcal.geometry import IntrinsicMatrix, ViewExtrinsics, WorldPoint, to_normalized, to_pixel
+from radialcal.geometry import IntrinsicMatrix, ViewExtrinsics, WorldPoint, to_normalized, to_pixel_array
 
 from conftest import make_scene
 from oracles import rot_x, rot_z
@@ -186,8 +186,7 @@ class TestCalibrate:
         [
             ("--tol-x", "nan", "tolerances must be finite and positive"),
             ("--tol-fun", "inf", "tolerances must be finite and positive"),
-            ("--max-iter", "0", "iteration caps must be positive"),
-            ("--max-fun-evals", "-3", "iteration caps must be positive"),
+            ("--max-iter", "0", "the iteration cap must be positive"),
         ],
     )
     def test_bad_optimizer_flag_exits_2(self, tmp_path, capsys, command, flag, value, message):
@@ -201,6 +200,23 @@ class TestCalibrate:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+        assert not calib_path.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "compare"])
+    def test_removed_evaluation_cap_flag_exits_2(self, tmp_path, capsys, command):
+        # The LM has no evaluation cap: its damping stop bounds the
+        # evaluations per iteration, and --max-iter the iterations.
+        corr, _ = make_scene(14)
+        corr_path = tmp_path / "corr.csv"
+        calib_path = tmp_path / "calib.json"
+        write_correspondences(corr_path, corr)
+        argv = [command, "--input", str(corr_path), "--max-fun-evals", "8000"]
+        if command == "calibrate":
+            argv += ["--model", "3", "--output", str(calib_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-fun-evals" in capsys.readouterr().err
         assert not calib_path.exists()
 
     def test_not_converged_exit_4_still_writes(self, tmp_path, capsys):
@@ -458,8 +474,7 @@ class TestLocalize:
         obs = []
         for P in (pa, pb):
             n = to_normalized(project(P, pose1, A), A)
-            p = to_pixel(distort_normalized(spec, n), A)
-            obs += [p.u, p.v]
+            obs += to_pixel_array(distort_array(spec, np.array([[n.x, n.y]])), A)[0].tolist()
         pose2 = ViewExtrinsics.from_rotation(
             rot_z(delta_theta) @ pose1.rotation, pose1.t + np.array([*dt, 0.0])
         )

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialcal import cubic
-from radialcal.cubic import CubicCoeffs, RootSet, _polish, real_roots
+from radialcal.cubic import _polish, real_roots
 from oracles import (
     bisect_cubic_roots,
     cubic_residual,
@@ -16,10 +16,10 @@ from oracles import (
 )
 
 
-def residual_scale(c: CubicCoeffs, x: float) -> float:
+def residual_scale(y: float, p: float, q: float, x: float) -> float:
     # Backward-error denominator: the bound a float evaluation can honor.
     ax = abs(x)
-    return max(1.0, abs(c.y)) + ax + abs(c.p) * (ax * ax) + abs(c.q) * (ax * ax * ax)
+    return max(1.0, abs(y)) + ax + abs(p) * (ax * ax) + abs(q) * (ax * ax * ax)
 
 
 class TestQuadraticRoots:
@@ -44,41 +44,41 @@ class TestQuadraticRoots:
 
 class TestRealRoots:
     def test_linear_case(self):
-        roots = real_roots(CubicCoeffs(y=0.42, p=0.0, q=0.0))
-        assert roots.roots == (0.42,)
+        roots = real_roots(0.42, 0.0, 0.0)
+        assert roots == (0.42,)
 
     def test_single_real_root_with_complex_pair_discarded(self):
         # x^3 + x^2 + x - 3 = (x - 1)(x^2 + 2x + 3); the quadratic factor has
         # negative discriminant, so only x = 1 survives.
-        roots = real_roots(CubicCoeffs(y=3.0, p=1.0, q=1.0))
+        roots = real_roots(3.0, 1.0, 1.0)
         assert len(roots) == 1
-        assert math.isclose(roots.roots[0], 1.0, abs_tol=1e-12)
+        assert math.isclose(roots[0], 1.0, abs_tol=1e-12)
 
     def test_quadratic_degenerate_two_roots(self):
         # x^2 + x - 2 = (x + 2)(x - 1)
-        roots = real_roots(CubicCoeffs(y=2.0, p=1.0, q=0.0))
-        assert np.allclose(roots.roots, [-2.0, 1.0], atol=1e-12)
+        roots = real_roots(2.0, 1.0, 0.0)
+        assert np.allclose(roots, [-2.0, 1.0], atol=1e-12)
 
     def test_quadratic_degenerate_no_real_roots(self):
-        roots = real_roots(CubicCoeffs(y=-1.0, p=1.0, q=0.0))
+        roots = real_roots(-1.0, 1.0, 0.0)
         assert len(roots) == 0
 
     def test_three_distinct_real_roots(self):
         # (x-1)(x-2)(x-3) = 0 scaled so the linear coefficient is one.
-        roots = real_roots(CubicCoeffs(y=6.0 / 11.0, p=-6.0 / 11.0, q=1.0 / 11.0))
-        assert np.allclose(roots.roots, [1.0, 2.0, 3.0], atol=1e-10)
+        roots = real_roots(6.0 / 11.0, -6.0 / 11.0, 1.0 / 11.0)
+        assert np.allclose(roots, [1.0, 2.0, 3.0], atol=1e-10)
 
     def test_triple_root(self):
         # q = 1/(3a^2), p = -1/a, y = a/3 makes (x - a)^3 after scaling; a = 1.
-        roots = real_roots(CubicCoeffs(y=1.0 / 3.0, p=-1.0, q=1.0 / 3.0))
+        roots = real_roots(1.0 / 3.0, -1.0, 1.0 / 3.0)
         assert len(roots) == 3
-        assert np.allclose(roots.roots, 1.0, atol=1e-6)
+        assert np.allclose(roots, 1.0, atol=1e-6)
 
     def test_tiny_q_routes_to_quadratic(self):
-        with_q = real_roots(CubicCoeffs(y=2.0, p=1.0, q=1e-20))
-        without = real_roots(CubicCoeffs(y=2.0, p=1.0, q=0.0))
+        with_q = real_roots(2.0, 1.0, 1e-20)
+        without = real_roots(2.0, 1.0, 0.0)
         assert len(with_q) == len(without)
-        assert np.allclose(with_q.roots, without.roots, atol=1e-12)
+        assert np.allclose(with_q, without, atol=1e-12)
 
     def test_polish_stops_at_rounding_noise(self, monkeypatch):
         # The quadratic path's starts on criterion 2's triples with q scaled
@@ -102,10 +102,78 @@ class TestRealRoots:
         for case, x in zip(cases, full):
             assert _polish(*case) == x, case
 
-    def test_rootset_orders_and_caps(self):
-        assert RootSet((3.0, 1.0, 2.0)).roots == (1.0, 2.0, 3.0)
-        with pytest.raises(ValueError):
-            RootSet((1.0, 2.0, 3.0, 4.0))
+    def test_roots_come_back_sorted(self):
+        # (x-3)(x-1)(x-2) with the linear coefficient one; the closed form
+        # gives the three trigonometric roots out of order.
+        assert real_roots(6.0 / 11.0, -6.0 / 11.0, 1.0 / 11.0) == tuple(
+            sorted(real_roots(6.0 / 11.0, -6.0 / 11.0, 1.0 / 11.0))
+        )
+        rng = np.random.default_rng(8)
+        for y, p, q in rng.uniform(-3.0, 3.0, (2000, 3)).tolist():
+            roots = real_roots(y, p, q)
+            assert isinstance(roots, tuple) and len(roots) <= 3
+            assert list(roots) == sorted(roots)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_coefficient_raises(self, bad, slot):
+        coeffs = [0.5, -0.1, 0.02]
+        coeffs[slot] = bad
+        with pytest.raises(ValueError, match="finite"):
+            real_roots(*coeffs)
+
+    def test_numpy_scalar_coefficients_do_not_overflow(self):
+        # An np.float64 p below about 1e-154 overflowed (with a warning,
+        # an error under this suite) in the quadratic path's far root,
+        # where Python floats give inf silently; the coefficients are
+        # converted to floats first.
+        rng = np.random.default_rng(41)
+        for _ in range(20000):
+            y = rng.uniform(-3.0, 3.0)
+            p = rng.choice([-1, 1]) * 10 ** rng.uniform(-320, 3)
+            for x in real_roots(y, p, np.float64(0.0)):
+                assert type(x) is float
+                assert abs(cubic_residual(y, float(p), 0.0, x)) <= 1e-9 * residual_scale(y, float(p), 0.0, x)
+
+    def test_double_root_is_not_left_by_the_polish(self):
+        # Near a double root the residual reaches its rounding noise while
+        # Newton's steps are still large, so an unguarded polish wanders off
+        # along the flat of the cubic. The attainable accuracy there is about
+        # sqrt(eps) relative: a coefficient's rounding moves a double root
+        # that far.
+        rng = np.random.default_rng(2020)
+        # The quadratic regime at an exactly zero discriminant in floats:
+        # both roots are the double root -1 / (2p).
+        checked = 0
+        for y in rng.uniform(0.1, 10.0, 3000).tolist():
+            nearest = -1.0 / (4.0 * y)
+            below, above = [nearest], [nearest]
+            for _ in range(3):
+                below.append(math.nextafter(below[-1], -math.inf))
+                above.append(math.nextafter(above[-1], math.inf))
+            for p in below + above[1:]:
+                if 1.0 + 4.0 * p * y != 0.0:
+                    continue
+                checked += 1
+                double = -1.0 / (2.0 * p)
+                roots = real_roots(y, p, 0.0)
+                assert len(roots) == 2, (y, p)
+                for x in roots:
+                    assert abs(x - double) <= 1e-7 * abs(double), (y, p, roots)
+        assert checked > 1000
+        # q (x - a)^2 (x - b), scaled so the linear coefficient is one.
+        checked = 0
+        while checked < 5000:
+            a, b = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-1.0, 1.0, 2)
+            den = a * a + 2.0 * a * b
+            if abs(a - b) < 0.1 * abs(a) or abs(den) < 1e-3 * a * a:
+                continue
+            checked += 1
+            q = 1.0 / den
+            a, p, q, y = float(a), float(-q * (b + 2.0 * a)), float(q), float(q * a * a * b)
+            for x in real_roots(y, p, q):
+                if abs(x - a) <= 1e-3 * abs(a):
+                    assert abs(x - a) <= 1e-6 * abs(a), (a, b, p, q, y)
 
     @given(
         st.floats(-3.0, 3.0),
@@ -114,9 +182,8 @@ class TestRealRoots:
     )
     @settings(max_examples=500)
     def test_every_root_satisfies_cubic(self, y, p, q):
-        c = CubicCoeffs(y=y, p=p, q=q)
-        for x in real_roots(c):
-            assert abs(cubic_residual(y, p, q, x)) <= 1e-9 * residual_scale(c, x)
+        for x in real_roots(y, p, q):
+            assert abs(cubic_residual(y, p, q, x)) <= 1e-9 * residual_scale(y, p, q, x)
 
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(42)
@@ -127,7 +194,7 @@ class TestRealRoots:
         oracle_roots, oracle_counts = bisect_cubic_roots(ys, ps, qs)
         for i in range(n):
             L = 10.0 * (1.0 + abs(ys[i]))
-            mine = [x for x in real_roots(CubicCoeffs(ys[i], ps[i], qs[i])) if abs(x) <= L]
+            mine = [x for x in real_roots(ys[i], ps[i], qs[i]) if abs(x) <= L]
             assert len(mine) == oracle_counts[i], (ys[i], ps[i], qs[i])
             for got, want in zip(mine, oracle_roots[i]):
                 assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
@@ -214,9 +281,7 @@ class TestUndistortXY:
                 c = rng.uniform(-1.0, 1.0)
                 x_d = forward_component_model3(x, c, k1, k2)
                 scale = 1.0 + c * c
-                roots = real_roots(
-                    CubicCoeffs(y=x_d, p=k1 * math.sqrt(scale), q=k2 * scale)
-                )
+                roots = real_roots(x_d, k1 * math.sqrt(scale), k2 * scale)
                 in_domain = [
                     t
                     for t in roots

@@ -14,7 +14,6 @@ from radialcal.distortion import (
     WorkingDomain,
     coefficient_basis,
     distort_array,
-    distort_normalized,
     invert_radius_newton,
     n_coefficients,
     undistort,
@@ -30,7 +29,6 @@ from radialcal.geometry import (
     PixelPoint,
     to_normalized,
     to_normalized_array,
-    to_pixel,
     to_pixel_array,
 )
 from oracles import radius_from_distorted_model3, undistort_xy
@@ -40,6 +38,19 @@ def sample_disk(rng, r_max):
     r = r_max * math.sqrt(rng.uniform())
     phi = rng.uniform(-math.pi, math.pi)
     return NormalizedPoint(r * math.cos(phi), r * math.sin(phi))
+
+
+def disk_array(rng, r_max, n):
+    """n sample_disk points, drawn in the same order, as an ``(n, 2)`` array."""
+    return np.array([(p.x, p.y) for p in (sample_disk(rng, r_max) for _ in range(n))])
+
+
+def disk_pairs(spec, rng, r_max, n):
+    """n disk_array points and their images under distort_array, as
+    NormalizedPoint pairs."""
+    xy = disk_array(rng, r_max, n)
+    d = distort_array(spec, xy)
+    return [(NormalizedPoint(*a), NormalizedPoint(*b)) for a, b in zip(xy.tolist(), d.tolist())]
 
 
 class TestSpecTypes:
@@ -100,24 +111,20 @@ class TestDistort:
     def test_origin_fixed(self):
         for model in Model:
             spec = DistortionSpec(model, -0.2, 0.1)
-            out = distort_normalized(spec, NormalizedPoint(0.0, 0.0))
-            assert (out.x, out.y) == (0.0, 0.0)
+            assert distort_array(spec, np.zeros((1, 2))).tolist() == [[0.0, 0.0]]
 
     def test_known_point(self):
         spec = DistortionSpec(Model.MODEL3, -0.1, -0.05)
-        out = distort_normalized(spec, NormalizedPoint(0.3, 0.4))
-        assert math.isclose(out.x, 0.28125, abs_tol=1e-15)
-        assert math.isclose(out.y, 0.375, abs_tol=1e-15)
+        ((x, y),) = distort_array(spec, np.array([[0.3, 0.4]]))
+        assert math.isclose(x, 0.28125, abs_tol=1e-15)
+        assert math.isclose(y, 0.375, abs_tol=1e-15)
 
     def test_oddness_is_exact(self):
         rng = np.random.default_rng(2)
         for model in Model:
             spec = DistortionSpec(model, -0.21, 0.07)
-            for _ in range(1000):
-                n = sample_disk(rng, 1.0)
-                a = distort_normalized(spec, n)
-                b = distort_normalized(spec, NormalizedPoint(-n.x, -n.y))
-                assert (b.x, b.y) == (-a.x, -a.y)
+            xy = disk_array(rng, 1.0, 1000)
+            assert np.array_equal(distort_array(spec, -xy), -distort_array(spec, xy))
 
     def test_pixel_warp_known_point(self):
         A = IntrinsicMatrix(100.0, 100.0, 0.0, 0.0, 0.0)
@@ -133,10 +140,10 @@ class TestDistort:
             spec = DistortionSpec(model, -0.18, 0.05)
             uv = np.column_stack([rng.uniform(0, 640, 1000), rng.uniform(0, 480, 1000)])
             via_pixel = pixel_warp(spec, uv, A)
-            for (u, v), (pu, pv) in zip(uv, via_pixel):
-                via_norm = to_pixel(distort_normalized(spec, to_normalized(PixelPoint(u, v), A)), A)
-                assert abs(pu - via_norm.u) <= 1e-10
-                assert abs(pv - via_norm.v) <= 1e-10
+            # Each pixel through the scalar to_normalized, then the warp.
+            xy = np.array([(n.x, n.y) for n in (to_normalized(PixelPoint(u, v), A) for u, v in uv)])
+            via_norm = to_pixel_array(distort_array(spec, xy), A)
+            assert np.abs(via_pixel - via_norm).max() <= 1e-10
 
 
 def pixel_warp(spec, uv, A):
@@ -208,22 +215,21 @@ class TestUndistort:
         assert validate_monotone(spec, WorkingDomain(0.8))
         rng = np.random.default_rng(4)
         worst = 0.0
-        for _ in range(1000):
-            n = sample_disk(rng, 0.8)
-            d = distort_normalized(spec, n)
-            back = undistort(spec, d)
-            worst = max(worst, math.hypot(back.x - n.x, back.y - n.y))
-            # and the opposite composition on a point known to have a preimage
-            again = distort_normalized(spec, back)
-            worst = max(worst, math.hypot(again.x - d.x, again.y - d.y))
+        pairs = disk_pairs(spec, rng, 0.8, 1000)
+        back = [undistort(spec, d) for _, d in pairs]
+        for (n, d), b in zip(pairs, back):
+            worst = max(worst, math.hypot(b.x - n.x, b.y - n.y))
+        # and the opposite composition on points known to have a preimage
+        again = distort_array(spec, np.array([(b.x, b.y) for b in back]))
+        for (_, d), (x, y) in zip(pairs, again.tolist()):
+            worst = max(worst, math.hypot(x - d.x, y - d.y))
         assert worst <= 1e-9
 
     def test_single_term_analytic_matches_newton(self):
         rng = np.random.default_rng(5)
         for k1 in (-0.3, -0.17, -0.05):
             spec = DistortionSpec(Model.MODEL2, k1)
-            for _ in range(1000):
-                d = distort_normalized(spec, sample_disk(rng, 0.8))
+            for _, d in disk_pairs(spec, rng, 0.8, 1000):
                 analytic = undistort(spec, d)
                 r_d = d.radius
                 if r_d == 0.0:
@@ -237,9 +243,7 @@ class TestUndistort:
         # roots and rescale the distorted point.
         spec = DistortionSpec(Model.MODEL3, -0.1, -0.05)
         rng = np.random.default_rng(6)
-        for _ in range(300):
-            n = sample_disk(rng, 0.8)
-            d = distort_normalized(spec, n)
+        for _, d in disk_pairs(spec, rng, 0.8, 300):
             r_d = d.radius
             if r_d < 1e-6:
                 continue
@@ -268,8 +272,9 @@ class TestUndistort:
                     NormalizedPoint(0.0, -r),
                     NormalizedPoint(-h, h),
                 ]
-            for n in points:
-                d = distort_normalized(spec, n)
+            distorted = distort_array(spec, np.array([(n.x, n.y) for n in points]))
+            for x_d, y_d in distorted.tolist():
+                d = NormalizedPoint(x_d, y_d)
                 got = undistort(spec, d)
                 x, y = undistort_xy(d.x, d.y, spec.k1, spec.k2)
                 assert math.hypot(got.x - x, got.y - y) <= 1e-12, (spec, d)
@@ -526,11 +531,9 @@ class TestRadialSymmetry:
     def test_polar_angle_preserved(self, model, k1, k2):
         spec = DistortionSpec(model, k1, k2)
         rng = np.random.default_rng(7)
-        for _ in range(1000):
-            n = sample_disk(rng, 0.8)
+        for n, d in disk_pairs(spec, rng, 0.8, 1000):
             if n.radius < 1e-9:
                 continue
-            d = distort_normalized(spec, n)
             assert warp_factor(spec, n.radius) > 0
             assert abs(math.atan2(d.y, d.x) - math.atan2(n.y, n.x)) <= 1e-12
             back = undistort(spec, d)
@@ -540,7 +543,7 @@ class TestRadialSymmetry:
     @settings(max_examples=300)
     def test_undistort_commutes_with_negation(self, x, y):
         spec = DistortionSpec(Model.MODEL3, -0.1, -0.05)
-        d = distort_normalized(spec, NormalizedPoint(x, y))
+        d = NormalizedPoint(*distort_array(spec, np.array([[x, y]]))[0].tolist())
         a = undistort(spec, d)
         b = undistort(spec, NormalizedPoint(-d.x, -d.y))
         assert abs(a.x + b.x) <= 1e-12

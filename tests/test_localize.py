@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radialcal.calibration import project
-from radialcal.distortion import DistortionSpec, Model, distort_normalized
+from radialcal.distortion import DistortionSpec, Model, distort_array
 from radialcal.geometry import (
     IntrinsicMatrix,
     NormalizedPoint,
@@ -12,7 +12,7 @@ from radialcal.geometry import (
     ViewExtrinsics,
     WorldPoint,
     to_normalized,
-    to_pixel,
+    to_pixel_array,
 )
 from radialcal.localize import (
     DegenerateLine,
@@ -23,7 +23,6 @@ from radialcal.localize import (
     intersect_ground,
     localize,
     recover_delta_rotation,
-    recover_translation,
 )
 import oracles
 from oracles import rot_x, rot_z
@@ -47,7 +46,8 @@ def downward_pose(yaw=0.0, tilt=0.5, position=(0.0, 0.0, 1.0)):
 def observe(point: WorldPoint, pose: ViewExtrinsics, spec: DistortionSpec = WARP) -> PixelPoint:
     """Synthesize the distorted observation of a ground point."""
     n = to_normalized(project(point, pose, CAMERA), CAMERA)
-    return to_pixel(distort_normalized(spec, n), CAMERA)
+    ((u, v),) = to_pixel_array(distort_array(spec, np.array([[n.x, n.y]])), CAMERA).tolist()
+    return PixelPoint(u, v)
 
 
 class TestIntersectGround:
@@ -112,27 +112,6 @@ class TestRecoverDeltaRotation:
             self.LINE, WorldPoint(0.0, 0.0, 0.0), WorldPoint(-1.0, -1e-18, 0.0)
         )
         assert delta == math.pi or abs(delta) <= math.pi
-
-
-class TestRecoverTranslation:
-    def test_no_deviation(self):
-        line = LineMap(WorldPoint(0.3, 0.4, 0.0), WorldPoint(1.0, 0.2, 0.0))
-        pose = downward_pose(position=(0.1, 0.2, 1.0))
-        t1 = recover_translation(line, line.a, 0.0, pose)
-        assert np.allclose(t1, pose.t, atol=1e-15)
-
-    def test_pure_translation_relationship(self):
-        # With no rotation, t1 = t2 - dt where the recovered endpoint
-        # satisfies P_A2 = P_A1 + dt.
-        line = LineMap(WorldPoint(0.0, 0.0, 0.0), WorldPoint(1.0, 0.0, 0.0))
-        dt = np.array([0.5, -0.2, 0.0])
-        t1_true = np.array([0.1, 0.3, 1.1])
-        t2 = t1_true + dt
-        pose2 = downward_pose(position=t2)
-        recovered_a = WorldPoint(*(line.a.array + dt))
-        t1 = recover_translation(line, recovered_a, 0.0, pose2)
-        assert np.allclose(t1, t2 - dt, atol=1e-15)
-        assert np.allclose(t1, t1_true, atol=1e-15)
 
 
 def synthesize_case(rng, spec=WARP):
@@ -208,8 +187,7 @@ class TestLocalize:
         line, pose1, pose2, _, obs_a, obs_b = synthesize_case(rng)
         fix = localize(line, obs_a, obs_b, CAMERA, WARP, pose2)
         for endpoint, obs in ((fix.recovered_a, obs_a), (fix.recovered_b, obs_b)):
-            n = to_normalized(project(endpoint, pose2, CAMERA), CAMERA)
-            p = to_pixel(distort_normalized(WARP, n), CAMERA)
+            p = observe(endpoint, pose2)
             assert math.hypot(p.u - obs.u, p.v - obs.v) <= 1e-9
 
     def test_rotation_deviation_matrix_structure(self):
