@@ -736,7 +736,8 @@ def _levenberg_marquardt(
     opts: OptimizerOptions,
     offsets: np.ndarray,
 ) -> _LMResult:
-    """Damped Gauss-Newton descent honoring all four stopping thresholds.
+    """Damped Gauss-Newton descent honoring the three stopping thresholds of
+    opts; it also stops when the damping passes 1e32 without a descent step.
 
     eval_fn returns the columns and pose maps of ``_residuals_and_blocks``;
     offsets delimit each view's rows. Only improving steps are accepted, so
