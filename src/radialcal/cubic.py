@@ -16,7 +16,8 @@ equation that never takes a step growing the residual. This is numerically
 equivalent to the textbook radical formulas but avoids complex intermediates
 and the division by ``q`` they require. The scalar closed form is written
 once, in ``RadiusCubic.closed_form``: the radius solve polishes the
-admissible root nearest ``r_d``, and ``real_roots(y, p, q)`` (through
+admissible root, the first on the rising branch of the cubic (none past its
+fold), and ``real_roots(y, p, q)`` (through
 ``_solve_cubic``) polishes all of them and returns them as a sorted tuple.
 
 The discriminant of the depressed cubic is itself a difference of two
@@ -55,6 +56,9 @@ _STEP_TOL = 4.0 * sys.float_info.epsilon
 _POLISH_STEPS = 50
 # The three trigonometric roots are m cos((phi + k) / 3) - shift for these k.
 _TRIG_OFFSETS = (0.0, 2.0 * math.pi, 4.0 * math.pi)
+# Relative slack past the fold for a root of the general solve: a double
+# root at the fold itself is found to about sqrt(eps) and may round past it.
+_FOLD_SLACK = 1e-6
 
 
 class NoRealSolution(ValueError):
@@ -286,18 +290,25 @@ class RadiusCubic:
     model3 has ``(p, q) = (k1, k2)`` and model2 ``(0, k1)``. Everything of the
     closed form that depends only on (p, q) is computed here once;
     ``closed_form`` adds the ``r_d`` term and returns the raw roots of the
-    depressed cubic. ``solve`` takes the admissible root nearest ``r_d``, and
-    polishes and verifies that root only. With a negligible ``q`` the
-    equation is the quadratic ``r + p r^2 = r_d`` and that root is its small
-    one. An undecided discriminant or a failed verification sends the point
-    to ``_general``, which chooses among all real roots (_solve_cubic).
+    depressed cubic. ``F(r) = r + p r^2 + q r^3`` rises from ``F(0) = 0`` up
+    to its ``fold``, the first positive zero of ``F'`` (inf when there is
+    none), so the admissible root is the smallest nonnegative one, and a
+    root past the fold is none: ``r_d`` above ``F(fold)`` has no preimage.
+    ``solve`` takes that root, and polishes and verifies it only. With a
+    negligible ``q`` the equation is the quadratic ``r + p r^2 = r_d`` and
+    that root is its small one. An undecided discriminant or a failed
+    verification sends the point to ``_general``, which chooses among all
+    real roots (_solve_cubic).
     """
 
-    __slots__ = ("p", "q", "quadratic", "shift", "Q0", "P", "third", "cube", "m")
+    __slots__ = ("p", "q", "fold", "quadratic", "shift", "Q0", "P", "third", "cube", "m")
 
     def __init__(self, p: float, q: float) -> None:
         self.p = p
         self.q = q
+        # F'(r) = 1 + 2 p r + 3 q r^2 first vanishes at the fold.
+        slope_zeros = _quadratic_roots(3.0 * q, 2.0 * p, 1.0)
+        self.fold = min((r for r in slope_zeros if r > 0.0), default=math.inf)
         # The cubic's constants divide by q; below this it is a quadratic.
         self.quadratic = abs(q) < _Q_NEGLIGIBLE * (1.0 + abs(p))
         if self.quadratic:
@@ -366,12 +377,13 @@ class RadiusCubic:
             raw, decided = self.closed_form(r_d)
             if not decided:
                 return self._general(r_d)
-            # The admissible root nearest r_d.
+            # The smallest admissible root, unless it lies past the fold.
             sign_tol = 1e-6 * (1.0 + r_d)
-            best_dist = math.inf
             for x in raw:
-                if x >= -sign_tol and abs(x - r_d) < best_dist:
-                    best, best_dist = x, abs(x - r_d)
+                if x >= -sign_tol and (best is None or x < best):
+                    best = x
+            if best is not None and best > self.fold:
+                best = None
         if best is None:
             raise NoRealSolution(self._no_root_message(r_d))
         r = _fast_polish(r_d, self.p, self.q, best)
@@ -417,13 +429,9 @@ class RadiusCubic:
                 m = self.m
                 phi = np.arccos(np.clip(3.0 * Q[three] / (self.P * m), -1.0, 1.0))
                 raw = m * np.cos((phi[:, None] + _TRIG_OFFSETS) / 3.0) - self.shift
-                dist = np.where(
-                    raw >= -sign_tol[three, None], np.abs(raw - y[three, None]), np.inf
-                )
-                k = np.argmin(dist, axis=1)
-                rows = np.arange(k.size)
-                best[three] = np.where(np.isfinite(dist[rows, k]), raw[rows, k], np.nan)
-            best[~(best >= -sign_tol)] = np.nan
+                low = np.where(raw >= -sign_tol[three, None], raw, np.inf).min(axis=1)
+                best[three] = np.where(np.isfinite(low), low, np.nan)
+            best[~(best >= -sign_tol) | (best > self.fold)] = np.nan
             undecided = ~(one | three)
         x = _fast_polish_array(y, self.p, self.q, best)
         settled = x > _ZERO_ROOT
@@ -437,11 +445,15 @@ class RadiusCubic:
         return r
 
     def _general(self, r_d: float) -> float:
-        """The positive root nearest ``r_d`` among all real roots."""
-        roots = [x for x in _solve_cubic(self, r_d) if x > _ZERO_ROOT]
-        if not roots:
+        """The smallest positive root among all real roots, unless it lies
+        past the fold (beyond the rounding of a double root there)."""
+        best = math.inf
+        for x in _solve_cubic(self, r_d):
+            if _ZERO_ROOT < x < best:
+                best = x
+        if not best <= self.fold * (1.0 + _FOLD_SLACK):
             raise NoRealSolution(self._no_root_message(r_d))
-        return min(roots, key=lambda x: abs(x - r_d))
+        return best
 
     def _no_root_message(self, r_d: float) -> str:
         return f"no positive real root for r_d={r_d!r} (p={self.p!r}, q={self.q!r})"

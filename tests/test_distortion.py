@@ -287,6 +287,35 @@ class TestUndistort:
         with pytest.raises(NoRealSolution):
             undistort(spec, NormalizedPoint(0.9, 1.2))
 
+    @pytest.mark.parametrize(
+        "k1,k2,r_d,admissible",
+        [
+            # F(r) = r + k1 r^2 + k2 r^3 folds at 1.2251, where F = 0.5666;
+            # the root past the fold, 7.56, is no preimage of 0.58.
+            (-0.5, 0.05, 0.58, False),
+            (-0.5, 0.05, 1.0, False),
+            # Fold at 1.5486: 2.5 has the admissible root 1.3154 below it,
+            # and 1.7627 past it is nearer r_d.
+            (2.0, -1.0, 2.5, True),
+            (2.0, -1.0, 2.631130309440873 * (1.0 - 1e-6), True),
+            # Fold at 0.7597, where F = 0.3141; a root 2.139 lies past it.
+            (-1.0, 0.3, 0.5, False),
+        ],
+    )
+    def test_model3_root_past_the_fold_is_none(self, k1, k2, r_d, admissible):
+        spec = DistortionSpec(Model.MODEL3, k1, k2)
+        fold = min(r for r in np.roots([3.0 * k2, 2.0 * k1, 1.0]) if r > 0.0)
+        got = undistort_array(spec, np.array([[r_d, 0.0]]))[0, 0]
+        if not admissible:
+            with pytest.raises(NoRealSolution):
+                undistort(spec, NormalizedPoint(r_d, 0.0))
+            assert math.isnan(got)
+            return
+        r = undistort(spec, NormalizedPoint(r_d, 0.0)).x
+        assert r == got
+        assert r < fold
+        assert abs(r * (1.0 + k1 * r + k2 * r * r) - r_d) <= 1e-14 * r_d
+
     def test_model2_beyond_fold_raises(self):
         # F(r) = r - 0.15 r^3 peaks at F = 0.994: radius 2 has no preimage,
         # where the component cubic used to return the reflected point
@@ -359,6 +388,22 @@ class TestUndistortArray:
         want = scalar_undistort_rows(spec, xy)
         # Radii up to 3 reach past the fold of every folding spec here.
         assert np.isnan(want).any() == folds
+        assert_rows_agree(undistort_array(spec, xy), want)
+
+    @pytest.mark.parametrize("k1,k2", [(-0.5, 0.05), (2.0, -1.0), (-1.0, 0.3)])
+    def test_matches_scalar_at_the_fold(self, k1, k2):
+        # Just below F(fold) the two roots about the fold nearly coincide,
+        # and just above it the pair is complex: both inverses take the same
+        # root on the rising branch, or flag the same rows.
+        spec = DistortionSpec(Model.MODEL3, k1, k2)
+        fold = min(r for r in np.roots([3.0 * k2, 2.0 * k1, 1.0]) if r > 0.0)
+        top = fold * (1.0 + k1 * fold + k2 * fold * fold)
+        eps = np.array([1e-14, 1e-10, 1e-6])
+        r_d = top * np.concatenate([1.0 - eps, 1.0 + eps])
+        xy = np.column_stack([r_d, np.zeros(r_d.size)])
+        want = scalar_undistort_rows(spec, xy)
+        assert np.isnan(want[3:, 0]).any() and not np.isnan(want[:3, 0]).any()
+        assert np.all(want[:3, 0] <= fold * (1.0 + 1e-6))
         assert_rows_agree(undistort_array(spec, xy), want)
 
     def test_origin_and_radii_at_the_zero_threshold(self):
