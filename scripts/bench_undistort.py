@@ -44,7 +44,7 @@ from radialcal.geometry import (
     PixelPoint,
     ViewExtrinsics,
     WorldPoint,
-    rotation_from_axis_angle,
+    rotation_blocks,
 )
 from radialcal.localize import LineMap, localize
 
@@ -107,9 +107,9 @@ def fold_rows() -> dict:
 
 def _axis_rotation(axis: int, angle: float) -> np.ndarray:
     """Rotation by angle about coordinate axis 0 (x) or 2 (z)."""
-    w = np.zeros(3)
-    w[axis] = angle
-    return rotation_from_axis_angle(w)
+    w = np.zeros((1, 3))
+    w[0, axis] = angle
+    return rotation_blocks(w)[0][0].T
 
 
 def localize_cases(rng, spec: DistortionSpec, count: int, yaw=None, tilt=None) -> list[tuple]:

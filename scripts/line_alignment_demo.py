@@ -21,7 +21,7 @@ from radialcal.geometry import (
     NormalizedPoint,
     PixelPoint,
     ViewExtrinsics,
-    rotation_from_axis_angle,
+    rotation_blocks,
     to_normalized,
     to_pixel_array,
 )
@@ -30,12 +30,15 @@ from radialcal.synth import SynthSpec, generate_scene
 from radialcal.distortion import DistortionSpec
 
 
+def rotation(w) -> np.ndarray:
+    """Rotation matrix of one axis-angle."""
+    return rotation_blocks(np.array([w], dtype=float))[0][0].T
+
+
 def downward_pose(rng):
     yaw = rng.uniform(-math.pi, math.pi)
     tilt = rng.uniform(0.3, 0.8)
-    R = rotation_from_axis_angle(np.array([0.0, 0.0, yaw])) @ rotation_from_axis_angle(
-        np.array([math.pi - tilt, 0.0, 0.0])
-    )
+    R = rotation([0.0, 0.0, yaw]) @ rotation([math.pi - tilt, 0.0, 0.0])
     t = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.4)])
     return ViewExtrinsics.from_rotation(R, t)
 
@@ -59,7 +62,7 @@ def run_trials(A, spec, rng, n_trials, sigma):
         delta_theta = rng.uniform(-math.pi / 2, math.pi / 2)
         dt = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), 0.0])
         pose2 = ViewExtrinsics.from_rotation(
-            rotation_from_axis_angle(np.array([0.0, 0.0, delta_theta])) @ pose1.rotation, pose1.t + dt
+            rotation([0.0, 0.0, delta_theta]) @ pose1.rotation, pose1.t + dt
         )
 
         observed = []

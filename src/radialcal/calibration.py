@@ -61,6 +61,7 @@ from .geometry import (
     WorldPoint,
     axis_angles_from_rotations,
     radius_array,
+    rotation_blocks,
     to_pixel_array,
 )
 
@@ -396,45 +397,13 @@ def _poses_from_homographies(H: np.ndarray, A: IntrinsicMatrix) -> np.ndarray:
 # Objective and derivatives
 
 
-def _rotation_blocks(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``R(w)^T`` and the right Jacobian ``J_r(w)`` of SO(3) for each row of w.
-
-    With ``K = [w]_x``, ``R^T = I - a K + b K^2`` and ``J_r = I - b K + c K^2``,
-    where ``a = sin(theta)/theta``, ``b = (1 - cos(theta))/theta^2`` and
-    ``c = (theta - sin(theta))/theta^3``; below theta = 1e-4 these switch to
-    series, so both stay smooth through w = 0. Returns two ``(v, 3, 3)``.
-    ``J_r`` carries a change of w into the rotated point:
-    ``d(R^T d)/dw = [R^T d]_x J_r`` (Sola et al. 2018, *A micro Lie theory*).
-    """
-    theta2 = np.einsum("vi,vi->v", w, w)
-    theta = np.sqrt(theta2)
-    small = theta < 1e-4
-    t, t2 = np.where(small, 1.0, theta), np.where(small, 1.0, theta2)
-    s = np.sin(t)
-    a, b, c = (
-        np.where(small, series, closed)[:, None, None]
-        for series, closed in (
-            (1.0 - theta2 / 6.0, s / t),
-            (0.5 - theta2 / 24.0, (1.0 - np.cos(t)) / t2),
-            (1.0 / 6.0 - theta2 / 120.0, (t - s) / (t2 * t)),
-        )
-    )
-    eye = np.eye(3)
-    # Cross-product matrices: [w]_x y = w cross y.
-    (w0, w1, w2), K = w.T, np.zeros((len(w), 3, 3))
-    K[:, 0, 1], K[:, 0, 2], K[:, 1, 2] = -w2, w1, -w0
-    K[:, 1, 0], K[:, 2, 0], K[:, 2, 1] = w2, -w1, w0
-    K2 = K @ K
-    return eye - a * K + b * K2, eye - b * K + c * K2
-
-
 @dataclass(frozen=True)
 class _Stacked:
     """The forward model at every stacked point, and what its derivatives need."""
 
     A: IntrinsicMatrix
     spec: DistortionSpec
-    rotation_t: np.ndarray  # (v, 3, 3) each view's R^T, from _rotation_blocks
+    rotation_t: np.ndarray  # (v, 3, 3) each view's R^T, from rotation_blocks
     jr: np.ndarray  # (v, 3, 3) each view's right Jacobian J_r(w)
     pc: np.ndarray  # (n, 3) camera points R^T (P - t)
     xy: np.ndarray  # (n, 2) pinhole points on the unit focal plane
@@ -462,7 +431,7 @@ def project_views(
     """
     if not np.all(np.isfinite(poses)):
         raise InvalidParameters("view poses must be finite")
-    rotation_t, jr = _rotation_blocks(poses[:, :3])
+    rotation_t, jr = rotation_blocks(poses[:, :3])
     # np.take gathers each point's view rows several times faster than fancy
     # indexing does.
     rotation_t_of, center_of = (np.take(a, view_index, axis=0) for a in (rotation_t, poses[:, 3:]))
@@ -857,9 +826,9 @@ def refine(
 
     Starts from init's intrinsics, distortion and poses; ``j_init`` is the
     objective there on corr, and ``options`` is opts. Never increases the
-    objective relative to the initialization. On hitting an iteration or
-    evaluation cap, the best parameters so far are returned with
-    ``converged=False`` rather than raising.
+    objective relative to the initialization. On hitting the iteration cap,
+    the best parameters so far are returned with ``converged=False`` rather
+    than raising.
     """
     model = init.distortion.model
     theta0 = _pack_params(init.intrinsics, init.distortion, init.poses)

@@ -161,27 +161,40 @@ class IntrinsicMatrix:
         )
 
 
-def rotation_from_axis_angle(w: np.ndarray) -> np.ndarray:
-    """Rodrigues formula: axis-angle 3-vector to rotation matrix."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (3,):
-        raise ValueError("axis-angle vector must have shape (3,)")
-    theta = float(np.linalg.norm(w))
-    K = np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
-    if theta < 1e-8:
-        # Second-order series keeps the result orthogonal to machine precision.
-        a = 1.0 - theta * theta / 6.0
-        b = 0.5 - theta * theta / 24.0
-    else:
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * K + b * (K @ K)
+# [w]_x as a gather of w with signs, row-major: w cross y = [w]_x y.
+_SKEW_INDEX = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
+_SKEW_SIGN = np.array([0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0])
+# Below this angle the coefficients of rotation_blocks are their series.
+_SERIES_THETA = 1e-4
+_EYE = np.eye(3)
+
+
+def rotation_blocks(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``R(w)^T`` and the right Jacobian ``J_r(w)`` of SO(3) for each row of
+    a ``(v, 3)`` stack of axis-angles; the package's one Rodrigues formula.
+
+    With ``K = [w]_x``, ``R^T = I - a K + b K^2`` and ``J_r = I - b K + c K^2``,
+    where ``a = sin(theta)/theta``, ``b = (1 - cos(theta))/theta^2`` and
+    ``c = (theta - sin(theta))/theta^3``; below theta = 1e-4 these switch to
+    series, so both stay smooth through w = 0. Returns two ``(v, 3, 3)``.
+    ``J_r`` carries a change of w into the rotated point:
+    ``d(R^T d)/dw = [R^T d]_x J_r`` (Sola et al. 2018, *A micro Lie theory*).
+    """
+    theta2 = np.einsum("vi,vi->v", w, w)
+    theta = np.sqrt(theta2)
+    small = theta < _SERIES_THETA
+    series = small.any()
+    t, t2 = (np.where(small, 1.0, theta), np.where(small, 1.0, theta2)) if series else (theta, theta2)
+    s = np.sin(t)
+    a, b, c = s / t, (1.0 - np.cos(t)) / t2, (t - s) / (t2 * t)
+    if series:
+        a = np.where(small, 1.0 - theta2 / 6.0, a)
+        b = np.where(small, 0.5 - theta2 / 24.0, b)
+        c = np.where(small, 1.0 / 6.0 - theta2 / 120.0, c)
+    a, b, c = a[:, None, None], b[:, None, None], c[:, None, None]
+    K = (np.take(w, _SKEW_INDEX, axis=1) * _SKEW_SIGN).reshape(-1, 3, 3)
+    K2 = K @ K
+    return _EYE - a * K + b * K2, _EYE - b * K + c * K2
 
 
 # Largest entry of |R^T R - I| that a rotation matrix may have.
@@ -247,7 +260,9 @@ class ViewExtrinsics:
 
     @cached_property
     def rotation(self) -> np.ndarray:
-        R = rotation_from_axis_angle(self.axis_angle)
+        # The transpose of the R^T that the fit's forward model uses, bit
+        # for bit.
+        R = rotation_blocks(self.axis_angle[None])[0][0].T.copy()
         R.setflags(write=False)
         return R
 
@@ -255,18 +270,6 @@ class ViewExtrinsics:
     def from_rotation(cls, R: np.ndarray, t: np.ndarray) -> "ViewExtrinsics":
         w = axis_angles_from_rotations(np.asarray(R, dtype=float)[None])[0]
         return cls(w, np.asarray(t, dtype=float))
-
-    @classmethod
-    def from_world_to_camera(cls, R: np.ndarray, t: np.ndarray) -> "ViewExtrinsics":
-        """Build from the ``P_c = R P_w + t`` form used by projection algebra."""
-        R = np.asarray(R, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return cls.from_rotation(R.T, -R.T @ t)
-
-    def world_to_camera(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(R, t)`` such that ``P_c = R P_w + t``."""
-        R = self.rotation
-        return R.T.copy(), -R.T @ self.t
 
 
 def to_normalized(p: PixelPoint, A: IntrinsicMatrix) -> NormalizedPoint:

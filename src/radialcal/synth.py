@@ -16,12 +16,7 @@ import numpy as np
 
 from .calibration import CalibrationView, CorrespondenceSet, project_views
 from .distortion import DistortionSpec
-from .geometry import (
-    DepthNotPositive,
-    IntrinsicMatrix,
-    ViewExtrinsics,
-    rotation_from_axis_angle,
-)
+from .geometry import DepthNotPositive, IntrinsicMatrix, ViewExtrinsics, rotation_blocks
 
 
 @dataclass(frozen=True)
@@ -89,13 +84,11 @@ def _sample_pose(spec: SynthSpec, rng: np.random.Generator) -> ViewExtrinsics:
     tx = rng.uniform(*spec.pose.offset)
     ty = rng.uniform(*spec.pose.offset)
     tz = rng.uniform(*spec.pose.distance)
-    # Compose in the projection form P_c = R P_w + t, then store canonically.
-    R = (
-        rotation_from_axis_angle(np.array([tilt_x, 0.0, 0.0]))
-        @ rotation_from_axis_angle(np.array([0.0, tilt_y, 0.0]))
-        @ rotation_from_axis_angle(np.array([0.0, 0.0, roll]))
-    )
-    return ViewExtrinsics.from_world_to_camera(R, np.array([tx, ty, tz]))
+    # The camera sees the world through P_c = Rx Ry Rz P_w + (tx, ty, tz);
+    # the stored pose is that map's inverse.
+    (rx_t, ry_t, rz_t), _ = rotation_blocks(np.diag([tilt_x, tilt_y, roll]))
+    rot = rz_t @ ry_t @ rx_t
+    return ViewExtrinsics.from_rotation(rot, -rot @ np.array([tx, ty, tz]))
 
 
 def generate_scene(spec: SynthSpec) -> tuple[CorrespondenceSet, SceneTruth]:

@@ -8,7 +8,8 @@ over the public real_roots, which the bisection oracle checks in turn, and
 two views of the calibration Jacobian that the finite-difference tests
 check: a rotated point's derivative from the library's per-view rotation
 blocks, and the dense matrix scattered from the per-point rows and the
-per-view pose maps. The linear calibration stage is also here one view at
+per-view pose maps. The scalar Rodrigues formula is here as the reference
+of the library's batched one, geometry.rotation_blocks. The linear calibration stage is also here one view at
 a time, with the scalar inverse Rodrigues map and a scalar canonical form
 of the homography, as the oracle of the library's batched linear_stage and
 its kernels; it shares only the closed-form intrinsics_from_conic with
@@ -27,10 +28,9 @@ import numpy as np
 from radialcal.calibration import (
     DegenerateConfiguration,
     SingularConfiguration,
-    _rotation_blocks,
     intrinsics_from_conic,
 )
-from radialcal.geometry import WorldPoint, to_normalized
+from radialcal.geometry import WorldPoint, rotation_blocks, to_normalized
 from radialcal.cubic import NoRealSolution, real_roots
 from radialcal.distortion import undistort
 from radialcal.localize import (
@@ -197,7 +197,7 @@ def rotation_transpose_apply_jacobian(
     w: np.ndarray, d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values and w-derivatives of ``v = R(w)^T d`` for one w and rows of d."""
-    rotation_t, jr = _rotation_blocks(w[None, :])
+    rotation_t, jr = rotation_blocks(w[None, :])
     v = d @ rotation_t[0].T
     # Row i of [v]_x is e_i cross v.
     return v, np.cross(np.eye(3), v[:, None, :]) @ jr[0]
@@ -221,6 +221,20 @@ def dense_jacobian(columns: np.ndarray, maps: np.ndarray, view_index: np.ndarray
         start = n_shared + 6 * view
         jac[j, :, start : start + 6] = rows[j, :, :6] @ maps[view]
     return jac.reshape(2 * n, -1)
+
+
+def rotation_from_axis_angle(w: np.ndarray) -> np.ndarray:
+    """Rodrigues formula for one axis-angle, by the scalar formula
+    ``R = I + a K + b K^2`` with ``K = [w]_x``; a series below theta = 1e-8."""
+    theta = float(np.linalg.norm(w))
+    K = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    if theta < 1e-8:
+        a = 1.0 - theta * theta / 6.0
+        b = 0.5 - theta * theta / 24.0
+    else:
+        a = math.sin(theta) / theta
+        b = (1.0 - math.cos(theta)) / (theta * theta)
+    return np.eye(3) + a * K + b * (K @ K)
 
 
 def axis_angle_from_rotation(R: np.ndarray) -> np.ndarray:

@@ -44,7 +44,6 @@ from radialcal.geometry import (
     InvalidParameters,
     ViewExtrinsics,
     WorldPoint,
-    rotation_from_axis_angle,
 )
 from radialcal.localize import LocalizationFix
 from radialcal.synth import SynthSpec, generate_scene
@@ -255,11 +254,12 @@ def pose_of(H, A):
 
 class TestPosesFromHomographies:
     def test_homography_equal_to_intrinsics(self):
-        # H = A means R = I, t = e_z in the projection form.
+        # H = A means R = I, t = e_z in the projection form: the camera
+        # sits at -e_z.
         A = IntrinsicMatrix(832.5, 830.7, 0.2, 303.96, 206.59)
-        R, t = pose_of(A.matrix, A).world_to_camera()
-        assert np.max(np.abs(R - np.eye(3))) < 1e-10
-        assert np.max(np.abs(t - np.array([0.0, 0.0, 1.0]))) < 1e-10
+        E = pose_of(A.matrix, A)
+        assert np.max(np.abs(E.rotation - np.eye(3))) < 1e-10
+        assert np.max(np.abs(E.t - np.array([0.0, 0.0, -1.0]))) < 1e-10
 
     def test_sign_flip_gives_same_pose(self):
         A = IntrinsicMatrix(832.5, 830.7, 0.2, 303.96, 206.59)
@@ -272,9 +272,9 @@ class TestPosesFromHomographies:
         R = rot_x(0.35) @ rot_y(-0.15)
         t = np.array([0.12, -0.07, 1.3])
         E = pose_of(homography(view_from_pose(grid_xy(), A, R, t)), A)
-        R_got, t_got = E.world_to_camera()
-        assert np.max(np.abs(R_got - R)) < 1e-8
-        assert np.max(np.abs(t_got - t)) < 1e-8
+        # The stored pose inverts the projection form P_c = R P_w + t.
+        assert np.max(np.abs(E.rotation - R.T)) < 1e-8
+        assert np.max(np.abs(E.t + R.T @ t)) < 1e-8
 
     def test_noisy_estimate_is_still_a_rotation(self):
         rng = np.random.default_rng(12)
@@ -283,7 +283,7 @@ class TestPosesFromHomographies:
         t = np.array([0.0, 0.1, 1.2])
         view = view_from_pose(grid_xy(8), A, R, t)
         noisy = CalibrationView(0, view.world_xy, view.pixels + rng.normal(0, 0.5, view.pixels.shape))
-        R_got, _ = pose_of(homography(noisy), A).world_to_camera()
+        R_got = pose_of(homography(noisy), A).rotation.T
         assert np.max(np.abs(R_got.T @ R_got - np.eye(3))) < 1e-12
         # rotation error stays small for half-pixel noise on a 64-point grid
         angle = math.acos(min(1.0, (np.trace(R_got.T @ R) - 1.0) / 2.0))
@@ -414,7 +414,7 @@ class TestProjectViews:
         A = IntrinsicMatrix(832.5, 830.7, 0.21, 303.96, 206.59)
         expected = np.column_stack([A.alpha * xd + A.gamma * yd + A.u0, A.beta * yd + A.v0])
 
-        E = ViewExtrinsics.from_world_to_camera(R, t)
+        E = ViewExtrinsics.from_rotation(R.T, -R.T @ t)
         got = one_view(A, DistortionSpec(model, k1, k2), E, world).pixels
         assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -534,7 +534,7 @@ class TestDerivatives:
             w *= theta_scale / np.linalg.norm(w)
             d = rng.normal(size=(5, 3))
             v, dv_dw = rotation_transpose_apply_jacobian(w, d)
-            assert np.max(np.abs(v - d @ rotation_from_axis_angle(w))) < 1e-14
+            assert np.max(np.abs(v - d @ oracles.rotation_from_axis_angle(w))) < 1e-14
             h = 1e-7
             for k in range(3):
                 e = np.zeros(3)

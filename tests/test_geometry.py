@@ -17,7 +17,7 @@ from radialcal.geometry import (
     WorldPoint,
     axis_angles_from_rotations,
     radius_array,
-    rotation_from_axis_angle,
+    rotation_blocks,
     to_normalized,
     to_normalized_array,
     to_pixel_array,
@@ -175,12 +175,20 @@ class TestPixelNormalizedMaps:
         assert abs(v2 - v) <= 1e-12 * max(1.0, abs(v))
 
 
+def rotation(w) -> np.ndarray:
+    """The library's rotation R(w), as a pose reads it."""
+    return ViewExtrinsics(np.asarray(w, dtype=float), np.zeros(3)).rotation
+
+
 class TestRodrigues:
     def test_zero_vector_gives_identity(self):
-        assert np.array_equal(rotation_from_axis_angle(np.zeros(3)), np.eye(3))
+        rotation_t, jr = rotation_blocks(np.zeros((1, 3)))
+        assert np.array_equal(rotation_t[0], np.eye(3))
+        assert np.array_equal(jr[0], np.eye(3))
+        assert np.array_equal(rotation(np.zeros(3)), np.eye(3))
 
     def test_quarter_turn_about_z(self):
-        R = rotation_from_axis_angle(np.array([0.0, 0.0, math.pi / 2]))
+        R = rotation(np.array([0.0, 0.0, math.pi / 2]))
         assert np.allclose(R @ np.array([1.0, 0, 0]), [0.0, 1.0, 0.0], atol=1e-15)
 
     @given(
@@ -200,7 +208,7 @@ class TestRodrigues:
             axis = np.array([1.0, 0.0, 0.0])
             norm = 1.0
         w = axis / norm * theta
-        R = rotation_from_axis_angle(w)
+        R = rotation(w)
         (back,) = axis_angles_from_rotations(R[None])
         assert np.max(np.abs(back - w)) < 1e-10
         assert np.max(np.abs(back - oracles.axis_angle_from_rotation(R))) <= 1e-12
@@ -211,7 +219,7 @@ class TestRodrigues:
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             w = axis * (math.pi - 10 ** rng.uniform(-9, -2))
-            R = rotation_from_axis_angle(w)
+            R = rotation(w)
             (back,) = axis_angles_from_rotations(R[None])
             assert np.max(np.abs(back - w)) < 1e-9
             assert np.max(np.abs(back - oracles.axis_angle_from_rotation(R))) <= 1e-12
@@ -219,7 +227,7 @@ class TestRodrigues:
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     @settings(max_examples=300)
     def test_derived_rotation_is_orthonormal(self, wx, wy, wz):
-        R = rotation_from_axis_angle(np.array([wx, wy, wz]))
+        R = rotation(np.array([wx, wy, wz]))
         assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-10
         assert abs(np.linalg.det(R) - 1.0) < 1e-10
 
@@ -238,16 +246,27 @@ class TestRodrigues:
         thetas = (0.0, 1e-9, 1e-5, 1.3, math.pi - 1e-4, math.pi - 1e-9)
         axes = rng.normal(size=(len(thetas), 3))
         axes /= np.linalg.norm(axes, axis=1)[:, None]
-        R = np.array([rotation_from_axis_angle(a * t) for a, t in zip(axes, thetas)])
+        R = np.array([rotation(a * t) for a, t in zip(axes, thetas)])
         got = axis_angles_from_rotations(R)
         assert got.shape == (len(thetas), 3)
-        for row, rotation in zip(got, R):
-            want = oracles.axis_angle_from_rotation(rotation)
+        for row, rot in zip(got, R):
+            want = oracles.axis_angle_from_rotation(rot)
             assert np.max(np.abs(row - want)) <= 1e-15 * max(1.0, np.linalg.norm(want))
-            assert np.array_equal(ViewExtrinsics.from_rotation(rotation, np.zeros(3)).axis_angle, row)
+            assert np.array_equal(ViewExtrinsics.from_rotation(rot, np.zeros(3)).axis_angle, row)
+
+    def test_kernel_matches_the_scalar_formula(self):
+        # Angles from the series of both (below 1e-8 and 1e-4) to just
+        # under pi; the two round differently by a few ulps of 1.
+        rng = np.random.default_rng(23)
+        thetas = np.concatenate([np.logspace(-9, 0, 28), np.linspace(1.0, math.pi - 1e-6, 12)])
+        axes = rng.normal(size=(thetas.size, 3))
+        w = axes / np.linalg.norm(axes, axis=1)[:, None] * thetas[:, None]
+        rotation_t, _ = rotation_blocks(w)
+        for row, got in zip(w, rotation_t):
+            assert np.max(np.abs(got - oracles.rotation_from_axis_angle(row).T)) <= 2e-15
 
     def test_batch_rejects_a_stack_with_one_non_rotation(self):
-        good = rotation_from_axis_angle(np.array([0.1, 0.2, 0.3]))
+        good = rotation(np.array([0.1, 0.2, 0.3]))
         for bad in (np.eye(3) * 1.1, np.diag([1.0, 1.0, -1.0])):
             with pytest.raises(NotARotation):
                 axis_angles_from_rotations(np.stack([good, bad, good]))
@@ -255,14 +274,25 @@ class TestRodrigues:
 
 
 class TestViewExtrinsics:
-    def test_world_to_camera_round_trip(self):
+    def test_from_rotation_round_trip(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             w = rng.normal(size=3)
             w *= rng.uniform(0, 3.0) / np.linalg.norm(w)
-            R = rotation_from_axis_angle(w)
+            R = oracles.rotation_from_axis_angle(w)
             t = rng.normal(size=3)
-            E = ViewExtrinsics.from_world_to_camera(R, t)
-            R_back, t_back = E.world_to_camera()
-            assert np.max(np.abs(R_back - R)) < 1e-12
-            assert np.max(np.abs(t_back - t)) < 1e-12
+            E = ViewExtrinsics.from_rotation(R, t)
+            assert np.max(np.abs(E.rotation - R)) < 1e-12
+            assert np.array_equal(E.t, t)
+
+    def test_rotation_is_the_kernels_to_the_bit(self):
+        # The localizer's rays turn by the rotation that the fit's forward
+        # model used: the transpose of rotation_blocks' R^T, small angles
+        # included.
+        rng = np.random.default_rng(29)
+        for k in range(200):
+            w = rng.normal(size=3)
+            w *= (10.0 ** rng.uniform(-6, -3) if k % 4 == 0 else rng.uniform(0, 3.0)) / np.linalg.norm(w)
+            R = ViewExtrinsics(w, rng.normal(size=3)).rotation
+            assert np.array_equal(R, rotation_blocks(w[None])[0][0].T)
+            assert not R.flags.writeable
