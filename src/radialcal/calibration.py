@@ -37,6 +37,7 @@ the stage returns each dropped view's id with the reason.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -166,8 +167,15 @@ class OptimizerOptions:
         tols = (self.tol_x, self.tol_fun)
         if not all(math.isfinite(t) and t > 0 for t in tols):
             raise ValueError(f"tolerances must be finite and positive: tol_x, tol_fun = {tols}")
-        if self.max_iter <= 0:
+        # A bool, or a cap such as 2.5 or inf, would run and be written to a
+        # calibration file that read_calibration refuses.
+        cap = self.max_iter
+        whole = isinstance(cap, numbers.Integral) or (isinstance(cap, float) and cap.is_integer())
+        if isinstance(cap, bool) or not whole:
+            raise ValueError(f"the iteration cap must be an integer, got {cap!r}")
+        if cap <= 0:
             raise ValueError("the iteration cap must be positive")
+        object.__setattr__(self, "max_iter", int(cap))
 
 
 @dataclass(frozen=True, eq=False)

@@ -863,6 +863,11 @@ class TestRefine:
             ("tol_fun", math.inf),
             ("tol_fun", 0.0),
             ("max_iter", 0),
+            # read_calibration refuses these caps in a file, so the options
+            # refuse them too.
+            ("max_iter", 2.5),
+            ("max_iter", True),
+            ("max_iter", math.inf),
         ],
     )
     def test_options_reject_settings_that_cannot_stop_lm(self, field, value):
