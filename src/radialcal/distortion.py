@@ -69,6 +69,19 @@ class DistortionSpec:
             return RadiusCubic(0.0, self.k1)
         return RadiusCubic(self.k1, self.k2)
 
+    @cached_property
+    def fold(self) -> float:
+        """The first positive zero of ``F'`` for ``F(r) = r f(r)``, inf if none.
+
+        ``F`` rises from ``F(0) = 0`` up to its fold, so the inverse exists on
+        ``[0, fold]`` only.
+        """
+        if self.model is not Model.MODEL1:
+            return self.radius_cubic.fold
+        # F' = 1 + 3 k1 s + 5 k2 s^2 with s = r^2.
+        slope_zeros = _quadratic_roots(5.0 * self.k2, 3.0 * self.k1, 1.0)
+        return math.sqrt(min((s for s in slope_zeros if s > 0.0), default=math.inf))
+
     @classmethod
     def from_coefficients(cls, model: Model, coeffs) -> "DistortionSpec":
         coeffs = tuple(float(c) for c in coeffs)
@@ -126,21 +139,9 @@ def distort_array(spec: DistortionSpec, xy: np.ndarray) -> np.ndarray:
 
 
 def validate_monotone(spec: DistortionSpec, dom: WorkingDomain) -> bool:
-    """True iff ``F(r) = r f(r)`` is strictly increasing on ``[0, r_max]``.
-
-    ``F'`` is a polynomial of degree at most four; since ``F'(0) = 1`` the
-    condition reduces to ``F'`` having no real root inside the domain.
-    """
-    k1, k2 = spec.k1, spec.k2
-    critical: list[float] = []
-    if spec.model is Model.MODEL3:
-        critical = list(_quadratic_roots(3.0 * k2, 2.0 * k1, 1.0))
-    else:
-        # F' = 1 + 3 k1 r^2 + 5 k2 r^4 (k2 = 0 covers model2): quadratic in r^2.
-        for s in _quadratic_roots(5.0 * k2, 3.0 * k1, 1.0):
-            if s >= 0.0:
-                critical.append(math.sqrt(s))
-    return not any(0.0 <= r <= dom.r_max for r in critical)
+    """True iff ``F(r) = r f(r)`` is strictly increasing on ``[0, r_max]``:
+    the spec's fold lies past the domain."""
+    return spec.fold > dom.r_max
 
 
 # Residual tolerance (relative to max(1, r_d)), step budget and halvings per

@@ -188,6 +188,56 @@ class TestValidateMonotone:
         assert validate_monotone(spec, WorkingDomain(fold * 0.999))
         assert not validate_monotone(spec, WorkingDomain(fold * 1.001))
 
+    def test_fold_is_the_radius_cubic_fold(self):
+        rng = np.random.default_rng(71)
+        for model in (Model.MODEL2, Model.MODEL3):
+            for k1, k2 in rng.uniform(-1.0, 1.0, (200, 2)).tolist():
+                spec = DistortionSpec(model, k1, k2)
+                assert spec.fold == spec.radius_cubic.fold
+
+    def test_model1_fold_matches_polynomial_roots(self):
+        # F' = 1 + 3 k1 r^2 + 5 k2 r^4, zero at r^2 = s for each root s of
+        # 5 k2 s^2 + 3 k1 s + 1.
+        rng = np.random.default_rng(73)
+        folded = 0
+        for k1, k2 in rng.uniform(-1.0, 1.0, (2000, 2)).tolist():
+            fold = DistortionSpec(Model.MODEL1, k1, k2).fold
+            s = [z.real for z in np.roots([5.0 * k2, 3.0 * k1, 1.0]) if z.imag == 0.0 and z.real > 0.0]
+            if not s:
+                assert fold == math.inf, (k1, k2)
+                continue
+            folded += 1
+            assert abs(fold - math.sqrt(min(s))) <= 1e-12 * fold, (k1, k2)
+        assert folded > 1000
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DistortionSpec(Model.MODEL1, 0.0, 0.0),
+            DistortionSpec(Model.MODEL1, 0.2, 0.1),
+            DistortionSpec(Model.MODEL1, -0.3435, 0.1232),
+            DistortionSpec(Model.MODEL2, 0.2),
+            DistortionSpec(Model.MODEL3, 0.1, 0.05),
+            DistortionSpec(Model.MODEL3, -0.3, 0.1),
+        ],
+    )
+    def test_monotone_spec_has_no_fold(self, spec):
+        assert spec.fold == math.inf
+        assert validate_monotone(spec, WorkingDomain(1e300))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DistortionSpec(Model.MODEL1, -0.5, 0.1),
+            DistortionSpec(Model.MODEL1, -0.5, 0.0),
+            DistortionSpec(Model.MODEL2, -0.3),
+        ],
+    )
+    def test_domain_ending_at_the_fold_is_not_monotone(self, spec):
+        fold = spec.fold
+        assert not validate_monotone(spec, WorkingDomain(fold))
+        assert validate_monotone(spec, WorkingDomain(math.nextafter(fold, 0.0)))
+
 
 class TestUndistort:
     def test_origin_fixed_all_models(self):
