@@ -14,16 +14,17 @@ axis-angle and translation), or the error that a failed model reported.
 For each scene it holds the linear stage's intrinsics and poses and the ids
 of the views it dropped. It also holds the SHA-256 of ``undistort_array``'s
 output on each seeded row set of ``bench_undistort.py`` (``SPECS`` and
-``FOLD_SPECS``), and of the bytes that the CLI (``radialcal.cli.main``)
-writes: the calibration JSON of ``calibrate --model 3`` on the 10- and
-30-view scenes and the ragged scene, and ``undistort`` in both directions
-for each model on a jittered 320x240 grid of a 640x480 image (76,800
-points), whose ``--calib`` file is written as a plain dict, as the
-repository benchmark writes its own. Last, it holds ``localize`` fixes
-per model: seeded noiseless cases from ``bench_undistort.localize_cases``,
-some with the assumed pose's rotation angle at pi (yaw +-pi, tilt 1e-6 and
-1e-3), each with the endpoints in both orders, and four inputs on which
-the fix must fail. A fix's record is its yaw deviation, ``t1``, both
+``FOLD_SPECS``), on its model1 fold rows for two model1 specs whose
+``r f(r)`` rises again past the fold, and of the bytes that the CLI
+(``radialcal.cli.main``) writes: the calibration JSON of ``calibrate
+--model 3`` on the 10- and 30-view scenes and the ragged scene, and
+``undistort`` in both directions for each model on a jittered 320x240 grid
+of a 640x480 image (76,800 points), whose ``--calib`` file is written as
+a plain dict, as the repository benchmark writes its own. Last, it holds
+``localize`` fixes per model: seeded noiseless cases from
+``bench_undistort.localize_cases``, some with the assumed pose's rotation
+angle at pi (yaw +-pi, tilt 1e-6 and 1e-3), each with the endpoints in
+both orders, and four inputs on which the fix must fail. A fix's record is its yaw deviation, ``t1``, both
 recovered endpoints and both discrepancies, or its error.
 
     PYTHONPATH=src python scripts/equivalence.py --output fits.json
@@ -92,6 +93,12 @@ GRID = (320, 240)
 IMAGE = (640.0, 480.0)
 PARAM_RTOL = 1e-9
 FIX_ATOL = 1e-12
+# model1 specs whose F(r) = r f(r) rises again past its fold, on the model1
+# fold rows: Newton that ignores the fold finds a root on the far branch.
+FAR_BRANCH_SPECS = {
+    "model1_-0.5_0.1": DistortionSpec(Model.MODEL1, -0.5, 0.1),
+    "model1_-0.3_0.02": DistortionSpec(Model.MODEL1, -0.3, 0.02),
+}
 # Record fields that must match exactly.
 OUTCOME = ("error", "n_iterations", "stop_reason", "objective", "residuals_sha256", "sha256", "dropped")
 
@@ -162,11 +169,14 @@ def run_fits() -> dict:
 
 
 def array_hashes() -> dict:
-    """SHA-256 of undistort_array's output on bench_undistort's row sets."""
+    """SHA-256 of undistort_array's output on bench_undistort's row sets,
+    and on its model1 fold rows for FAR_BRANCH_SPECS."""
     rows = bench_undistort.undistort_rows(np.random.default_rng(bench_undistort.SEED))
+    folded = bench_undistort.fold_rows()
     sets = (
         ("undistort", bench_undistort.SPECS, rows),
-        ("past_the_fold", bench_undistort.FOLD_SPECS, bench_undistort.fold_rows()),
+        ("past_the_fold", bench_undistort.FOLD_SPECS, folded),
+        ("far_branch", FAR_BRANCH_SPECS, dict.fromkeys(FAR_BRANCH_SPECS, folded["model1"])),
     )
     return {
         f"undistort_array/{section}/{name}": {
