@@ -156,13 +156,18 @@ def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
 
     Works for any model whose warp is monotone around the solution; used as
     the model1 inverse and as an independent cross-check of the analytic
-    paths. Raises NotConverged when the residual does not fall below
-    ``_NEWTON_TOL`` within ``_NEWTON_MAX_ITER`` steps.
+    paths. Every iterate, the start included, lies on the rising branch
+    ``[0, spec.fold]``, so no root past the fold comes back. Raises
+    NotConverged when the residual does not fall below ``_NEWTON_TOL``
+    within ``_NEWTON_MAX_ITER`` steps, and for a start past the fold.
     """
     if r_d < 0.0:
         raise ValueError("distorted radius must be nonnegative")
     if r_d == 0.0:
         return 0.0
+    fold = spec.fold
+    if not r_d <= fold:
+        raise NotConverged(f"the start r_d={r_d!r} lies past the fold at r={fold!r}")
     r = r_d
     res = r * warp_factor(spec, r) - r_d
     for _ in range(_NEWTON_MAX_ITER):
@@ -177,7 +182,7 @@ def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
         # Halve the step until the residual actually shrinks (monotone damping).
         for _ in range(_NEWTON_HALVINGS):
             r_new = r - step
-            if r_new >= 0.0:
+            if 0.0 <= r_new <= fold:
                 res_new = r_new * warp_factor(spec, r_new) - r_d
                 if abs(res_new) < abs(res):
                     break
@@ -195,12 +200,14 @@ def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
 def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> np.ndarray:
     """invert_radius_newton on a 1-D array of observed radii, all lanes at once.
 
-    The same start, damped steps and tolerance, lane by lane: only the lanes
-    whose full step fails to shrink the residual are halved. NaN where the
-    scalar solve raises NotConverged, and for a non-finite radius.
+    The same start, damped steps within ``[0, spec.fold]`` and tolerance,
+    lane by lane: only the lanes whose full step fails to shrink the
+    residual are halved. NaN where the scalar solve raises NotConverged, and
+    for a non-finite radius.
     """
+    fold = spec.fold
     r = np.where(r_d == 0.0, 0.0, np.nan)
-    lanes = np.flatnonzero((r_d > 0.0) & np.isfinite(r_d))
+    lanes = np.flatnonzero((r_d > 0.0) & (r_d <= fold) & np.isfinite(r_d))
     y = r_d[lanes]
     x = y.copy()
     limit = _NEWTON_TOL * np.maximum(1.0, y)
@@ -225,7 +232,7 @@ def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> np.ndarray:
                     break
                 xp = x[pending] - step[pending]
                 rp = xp * warp_factor(spec, xp) - y[pending]
-                shrinks = (xp >= 0.0) & (np.abs(rp) < np.abs(res[pending]))
+                shrinks = (xp >= 0.0) & (xp <= fold) & (np.abs(rp) < np.abs(res[pending]))
                 ok = pending[shrinks]
                 x[ok], res[ok], moved[ok] = xp[shrinks], rp[shrinks], True
                 pending = pending[~shrinks]

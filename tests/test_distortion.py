@@ -383,6 +383,30 @@ class TestUndistort:
         with pytest.raises(NotConverged):
             undistort(spec, NormalizedPoint(max_reachable * 1.2, 0.0))
 
+    @pytest.mark.parametrize("k1,k2", [(-0.5, 0.1), (-0.3, 0.02), (-1.0, 0.3)])
+    def test_model1_root_past_the_fold_is_none(self, k1, k2):
+        # F(r) = r f(r) folds and rises again: a Newton step may land on the
+        # far branch, whose roots are no preimage. Below F(fold) the root on
+        # the rising branch comes back; above it, none (F(fold) is a double
+        # root, found or not to rounding).
+        spec = DistortionSpec(Model.MODEL1, k1, k2)
+        fold = spec.fold
+        top = fold * warp_factor(spec, fold)
+        r_d = np.linspace(0.0, 3.0, 601)[1:]
+        xy = np.column_stack([r_d, np.zeros(r_d.size)])
+        want = scalar_undistort_rows(spec, xy)[:, 0]
+        found = ~np.isnan(want)
+        assert np.all(want[found] <= fold)
+        assert found[r_d < top * (1.0 - 1e-9)].all()
+        assert not found[r_d > top * (1.0 + 1e-9)].any()
+        got = undistort_array(spec, xy)
+        assert np.all(got[found, 0] <= fold)
+        assert_rows_agree(got, scalar_undistort_rows(spec, xy))
+        # The start r_d = sqrt(-k1 / k2) solves F(r) = r_d on the far branch.
+        with pytest.raises(NotConverged):
+            invert_radius_newton(spec, math.sqrt(-k1 / k2))
+        assert np.isnan(undistort_array(spec, np.array([[math.sqrt(-k1 / k2), 0.0]]))).all()
+
     def test_huge_radius_does_not_converge(self):
         # r^3 overflows a float at r = 1e120: the slope is inf, and the step
         # can never shrink the (infinite) residual.
