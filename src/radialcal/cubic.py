@@ -12,13 +12,14 @@ the test suite's oracle for this radius form.
 The cubic is solved through the depressed-cubic substitution with the
 trigonometric method in the three-real-root regime and a cancellation-safe
 Cardano form otherwise, followed by a short Newton polish on the original
-equation that never takes a step growing the residual. This is numerically
-equivalent to the textbook radical formulas but avoids complex intermediates
-and the division by ``q`` they require. The scalar closed form is written
-once, in ``RadiusCubic.closed_form``: the radius solve polishes the
-admissible root, the first on the rising branch of the cubic (none past its
-fold), and ``real_roots(y, p, q)`` (through
-``_solve_cubic``) polishes all of them and returns them as a sorted tuple.
+equation that never takes a step growing the residual and then verifies its
+last iterate by that residual. This is numerically equivalent to the
+textbook radical formulas but avoids complex intermediates and the division
+by ``q`` they require. The scalar closed form is written once, in
+``RadiusCubic.closed_form``: the radius solve polishes the admissible root,
+the first on the rising branch of the cubic (none past its fold), and
+``real_roots(y, p, q)`` (through ``_solve_cubic``) polishes all of them and
+returns them as a sorted tuple.
 
 The discriminant of the depressed cubic is itself a difference of two
 near-equal quantities once the coefficients span many decades, so its sign
@@ -70,14 +71,18 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _polish(y: float, p: float, q: float, x: float) -> float:
-    """Guarded Newton iteration on the original cubic.
+def _polish(y: float, p: float, q: float, x: float) -> tuple[float, bool]:
+    """Guarded Newton iteration on the original cubic, and whether its last
+    iterate is a root.
 
     Converges in two or three steps from closed-form values; the larger step
     budget only matters for starts produced in ill-conditioned regimes. A
     step whose residual is larger than the current one is not taken: at a
     double root the residual reaches its rounding noise before the step
-    does, and Newton would then wander along the flat of the cubic.
+    does, and Newton would then wander along the flat of the cubic. The
+    iterate is verified when its residual is within ``1e-9`` of the
+    magnitude of the cubic's terms; one whose terms overflow can be neither
+    verified nor refuted in double arithmetic, and is not.
     """
     xx = x * x
     g = x + p * xx + q * (xx * x) - y
@@ -96,69 +101,34 @@ def _polish(y: float, p: float, q: float, x: float) -> float:
         x, xx, g = x_new, xx_new, g_new
         if abs(step) <= _STEP_TOL * (1.0 + abs(x)):
             break
-    return x
+    ax = abs(x)
+    bound = 1e-9 * (max(1.0, abs(y)) + ax + abs(p) * (ax * ax) + abs(q) * (ax * ax * ax))
+    return x, abs(g) <= bound < math.inf
 
 
-def _fast_polish(y: float, p: float, q: float, x: float) -> float | None:
-    """Newton polish fused with the residual check; None when unverified.
-
-    Only for starts from a decisively-branched closed form, which are within
-    a few Newton steps of full precision. NaN propagation is benign: the
-    final residual comparison fails and the caller falls back to the
-    deflation repair path.
-    """
-    for _ in range(6):
+def _polish_array(y: np.ndarray, p: float, q: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_polish on arrays: lane by lane the same guarded steps, stop rule and
+    verification."""
+    x = x.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         xx = x * x
         g = x + p * xx + q * (xx * x) - y
-        dg = 1.0 + 2.0 * p * x + 3.0 * q * xx
-        if dg == 0.0:
-            break
-        step = g / dg
-        x = x - step
-        if abs(step) <= _STEP_TOL * (1.0 + abs(x)):
-            break
-    ax = abs(x)
-    res = x + p * (x * x) + q * (x * x * x) - y
-    scale = max(1.0, abs(y)) + ax + abs(p) * (ax * ax) + abs(q) * (ax * ax * ax)
-    if math.isfinite(res) and abs(res) <= 1e-9 * scale:
-        return x
-    return None
-
-
-def _fast_polish_array(y: np.ndarray, p: float, q: float, x: np.ndarray) -> np.ndarray:
-    """_fast_polish on arrays, lane by lane the same steps and stop rule.
-
-    NaN starts stay NaN; lanes whose residual check fails come back as NaN.
-    """
-    x = x.copy()
-    live = np.flatnonzero(~np.isnan(x))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(6):
+        live = np.arange(x.size)
+        for _ in range(_POLISH_STEPS):
             if live.size == 0:
                 break
-            xl, yl = x[live], y[live]
-            xx = xl * xl
-            g = xl + p * xx + q * (xx * xl) - yl
-            dg = 1.0 + 2.0 * p * xl + 3.0 * q * xx
-            flat = dg == 0.0
-            step = np.where(flat, 0.0, g / dg)
-            xl = xl - step
-            x[live] = xl
-            live = live[~(flat | (np.abs(step) <= _STEP_TOL * (1.0 + np.abs(xl))))]
+            xl, gl, yl = x[live], g[live], y[live]
+            dg = 1.0 + 2.0 * p * xl + 3.0 * q * (xl * xl)
+            step = gl / dg
+            x_new = xl - step
+            xx_new = x_new * x_new
+            g_new = x_new + p * xx_new + q * (xx_new * x_new) - yl
+            taken = (dg != 0.0) & np.isfinite(gl) & np.isfinite(x_new) & (np.abs(g_new) <= np.abs(gl))
+            x[live[taken]], g[live[taken]] = x_new[taken], g_new[taken]
+            live = live[taken & ~(np.abs(step) <= _STEP_TOL * (1.0 + np.abs(x_new)))]
         ax = np.abs(x)
-        res = x + p * (x * x) + q * (x * x * x) - y
-        scale = np.maximum(1.0, np.abs(y)) + ax + abs(p) * (ax * ax) + abs(q) * (ax * ax * ax)
-        ok = np.isfinite(res) & (np.abs(res) <= 1e-9 * scale)
-        return np.where(ok, x, np.nan)
-
-
-def _is_true_root(y: float, p: float, q: float, x: float) -> bool:
-    ax = abs(x)
-    scale = max(1.0, abs(y)) + ax + abs(p) * (ax * ax) + abs(q) * (ax * ax * ax)
-    res = x + p * (x * x) + q * (x * x * x) - y
-    # Candidates whose terms overflow cannot be verified (or refuted) in
-    # double arithmetic; never return them.
-    return math.isfinite(res) and math.isfinite(scale) and abs(res) <= 1e-9 * scale
+        bound = 1e-9 * (np.maximum(1.0, np.abs(y)) + ax + abs(p) * (ax * ax) + abs(q) * (ax * ax * ax))
+        return x, (np.abs(g) <= bound) & (bound < math.inf)
 
 
 def _any_root_bisect(y: float, p: float, q: float) -> float:
@@ -220,7 +190,7 @@ def _quadratic_path(y: float, p: float, q: float) -> tuple[float, ...]:
     full cubic.
     """
     polished = (_polish(y, p, q, x) for x in _quadratic_roots(p, 1.0, -y))
-    return tuple(x for x in polished if _is_true_root(y, p, q, x))
+    return tuple(x for x, verified in polished if verified)
 
 
 def _deflated_pair(y: float, p: float, q: float, anchor: float) -> tuple[float, ...]:
@@ -250,24 +220,22 @@ def _solve_cubic(cubic: RadiusCubic, y: float) -> tuple[float, ...]:
     if cubic.quadratic:
         return _quadratic_path(y, p, q)
     raw, decided = cubic.closed_form(y)
-    if decided:
-        roots = [_fast_polish(y, p, q, x) for x in raw]
-        if None not in roots:
-            return tuple(roots)
+    polished = [_polish(y, p, q, x) for x in raw]
+    verified = [x for x, ok in polished if ok]
+    if decided and len(verified) == len(raw):
+        return tuple(verified)
     # Uncertain or failed-verification zone: the root multiset is rebuilt by
     # deflation from one verified anchor root, polished from the closed
     # form's values (largest magnitude is the best-conditioned choice).
     # Covers wrong discriminant signs, root clusters collapsing onto a
     # critical point, and exact multiple roots.
-    polished = (_polish(y, p, q, x) for x in raw)
-    verified = [x for x in polished if _is_true_root(y, p, q, x)]
     anchor = (
         max(verified, key=abs)
         if verified
-        else _polish(y, p, q, _any_root_bisect(y, p, q))
+        else _polish(y, p, q, _any_root_bisect(y, p, q))[0]
     )
     pair = (_polish(y, p, q, x) for x in _deflated_pair(y, p, q, anchor))
-    return (anchor,) + tuple(x for x in pair if _is_true_root(y, p, q, x))
+    return (anchor,) + tuple(x for x, ok in pair if ok)
 
 
 def real_roots(y: float, p: float, q: float) -> tuple[float, ...]:
@@ -386,8 +354,8 @@ class RadiusCubic:
                 best = None
         if best is None:
             raise NoRealSolution(self._no_root_message(r_d))
-        r = _fast_polish(r_d, self.p, self.q, best)
-        if r is not None and r > _ZERO_ROOT:
+        r, verified = _polish(r_d, self.p, self.q, best)
+        if verified and r > _ZERO_ROOT:
             return r
         return self._general(r_d)
 
@@ -433,8 +401,8 @@ class RadiusCubic:
                 best[three] = np.where(np.isfinite(low), low, np.nan)
             best[~(best >= -sign_tol) | (best > self.fold)] = np.nan
             undecided = ~(one | three)
-        x = _fast_polish_array(y, self.p, self.q, best)
-        settled = x > _ZERO_ROOT
+        x, verified = _polish_array(y, self.p, self.q, best)
+        settled = verified & (x > _ZERO_ROOT)
         r[lanes] = np.where(settled, x, np.nan)
         general = ~settled & (undecided | ~np.isnan(best))
         for i, r_d_i in zip(lanes[general].tolist(), y[general].tolist()):
