@@ -13,13 +13,13 @@ The cubic is solved through the depressed-cubic substitution with the
 trigonometric method in the three-real-root regime and a cancellation-safe
 Cardano form otherwise, followed by a short Newton polish on the original
 equation that never takes a step growing the residual and then verifies its
-last iterate by that residual. This is numerically equivalent to the
-textbook radical formulas but avoids complex intermediates and the division
-by ``q`` they require. The scalar closed form is written once, in
-``RadiusCubic.closed_form``: the radius solve polishes the admissible root,
-the first on the rising branch of the cubic (none past its fold), and
-``real_roots(y, p, q)`` (through ``_solve_cubic``) polishes all of them and
-returns them as a sorted tuple.
+last iterate by that residual: no unverified root leaves the module. This is
+numerically equivalent to the textbook radical formulas but avoids complex
+intermediates and the division by ``q`` they require. The scalar closed
+form is written once, in ``RadiusCubic.closed_form``: the radius solve
+polishes the admissible root, the first on the rising branch of the cubic
+(none past its fold), and ``real_roots(y, p, q)`` (through
+``_solve_cubic``) polishes all of them and returns them as a sorted tuple.
 
 The discriminant of the depressed cubic is itself a difference of two
 near-equal quantities once the coefficients span many decades, so its sign
@@ -55,6 +55,9 @@ _DISC_MARGIN = 1e-9
 _STEP_TOL = 4.0 * sys.float_info.epsilon
 # Newton steps _polish takes at most before it returns its last iterate.
 _POLISH_STEPS = 50
+# Halvings _any_root_bisect takes at most: a bracket of width at most 2^1025
+# reaches the width test's floor, 1e-15 > 2^-50, within 1075 of them.
+_BISECT_HALVINGS = 1100
 # The three trigonometric roots are m cos((phi + k) / 3) - shift for these k.
 _TRIG_OFFSETS = (0.0, 2.0 * math.pi, 4.0 * math.pi)
 # Relative slack past the fold for a root of the general solve: a double
@@ -144,7 +147,7 @@ def _any_root_bisect(y: float, p: float, q: float) -> float:
         return a
     if ga > 0.0:
         a, b = b, a
-    for _ in range(200):
+    for _ in range(_BISECT_HALVINGS):
         mid = 0.5 * (a + b)
         gm = mid + p * mid * mid + q * (mid * mid * mid) - y
         if gm == 0.0:
@@ -225,17 +228,18 @@ def _solve_cubic(cubic: RadiusCubic, y: float) -> tuple[float, ...]:
     if decided and len(verified) == len(raw):
         return tuple(verified)
     # Uncertain or failed-verification zone: the root multiset is rebuilt by
-    # deflation from one verified anchor root, polished from the closed
-    # form's values (largest magnitude is the best-conditioned choice).
-    # Covers wrong discriminant signs, root clusters collapsing onto a
-    # critical point, and exact multiple roots.
-    anchor = (
-        max(verified, key=abs)
-        if verified
-        else _polish(y, p, q, _any_root_bisect(y, p, q))[0]
-    )
+    # deflation from one anchor root, the verified one of largest magnitude
+    # (the best-conditioned choice) or else a bisection root. Covers wrong
+    # discriminant signs, root clusters collapsing onto a critical point,
+    # and exact multiple roots. A bisection anchor that fails verification
+    # still deflates, but is not returned.
+    if verified:
+        anchor, anchored = max(verified, key=abs), True
+    else:
+        anchor, anchored = _polish(y, p, q, _any_root_bisect(y, p, q))
     pair = (_polish(y, p, q, x) for x in _deflated_pair(y, p, q, anchor))
-    return (anchor,) + tuple(x for x, ok in pair if ok)
+    roots = tuple(x for x, ok in pair if ok)
+    return (anchor,) + roots if anchored else roots
 
 
 def real_roots(y: float, p: float, q: float) -> tuple[float, ...]:
@@ -377,11 +381,13 @@ class RadiusCubic:
                 best = 2.0 * y / (1.0 + np.sqrt(1.0 + 4.0 * self.p * y))
             undecided = np.zeros(y.shape, dtype=bool)
         else:
-            Q = self.Q0 - y / self.q
-            half = 0.5 * Q
-            cube = self.cube
-            disc = half * half + cube
-            noise = half * half + abs(cube)
+            # A lane whose discriminant overflows is decided neither way, and
+            # goes on to _general.
+            with np.errstate(over="ignore"):
+                Q = self.Q0 - y / self.q
+                half = 0.5 * Q
+                disc = half * half + self.cube
+                noise = half * half + abs(self.cube)
             sign_tol = 1e-6 * (1.0 + y)
             best = np.full(y.shape, np.nan)
             one = disc > _DISC_MARGIN * noise
@@ -413,15 +419,13 @@ class RadiusCubic:
         return r
 
     def _general(self, r_d: float) -> float:
-        """The smallest positive root among all real roots, unless it lies
-        past the fold (beyond the rounding of a double root there)."""
-        best = math.inf
-        for x in _solve_cubic(self, r_d):
-            if _ZERO_ROOT < x < best:
-                best = x
-        if not best <= self.fold * (1.0 + _FOLD_SLACK):
+        """The smallest positive root among all real roots; NoRealSolution
+        when there is none, or when it lies past the fold (beyond the
+        rounding of a double root there)."""
+        roots = [x for x in _solve_cubic(self, r_d) if x > _ZERO_ROOT]
+        if not roots or min(roots) > self.fold * (1.0 + _FOLD_SLACK):
             raise NoRealSolution(self._no_root_message(r_d))
-        return best
+        return min(roots)
 
     def _no_root_message(self, r_d: float) -> str:
         return f"no positive real root for r_d={r_d!r} (p={self.p!r}, q={self.q!r})"

@@ -505,6 +505,28 @@ class TestUndistortArray:
             assert np.isfinite(out[0]).all() and np.isnan(out[1:]).all()
 
     @pytest.mark.parametrize(
+        "spec",
+        [
+            DistortionSpec(Model.MODEL2, 0.15),
+            DistortionSpec(Model.MODEL3, 0.1, 0.05),
+            DistortionSpec(Model.MODEL3, -0.3, 0.1),
+        ],
+    )
+    def test_huge_radius_gives_a_verified_root_or_a_flag(self, spec):
+        # The discriminant overflows for r_d past about 1e153, so these go
+        # to the general solve, whose bisection must narrow a bracket as wide
+        # as r_d / k2. Near the top of the float range the cubic's terms
+        # overflow too, and the point can only be flagged.
+        r_d = [1e100, 1e160, 1e200, 1e300, 1.5e308]
+        xy = np.column_stack([r_d, np.zeros(len(r_d))])
+        want = scalar_undistort_rows(spec, xy)
+        assert np.array_equal(undistort_array(spec, xy), want, equal_nan=True)
+        assert np.isfinite(want[:4]).all()
+        for y, r in zip(r_d, want[:, 0].tolist()):
+            if not math.isnan(r):
+                assert abs(r * warp_factor(spec, r) - y) <= 1e-9 * y, (y, r)
+
+    @pytest.mark.parametrize(
         "spec,xy",
         [
             # On the fold F(2) = 1.2 the discriminant is zero to rounding.
