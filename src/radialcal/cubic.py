@@ -95,10 +95,9 @@ def _polish(y: float, p: float, q: float, x: float) -> tuple[float, bool]:
             break
         step = g / dg
         x_new = x - step
-        if not math.isfinite(x_new):
-            break
         xx_new = x_new * x_new
         g_new = x_new + p * xx_new + q * (xx_new * x_new) - y
+        # A non-finite x_new has a non-finite residual, which this refuses.
         if not abs(g_new) <= abs(g):
             break
         x, xx, g = x_new, xx_new, g_new
@@ -116,7 +115,10 @@ def _polish_array(y: np.ndarray, p: float, q: float, x: np.ndarray) -> tuple[np.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         xx = x * x
         g = x + p * xx + q * (xx * x) - y
-        live = np.arange(x.size)
+        # A lane whose start has a non-finite residual takes no step; a step
+        # from a zero slope, or to a non-finite iterate, has a non-finite
+        # residual, which the residual test refuses.
+        live = np.flatnonzero(np.isfinite(g))
         for _ in range(_POLISH_STEPS):
             if live.size == 0:
                 break
@@ -126,8 +128,9 @@ def _polish_array(y: np.ndarray, p: float, q: float, x: np.ndarray) -> tuple[np.
             x_new = xl - step
             xx_new = x_new * x_new
             g_new = x_new + p * xx_new + q * (xx_new * x_new) - yl
-            taken = (dg != 0.0) & np.isfinite(gl) & np.isfinite(x_new) & (np.abs(g_new) <= np.abs(gl))
-            x[live[taken]], g[live[taken]] = x_new[taken], g_new[taken]
+            taken = np.abs(g_new) <= np.abs(gl)
+            x[live] = np.where(taken, x_new, xl)
+            g[live] = np.where(taken, g_new, gl)
             live = live[taken & ~(np.abs(step) <= _STEP_TOL * (1.0 + np.abs(x_new)))]
         ax = np.abs(x)
         bound = 1e-9 * (np.maximum(1.0, np.abs(y)) + ax + abs(p) * (ax * ax) + abs(q) * (ax * ax * ax))
