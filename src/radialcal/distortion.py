@@ -55,6 +55,7 @@ class DistortionSpec:
         # warp and inverse several times slower.
         object.__setattr__(self, "k1", float(self.k1))
         object.__setattr__(self, "k2", 0.0 if self.model is Model.MODEL2 else float(self.k2))
+        object.__setattr__(self, "_fold", None)
 
     @property
     def coefficients(self) -> tuple[float, ...]:
@@ -69,18 +70,26 @@ class DistortionSpec:
             return RadiusCubic(0.0, self.k1)
         return RadiusCubic(self.k1, self.k2)
 
-    @cached_property
+    @property
     def fold(self) -> float:
         """The first positive zero of ``F'`` for ``F(r) = r f(r)``, inf if none.
 
         ``F`` rises from ``F(0) = 0`` up to its fold, so the inverse exists on
-        ``[0, fold]`` only.
+        ``[0, fold]`` only. Computed on first use and kept in an attribute
+        that ``__post_init__`` made: a cached_property writes through the
+        instance ``__dict__``, which makes every later attribute read of the
+        spec slower on CPython 3.11, and model1's Newton inverse reads them
+        in its loop.
         """
-        if self.model is not Model.MODEL1:
-            return self.radius_cubic.fold
-        # F' = 1 + 3 k1 s + 5 k2 s^2 with s = r^2.
-        slope_zeros = _quadratic_roots(5.0 * self.k2, 3.0 * self.k1, 1.0)
-        return math.sqrt(min((s for s in slope_zeros if s > 0.0), default=math.inf))
+        if self._fold is None:
+            if self.model is not Model.MODEL1:
+                fold = self.radius_cubic.fold
+            else:
+                # F' = 1 + 3 k1 s + 5 k2 s^2 with s = r^2.
+                slope_zeros = _quadratic_roots(5.0 * self.k2, 3.0 * self.k1, 1.0)
+                fold = math.sqrt(min((s for s in slope_zeros if s > 0.0), default=math.inf))
+            object.__setattr__(self, "_fold", fold)
+        return self._fold
 
     @classmethod
     def from_coefficients(cls, model: Model, coeffs) -> "DistortionSpec":
