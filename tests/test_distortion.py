@@ -394,14 +394,12 @@ class TestUndistort:
         top = fold * warp_factor(spec, fold)
         r_d = np.linspace(0.0, 3.0, 601)[1:]
         xy = np.column_stack([r_d, np.zeros(r_d.size)])
-        want = scalar_undistort_rows(spec, xy)[:, 0]
-        found = ~np.isnan(want)
-        assert np.all(want[found] <= fold)
+        want = scalar_undistort_rows(spec, xy)
+        found = ~np.isnan(want[:, 0])
+        assert np.all(want[found, 0] <= fold)
         assert found[r_d < top * (1.0 - 1e-9)].all()
         assert not found[r_d > top * (1.0 + 1e-9)].any()
-        got = undistort_array(spec, xy)
-        assert np.all(got[found, 0] <= fold)
-        assert_rows_agree(got, scalar_undistort_rows(spec, xy))
+        assert_rows_agree(undistort_array(spec, xy), want)
         # The start r_d = sqrt(-k1 / k2) solves F(r) = r_d on the far branch.
         with pytest.raises(NotConverged):
             invert_radius_newton(spec, math.sqrt(-k1 / k2))
@@ -515,7 +513,7 @@ class TestUndistortArray:
     def test_huge_radius_gives_a_verified_root_or_a_flag(self, spec):
         # The discriminant overflows for r_d past about 1e153, so these go
         # to the general solve, whose bisection must narrow a bracket as wide
-        # as r_d / k2. Near the top of the float range the cubic's terms
+        # as r_d / q for the radius cubic r + p r^2 + q r^3. Near the top of the float range the cubic's terms
         # overflow too, and the point can only be flagged.
         r_d = [1e100, 1e160, 1e200, 1e300, 1.5e308]
         xy = np.column_stack([r_d, np.zeros(len(r_d))])
