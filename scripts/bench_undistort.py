@@ -64,9 +64,10 @@ SPECS = {
     "model3_k2_0": DistortionSpec(Model.MODEL3, -0.1),
 }
 # Observed radii up to FOLD_R_MAX, drawn from their own generator so that the
-# rows above keep their inputs. Each spec folds inside that radius: rows past
-# the fold have no root, and rows near it need damped Newton steps (model1)
-# or the general cubic solve (model2, model3).
+# rows above keep their inputs. Each spec folds inside that radius: rows above
+# F(fold) have no root (model1 flags them before any Newton step), and rows
+# near it take more Newton steps (model1) or the general cubic solve (model2,
+# model3).
 FOLD_SEED = 1
 FOLD_R_MAX = 3.0
 FOLD_SPECS = {

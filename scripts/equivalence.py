@@ -93,11 +93,14 @@ GRID = (320, 240)
 IMAGE = (640.0, 480.0)
 PARAM_RTOL = 1e-9
 FIX_ATOL = 1e-12
-# model1 specs whose F(r) = r f(r) rises again past its fold, on the model1
-# fold rows: Newton that ignores the fold finds a root on the far branch.
+# model1 specs on the model1 fold rows. The first two have an F(r) = r f(r)
+# that rises again past its fold: Newton that ignores the fold finds a root
+# on the far branch. The pincushion third has F(fold) above its fold: the
+# rows between the two have a root, though their start lies past the fold.
 FAR_BRANCH_SPECS = {
     "model1_-0.5_0.1": DistortionSpec(Model.MODEL1, -0.5, 0.1),
     "model1_-0.3_0.02": DistortionSpec(Model.MODEL1, -0.3, 0.02),
+    "model1_0.5_-0.1": DistortionSpec(Model.MODEL1, 0.5, -0.1),
 }
 # Record fields that must match exactly.
 OUTCOME = ("error", "n_iterations", "stop_reason", "objective", "residuals_sha256", "sha256", "dropped")

@@ -55,9 +55,10 @@ _DISC_MARGIN = 1e-9
 _STEP_TOL = 4.0 * sys.float_info.epsilon
 # Newton steps _polish takes at most before it returns its last iterate.
 _POLISH_STEPS = 50
-# Halvings _any_root_bisect takes at most: a bracket of width at most 2^1025
-# reaches the width test's floor, 1e-15 > 2^-50, within 1075 of them.
-_BISECT_HALVINGS = 1100
+# Halvings _any_root_bisect takes at most: with |q| >= 1e-14 (1 + |p|) its
+# bracket is narrower than 2^359, and reaches the width test's floor,
+# 1e-15 > 2^-50, within 409 of them.
+_BISECT_HALVINGS = 410
 # The three trigonometric roots are m cos((phi + k) / 3) - shift for these k.
 _TRIG_OFFSETS = (0.0, 2.0 * math.pi, 4.0 * math.pi)
 # Relative slack past the fold for a root of the general solve: a double
@@ -140,10 +141,12 @@ def _polish_array(y: np.ndarray, p: float, q: float, x: np.ndarray) -> tuple[np.
 def _any_root_bisect(y: float, p: float, q: float) -> float:
     """Defensive fallback: one guaranteed real root by bisection.
 
-    All roots lie within the Cauchy bound, beyond which the cubic term
-    dominates and fixes the sign of the residual.
+    All roots lie within Fujiwara's bound M, beyond which the cubic term
+    dominates and fixes the sign of the residual. M is at most six times
+    the largest modulus of a root, complex ones included, so its terms
+    overflow only with those of the cubic at that root.
     """
-    M = 1.0 + max(abs(p), 1.0, abs(y)) / abs(q)
+    M = 2.0 * max(abs(p / q), abs(q) ** -0.5, abs(_cbrt(0.5 * y) / _cbrt(q)))
     a, b = -M, M
     ga = a + p * a * a + q * (a * a * a) - y
     if ga == 0.0:

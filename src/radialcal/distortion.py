@@ -153,102 +153,81 @@ def validate_monotone(spec: DistortionSpec, dom: WorkingDomain) -> bool:
     return spec.fold > dom.r_max
 
 
-# Residual tolerance (relative to max(1, r_d)), step budget and halvings per
-# step of the damped Newton radius inversion, scalar and array alike.
+# Residual tolerance (relative to max(1, r_d)) and step budget of the
+# bracketed Newton radius inversion, scalar and array alike.
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
-_NEWTON_HALVINGS = 40
+
+
+def _rising_branch(spec: DistortionSpec) -> tuple[float, float]:
+    """``(fold, F(fold))``: the radii up to ``F(fold)``, and no others, have a
+    root on ``[0, fold]``. Both are inf without a fold (``F(inf)`` is NaN for
+    ``k1 < 0 < k2``)."""
+    fold = spec.fold
+    return fold, (fold * warp_factor(spec, fold) if fold < math.inf else math.inf)
 
 
 def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
-    """Damped Newton solve of ``r f(r) = r_d`` starting from ``r = r_d``.
+    """Newton solve of ``r f(r) = r_d`` on the rising branch ``[0, spec.fold]``.
 
-    Works for any model whose warp is monotone around the solution; used as
-    the model1 inverse and as an independent cross-check of the analytic
-    paths. Every iterate, the start included, lies on the rising branch
-    ``[0, spec.fold]``, so no root past the fold comes back. Raises
-    NotConverged when the residual does not fall below ``_NEWTON_TOL``
-    within ``_NEWTON_MAX_ITER`` steps, and for a start past the fold.
+    Used as the model1 inverse and as an independent cross-check of the
+    analytic paths. It starts at ``min(r_d, fold)`` and keeps a bracket
+    ``[lo, hi]`` around the root: a step that leaves it, or comes from a
+    slope that is not positive, goes to its midpoint instead (``rtsafe`` in
+    Press et al., Numerical Recipes). Raises NotConverged for an ``r_d``
+    above ``F(fold)``, which has no root there, and when the residual does
+    not fall below ``_NEWTON_TOL`` within ``_NEWTON_MAX_ITER`` steps.
     """
     if r_d < 0.0:
         raise ValueError("distorted radius must be nonnegative")
     if r_d == 0.0:
         return 0.0
-    fold = spec.fold
-    if not r_d <= fold:
-        raise NotConverged(f"the start r_d={r_d!r} lies past the fold at r={fold!r}")
-    r = r_d
-    res = r * warp_factor(spec, r) - r_d
-    for _ in range(_NEWTON_MAX_ITER):
-        if abs(res) <= _NEWTON_TOL * max(1.0, r_d):
+    fold, top = _rising_branch(spec)
+    if not (r_d <= top and r_d < math.inf):
+        raise NotConverged(f"r_d={r_d!r} exceeds F(fold)={top!r}: no root up to the fold")
+    limit = _NEWTON_TOL * max(1.0, r_d)
+    lo, hi, r = 0.0, fold, min(r_d, fold)
+    for _ in range(_NEWTON_MAX_ITER + 1):
+        res = r * warp_factor(spec, r) - r_d
+        if abs(res) <= limit:
             return r
+        lo, hi = (r, hi) if res < 0.0 else (lo, r)
         slope = warp_factor(spec, r) + r * warp_slope(spec, r)
-        if slope <= 0.0:
-            raise NotConverged(
-                f"radius equation has non-increasing slope at r={r!r}"
-            )
-        step = res / slope
-        # Halve the step until the residual actually shrinks (monotone damping).
-        for _ in range(_NEWTON_HALVINGS):
-            r_new = r - step
-            if 0.0 <= r_new <= fold:
-                res_new = r_new * warp_factor(spec, r_new) - r_d
-                if abs(res_new) < abs(res):
-                    break
-            step *= 0.5
-        else:
-            raise NotConverged(f"damping failed near r={r!r} for r_d={r_d!r}")
-        r, res = r_new, res_new
-    if abs(res) <= _NEWTON_TOL * max(1.0, r_d):
-        return r
-    raise NotConverged(
-        f"no convergence after {_NEWTON_MAX_ITER} iterations (residual {res!r})"
-    )
+        # Without a step r stays at an end of the bracket: the midpoint.
+        if slope > 0.0:
+            r -= res / slope
+        if not lo < r < hi:
+            r = 0.5 * (lo + hi)
+    raise NotConverged(f"no convergence after {_NEWTON_MAX_ITER} iterations (residual {res!r})")
 
 
 def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> np.ndarray:
     """invert_radius_newton on a 1-D array of observed radii, all lanes at once.
 
-    The same start, damped steps within ``[0, spec.fold]`` and tolerance,
-    lane by lane: only the lanes whose full step fails to shrink the
-    residual are halved. NaN where the scalar solve raises NotConverged, and
-    for a non-finite radius.
+    The same bracket, steps and tolerance, lane by lane: a slope that is not
+    positive sends the step out of the bracket, to its midpoint. NaN where
+    the scalar solve raises NotConverged, and for a non-finite radius.
     """
-    fold = spec.fold
+    fold, top = _rising_branch(spec)
     r = np.where(r_d == 0.0, 0.0, np.nan)
-    lanes = np.flatnonzero((r_d > 0.0) & (r_d <= fold) & np.isfinite(r_d))
+    lanes = np.flatnonzero((r_d > 0.0) & (r_d <= top) & np.isfinite(r_d))
     y = r_d[lanes]
-    x = y.copy()
+    x = np.minimum(y, fold)
+    lo, hi = np.zeros(y.shape), np.full(y.shape, fold)
     limit = _NEWTON_TOL * np.maximum(1.0, y)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        res = x * warp_factor(spec, x) - y
-        for _ in range(_NEWTON_MAX_ITER):
+        for _ in range(_NEWTON_MAX_ITER + 1):
+            res = x * warp_factor(spec, x) - y
             done = np.abs(res) <= limit
             r[lanes[done]] = x[done]
             go = ~done
-            lanes, y, x, res, limit = lanes[go], y[go], x[go], res[go], limit[go]
+            lanes, y, x, res, limit, lo, hi = (a[go] for a in (lanes, y, x, res, limit, lo, hi))
             if lanes.size == 0:
                 break
-            slope = warp_factor(spec, x) + x * warp_slope(spec, x)
-            step = res / slope
-            # A lane whose slope is not positive, or whose step does not
-            # shrink the residual within the halvings, stops unsettled: the
-            # scalar solve raises NotConverged there.
-            moved = np.zeros(x.shape, dtype=bool)
-            pending = np.flatnonzero(slope > 0.0)
-            for _ in range(_NEWTON_HALVINGS):
-                if pending.size == 0:
-                    break
-                xp = x[pending] - step[pending]
-                rp = xp * warp_factor(spec, xp) - y[pending]
-                shrinks = (xp >= 0.0) & (xp <= fold) & (np.abs(rp) < np.abs(res[pending]))
-                ok = pending[shrinks]
-                x[ok], res[ok], moved[ok] = xp[shrinks], rp[shrinks], True
-                pending = pending[~shrinks]
-                step[pending] *= 0.5
-            lanes, y, x, res, limit = lanes[moved], y[moved], x[moved], res[moved], limit[moved]
-    done = np.abs(res) <= limit
-    r[lanes[done]] = x[done]
+            below = res < 0.0
+            lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+            x = x - res / (warp_factor(spec, x) + x * warp_slope(spec, x))
+            x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
     return r
 
 
@@ -260,9 +239,9 @@ def undistort(spec: DistortionSpec, d: NormalizedPoint) -> NormalizedPoint:
     per point in closed form and rescale ``(x_d, y_d)`` by ``r / r_d``. For
     model3 this is the paper's component cubic with ``r = sqrt(1 + c^2) |x|``,
     and inside the monotone domain both give the same point. model1 has no
-    closed form and falls back to the damped-Newton radius inversion. Past
-    the fold of ``r f(r)`` no positive radius exists: NoRealSolution (model2,
-    model3) or NotConverged (model1).
+    closed form and falls back to the bracketed Newton radius inversion. An
+    ``r_d`` above ``F(fold)`` for ``F(r) = r f(r)`` has no radius on the rising
+    branch: NoRealSolution (model2, model3) or NotConverged (model1).
     """
     r_d = d.radius
     if spec.model is Model.MODEL1:
@@ -281,7 +260,7 @@ def undistort_array(spec: DistortionSpec, xy: np.ndarray) -> np.ndarray:
     The radius equation is solved for all rows at once, by the same steps as
     undistort: the closed-form radius cubic for model2 and model3, whose rows
     with an undecided discriminant or a failed residual check go on to the
-    general cubic solve one by one, and the damped Newton for model1. Rows
+    general cubic solve one by one, and the bracketed Newton for model1. Rows
     with no admissible solution, and rows with a non-finite component, come
     back as NaN.
     """

@@ -148,7 +148,7 @@ def test_criterion_4_model_comparison_ordering():
 
 
 def test_criterion_5_single_coefficient_analytic_vs_newton():
-    with criterion("5: single-coefficient analytic inverse matches damped Newton <= 1e-9"):
+    with criterion("5: single-coefficient analytic inverse matches bracketed Newton <= 1e-9"):
         rng = np.random.default_rng(1005)
         checked = 0
         k1s = rng.uniform(-0.3, 0.0, 10)

@@ -169,6 +169,25 @@ class TestRealRoots:
                 assert type(x) is float
                 assert abs(cubic_residual(y, float(p), 0.0, x)) <= 1e-9 * residual_scale(y, float(p), 0.0, x)
 
+    def test_huge_constant_term_keeps_its_root(self):
+        # Every cubic has a real root. The bisection fallback used Cauchy's
+        # bracket 1 + max(|p|, 1, |y|) / |q|, whose cube overflows once |y|
+        # passes about 1e102 |q|: the residual there was NaN, the bracket
+        # was oriented at random, and the root could be lost. For the first
+        # triple that bracket is 3.7e195, and real_roots returned ().
+        y, p, q = -6.67e196, -0.219, -18.24
+        (x,) = real_roots(y, p, q)
+        assert abs(x - 1.5406e65) <= 1e-4 * 1.5406e65
+        assert abs(cubic_residual(y, p, q, x)) <= 1e-9 * residual_scale(y, p, q, x)
+        rng = np.random.default_rng(43)
+        for _ in range(3000):
+            y = rng.choice([-1, 1]) * 10 ** rng.uniform(100, 200)
+            p, q = rng.choice([-1, 1], 2) * 10 ** rng.uniform(-3, 3, 2)
+            roots = real_roots(y, p, q)
+            assert roots, (y, p, q)
+            for x in roots:
+                assert abs(cubic_residual(y, p, q, x)) <= 1e-9 * residual_scale(y, p, q, x)
+
     def test_double_root_is_not_left_by_the_polish(self):
         # Near a double root the residual reaches its rounding noise while
         # Newton's steps are still large, so an unguarded polish wanders off

@@ -20,7 +20,6 @@ from radialcal.distortion import (
     undistort_array,
     validate_monotone,
     warp_factor,
-    warp_slope,
 )
 from radialcal.geometry import (
     IntrinsicMatrix,
@@ -376,7 +375,7 @@ class TestUndistort:
 
     def test_two_term_even_model_out_of_fold_raises(self):
         # F(r) = r (1 + k1 r^2) tops out at F(r*) = (2/3) r*; beyond that no
-        # preimage exists and the damped Newton inverse must report failure.
+        # preimage exists and the Newton inverse must report failure.
         spec = DistortionSpec(Model.MODEL1, -0.5, 0.0)
         fold = 1.0 / math.sqrt(3 * 0.5)
         max_reachable = fold * (1 + spec.k1 * fold * fold)
@@ -406,8 +405,9 @@ class TestUndistort:
         assert np.isnan(undistort_array(spec, np.array([[math.sqrt(-k1 / k2), 0.0]]))).all()
 
     def test_huge_radius_does_not_converge(self):
-        # r^3 overflows a float at r = 1e120: the slope is inf, and the step
-        # can never shrink the (infinite) residual.
+        # r^4 overflows a float at r = 1e120: the residual is inf, the step
+        # NaN, and the bracket's midpoints from 1e120 cannot reach the root,
+        # 1.6e24, within the step budget.
         spec = DistortionSpec(Model.MODEL1, 0.2, 0.1)
         with pytest.raises(NotConverged):
             invert_radius_newton(spec, 1e120)
@@ -417,6 +417,68 @@ class TestUndistort:
     def test_newton_inverter_rejects_negative_radius(self):
         with pytest.raises(ValueError):
             invert_radius_newton(DistortionSpec(Model.MODEL1, -0.1, 0.0), -1.0)
+
+    def test_pincushion_model1_solves_up_to_the_fold_value(self, monkeypatch):
+        # F(r) = r + 0.5 r^3 - 0.1 r^5 folds at 1.887, where F = 2.854: each
+        # r_d in (fold, F(fold)) has its root on the rising branch, though
+        # the start r_d lies past the fold. These used to be flagged.
+        spec = DistortionSpec(Model.MODEL1, 0.5, -0.1)
+        fold = spec.fold
+        top = fold * warp_factor(spec, fold)
+        assert abs(fold - 1.8872) < 1e-4 and abs(top - 2.8540) < 1e-4
+        r_d = np.linspace(fold, top, 1002)[1:-1]
+        r = np.array([invert_radius_newton(spec, y) for y in r_d.tolist()])
+        assert np.all(r <= fold)
+        assert np.all(np.abs(r * warp_factor(spec, r) - r_d) <= 1e-12 * np.maximum(1.0, r_d))
+        xy = np.column_stack([r_d, np.zeros(r_d.size)])
+        want = scalar_undistort_rows(spec, xy)
+        monkeypatch.setattr(distortion, "undistort", None)
+        assert np.array_equal(undistort_array(spec, xy), want)
+        with pytest.raises(NotConverged):
+            invert_radius_newton(spec, top * (1.0 + 1e-9))
+
+    def test_fold_free_model1_at_huge_radii(self):
+        # (-0.5, 0.2) has no fold, so every radius has a root; F(inf) is
+        # NaN for k1 < 0 < k2, and must not decide that none exists. Newton
+        # from r_d = 1e6 and above needs more than the step budget to come
+        # down to the root: those rows are flagged, never wrong. No numpy
+        # warning is raised (the suite makes one an error).
+        spec = DistortionSpec(Model.MODEL1, -0.5, 0.2)
+        assert spec.fold == math.inf
+        r_d = 10.0 ** np.arange(-3.0, 309.0)
+        got = distortion._newton_radius_array(spec, r_d)
+        assert np.array_equal(got, newton_radii(spec, r_d), equal_nan=True)
+        solved = ~np.isnan(got)
+        assert solved[r_d <= 1e5].all()
+        r, y = got[solved], r_d[solved]
+        assert np.all(np.abs(r * warp_factor(spec, r) - y) <= 1e-12 * np.maximum(1.0, y))
+
+    def test_model1_scalar_and_array_agree_to_the_bit(self):
+        # Random specs, with rows above F(fold), zero rows and non-finite
+        # rows: the array pass takes the scalar solve's steps lane by lane.
+        rng = np.random.default_rng(67)
+        above = 0
+        for k1, k2 in rng.uniform(-0.6, 0.6, (100, 2)).tolist():
+            spec = DistortionSpec(Model.MODEL1, k1, k2)
+            r_d = np.concatenate([rng.uniform(0.0, 3.0, 200), [0.0, math.inf, math.nan]])
+            want = newton_radii(spec, r_d)
+            assert np.array_equal(distortion._newton_radius_array(spec, r_d), want, equal_nan=True)
+            assert want[-3] == 0.0 and np.isnan(want[-2:]).all()
+            fold = spec.fold
+            if fold < math.inf:
+                above += np.sum(r_d[:-3] > fold * warp_factor(spec, fold))
+        assert above > 1000
+
+
+def newton_radii(spec, r_d):
+    """invert_radius_newton on each radius, NaN where it raises NotConverged."""
+    out = np.full(r_d.shape, np.nan)
+    for i, y in enumerate(r_d.tolist()):
+        try:
+            out[i] = invert_radius_newton(spec, y)
+        except NotConverged:
+            pass
+    return out
 
 
 def scalar_undistort_rows(spec, xy):
@@ -529,13 +591,13 @@ class TestUndistortArray:
         [
             # On the fold F(2) = 1.2 the discriminant is zero to rounding.
             (DistortionSpec(Model.MODEL3, -0.1, -0.05), [[0.72, 0.96], [0.3, 0.4]]),
-            # Past the fold the model1 Newton step needs damping.
+            # Past F(fold) the model1 row has no root and is flagged at once.
             (DistortionSpec(Model.MODEL1, -0.5, 0.0), [[0.7, 0.0], [0.1, 0.1]]),
         ],
     )
     def test_unsettled_lanes_take_the_scalar_path(self, monkeypatch, spec, xy):
         # The array pass settles these rows itself, by the scalar path's own
-        # steps: the general cubic solve, or the damped Newton.
+        # steps: the general cubic solve, or the bracketed Newton.
         xy = np.array(xy)
         want = scalar_undistort_rows(spec, xy)
         calls = []
@@ -620,30 +682,19 @@ class TestUndistortArray:
 
     @pytest.mark.parametrize("k1,k2", [(-0.5, 0.0), (0.3, -0.4), (-0.1, -0.3)])
     def test_model1_rows_that_cannot_converge_are_not_solved_again(self, monkeypatch, k1, k2):
-        # The array pass takes the scalar Newton's steps, damped ones
-        # included, so no row reaches the scalar solve. Rows past the fold
-        # fail to converge either way.
+        # The array pass takes the scalar Newton's steps, the bracket's
+        # midpoints included, so no row reaches the scalar solve. A row
+        # above F(fold) has no bracket, [0, fold] holds no root for it, and
+        # it is flagged either way; every other row converges.
         spec = DistortionSpec(Model.MODEL1, k1, k2)
-
-        def needs_damping(r_d):
-            r, res = r_d, r_d * warp_factor(spec, r_d) - r_d
-            for _ in range(50):
-                slope = warp_factor(spec, r) + r * warp_slope(spec, r)
-                if abs(res) <= 1e-12 * max(1.0, r_d) or not slope > 0.0:
-                    return False
-                r_new = r - res / slope
-                res_new = r_new * warp_factor(spec, r_new) - r_d
-                if r_new < 0.0 or not abs(res_new) < abs(res):
-                    return True
-                r, res = r_new, res_new
-            return False
+        fold = spec.fold
+        top = fold * warp_factor(spec, fold)
 
         rng = np.random.default_rng(61)
         r = 2.0 * np.sqrt(rng.uniform(size=5000))
         phi = rng.uniform(-math.pi, math.pi, r.size)
         xy = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
-        radii = np.hypot(xy[:, 0], xy[:, 1]).tolist()
-        damped = {tuple(row) for row, r_d in zip(xy.tolist(), radii) if needs_damping(r_d)}
+        no_root = np.hypot(xy[:, 0], xy[:, 1]) > top
         want = scalar_undistort_rows(spec, xy)
         calls = []
 
@@ -654,7 +705,8 @@ class TestUndistortArray:
         monkeypatch.setattr(distortion, "undistort", counted)
         got = undistort_array(spec, xy)
         assert_rows_agree(got, want)
-        assert np.isnan(got).any(axis=1).sum() > len(damped)
+        assert no_root.any()
+        assert np.array_equal(np.isnan(got).any(axis=1), no_root)
         assert not calls
         # Both compute the radius as sqrt(x*x + y*y) and take the same
         # steps from it, so every row agrees to the bit.
