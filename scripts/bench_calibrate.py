@@ -9,7 +9,7 @@ benchmark's 100-view session) at 10, 30 and 100 views, times:
   parameters: each point's rows ``[G | J_c | r]`` and each view's pose map;
 * the normal equations from one Gram product per view plus one damped
   Schur-complement step, as one Levenberg-Marquardt iteration forms and
-  solves them;
+  solves them (each parameter damped by 1e-3 of its diagonal entry);
 * ``refine`` per LM iteration (its time over its iteration count);
 * the linear stage: homographies, intrinsics, extrinsics and the
   distortion initialization;
@@ -83,8 +83,9 @@ def linear_start(corr):
 
 
 def normal_equations_step(blocks, offsets) -> np.ndarray:
+    """The LM's first step: damping 1e-3 times the diagonal of J^T J."""
     ne = _normal_equations(*blocks, offsets)
-    return _schur_step(ne, 1e-3 * float(ne.u.diagonal().max()))
+    return _schur_step(ne, 1e-3 * ne.diagonal)
 
 
 def peak_rss_mb(n_views: int) -> float:

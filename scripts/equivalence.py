@@ -11,6 +11,12 @@ drops. For each fit the JSON holds the LM iteration count, the stop reason,
 ``J_init``, ``J_final`` and the RMS, the SHA-256 of the per-point residuals
 and the parameters (the five intrinsics, the coefficients, then each view's
 axis-angle and translation), or the error that a failed model reported.
+Each fit also records its distance to a tight refit (``refine`` from the
+fit at ``tol_x = tol_fun = 1e-14``): the scaled distance ``|a - b| /
+max(1, |a|, |b|)`` of each shared parameter, and how far ``J_final`` lies
+above the refit's, relative. That yardstick judges a change that moves the
+LM's stop points by how close they stay to the minimum, not by bits; it is
+not compared.
 For each scene it holds the linear stage's intrinsics and poses and the ids
 of the views it dropped. It also holds the SHA-256 of ``undistort_array``'s
 output on each seeded row set of ``bench_undistort.py`` (``SPECS`` and
@@ -35,7 +41,9 @@ recovered endpoints and both discrepancies, or its error.
 prints each record whose iteration count, stop reason, error, objective,
 residual hash, dropped views or output hash differs (the objective bit for
 bit), the largest relative parameter difference ``|a - b| / max(1, |a|,
-|b|)`` and the largest absolute difference of a fix. It exits with status 1
+|b|)`` and the largest absolute difference of a fix (over every pair of
+records with as many values, those that differ included), and for each side
+the largest distance of a fit to its tight refit. It exits with status 1
 when one of those differs, a parameter differs by more than 1e-9 relative
 or a fix by more than 1e-12. BLAS runs one thread unless
 OPENBLAS_NUM_THREADS is set, so that a rerun on one machine repeats every
@@ -65,9 +73,11 @@ import bench_undistort  # noqa: E402
 from radialcal.calibration import (  # noqa: E402
     CalibrationView,
     CorrespondenceSet,
+    OptimizerOptions,
     calibrate,
     compare_models,
     linear_stage,
+    refine,
 )
 from radialcal.cli import main as cli_main  # noqa: E402
 from radialcal.distortion import DistortionSpec, Model, undistort_array  # noqa: E402
@@ -102,27 +112,41 @@ FAR_BRANCH_SPECS = {
     "model1_-0.3_0.02": DistortionSpec(Model.MODEL1, -0.3, 0.02),
     "model1_0.5_-0.1": DistortionSpec(Model.MODEL1, 0.5, -0.1),
 }
+TIGHT = OptimizerOptions(tol_x=1e-14, tol_fun=1e-14)
+SHARED = ("alpha", "beta", "gamma", "u0", "v0", "k1", "k2")
 # Record fields that must match exactly.
 OUTCOME = ("error", "n_iterations", "stop_reason", "objective", "residuals_sha256", "sha256", "dropped")
 
 
-def fit_record(result) -> dict:
+def shared_params(result) -> list[float]:
     A = result.intrinsics
-    params = [A.alpha, A.beta, A.gamma, A.u0, A.v0, *result.distortion.coefficients]
+    return [A.alpha, A.beta, A.gamma, A.u0, A.v0, *result.distortion.coefficients]
+
+
+def fit_record(result, corr) -> dict:
+    """The record of a fit of corr's views."""
+    shared = shared_params(result)
+    params = list(shared)
     for E in result.extrinsics:
         params += [*E.axis_angle, *E.t]
     residuals = np.concatenate(result.per_point_residuals)
+    tight = refine(corr, result, TIGHT)
+    a, b = np.array(shared), np.array(shared_params(tight))
+    distance = np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return {
         "n_iterations": result.n_iterations,
         "stop_reason": result.stop_reason,
         "objective": [result.j_init, result.j_final, result.rms_px],
         "residuals_sha256": hashlib.sha256(residuals.tobytes()).hexdigest(),
         "params": [float(x) for x in params],
+        "tight": {
+            **dict(zip(SHARED, distance.tolist())),
+            "J_final": (result.j_final - tight.j_final) / tight.j_final,
+        },
     }
 
 
-def linear_record(corr) -> dict:
-    stage = linear_stage(corr)
+def linear_record(stage) -> dict:
     A = stage.intrinsics
     return {
         "dropped": [view_id for view_id, _ in stage.dropped],
@@ -156,18 +180,20 @@ def run_fits() -> dict:
     fits = {}
     for seed in PAPER_SEEDS:
         corr, _ = generate_scene(SynthSpec(seed=seed, **PAPER_SESSION))
-        fits[f"linear/seed{seed}"] = linear_record(corr)
+        stage = linear_stage(corr)
+        fits[f"linear/seed{seed}"] = linear_record(stage)
         for entry in compare_models(corr):
             key = f"compare/seed{seed}/{entry.model.value}"
-            fits[key] = {"error": entry.error} if entry.result is None else fit_record(entry.result)
+            fits[key] = {"error": entry.error} if entry.result is None else fit_record(entry.result, stage.corr)
     scenes = {f"{n}v": bench_calibrate.scene(n) for n in bench_calibrate.VIEWS}
     with warnings.catch_warnings():
         # The ragged scene's dropped views are recorded, not printed.
         warnings.simplefilter("ignore", RuntimeWarning)
         for name, corr in {**scenes, "ragged": ragged_scene()}.items():
-            fits[f"linear/{name}"] = linear_record(corr)
+            stage = linear_stage(corr)
+            fits[f"linear/{name}"] = linear_record(stage)
             result = calibrate(corr, bench_calibrate.MODEL)
-            fits[f"calibrate/{name}/{bench_calibrate.MODEL.value}"] = fit_record(result)
+            fits[f"calibrate/{name}/{bench_calibrate.MODEL.value}"] = fit_record(result, stage.corr)
     return fits
 
 
@@ -289,6 +315,18 @@ def outcome(fit: dict) -> dict:
     return {key: fit.get(key) for key in OUTCOME} | {"values": len(fit.get("params", fit.get("fix", [])))}
 
 
+def tight_distances(fits: dict) -> str:
+    """The largest distance to a tight refit over the fits, per quantity."""
+    worst = {}
+    for key, fit in fits.items():
+        for name, value in fit.get("tight", {}).items():
+            if name not in worst or value > worst[name][0]:
+                worst[name] = (value, key)
+    if not worst:
+        return "not recorded"
+    return "; ".join(f"{name} {value:.3g} ({key})" for name, (value, key) in worst.items())
+
+
 def compare(base: dict, fits: dict) -> bool:
     """Print how fits differ from base; True when they are equivalent."""
     mismatched = sorted(set(base) ^ set(fits))
@@ -303,6 +341,9 @@ def compare(base: dict, fits: dict) -> bool:
             mismatched.append(key)
             differ = sorted(k for k in oa if oa[k] != ob[k])
             print(f"{key}: reference {[oa[k] for k in differ]}, this run {[ob[k] for k in differ]} ({', '.join(differ)})")
+        # A record whose outcome moved still counts toward the largest
+        # differences, unless its values cannot be paired.
+        if oa["values"] != ob["values"]:
             continue
         if "params" in a:
             pa, pb = np.array(a["params"]), np.array(b["params"])
@@ -323,6 +364,8 @@ def compare(base: dict, fits: dict) -> bool:
         print(f"largest relative parameter difference: {worst:.3g} ({worst_key})")
     if worst_fix_key is not None:
         print(f"largest absolute fix difference: {worst_fix:.3g} ({worst_fix_key})")
+    print(f"largest distance to the tight refit, reference: {tight_distances(base)}")
+    print(f"largest distance to the tight refit, this run: {tight_distances(fits)}")
     return not mismatched and worst <= PARAM_RTOL and worst_fix <= FIX_ATOL
 
 

@@ -622,6 +622,11 @@ class _NormalEquations:
     v: np.ndarray
     grad: np.ndarray  # J^T r in packing order
 
+    @property
+    def diagonal(self) -> np.ndarray:
+        """``diag(J^T J)`` in packing order."""
+        return np.concatenate([self.u.diagonal(), np.einsum("kii->ki", self.v).ravel()])
+
 
 def _normal_equations(columns: np.ndarray, maps: np.ndarray, offsets: np.ndarray) -> _NormalEquations:
     """The blocks of ``J^T J`` and ``J^T r`` from one Gram product per view.
@@ -644,13 +649,15 @@ def _normal_equations(columns: np.ndarray, maps: np.ndarray, offsets: np.ndarray
     )
 
 
-def _schur_step(ne: _NormalEquations, mu: float) -> np.ndarray:
-    """Solve ``(J^T J + mu I) delta = -J^T r`` by the Schur complement on the
-    shared block (Triggs et al. 2000, *Bundle Adjustment -- A Modern
-    Synthesis*, section 6).
+def _schur_step(ne: _NormalEquations, damping: np.ndarray) -> np.ndarray:
+    """Solve ``(J^T J + diag(damping)) delta = -J^T r`` by the Schur
+    complement on the shared block (Triggs et al. 2000, *Bundle Adjustment
+    -- A Modern Synthesis*, section 6); damping holds one entry per packed
+    parameter.
 
-    Eliminating each view's pose step leaves ``S = U + mu I - sum_k W_k
-    (V_k + mu I)^-1 W_k^T`` for the shared step; each pose step then
+    With ``D_U`` the shared entries of ``diag(damping)`` and ``D_k`` view
+    k's six, eliminating each view's pose step leaves ``S = U + D_U - sum_k
+    W_k (V_k + D_k)^-1 W_k^T`` for the shared step; each pose step then
     follows from its own view's block. The damped blocks are solved against
     ``[W_k^T, g_k]``, not inverted: on a 29-point test scene at mu = 1e-6 of
     the largest diagonal entry, an explicit inverse put the step 1e-9 off
@@ -658,10 +665,10 @@ def _schur_step(ne: _NormalEquations, mu: float) -> np.ndarray:
     """
     p = ne.u.shape[0]
     g_shared, g_pose = ne.grad[:p], ne.grad[p:].reshape(-1, 6)
-    damped = ne.v + mu * np.eye(6)
+    damped = ne.v + damping[p:].reshape(-1, 6, 1) * np.eye(6)
     solved = np.linalg.solve(damped, np.concatenate([ne.wt, g_pose[:, :, None]], axis=2))
     v_inv_wt, v_inv_g = solved[:, :, :p], solved[:, :, p]
-    schur = ne.u + mu * np.eye(p) - np.tensordot(ne.wt, v_inv_wt, axes=([0, 1], [0, 1]))
+    schur = ne.u + np.diag(damping[:p]) - np.tensordot(ne.wt, v_inv_wt, axes=([0, 1], [0, 1]))
     rhs = np.tensordot(ne.wt, v_inv_g, axes=([0, 1], [0, 1])) - g_shared
     try:
         d_shared = np.linalg.solve(schur, rhs)
@@ -716,6 +723,13 @@ def _levenberg_marquardt(
     """Damped Gauss-Newton descent honoring the three stopping thresholds of
     opts; it also stops when the damping passes 1e32 without a descent step.
 
+    Each step solves ``(J^T J + mu D) delta = -J^T r`` with Marquardt's
+    scaling: ``D`` is the running maximum of ``diag(J^T J)`` over the
+    iterations (Moré 1978, *The Levenberg-Marquardt Algorithm:
+    Implementation and Theory*), so every parameter is damped by its own
+    scale. ``mu`` starts at 1e-3 and follows Nielsen's update: scaled by
+    the gain ratio on a descent step, by a doubling factor on a refusal.
+
     eval_fn returns the columns and pose maps of ``_residuals_and_blocks``;
     offsets delimit each view's rows. Only improving steps are accepted, so
     the final cost never exceeds the initial one. A trial point that raises
@@ -729,7 +743,8 @@ def _levenberg_marquardt(
     # trials overwrite: the residuals of each accepted point are copied out.
     residuals = blocks[0][-1].copy()
     cost = j_init = _cost(residuals)
-    mu = -1.0
+    scale = None
+    mu = 1e-3
     nu = 2.0
     converged = False
     reason = "iteration limit reached"
@@ -740,13 +755,15 @@ def _levenberg_marquardt(
         ne = _normal_equations(*blocks, offsets)
         # Hold one Jacobian at a time: the trial's is built next.
         blocks = blocks_new = None
-        if mu < 0.0:
-            dmax = max(float(ne.u.diagonal().max()), float(np.einsum("kii->ki", ne.v).max()))
-            mu = 1e-3 * (dmax if dmax > 0.0 else 1.0)
+        diag = ne.diagonal
+        # A parameter that moves no residual, such as the pose of a view
+        # without points, has a zero entry: it is damped by 1, as in MINPACK.
+        scale = np.where(diag > 0.0, diag, 1.0) if scale is None else np.maximum(scale, diag)
 
         accepted = False
         while True:
-            delta = _schur_step(ne, mu)
+            damping = mu * scale
+            delta = _schur_step(ne, damping)
             if float(np.max(np.abs(delta) / (1.0 + np.abs(x)))) <= opts.tol_x:
                 converged = True
                 reason = "step below tol_x"
@@ -758,7 +775,7 @@ def _levenberg_marquardt(
             except (InvalidParameters, DepthNotPositive):
                 cost_new = math.inf
             if cost_new < cost:
-                gain_den = float(delta @ (mu * delta - ne.grad))
+                gain_den = float(delta @ (damping * delta - ne.grad))
                 rho = (cost - cost_new) / gain_den if gain_den > 0.0 else 1.0
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0

@@ -14,6 +14,7 @@ localization.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -285,6 +286,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Built once: parse_args leaves the parser as it found it, and the tree
+# costs about a millisecond to build, on every in-process main call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radialcal",

@@ -171,12 +171,15 @@ def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
     """Newton solve of ``r f(r) = r_d`` on the rising branch ``[0, spec.fold]``.
 
     Used as the model1 inverse and as an independent cross-check of the
-    analytic paths. It starts at ``min(r_d, fold)`` and keeps a bracket
-    ``[lo, hi]`` around the root: a step that leaves it, or comes from a
-    slope that is not positive, goes to its midpoint instead (``rtsafe`` in
-    Press et al., Numerical Recipes). Raises NotConverged for an ``r_d``
-    above ``F(fold)``, which has no root there, and when the residual does
-    not fall below ``_NEWTON_TOL`` within ``_NEWTON_MAX_ITER`` steps.
+    analytic paths. It starts at ``min(r_d, fold)``, and for ``k2 > 0`` at
+    most at ``(r_d / k2)^(1/5)``, the root of the dominant term ``k2 r^5``:
+    from ``r_d`` itself a huge radius would take more than the step budget
+    to come down. It keeps a bracket ``[lo, hi]`` around the root: a step
+    that leaves it, or comes from a slope that is not positive, goes to its
+    midpoint instead (``rtsafe`` in Press et al., Numerical Recipes). Raises
+    NotConverged for an ``r_d`` above ``F(fold)``, which has no root there,
+    and when the residual does not fall below ``_NEWTON_TOL`` within
+    ``_NEWTON_MAX_ITER`` steps.
     """
     if r_d < 0.0:
         raise ValueError("distorted radius must be nonnegative")
@@ -187,6 +190,8 @@ def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
         raise NotConverged(f"r_d={r_d!r} exceeds F(fold)={top!r}: no root up to the fold")
     limit = _NEWTON_TOL * max(1.0, r_d)
     lo, hi, r = 0.0, fold, min(r_d, fold)
+    if spec.k2 > 0.0:
+        r = min(r, (r_d / spec.k2) ** 0.2)
     for _ in range(_NEWTON_MAX_ITER + 1):
         res = r * warp_factor(spec, r) - r_d
         if abs(res) <= limit:
@@ -204,9 +209,9 @@ def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
 def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> np.ndarray:
     """invert_radius_newton on a 1-D array of observed radii, all lanes at once.
 
-    The same bracket, steps and tolerance, lane by lane: a slope that is not
-    positive sends the step out of the bracket, to its midpoint. NaN where
-    the scalar solve raises NotConverged, and for a non-finite radius.
+    The same start, bracket, steps and tolerance, lane by lane: a slope that
+    is not positive sends the step out of the bracket, to its midpoint. NaN
+    where the scalar solve raises NotConverged, and for a non-finite radius.
     """
     fold, top = _rising_branch(spec)
     r = np.where(r_d == 0.0, 0.0, np.nan)
@@ -216,6 +221,12 @@ def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> np.ndarray:
     lo, hi = np.zeros(y.shape), np.full(y.shape, fold)
     limit = _NEWTON_TOL * np.maximum(1.0, y)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if spec.k2 > 0.0:
+            # The dominant-term start moves only lanes past k2 r_d^4 = 1,
+            # all of them in far. It is taken by Python's pow, as in the
+            # scalar solve, so that both start from the same bits.
+            far = np.flatnonzero(y > 0.8 * spec.k2 ** -0.25)
+            x[far] = np.minimum(x[far], [(v / spec.k2) ** 0.2 for v in y[far].tolist()])
         for _ in range(_NEWTON_MAX_ITER + 1):
             res = x * warp_factor(spec, x) - y
             done = np.abs(res) <= limit

@@ -570,16 +570,23 @@ class TestDerivatives:
                 assert np.max(np.abs(jac[:, k] - fd)) / denom < 1e-5
 
     @pytest.mark.parametrize("model", list(Model))
-    @pytest.mark.parametrize("scene", ["ragged", "five_views"])
+    @pytest.mark.parametrize("scene", ["ragged", "five_views", "empty_view"])
     def test_schur_step_matches_dense_solve(self, scene, model):
         # One damped step from the blocks, against the dense normal
-        # equations of the scattered Jacobian, at damping from far below to
-        # far above the largest diagonal entry.
-        if scene == "ragged":
-            corr, truth = ragged_scene(model)
-        else:
+        # equations of the scattered Jacobian plus diag(d): d uniform at
+        # factors from far below to far above the largest diagonal entry,
+        # d spread over nine decades of it, and the LM's own d = mu D, whose
+        # block of a view without points is the floor.
+        if scene == "five_views":
             corr, truth = make_scene(45, model=model, k1=-0.15, k2=-0.05, n_views=5, grid_nx=5, grid_ny=5)
-        theta = _pack_params(truth.intrinsics, truth.distortion, truth.extrinsics)
+        else:
+            corr, truth = ragged_scene(model)
+        extrinsics = truth.extrinsics
+        if scene == "empty_view":
+            empty = CalibrationView(9, np.empty((0, 2)), np.empty((0, 2)))
+            corr = CorrespondenceSet(corr.views[:1] + (empty,) + corr.views[1:])
+            extrinsics = extrinsics[:1] + extrinsics
+        theta = _pack_params(truth.intrinsics, truth.distortion, extrinsics)
         rng = np.random.default_rng(2)
         theta = theta + rng.normal(0, 1e-3, theta.size) * np.maximum(1.0, np.abs(theta))
         columns, maps = _residuals_and_blocks(theta, corr, model)
@@ -587,12 +594,17 @@ class TestDerivatives:
         jac = dense_jacobian(columns, maps, corr.view_index)
         hess, grad = jac.T @ jac, jac.T @ columns[-1].ravel()
         assert np.linalg.norm(ne.grad - grad) <= 1e-12 * np.linalg.norm(grad)
-        dmax = float(hess.diagonal().max())
-        for factor in (1e-6, 1e-3, 1.0, 1e3):
-            mu = factor * dmax
-            want = np.linalg.solve(hess + mu * np.eye(theta.size), -grad)
-            got = _schur_step(ne, mu)
-            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), factor
+        diag = ne.diagonal
+        assert np.allclose(diag, hess.diagonal(), rtol=1e-12, atol=0.0)
+        dmax = float(diag.max())
+        dampings = {factor: np.full(theta.size, factor * dmax) for factor in (1e-6, 1e-3, 1.0, 1e3)}
+        dampings["spread"] = dmax * 10.0 ** rng.uniform(-6.0, 3.0, theta.size)
+        dampings["mu D"] = 1e-3 * np.where(diag > 0.0, diag, 1.0)
+        assert (diag == 0.0).any() == (scene == "empty_view")
+        for name, d in dampings.items():
+            want = np.linalg.solve(hess + np.diag(d), -grad)
+            got = _schur_step(ne, d)
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), name
 
     @pytest.mark.parametrize("model", list(Model))
     @pytest.mark.parametrize("scene", ["ragged", "empty_view"])
@@ -838,14 +850,34 @@ class TestRefine:
 
     def test_singular_schur_complement_takes_the_least_squares_step(self):
         # Two shared parameters that enter only as their sum, and one view
-        # that shares nothing with them: S = [[1, 1], [1, 1]] at mu = 0,
+        # that shares nothing with them: S = [[1, 1], [1, 1]] at zero damping,
         # which np.linalg.solve refuses.
         g_pose = np.arange(1.0, 7.0)
         ne = _NormalEquations(
             u=np.ones((2, 2)), wt=np.zeros((1, 6, 2)), v=np.eye(6)[None], grad=np.concatenate([[1.0, 1.0], g_pose])
         )
-        step = _schur_step(ne, 0.0)
+        step = _schur_step(ne, np.zeros(8))
         assert np.allclose(step, np.concatenate([[-0.5, -0.5], -g_pose]), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "seed,model,iterations",
+        [
+            (81, Model.MODEL1, 7),
+            (81, Model.MODEL2, 8),
+            (81, Model.MODEL3, 7),
+            (82, Model.MODEL1, 7),
+            (82, Model.MODEL2, 7),
+            (82, Model.MODEL3, 7),
+        ],
+    )
+    def test_scaled_damping_converges_in_few_iterations(self, seed, model, iterations):
+        # A deterministic witness of the per-parameter damping: with a
+        # uniform mu I these fits take 18 iterations each, as the weakly
+        # scaled intrinsics columns stay throttled until mu has shrunk.
+        corr, _ = make_scene(seed, noise_sigma=0.3)
+        fit = calibrate(corr, model)
+        assert fit.converged
+        assert fit.n_iterations <= iterations + 2
 
     def test_iteration_cap_flags_not_converged(self):
         corr, _ = make_scene(55, noise_sigma=0.5)

@@ -9,11 +9,12 @@ from radialcal import calibration
 from radialcal.calibration import (
     CalibrationView,
     CorrespondenceSet,
+    OptimizerOptions,
     SingularConfiguration,
     _build_result,
     project,
 )
-from radialcal.cli import main
+from radialcal.cli import build_parser, main
 from radialcal.distortion import DistortionSpec, Model, distort_array
 from radialcal.fileio import (
     read_calibration,
@@ -55,6 +56,24 @@ def write_exact_calibration(path, intrinsics, spec, corr=None, truth=None):
     result = _build_result(corr, intrinsics, spec, truth.extrinsics)
     write_calibration(path, result)
     return corr
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path, synth_spec_file, capsys):
+        # The parser is built once per process. Each call parses its own
+        # subcommand and flags: one call's flags never reach the next.
+        assert build_parser() is build_parser()
+        corr_path, calib_path = tmp_path / "corr.csv", tmp_path / "calib.json"
+        assert main(["synth", "--spec", str(synth_spec_file), "--output", str(corr_path)]) == 0
+        calibrate = ["calibrate", "--input", str(corr_path), "--model", "2", "--output", str(calib_path)]
+        assert main([*calibrate, "--tol-x", "1e-3", "--max-iter", "50"]) == 0
+        assert read_calibration(calib_path).options == OptimizerOptions(tol_x=1e-3, max_iter=50)
+        capsys.readouterr()
+        assert main(["compare", "--input", str(corr_path), "--json"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) >= {"model1", "model2", "model3"}
+        assert main(calibrate) == 0
+        fit = read_calibration(calib_path)
+        assert fit.options == OptimizerOptions() and fit.distortion.model is Model.MODEL2
 
 
 class TestSynth:
@@ -421,10 +440,11 @@ class TestUndistort:
         assert np.isfinite(out[0]).all() and np.isnan(out[1]).all()
 
     def test_huge_point_gives_nan_row_and_exit_5(self, tmp_path, capsys):
-        # At u = 1e203 the normalized radius is about 1e200, whose cube
-        # overflows a float; the model1 inverse reports no solution.
+        # At u = 1e203 the normalized radius is about 1e200, far above
+        # F(fold) = 0.6 of this model1 warp, which folds at r = 1: the
+        # inverse reports no solution.
         A = IntrinsicMatrix(800.0, 800.0, 0.2, 320.0, 240.0)
-        write_exact_calibration(tmp_path / "calib.json", A, DistortionSpec(Model.MODEL1, 0.2, 0.1))
+        write_exact_calibration(tmp_path / "calib.json", A, DistortionSpec(Model.MODEL1, -0.5, 0.1))
         write_points(tmp_path / "pts.csv", np.array([[100.0, 200.0], [1e203, 0.0]]))
         code = main(
             ["undistort", "--calib", str(tmp_path / "calib.json"), "--points",
@@ -513,11 +533,11 @@ class TestLocalize:
         assert "DegenerateLine" in capsys.readouterr().err
 
     def test_huge_observed_pixel_exits_6(self, tmp_path, capsys):
-        # A model1 calibration cannot invert the radius of u = 1e203, whose
-        # cube overflows a float: NotConverged, not a traceback.
+        # A model1 calibration that folds at r = 1, where F = 0.6, cannot
+        # invert the radius of u = 1e203: NotConverged, not a traceback.
         argv, _ = self._setup(tmp_path)
         A = IntrinsicMatrix(800.0, 800.0, 0.0, 320.0, 240.0)
-        write_exact_calibration(tmp_path / "calib.json", A, DistortionSpec(Model.MODEL1, 0.2, 0.1))
+        write_exact_calibration(tmp_path / "calib.json", A, DistortionSpec(Model.MODEL1, -0.5, 0.1))
         i = next(i for i, a in enumerate(argv) if a.startswith("--observed="))
         argv[i] = "--observed=1e203," + argv[i].split(",", 1)[1]
         assert main(argv) == 6

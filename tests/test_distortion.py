@@ -404,15 +404,20 @@ class TestUndistort:
             invert_radius_newton(spec, math.sqrt(-k1 / k2))
         assert np.isnan(undistort_array(spec, np.array([[math.sqrt(-k1 / k2), 0.0]]))).all()
 
-    def test_huge_radius_does_not_converge(self):
-        # r^4 overflows a float at r = 1e120: the residual is inf, the step
-        # NaN, and the bracket's midpoints from 1e120 cannot reach the root,
-        # 1.6e24, within the step budget.
-        spec = DistortionSpec(Model.MODEL1, 0.2, 0.1)
-        with pytest.raises(NotConverged):
-            invert_radius_newton(spec, 1e120)
-        with pytest.raises(NotConverged):
-            undistort(spec, NormalizedPoint(1e120, 0.0))
+    @pytest.mark.parametrize("k1,k2,r_d,root", [(-0.5, 0.2, 1e6, 21.89), (0.2, 0.1, 1e120, 1.585e24)])
+    def test_huge_radius_starts_from_the_dominant_term(self, k1, k2, r_d, root):
+        # From r_d itself, r^4 overflows a float at 1e120 and the bracket's
+        # midpoints cannot come down to the root within the step budget; at
+        # 1e6 the Newton steps shrink r by about 4/5 each. Both used to raise
+        # NotConverged. The start (r_d / k2)^(1/5) lies within a few steps.
+        spec = DistortionSpec(Model.MODEL1, k1, k2)
+        r = invert_radius_newton(spec, r_d)
+        assert r == pytest.approx(root, rel=1e-3)
+        assert abs(r * warp_factor(spec, r) - r_d) <= 1e-12 * r_d
+        got = distortion._newton_radius_array(spec, np.array([r_d, 0.5, r_d]))
+        assert got[0] == got[2] == r
+        assert got[1] == invert_radius_newton(spec, 0.5)
+        assert undistort(spec, NormalizedPoint(r_d, 0.0)).x == r
 
     def test_newton_inverter_rejects_negative_radius(self):
         with pytest.raises(ValueError):
@@ -440,16 +445,16 @@ class TestUndistort:
     def test_fold_free_model1_at_huge_radii(self):
         # (-0.5, 0.2) has no fold, so every radius has a root; F(inf) is
         # NaN for k1 < 0 < k2, and must not decide that none exists. Newton
-        # from r_d = 1e6 and above needs more than the step budget to come
-        # down to the root: those rows are flagged, never wrong. No numpy
-        # warning is raised (the suite makes one an error).
+        # starts from the dominant term's root, so every radius whose
+        # r_d / k2 is finite is solved; 1e308 is flagged, never wrong. No
+        # numpy warning is raised (the suite makes one an error).
         spec = DistortionSpec(Model.MODEL1, -0.5, 0.2)
         assert spec.fold == math.inf
         r_d = 10.0 ** np.arange(-3.0, 309.0)
         got = distortion._newton_radius_array(spec, r_d)
         assert np.array_equal(got, newton_radii(spec, r_d), equal_nan=True)
         solved = ~np.isnan(got)
-        assert solved[r_d <= 1e5].all()
+        assert solved[r_d <= 1e307].all()
         r, y = got[solved], r_d[solved]
         assert np.all(np.abs(r * warp_factor(spec, r) - y) <= 1e-12 * np.maximum(1.0, y))
 
