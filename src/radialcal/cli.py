@@ -286,8 +286,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Built once: parse_args leaves the parser as it found it, and the tree
-# costs about a millisecond to build, on every in-process main call.
+# Built once per process: parse_args does not change the parser, and
+# building the tree costs about a millisecond per in-process main call.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
