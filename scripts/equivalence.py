@@ -227,6 +227,26 @@ def run_cli(argv: list[str]) -> None:
         cli_main(argv)
 
 
+def grid_points() -> np.ndarray:
+    """The CLI undistort grid: one point jittered inside each cell of GRID."""
+    rng = np.random.default_rng(GRID_SEED)
+    i, j = np.meshgrid(np.arange(GRID[0]), np.arange(GRID[1]), indexing="xy")
+    u = (i.ravel() + rng.uniform(0.0, 1.0, i.size)) * (IMAGE[0] / GRID[0])
+    v = (j.ravel() + rng.uniform(0.0, 1.0, j.size)) * (IMAGE[1] / GRID[1])
+    return np.column_stack([u, v])
+
+
+def grid_calibration(model: str) -> dict:
+    """The ``--calib`` record of the grid's undistort for a model of
+    bench_undistort's SPECS: its camera and coefficients, no views."""
+    spec, A = bench_undistort.SPECS[model], bench_undistort.CAMERA
+    return {
+        "model": model, "k1": spec.k1, "k2": spec.k2,
+        "intrinsics": {"alpha": A.alpha, "beta": A.beta, "gamma": A.gamma, "u0": A.u0, "v0": A.v0},
+        "views": [], "J_final": 0.0, "rms_px": 0.0,
+    }
+
+
 def cli_hashes(work: Path) -> dict:
     """SHA-256 of the calibration JSON that CLI ``calibrate --model 3``
     writes, and of CLI ``undistort``'s output on the grid."""
@@ -237,22 +257,11 @@ def cli_hashes(work: Path) -> dict:
         write_correspondences(corr_path, corr)
         run_cli(["calibrate", "--input", str(corr_path), "--model", "3", "--output", str(out)])
         records[f"cli/calibrate/{name}/model3"] = sha256_of(out)
-    rng = np.random.default_rng(GRID_SEED)
-    i, j = np.meshgrid(np.arange(GRID[0]), np.arange(GRID[1]), indexing="xy")
-    u = (i.ravel() + rng.uniform(0.0, 1.0, i.size)) * (IMAGE[0] / GRID[0])
-    v = (j.ravel() + rng.uniform(0.0, 1.0, j.size)) * (IMAGE[1] / GRID[1])
     points = work / "grid.csv"
-    write_points(points, np.column_stack([u, v]))
-    A = bench_undistort.CAMERA
+    write_points(points, grid_points())
     for model in bench_undistort.LOCALIZE_MODELS:
-        spec = bench_undistort.SPECS[model]
-        calib = {
-            "model": model, "k1": spec.k1, "k2": spec.k2,
-            "intrinsics": {"alpha": A.alpha, "beta": A.beta, "gamma": A.gamma, "u0": A.u0, "v0": A.v0},
-            "views": [], "J_final": 0.0, "rms_px": 0.0,
-        }
         calib_path = work / f"calib_{model}.json"
-        calib_path.write_text(json.dumps(calib))
+        calib_path.write_text(json.dumps(grid_calibration(model)))
         for direction in ("inverse", "forward"):
             out = work / f"{direction}_{model}.csv"
             run_cli(["undistort", "--calib", str(calib_path), "--points", str(points),

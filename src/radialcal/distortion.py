@@ -167,19 +167,36 @@ def _rising_branch(spec: DistortionSpec) -> tuple[float, float]:
     return fold, (fold * warp_factor(spec, fold) if fold < math.inf else math.inf)
 
 
+def _dominant_start(spec: DistortionSpec, r_d: float) -> float:
+    """An upper bound on model1's root for ``k2 > 0`` (and ``k1 >= 0``):
+    ``(r_d / k2)^(1/5)``, the root of the dominant term ``k2 r^5``.
+
+    Where ``r_d / k2`` overflows, the smallest of ``r_d^(1/5) / k2^(1/5)`` and,
+    for ``k1 > 0``, ``r_d^(1/3) / k1^(1/3)``: a ``k2`` that small next to
+    ``r_d`` leaves the root where ``k1 r^3`` may dominate. Taken by Python's
+    pow, so that the scalar and the array solve start from the same bits.
+    """
+    quotient = r_d / spec.k2
+    if quotient < math.inf:
+        return quotient ** 0.2
+    bounds = [r_d ** 0.2 / spec.k2 ** 0.2]
+    if spec.k1 > 0.0:
+        bounds.append(r_d ** (1.0 / 3.0) / spec.k1 ** (1.0 / 3.0))
+    return min(bounds)
+
+
 def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
     """Newton solve of ``r f(r) = r_d`` on the rising branch ``[0, spec.fold]``.
 
     Used as the model1 inverse and as an independent cross-check of the
     analytic paths. It starts at ``min(r_d, fold)``, and for ``k2 > 0`` at
-    most at ``(r_d / k2)^(1/5)``, the root of the dominant term ``k2 r^5``:
-    from ``r_d`` itself a huge radius would take more than the step budget
-    to come down. It keeps a bracket ``[lo, hi]`` around the root: a step
-    that leaves it, or comes from a slope that is not positive, goes to its
-    midpoint instead (``rtsafe`` in Press et al., Numerical Recipes). Raises
-    NotConverged for an ``r_d`` above ``F(fold)``, which has no root there,
-    and when the residual does not fall below ``_NEWTON_TOL`` within
-    ``_NEWTON_MAX_ITER`` steps.
+    most at ``_dominant_start``: from ``r_d`` itself a huge radius would
+    take more than the step budget to come down. It keeps a bracket
+    ``[lo, hi]`` around the root: a step that leaves it, or comes from a
+    slope that is not positive, goes to its midpoint instead (``rtsafe`` in
+    Press et al., Numerical Recipes). Raises NotConverged for an ``r_d``
+    above ``F(fold)``, which has no root there, and when the residual does
+    not fall below ``_NEWTON_TOL`` within ``_NEWTON_MAX_ITER`` steps.
     """
     if r_d < 0.0:
         raise ValueError("distorted radius must be nonnegative")
@@ -191,7 +208,7 @@ def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
     limit = _NEWTON_TOL * max(1.0, r_d)
     lo, hi, r = 0.0, fold, min(r_d, fold)
     if spec.k2 > 0.0:
-        r = min(r, (r_d / spec.k2) ** 0.2)
+        r = min(r, _dominant_start(spec, r_d))
     for _ in range(_NEWTON_MAX_ITER + 1):
         res = r * warp_factor(spec, r) - r_d
         if abs(res) <= limit:
@@ -222,11 +239,10 @@ def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> np.ndarray:
     limit = _NEWTON_TOL * np.maximum(1.0, y)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if spec.k2 > 0.0:
-            # The dominant-term start moves only lanes past k2 r_d^4 = 1,
-            # all of them in far. It is taken by Python's pow, as in the
-            # scalar solve, so that both start from the same bits.
-            far = np.flatnonzero(y > 0.8 * spec.k2 ** -0.25)
-            x[far] = np.minimum(x[far], [(v / spec.k2) ** 0.2 for v in y[far].tolist()])
+            # The dominant-term start moves only lanes past k2 r_d^4 = 1 and
+            # lanes where r_d / k2 overflows, all of them in far.
+            far = np.flatnonzero((y > 0.8 * spec.k2 ** -0.25) | (y / spec.k2 == math.inf))
+            x[far] = np.minimum(x[far], [_dominant_start(spec, v) for v in y[far].tolist()])
         for _ in range(_NEWTON_MAX_ITER + 1):
             res = x * warp_factor(spec, x) - y
             done = np.abs(res) <= limit

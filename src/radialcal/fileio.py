@@ -1,10 +1,15 @@
 """On-disk formats: correspondence/point CSV and calibration/pose/scene JSON.
 
 CSV numbers are written with 17 significant digits so parsing them back is
-lossless for doubles; readers accept both LF and CRLF line endings. All
-writers go through a temp-file-plus-rename so partially written outputs never
-appear under the final name; the file gets the mode that the umask gives a
-new file.
+lossless for doubles; readers accept both LF and CRLF line endings. The CSV
+readers parse all rows in one ``np.loadtxt`` pass and group correspondences
+by view in numpy. Unusual spellings that ``float`` and ``int`` accept but
+``np.loadtxt`` does not (``1_000``, non-ASCII digits, view ids beyond 64
+bits) and whitespace-only lines take a slower per-line checked parse,
+which reads them alike; it also names the first bad line of a malformed
+file. All writers go through a temp-file-plus-rename so partially written
+outputs never appear under the final name; the file gets the mode that the
+umask gives a new file.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import uuid
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -25,6 +31,8 @@ from .synth import PoseRanges, SceneTruth, SynthSpec
 
 CORRESPONDENCE_HEADER = "view_id,Xw,Yw,ud,vd"
 POINTS_HEADER = "u,v"
+# One correspondence row as np.loadtxt parses it: the view id, then Xw, Yw, ud, vd.
+_CORRESPONDENCE_ROW = np.dtype([("id", np.int64), ("xy", np.float64, (4,))])
 
 
 class ParseError(ValueError):
@@ -62,41 +70,52 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 # CSV tables: a header line, then one row of numbers per non-blank line
 
 
-def _read_table(
-    path: str | Path, header: str, noun: str
-) -> tuple[list[int], list[str], np.ndarray]:
-    """Line numbers and text of the rows under ``header``, and their fields.
-
-    The fields come back as an (n, width) float array, all converted by one
-    ``np.array(..., dtype=float)``, which accepts what ``float`` accepts. When
-    that fails, the first line with the wrong number of fields or a field
-    that does not convert is named.
-    """
+def _lines(path: str | Path, header: str) -> list[str]:
+    """The file's lines, the first of which must be ``header``."""
     try:
         lines = Path(path).read_text().splitlines()
     except UnicodeDecodeError as exc:  # as the JSON readers report it
         raise ParseError(f"{path}: {exc}") from None
     if not lines or lines[0].strip() != header:
         raise ParseError(f"expected header {header!r}", line=1)
-    width = header.count(",") + 1
-    linenos = [n for n, raw in enumerate(lines[1:], start=2) if raw.strip()]
-    rows = [lines[n - 1] for n in linenos]
+    return lines
+
+
+def _loadtxt(lines: list[str], dtype, ndmin: int) -> np.ndarray | None:
+    """The rows under the header in one ``np.loadtxt`` pass; None if it refuses them.
+
+    What it accepts it converts as ``float`` and ``int`` do. It refuses some
+    spellings that they accept (``1_000``, non-ASCII digits, integers beyond
+    64 bits) and whitespace-only lines: those files go to ``_scan``.
+    """
     try:
-        if any(raw.count(",") != width - 1 for raw in rows):
-            raise ValueError("wrong field count")
-        values = np.array(",".join(rows).split(",") if rows else [], dtype=float)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(lines[1:], dtype=dtype, delimiter=",", comments=None, ndmin=ndmin)
     except ValueError:
-        for n, raw in zip(linenos, rows):
-            cells = raw.split(",")
-            if len(cells) != width:
-                message = f"expected {width} comma-separated fields, got {len(cells)}"
-                raise ParseError(message, line=n) from None
-            try:
-                np.array(cells, dtype=float)
-            except ValueError:
-                raise ParseError(f"non-numeric {noun} in {raw!r}", line=n) from None
-        raise
-    return linenos, rows, values.reshape(-1, width)
+        return None
+
+
+def _rows(lines: list[str]) -> list[tuple[int, str]]:
+    """Line number and text of each non-blank line under the header."""
+    return [(n, raw) for n, raw in enumerate(lines[1:], start=2) if raw.strip()]
+
+
+def _scan(lines: list[str], width: int, noun: str) -> np.ndarray:
+    """The fields of ``_rows`` as an (n, width) float array, converted line by
+    line as ``float`` converts them. Raises ParseError naming the first line
+    with the wrong number of fields or a field that does not convert.
+    """
+    values = []
+    for n, raw in _rows(lines):
+        cells = raw.split(",")
+        if len(cells) != width:
+            raise ParseError(f"expected {width} comma-separated fields, got {len(cells)}", line=n)
+        try:
+            values.append(np.array(cells, dtype=float))
+        except ValueError:
+            raise ParseError(f"non-numeric {noun} in {raw!r}", line=n) from None
+    return np.array(values).reshape(-1, width)
 
 
 def _render(row_format: str, values: np.ndarray) -> str:
@@ -118,23 +137,37 @@ def read_correspondences(path: str | Path) -> CorrespondenceSet:
     Views come in order of first appearance, each with its rows in file
     order. Raises ParseError, naming the line, for malformed rows.
     """
-    linenos, rows, values = _read_table(path, CORRESPONDENCE_HEADER, "coordinate")
-    if not rows:
+    lines = _lines(path, CORRESPONDENCE_HEADER)
+    table = _loadtxt(lines, _CORRESPONDENCE_ROW, ndmin=1)
+    if table is not None:
+        ids, xy = table["id"], table["xy"]
+    else:
+        values = _scan(lines, 5, "coordinate")
+        ids = np.empty(len(values), dtype=object)
+        for i, (n, raw) in enumerate(_rows(lines)):
+            field = raw.partition(",")[0]
+            try:
+                ids[i] = int(field)
+            except ValueError:
+                raise ParseError(f"view_id {field!r} is not an integer", line=n) from None
+        xy = values[:, 1:]
+    if not len(ids):
         raise ParseError("file contains no correspondence rows")
-    grouped: dict[int, list[int]] = {}
-    for i, (n, raw) in enumerate(zip(linenos, rows)):
-        field = raw.partition(",")[0]
-        try:
-            grouped.setdefault(int(field), []).append(i)
-        except ValueError:
-            raise ParseError(f"view_id {field!r} is not an integer", line=n) from None
-    bad = np.flatnonzero(~np.isfinite(values[:, 1:]).all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
     if bad.size:
-        raise ParseError(f"non-finite coordinate in {rows[bad[0]]!r}", line=linenos[bad[0]])
+        n, raw = _rows(lines)[bad[0]]
+        raise ParseError(f"non-finite coordinate in {raw!r}", line=n)
+    # Number the views by their first rows, then gather each one's rows in
+    # file order; an object array of ids beyond 64 bits groups alike.
+    view_ids, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    label = np.argsort(by_first)[inverse]
+    order = np.argsort(label, kind="stable")
+    bounds = np.cumsum(np.bincount(label))[:-1]
     return CorrespondenceSet(
         tuple(
-            CalibrationView(view_id=view_id, world_xy=values[idx, 1:3], pixels=values[idx, 3:5])
-            for view_id, idx in grouped.items()
+            CalibrationView(view_id=view_id, world_xy=xy[idx, :2], pixels=xy[idx, 2:])
+            for view_id, idx in zip(view_ids[by_first].tolist(), np.split(order, bounds))
         )
     )
 
@@ -146,7 +179,11 @@ def write_points(path: str | Path, points: np.ndarray) -> None:
 
 def read_points(path: str | Path) -> np.ndarray:
     """Parse `u,v` rows into an (n, 2) array; NaN rows are kept."""
-    return _read_table(path, POINTS_HEADER, "point")[2]
+    lines = _lines(path, POINTS_HEADER)
+    values = _loadtxt(lines, float, ndmin=2)
+    if values is None or values.shape[1] != 2:
+        values = _scan(lines, 2, "point")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +239,18 @@ def _pose_from_dict(d: dict) -> ViewExtrinsics:
     return ViewExtrinsics(np.asarray(d["axis_angle"], dtype=float), np.asarray(d["t"], dtype=float))
 
 
+def _pose_rows(views: list) -> np.ndarray:
+    """Each view's ``[*axis_angle, *t]`` as a ``(v, 6)`` array, without a
+    ViewExtrinsics per view; a pose that one would refuse is refused."""
+    rows = [(v["axis_angle"], v["t"]) for v in views]
+    poses = np.array(rows, dtype=float) if rows else np.empty((0, 2, 3))
+    if poses.shape[1:] != (2, 3):
+        raise ValueError("each view's axis_angle and t must have shape (3,)")
+    if not np.isfinite(poses).all():
+        raise ValueError("each view's axis_angle and t must be finite")
+    return poses.reshape(-1, 6)
+
+
 # ---------------------------------------------------------------------------
 # Calibration JSON
 
@@ -247,7 +296,7 @@ def read_calibration(path: str | Path) -> CalibrationResult:
             intrinsics=_intrinsics_from_dict(data["intrinsics"]),
             distortion=_distortion_from_dict(data),
             view_ids=tuple(_int(v["view_id"], "view_id") for v in data["views"]),
-            poses=[[*E.axis_angle, *E.t] for E in map(_pose_from_dict, data["views"])],
+            poses=_pose_rows(data["views"]),
             j_final=float(data["J_final"]),
             rms_px=float(data["rms_px"]),
             per_point_residuals=None,

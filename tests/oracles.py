@@ -16,16 +16,23 @@ its kernels; it shares only the closed-form intrinsics_from_conic with
 them, which the round trip through conic_from_intrinsics checks. The
 ground-line fix is here in numpy matrix algebra, as the oracle of the
 library's float arithmetic; it shares the undistortion, the signed angle
-between the segments and the exception types with it.
+between the segments and the exception types with it. The CSV readers
+are here as a per-line parse, by ``float`` and ``int`` conversions and a
+dict of rows per view id, as the oracle of the library's one-pass
+``np.loadtxt`` readers and their numpy grouping; they share only the
+ParseError type and the record types they build.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 from radialcal.calibration import (
+    CalibrationView,
+    CorrespondenceSet,
     DegenerateConfiguration,
     SingularConfiguration,
     intrinsics_from_conic,
@@ -33,6 +40,7 @@ from radialcal.calibration import (
 from radialcal.geometry import WorldPoint, rotation_blocks, to_normalized
 from radialcal.cubic import NoRealSolution, real_roots
 from radialcal.distortion import undistort
+from radialcal.fileio import ParseError
 from radialcal.localize import (
     EndpointsCoincide,
     LocalizationFix,
@@ -423,3 +431,61 @@ def localize(line, observed_a, observed_b, A, spec, pose) -> LocalizationFix:
         length_discrepancy=abs(len_rec - len_map) / len_map,
         translation_consistency=float(np.linalg.norm(t1 - t1_from_b)),
     )
+
+
+def _read_table(path, header: str, noun: str) -> tuple[list[int], list[str], np.ndarray]:
+    """Line numbers and text of the rows under ``header``, and their fields
+    as an (n, width) float array; ParseError names the first bad line."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if not lines or lines[0].strip() != header:
+        raise ParseError(f"expected header {header!r}", line=1)
+    width = header.count(",") + 1
+    linenos = [n for n, raw in enumerate(lines[1:], start=2) if raw.strip()]
+    rows = [lines[n - 1] for n in linenos]
+    try:
+        if any(raw.count(",") != width - 1 for raw in rows):
+            raise ValueError("wrong field count")
+        values = np.array(",".join(rows).split(",") if rows else [], dtype=float)
+    except ValueError:
+        for n, raw in zip(linenos, rows):
+            cells = raw.split(",")
+            if len(cells) != width:
+                message = f"expected {width} comma-separated fields, got {len(cells)}"
+                raise ParseError(message, line=n) from None
+            try:
+                np.array(cells, dtype=float)
+            except ValueError:
+                raise ParseError(f"non-numeric {noun} in {raw!r}", line=n) from None
+        raise
+    return linenos, rows, values.reshape(-1, width)
+
+
+def read_correspondences(path) -> CorrespondenceSet:
+    """``view_id,Xw,Yw,ud,vd`` rows grouped by ``int(view_id)`` in a dict."""
+    linenos, rows, values = _read_table(path, "view_id,Xw,Yw,ud,vd", "coordinate")
+    if not rows:
+        raise ParseError("file contains no correspondence rows")
+    grouped: dict[int, list[int]] = {}
+    for i, (n, raw) in enumerate(zip(linenos, rows)):
+        field = raw.partition(",")[0]
+        try:
+            grouped.setdefault(int(field), []).append(i)
+        except ValueError:
+            raise ParseError(f"view_id {field!r} is not an integer", line=n) from None
+    bad = np.flatnonzero(~np.isfinite(values[:, 1:]).all(axis=1))
+    if bad.size:
+        raise ParseError(f"non-finite coordinate in {rows[bad[0]]!r}", line=linenos[bad[0]])
+    return CorrespondenceSet(
+        tuple(
+            CalibrationView(view_id=view_id, world_xy=values[idx, 1:3], pixels=values[idx, 3:5])
+            for view_id, idx in grouped.items()
+        )
+    )
+
+
+def read_points(path) -> np.ndarray:
+    """``u,v`` rows as an (n, 2) array."""
+    return _read_table(path, "u,v", "point")[2]

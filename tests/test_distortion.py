@@ -404,12 +404,22 @@ class TestUndistort:
             invert_radius_newton(spec, math.sqrt(-k1 / k2))
         assert np.isnan(undistort_array(spec, np.array([[math.sqrt(-k1 / k2), 0.0]]))).all()
 
-    @pytest.mark.parametrize("k1,k2,r_d,root", [(-0.5, 0.2, 1e6, 21.89), (0.2, 0.1, 1e120, 1.585e24)])
+    @pytest.mark.parametrize(
+        "k1,k2,r_d,root",
+        [
+            (-0.5, 0.2, 1e6, 21.89),
+            (0.2, 0.1, 1e120, 1.585e24),
+            (-0.5, 0.2, 1e308, 5.493e61),
+            (0.2, 1e-300, 1e100, 3.684e33),
+        ],
+    )
     def test_huge_radius_starts_from_the_dominant_term(self, k1, k2, r_d, root):
         # From r_d itself, r^4 overflows a float at 1e120 and the bracket's
         # midpoints cannot come down to the root within the step budget; at
         # 1e6 the Newton steps shrink r by about 4/5 each. Both used to raise
         # NotConverged. The start (r_d / k2)^(1/5) lies within a few steps.
+        # In the last two r_d / k2 overflows: the roots are taken apart, and
+        # at k2 = 1e-300 the root is that of k1 r^3, (r_d / k1)^(1/3).
         spec = DistortionSpec(Model.MODEL1, k1, k2)
         r = invert_radius_newton(spec, r_d)
         assert r == pytest.approx(root, rel=1e-3)
@@ -445,18 +455,16 @@ class TestUndistort:
     def test_fold_free_model1_at_huge_radii(self):
         # (-0.5, 0.2) has no fold, so every radius has a root; F(inf) is
         # NaN for k1 < 0 < k2, and must not decide that none exists. Newton
-        # starts from the dominant term's root, so every radius whose
-        # r_d / k2 is finite is solved; 1e308 is flagged, never wrong. No
-        # numpy warning is raised (the suite makes one an error).
+        # starts from the dominant term's root, so every radius is solved,
+        # 1e308 too, where r_d / k2 overflows. No numpy warning is raised
+        # (the suite makes one an error).
         spec = DistortionSpec(Model.MODEL1, -0.5, 0.2)
         assert spec.fold == math.inf
         r_d = 10.0 ** np.arange(-3.0, 309.0)
         got = distortion._newton_radius_array(spec, r_d)
         assert np.array_equal(got, newton_radii(spec, r_d), equal_nan=True)
-        solved = ~np.isnan(got)
-        assert solved[r_d <= 1e307].all()
-        r, y = got[solved], r_d[solved]
-        assert np.all(np.abs(r * warp_factor(spec, r) - y) <= 1e-12 * np.maximum(1.0, y))
+        assert not np.isnan(got).any()
+        assert np.all(np.abs(got * warp_factor(spec, got) - r_d) <= 1e-12 * np.maximum(1.0, r_d))
 
     def test_model1_scalar_and_array_agree_to_the_bit(self):
         # Random specs, with rows above F(fold), zero rows and non-finite

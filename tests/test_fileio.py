@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialcal.calibration import CalibrationResult, OptimizerOptions, calibrate, objective
@@ -28,6 +28,7 @@ from radialcal.fileio import (
 from radialcal.geometry import ViewExtrinsics
 from radialcal.synth import PoseRanges
 
+import oracles
 from conftest import make_scene
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -201,6 +202,92 @@ class TestPointsCsv:
             write_points(path, pts)
             rows = ["u,v"] + [f"{fmt(u)},{fmt(v)}" for u, v in pts]
             assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+# Field texts for the reader parity test, by kind: "plain" texts parse by
+# np.loadtxt (lossless 17-digit doubles, subnormals among them, padded
+# values); "odd" ones parse by float() and int() but not by np.loadtxt
+# (underscores, non-ASCII digits, ids beyond 64 bits); "bad" ones by neither.
+_NUMBER_TEXTS = {
+    "plain": st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, width=64).map(fmt),
+        st.floats(min_value=-2.3e-308, max_value=2.3e-308).map(fmt),
+        st.sampled_from(["-0", "0", " 1.5 ", "\t-2", "+.5", "5.", "1E3", "4.9e-324"]),
+    ),
+    "special": st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-Infinity", "+inf", "1e400"]),
+    "odd": st.sampled_from(["1_000", "\u0661\u0662", "\uff13.5", "\u00a02"]),
+    "bad": st.sampled_from(["x", "", "1e", "1.5.2", "0x10", "1 2"]),
+}
+_ID_TEXTS = {
+    "plain": st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["+3", " 3 ", "007", "-0", str(2**63 - 1)])),
+    "special": _NUMBER_TEXTS["special"],
+    "odd": st.sampled_from([str(2**70 + 1), str(-(2**63) - 1), "1_000", "\u0663"]),
+    "bad": st.sampled_from(["1.0", "1.5", "1e3", "x", ""]),
+}
+
+
+@st.composite
+def csv_bodies(draw, header: str) -> str:
+    """``header``, then up to six rows of plain fields, up to two of which
+    are replaced by fields of one other kind; blank, whitespace-only or short
+    lines go among them, and the lines end in LF or CRLF."""
+    width = header.count(",") + 1
+    texts = [_ID_TEXTS if header.startswith("view_id") and j == 0 else _NUMBER_TEXTS for j in range(width)]
+    rows = [[draw(texts[j]["plain"]) for j in range(width)] for _ in range(draw(st.integers(0, 6)))]
+    kind = draw(st.sampled_from(["plain", "special", "odd", "bad"]))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
+        rows[i][j] = draw(texts[j][kind])
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        extra = draw(st.sampled_from(["", "", "  ", "\t", "1,2,3", "1"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join([header, *lines]) + draw(st.sampled_from(["", eol]))
+
+
+def _outcome(reader, path):
+    """What reader makes of path: its value, or its ParseError's message and line."""
+    try:
+        return reader(path)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line)
+
+
+def _bits(a: np.ndarray) -> list:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestReaderParity:
+    """The one-pass readers against a per-line reference parse: the same
+    files accepted, the same float64 bits and view grouping, and the same
+    ParseError, line included, for a refused file."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(csv_bodies("view_id,Xw,Yw,ud,vd"))
+    def test_correspondences(self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "parity_corr.csv"
+        path.write_bytes(body.encode())
+        got, want = _outcome(read_correspondences, path), _outcome(oracles.read_correspondences, path)
+        if isinstance(want, tuple):
+            assert isinstance(got, tuple) and got == want
+            return
+        assert [v.view_id for v in got.views] == [v.view_id for v in want.views]
+        for a, b in zip(got.views, want.views):
+            assert _bits(a.world_xy) == _bits(b.world_xy)
+            assert _bits(a.pixels) == _bits(b.pixels)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(csv_bodies("u,v"))
+    def test_points(self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "parity_pts.csv"
+        path.write_bytes(body.encode())
+        got, want = _outcome(read_points, path), _outcome(oracles.read_points, path)
+        if isinstance(want, tuple):
+            assert isinstance(got, tuple) and got == want
+            return
+        assert got.shape == want.shape
+        assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("reader", [read_points, read_correspondences])
@@ -380,6 +467,40 @@ class TestCalibrationJson:
         path.write_bytes(content)
         with pytest.raises(ParseError, match="file.json: "):
             reader(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("axis_angle", [0.1, 0.0]),
+            ("axis_angle", [[0.1], [0.0], [0.0]]),
+            ("axis_angle", 0.1),
+            ("axis_angle", "abc"),
+            ("axis_angle", None),
+            ("t", [0.0, math.nan, -1.0]),
+            ("t", [0.0, 0.0, math.inf]),
+            ("t", {"x": 0.0}),
+        ],
+    )
+    def test_malformed_pose_is_parse_error(self, tmp_path, key, value):
+        # Refused as a ViewExtrinsics built from the view would refuse it.
+        views = [
+            {"view_id": 3, "axis_angle": [0.1, 0.0, 0.0], "t": [0.0, 0.0, -1.0]},
+            {"view_id": 4, "axis_angle": [0.2, 0.0, 0.0], "t": [0.0, 0.5, -1.0]},
+        ]
+        data = {
+            "model": "model2", "k1": -0.2, "k2": 0.0,
+            "intrinsics": {"alpha": 800, "beta": 800, "gamma": 0, "u0": 320, "v0": 240},
+            "views": views, "J_final": 1.0, "rms_px": 0.1,
+        }
+        path = tmp_path / "calib.json"
+        path.write_text(json.dumps(data))
+        assert read_calibration(path).poses.tolist() == [[*v["axis_angle"], *v["t"]] for v in views]
+        views[1][key] = value
+        with pytest.raises((TypeError, ValueError)):
+            ViewExtrinsics(np.asarray(views[1]["axis_angle"], dtype=float), np.asarray(views[1]["t"], dtype=float))
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="invalid calibration file"):
+            read_calibration(path)
 
     @pytest.mark.parametrize(
         "where, key, value",
