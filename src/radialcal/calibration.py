@@ -636,19 +636,9 @@ def _normal_equations(columns: np.ndarray, maps: np.ndarray, offsets: np.ndarray
     ``V_k = M_k^T Q_k[g, g] M_k``, and ``J^T r`` is ``sum_k Q_k[c, r]`` for
     the shared columns and ``M_k^T Q_k[g, r]`` for view k's. A view without
     points has ``Q_k = 0``.
-
-    Each run of consecutive views with equal point counts is one strided
-    view of the columns, and its Grams are one batched product. Grouping
-    equal views that are not adjacent would need a copy of their columns,
-    which cost more than the products it batches.
     """
     flat = columns.reshape(len(columns), -1)
-    counts = np.diff(offsets)
-    grams = np.empty((len(counts), len(flat), len(flat)))
-    runs = np.flatnonzero(np.diff(counts, prepend=-1)).tolist() + [len(counts)]
-    for k0, k1 in zip(runs[:-1], runs[1:]):
-        b = flat[:, 2 * offsets[k0] : 2 * offsets[k1]].reshape(len(flat), k1 - k0, 2 * counts[k0])
-        grams[k0:k1] = b.transpose(1, 0, 2) @ b.transpose(1, 2, 0)
+    grams = np.stack([a @ a.T for a in np.split(flat, 2 * offsets[1:-1], axis=1)])
     mq = maps.transpose(0, 2, 1) @ grams[:, :6]
     shared = grams[:, 6:, 6:].sum(axis=0)
     return _NormalEquations(

@@ -167,36 +167,38 @@ def _rising_branch(spec: DistortionSpec) -> tuple[float, float]:
     return fold, (fold * warp_factor(spec, fold) if fold < math.inf else math.inf)
 
 
-def _dominant_start(spec: DistortionSpec, r_d: float) -> float:
-    """An upper bound on model1's root for ``k2 > 0`` (and ``k1 >= 0``):
-    ``(r_d / k2)^(1/5)``, the root of the dominant term ``k2 r^5``.
+def _dominant_terms(spec: DistortionSpec) -> list[tuple[float, int]]:
+    """``(c, p)`` for each term ``c r^p`` of model1's ``F(r)`` whose root
+    ``(r_d / c)^(1/p)`` starts the Newton solve: ``k2 r^5`` for ``k2 > 0``,
+    and ``k1 r^3`` for ``k1 > 0`` when ``k2 >= 0``, where it bounds the root
+    from above."""
+    terms = [(spec.k2, 5)] if spec.k2 > 0.0 else []
+    if spec.k1 > 0.0 and spec.k2 >= 0.0:
+        terms.append((spec.k1, 3))
+    return terms
 
-    Where ``r_d / k2`` overflows, the smallest of ``r_d^(1/5) / k2^(1/5)`` and,
-    for ``k1 > 0``, ``r_d^(1/3) / k1^(1/3)``: a ``k2`` that small next to
-    ``r_d`` leaves the root where ``k1 r^3`` may dominate. Taken by Python's
-    pow, so that the scalar and the array solve start from the same bits.
+
+def _dominant_start(spec: DistortionSpec, r_d: float) -> float:
+    """The smallest root ``r_d^(1/p) / c^(1/p)`` of the dominant terms, or inf.
+
+    Taken apart, so that it does not overflow, and by Python's pow, so that
+    the scalar and the array solve start from the same bits.
     """
-    quotient = r_d / spec.k2
-    if quotient < math.inf:
-        return quotient ** 0.2
-    bounds = [r_d ** 0.2 / spec.k2 ** 0.2]
-    if spec.k1 > 0.0:
-        bounds.append(r_d ** (1.0 / 3.0) / spec.k1 ** (1.0 / 3.0))
-    return min(bounds)
+    return min((r_d ** (1.0 / p) / c ** (1.0 / p) for c, p in _dominant_terms(spec)), default=math.inf)
 
 
 def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
     """Newton solve of ``r f(r) = r_d`` on the rising branch ``[0, spec.fold]``.
 
     Used as the model1 inverse and as an independent cross-check of the
-    analytic paths. It starts at ``min(r_d, fold)``, and for ``k2 > 0`` at
-    most at ``_dominant_start``: from ``r_d`` itself a huge radius would
-    take more than the step budget to come down. It keeps a bracket
-    ``[lo, hi]`` around the root: a step that leaves it, or comes from a
-    slope that is not positive, goes to its midpoint instead (``rtsafe`` in
-    Press et al., Numerical Recipes). Raises NotConverged for an ``r_d``
-    above ``F(fold)``, which has no root there, and when the residual does
-    not fall below ``_NEWTON_TOL`` within ``_NEWTON_MAX_ITER`` steps.
+    analytic paths. It starts at ``min(r_d, fold)``, and at most at
+    ``_dominant_start``: from ``r_d`` itself a huge radius would take more
+    than the step budget to come down. It keeps a bracket ``[lo, hi]``
+    around the root: a step that leaves it, or comes from a slope that is
+    not positive, goes to its midpoint instead (``rtsafe`` in Press et al.,
+    Numerical Recipes). Raises NotConverged for an ``r_d`` above
+    ``F(fold)``, which has no root there, and when the residual does not
+    fall below ``_NEWTON_TOL`` within ``_NEWTON_MAX_ITER`` steps.
     """
     if r_d < 0.0:
         raise ValueError("distorted radius must be nonnegative")
@@ -206,9 +208,7 @@ def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
     if not (r_d <= top and r_d < math.inf):
         raise NotConverged(f"r_d={r_d!r} exceeds F(fold)={top!r}: no root up to the fold")
     limit = _NEWTON_TOL * max(1.0, r_d)
-    lo, hi, r = 0.0, fold, min(r_d, fold)
-    if spec.k2 > 0.0:
-        r = min(r, _dominant_start(spec, r_d))
+    lo, hi, r = 0.0, fold, min(r_d, fold, _dominant_start(spec, r_d))
     for _ in range(_NEWTON_MAX_ITER + 1):
         res = r * warp_factor(spec, r) - r_d
         if abs(res) <= limit:
@@ -238,11 +238,11 @@ def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> np.ndarray:
     lo, hi = np.zeros(y.shape), np.full(y.shape, fold)
     limit = _NEWTON_TOL * np.maximum(1.0, y)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if spec.k2 > 0.0:
-            # The dominant-term start moves only lanes past k2 r_d^4 = 1 and
-            # lanes where r_d / k2 overflows, all of them in far.
-            far = np.flatnonzero((y > 0.8 * spec.k2 ** -0.25) | (y / spec.k2 == math.inf))
-            x[far] = np.minimum(x[far], [_dominant_start(spec, v) for v in y[far].tolist()])
+        # A term's root is below r_d only past c r_d^(p-1) = 1, so the
+        # dominant-term start moves only lanes in far.
+        reach = min((c ** (-1.0 / (p - 1)) for c, p in _dominant_terms(spec)), default=math.inf)
+        far = np.flatnonzero(y > 0.8 * reach)
+        x[far] = np.minimum(x[far], [_dominant_start(spec, v) for v in y[far].tolist()])
         for _ in range(_NEWTON_MAX_ITER + 1):
             res = x * warp_factor(spec, x) - y
             done = np.abs(res) <= limit

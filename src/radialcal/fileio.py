@@ -5,11 +5,12 @@ lossless for doubles; readers accept both LF and CRLF line endings. The CSV
 readers parse all rows in one ``np.loadtxt`` pass and group correspondences
 by view in numpy. Unusual spellings that ``float`` and ``int`` accept but
 ``np.loadtxt`` does not (``1_000``, non-ASCII digits, view ids beyond 64
-bits) and whitespace-only lines take a slower per-line checked parse,
-which reads them alike; it also names the first bad line of a malformed
-file. All writers go through a temp-file-plus-rename so partially written
-outputs never appear under the final name; the file gets the mode that the
-umask gives a new file.
+bits) take a slower per-line checked parse, which reads them alike; it
+also names the first bad line of a malformed file. A file with
+whitespace-only lines takes a second ``np.loadtxt`` pass without them.
+All writers go through a temp-file-plus-rename so partially written
+outputs never appear under the final name; the file gets the mode that
+the umask gives a new file.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .calibration import CalibrationResult, CalibrationView, CorrespondenceSet, OptimizerOptions
 from .distortion import DistortionSpec, Model
-from .geometry import IntrinsicMatrix, ViewExtrinsics
+from .geometry import IntrinsicMatrix, ViewExtrinsics, checked_array
 from .synth import PoseRanges, SceneTruth, SynthSpec
 
 CORRESPONDENCE_HEADER = "view_id,Xw,Yw,ud,vd"
@@ -81,19 +82,25 @@ def _lines(path: str | Path, header: str) -> list[str]:
     return lines
 
 
-def _loadtxt(lines: list[str], dtype, ndmin: int) -> np.ndarray | None:
-    """The rows under the header in one ``np.loadtxt`` pass; None if it refuses them.
+def _loadtxt(body: list[str], dtype, ndmin: int) -> np.ndarray | None:
+    """The non-blank lines of ``body`` in one ``np.loadtxt`` pass; None if it refuses them.
 
     What it accepts it converts as ``float`` and ``int`` do. It refuses some
     spellings that they accept (``1_000``, non-ASCII digits, integers beyond
-    64 bits) and whitespace-only lines: those files go to ``_scan``.
+    64 bits): those files go to ``_scan``. It refuses whitespace-only lines
+    too, so a refused body is tried once more without them. From numpy 1.23,
+    while the deprecation lasts, it parses an integer field that ``int``
+    refuses (``1.5``, ``2**70``) as a float and warns; the warning is raised
+    here, so that such a file is refused as well.
     """
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(lines[1:], dtype=dtype, delimiter=",", comments=None, ndmin=ndmin)
-    except ValueError:
-        return None
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=ndmin)
+    except (ValueError, DeprecationWarning):
+        rows = [raw for raw in body if raw.strip()]
+        return _loadtxt(rows, dtype, ndmin) if len(rows) < len(body) else None
 
 
 def _rows(lines: list[str]) -> list[tuple[int, str]]:
@@ -101,13 +108,13 @@ def _rows(lines: list[str]) -> list[tuple[int, str]]:
     return [(n, raw) for n, raw in enumerate(lines[1:], start=2) if raw.strip()]
 
 
-def _scan(lines: list[str], width: int, noun: str) -> np.ndarray:
-    """The fields of ``_rows`` as an (n, width) float array, converted line by
+def _scan(rows: list[tuple[int, str]], width: int, noun: str) -> np.ndarray:
+    """The fields of ``rows`` as an (n, width) float array, converted line by
     line as ``float`` converts them. Raises ParseError naming the first line
     with the wrong number of fields or a field that does not convert.
     """
     values = []
-    for n, raw in _rows(lines):
+    for n, raw in rows:
         cells = raw.split(",")
         if len(cells) != width:
             raise ParseError(f"expected {width} comma-separated fields, got {len(cells)}", line=n)
@@ -138,13 +145,15 @@ def read_correspondences(path: str | Path) -> CorrespondenceSet:
     order. Raises ParseError, naming the line, for malformed rows.
     """
     lines = _lines(path, CORRESPONDENCE_HEADER)
-    table = _loadtxt(lines, _CORRESPONDENCE_ROW, ndmin=1)
+    table = _loadtxt(lines[1:], _CORRESPONDENCE_ROW, ndmin=1)
+    rows = None
     if table is not None:
         ids, xy = table["id"], table["xy"]
     else:
-        values = _scan(lines, 5, "coordinate")
+        rows = _rows(lines)
+        values = _scan(rows, 5, "coordinate")
         ids = np.empty(len(values), dtype=object)
-        for i, (n, raw) in enumerate(_rows(lines)):
+        for i, (n, raw) in enumerate(rows):
             field = raw.partition(",")[0]
             try:
                 ids[i] = int(field)
@@ -155,7 +164,7 @@ def read_correspondences(path: str | Path) -> CorrespondenceSet:
         raise ParseError("file contains no correspondence rows")
     bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
     if bad.size:
-        n, raw = _rows(lines)[bad[0]]
+        n, raw = (_rows(lines) if rows is None else rows)[bad[0]]
         raise ParseError(f"non-finite coordinate in {raw!r}", line=n)
     # Number the views by their first rows, then gather each one's rows in
     # file order; an object array of ids beyond 64 bits groups alike.
@@ -180,9 +189,9 @@ def write_points(path: str | Path, points: np.ndarray) -> None:
 def read_points(path: str | Path) -> np.ndarray:
     """Parse `u,v` rows into an (n, 2) array; NaN rows are kept."""
     lines = _lines(path, POINTS_HEADER)
-    values = _loadtxt(lines, float, ndmin=2)
+    values = _loadtxt(lines[1:], float, ndmin=2)
     if values is None or values.shape[1] != 2:
-        values = _scan(lines, 2, "point")
+        values = _scan(_rows(lines), 2, "point")
     return values
 
 
@@ -239,16 +248,13 @@ def _pose_from_dict(d: dict) -> ViewExtrinsics:
     return ViewExtrinsics(np.asarray(d["axis_angle"], dtype=float), np.asarray(d["t"], dtype=float))
 
 
-def _pose_rows(views: list) -> np.ndarray:
-    """Each view's ``[*axis_angle, *t]`` as a ``(v, 6)`` array, without a
-    ViewExtrinsics per view; a pose that one would refuse is refused."""
-    rows = [(v["axis_angle"], v["t"]) for v in views]
-    poses = np.array(rows, dtype=float) if rows else np.empty((0, 2, 3))
-    if poses.shape[1:] != (2, 3):
-        raise ValueError("each view's axis_angle and t must have shape (3,)")
-    if not np.isfinite(poses).all():
-        raise ValueError("each view's axis_angle and t must be finite")
-    return poses.reshape(-1, 6)
+def _pose_array(views: list) -> np.ndarray:
+    """The views' poses as ``(v, 6)`` rows ``[*axis_angle, *t]``, each part
+    checked as ViewExtrinsics checks it, without building one per view."""
+    if not views:
+        return np.empty((0, 6))
+    parts = [checked_array(key, [v[key] for v in views], (len(views), 3)) for key in ("axis_angle", "t")]
+    return np.hstack(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +302,7 @@ def read_calibration(path: str | Path) -> CalibrationResult:
             intrinsics=_intrinsics_from_dict(data["intrinsics"]),
             distortion=_distortion_from_dict(data),
             view_ids=tuple(_int(v["view_id"], "view_id") for v in data["views"]),
-            poses=_pose_rows(data["views"]),
+            poses=_pose_array(data["views"]),
             j_final=float(data["J_final"]),
             rms_px=float(data["rms_px"]),
             per_point_residuals=None,

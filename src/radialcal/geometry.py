@@ -37,12 +37,18 @@ def _finite(*values: float) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
-def _frozen_array(obj, name: str, value, shape: tuple[int, ...]) -> None:
+def checked_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float array; ValueError unless it has ``shape`` and is finite."""
     arr = np.asarray(value, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def _frozen_array(obj, name: str, value, shape: tuple[int, ...]) -> None:
+    arr = checked_array(name, value, shape)
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
 

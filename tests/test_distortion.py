@@ -411,6 +411,8 @@ class TestUndistort:
             (0.2, 0.1, 1e120, 1.585e24),
             (-0.5, 0.2, 1e308, 5.493e61),
             (0.2, 1e-300, 1e100, 3.684e33),
+            (0.2, 1e-200, 1e100, 3.684e33),
+            (0.2, 0.0, 1e200, 7.937e66),
         ],
     )
     def test_huge_radius_starts_from_the_dominant_term(self, k1, k2, r_d, root):
@@ -418,8 +420,8 @@ class TestUndistort:
         # midpoints cannot come down to the root within the step budget; at
         # 1e6 the Newton steps shrink r by about 4/5 each. Both used to raise
         # NotConverged. The start (r_d / k2)^(1/5) lies within a few steps.
-        # In the last two r_d / k2 overflows: the roots are taken apart, and
-        # at k2 = 1e-300 the root is that of k1 r^3, (r_d / k1)^(1/3).
+        # At 1e308 r_d / k2 overflows, so the root is taken apart. In the
+        # last three k1 r^3 dominates: the start is (r_d / k1)^(1/3).
         spec = DistortionSpec(Model.MODEL1, k1, k2)
         r = invert_radius_newton(spec, r_d)
         assert r == pytest.approx(root, rel=1e-3)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -114,6 +115,35 @@ class TestCorrespondenceCsv:
         big = 2**70 + 1
         path.write_text(f"view_id,Xw,Yw,ud,vd\n{big},1,2,3,4\n")
         assert read_correspondences(path).views[0].view_id == big
+
+    @pytest.mark.parametrize("field", ["1.5", "1e3", "1.0", str(2**70 + 1), str(-(2**63) - 1)])
+    def test_view_id_exact_or_refused_with_warnings_ignored(self, tmp_path, field):
+        # Warnings are ignored outside the tests; a view id must still read
+        # as int reads it, or be refused.
+        path = tmp_path / "corr.csv"
+        path.write_text(f"view_id,Xw,Yw,ud,vd\n{field},1,2,3,4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if "." in field or "e" in field:
+                with pytest.raises(ParseError, match="line 2: view_id .* is not an integer"):
+                    read_correspondences(path)
+            else:
+                assert read_correspondences(path).views[0].view_id == int(field)
+
+    def test_id_that_loadtxt_casts_via_float_is_refused(self, tmp_path, monkeypatch):
+        # From numpy 1.23, while the deprecation lasts, loadtxt reads "1.5"
+        # in an int64 field as the float's cast, 1, and only warns.
+        def casting_loadtxt(body, dtype, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return np.array([(1, (1.0, 2.0, 3.0, 4.0))], dtype=dtype)
+
+        monkeypatch.setattr(np, "loadtxt", casting_loadtxt)
+        path = tmp_path / "corr.csv"
+        path.write_text("view_id,Xw,Yw,ud,vd\n1.5,1,2,3,4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ParseError, match="line 2: view_id '1.5' is not an integer"):
+                read_correspondences(path)
 
     def test_blank_lines_and_padded_fields_accepted(self, tmp_path):
         path = tmp_path / "corr.csv"
