@@ -65,9 +65,8 @@ SPECS = {
 }
 # Observed radii up to FOLD_R_MAX, drawn from their own generator so that the
 # rows above keep their inputs. Each spec folds inside that radius: rows above
-# F(fold) have no root (model1 flags them before any Newton step), and rows
-# near it take more Newton steps (model1) or the general cubic solve (model2,
-# model3).
+# F(fold) have no root (they are flagged before any Newton step), and rows
+# near it take more Newton steps.
 FOLD_SEED = 1
 FOLD_R_MAX = 3.0
 FOLD_SPECS = {

@@ -20,8 +20,9 @@ not compared.
 For each scene it holds the linear stage's intrinsics and poses and the ids
 of the views it dropped. It also holds the SHA-256 of ``undistort_array``'s
 output on each seeded row set of ``bench_undistort.py`` (``SPECS`` and
-``FOLD_SPECS``), on its model1 fold rows for two model1 specs whose
-``r f(r)`` rises again past the fold, and of the bytes that the CLI
+``FOLD_SPECS``) and on its model1 fold rows for three model1 specs
+(``FAR_BRANCH_SPECS``), each with the count and SHA-256 of its NaN-row
+mask, and of the bytes that the CLI
 (``radialcal.cli.main``) writes: the calibration JSON of ``calibrate
 --model 3`` on the 10- and 30-view scenes and the ragged scene, and
 ``undistort`` in both directions for each model on a jittered 320x240 grid
@@ -40,10 +41,13 @@ recovered endpoints and both discrepancies, or its error.
 (against another tree, run it with that tree's ``src`` on PYTHONPATH). It
 prints each record whose iteration count, stop reason, error, objective,
 residual hash, dropped views or output hash differs (the objective bit for
-bit), the largest relative parameter difference ``|a - b| / max(1, |a|,
-|b|)`` and the largest absolute difference of a fix (over every pair of
-records with as many values, those that differ included), and for each side
-the largest distance of a fit to its tight refit. It exits with status 1
+bit); an ``undistort_array`` record whose hash differs is reported as moved
+NaN rows (a flag gained or lost) or as moved values on the same NaN rows,
+and the two are counted apart. Then it prints the largest relative
+parameter difference ``|a - b| / max(1, |a|, |b|)`` and the largest
+absolute difference of a fix (over every pair of records with as many
+values, those that differ included), and for each side the largest
+distance of a fit to its tight refit. It exits with status 1
 when one of those differs, a parameter differs by more than 1e-9 relative
 or a fix by more than 1e-12. BLAS runs one thread unless
 OPENBLAS_NUM_THREADS is set, so that a rerun on one machine repeats every
@@ -208,11 +212,20 @@ def array_hashes() -> dict:
         ("far_branch", FAR_BRANCH_SPECS, dict.fromkeys(FAR_BRANCH_SPECS, folded["model1"])),
     )
     return {
-        f"undistort_array/{section}/{name}": {
-            "sha256": hashlib.sha256(undistort_array(spec, row_sets[name]).tobytes()).hexdigest()
-        }
+        f"undistort_array/{section}/{name}": array_record(undistort_array(spec, row_sets[name]))
         for section, specs, row_sets in sets
         for name, spec in specs.items()
+    }
+
+
+def array_record(out: np.ndarray) -> dict:
+    """The SHA-256 of an undistort_array output, and the count and SHA-256
+    of its NaN-row mask: a flag that moved, apart from values that moved."""
+    mask = np.isnan(out).any(axis=1)
+    return {
+        "sha256": hashlib.sha256(out.tobytes()).hexdigest(),
+        "nan_rows": int(mask.sum()),
+        "nan_sha256": hashlib.sha256(mask.tobytes()).hexdigest(),
     }
 
 
@@ -343,12 +356,21 @@ def compare(base: dict, fits: dict) -> bool:
         print(f"{key}: only in {'the reference' if key in base else 'this run'}")
     worst, worst_key = 0.0, None
     worst_fix, worst_fix_key = 0.0, None
+    flags_moved = values_moved = 0
     for key in sorted(set(base) & set(fits)):
         a, b = base[key], fits[key]
         oa, ob = outcome(a), outcome(b)
         if oa != ob:
             mismatched.append(key)
             differ = sorted(k for k in oa if oa[k] != ob[k])
+            if differ == ["sha256"] and "nan_sha256" in a:
+                if a["nan_sha256"] == b["nan_sha256"]:
+                    values_moved += 1
+                    print(f"{key}: values moved, same {b['nan_rows']} NaN rows")
+                else:
+                    flags_moved += 1
+                    print(f"{key}: NaN rows moved: reference {a['nan_rows']}, this run {b['nan_rows']}")
+                continue
             print(f"{key}: reference {[oa[k] for k in differ]}, this run {[ob[k] for k in differ]} ({', '.join(differ)})")
         # A record whose outcome moved still counts toward the largest
         # differences, unless its values cannot be paired.
@@ -367,6 +389,7 @@ def compare(base: dict, fits: dict) -> bool:
         f"{len(fits)} records; {len(mismatched)} with another iteration count, stop reason, "
         "error, objective, residuals, dropped views or hash"
     )
+    print(f"undistort_array: {flags_moved} with moved NaN rows, {values_moved} with only moved values")
     if worst_key is None:
         print("parameters: no difference")
     else:

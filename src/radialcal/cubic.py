@@ -1,25 +1,26 @@
-"""Real-root extraction for ``y = x + p x^2 + q x^3`` and the radius inverse
-of the radial warps built on it.
+"""Real-root extraction for ``y = x + p x^2 + q x^3``, and the closed-form
+start of the radius inverse of the radial warps built on it.
 
-RadiusCubic solves the radius equation ``r + p r^2 + q r^3 = r_d`` of the
-model2 (``p = 0``) and model3 warps once per point, or for a whole array of
-points at once; ``distortion.undistort`` and ``distortion.undistort_array``
-use it. Every regime has its closed form: the quadratic ``r + p r^2 = r_d``
-when ``q`` is negligible, and the depressed cubic otherwise. The paper's
-component form of the model3 inverse (two sign-branch solves per point) is
-the test suite's oracle for this radius form.
+RadiusCubic holds the radius equation ``r + p r^2 + q r^3 = r_d`` of the
+model2 (``p = 0``) and model3 warps. Its ``admissible_root`` is the paper's
+closed-form radius, the first root on the rising branch of the cubic, for one
+point or, in ``admissible_root_array``, for a whole array of points at once:
+the quadratic ``r + p r^2 = r_d`` when ``q`` is negligible, and the depressed
+cubic otherwise. ``distortion.invert_radius_newton`` starts its bracketed
+Newton solve there, which polishes it, flags a radius past the fold and
+verifies the result; the paper's component form of the model3 inverse (two
+sign-branch solves per point) is the test suite's oracle for this radius
+form.
 
 The cubic is solved through the depressed-cubic substitution with the
 trigonometric method in the three-real-root regime and a cancellation-safe
-Cardano form otherwise, followed by a short Newton polish on the original
-equation that never takes a step growing the residual and then verifies its
-last iterate by that residual: no unverified root leaves the module. This is
-numerically equivalent to the textbook radical formulas but avoids complex
-intermediates and the division by ``q`` they require. The scalar closed
-form is written once, in ``RadiusCubic.closed_form``: the radius solve
-polishes the admissible root, the first on the rising branch of the cubic
-(none past its fold), and ``real_roots(y, p, q)`` (through
-``_solve_cubic``) polishes all of them and returns them as a sorted tuple.
+Cardano form otherwise. This is numerically equivalent to the textbook
+radical formulas but avoids complex intermediates and the division by ``q``
+they require. The scalar closed form is written once, in
+``RadiusCubic.closed_form``. ``real_roots(y, p, q)`` (through
+``_solve_cubic``) polishes all of its roots by a short Newton iteration on
+the original equation that never takes a step growing the residual, then
+verifies each by that residual, and returns them as a sorted tuple.
 
 The discriminant of the depressed cubic is itself a difference of two
 near-equal quantities once the coefficients span many decades, so its sign
@@ -39,19 +40,13 @@ import numpy as np
 # Relative threshold under which the cubic degenerates to a quadratic; the
 # radical formulas divide by q, so tiny q must be routed away explicitly.
 _Q_NEGLIGIBLE = 1e-14
-# Roots this close to zero are not admissible radii: the zero radius is
-# answered from the observed radius alone.
-_ZERO_ROOT = 1e-14
-# Observed radii this small are zero at working precision: solving for them
-# would push the matching root under _ZERO_ROOT, while answering 0 is within
-# 1e-12 absolutely.
-_INPUT_ZERO = 1e-12
 # |disc| below this multiple of its own term magnitudes is considered
 # indistinguishable from rounding noise.
 _DISC_MARGIN = 1e-9
-# A Newton step this small (relative to 1 + |x|) is rounding noise of the
-# residual: the error left after it is of order step^2, far below one ulp,
-# while a tighter bound sits under the noise and keeps iterating.
+# A Newton step this small (relative to 1 + |x| in _polish, to the radius in
+# the radius solve) is rounding noise of the residual: the error left after
+# it is of order step^2, far below one ulp, while a tighter bound sits under
+# the noise and keeps iterating.
 _STEP_TOL = 4.0 * sys.float_info.epsilon
 # Newton steps _polish takes at most before it returns its last iterate.
 _POLISH_STEPS = 50
@@ -61,9 +56,6 @@ _POLISH_STEPS = 50
 _BISECT_HALVINGS = 410
 # The three trigonometric roots are m cos((phi + k) / 3) - shift for these k.
 _TRIG_OFFSETS = (0.0, 2.0 * math.pi, 4.0 * math.pi)
-# Relative slack past the fold for a root of the general solve: a double
-# root at the fold itself is found to about sqrt(eps) and may round past it.
-_FOLD_SLACK = 1e-6
 
 
 class NoRealSolution(ValueError):
@@ -107,35 +99,6 @@ def _polish(y: float, p: float, q: float, x: float) -> tuple[float, bool]:
     ax = abs(x)
     bound = 1e-9 * (max(1.0, abs(y)) + ax + abs(p) * (ax * ax) + abs(q) * (ax * ax * ax))
     return x, abs(g) <= bound < math.inf
-
-
-def _polish_array(y: np.ndarray, p: float, q: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_polish on arrays: lane by lane the same guarded steps, stop rule and
-    verification."""
-    x = x.copy()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xx = x * x
-        g = x + p * xx + q * (xx * x) - y
-        # A lane whose start has a non-finite residual takes no step; a step
-        # from a zero slope, or to a non-finite iterate, has a non-finite
-        # residual, which the residual test refuses.
-        live = np.flatnonzero(np.isfinite(g))
-        for _ in range(_POLISH_STEPS):
-            if live.size == 0:
-                break
-            xl, gl, yl = x[live], g[live], y[live]
-            dg = 1.0 + 2.0 * p * xl + 3.0 * q * (xl * xl)
-            step = gl / dg
-            x_new = xl - step
-            xx_new = x_new * x_new
-            g_new = x_new + p * xx_new + q * (xx_new * x_new) - yl
-            taken = np.abs(g_new) <= np.abs(gl)
-            x[live] = np.where(taken, x_new, xl)
-            g[live] = np.where(taken, g_new, gl)
-            live = live[taken & ~(np.abs(step) <= _STEP_TOL * (1.0 + np.abs(x_new)))]
-        ax = np.abs(x)
-        bound = 1e-9 * (np.maximum(1.0, np.abs(y)) + ax + abs(p) * (ax * ax) + abs(q) * (ax * ax * ax))
-        return x, (np.abs(g) <= bound) & (bound < math.inf)
 
 
 def _any_root_bisect(y: float, p: float, q: float) -> float:
@@ -272,11 +235,9 @@ class RadiusCubic:
     to its ``fold``, the first positive zero of ``F'`` (inf when there is
     none), so the admissible root is the smallest nonnegative one, and a
     root past the fold is none: ``r_d`` above ``F(fold)`` has no preimage.
-    ``solve`` takes that root, and polishes and verifies it only. With a
-    negligible ``q`` the equation is the quadratic ``r + p r^2 = r_d`` and
-    that root is its small one. An undecided discriminant or a failed
-    verification sends the point to ``_general``, which chooses among all
-    real roots (_solve_cubic).
+    ``admissible_root`` takes that root; with a negligible ``q`` the
+    equation is the quadratic ``r + p r^2 = r_d`` and that root is its small
+    one.
     """
 
     __slots__ = ("p", "q", "fold", "quadratic", "shift", "Q0", "P", "third", "cube", "m")
@@ -335,103 +296,57 @@ class RadiusCubic:
         root = (u - self.third / u if u != 0.0 else 0.0) - self.shift
         return (root,), disc > _DISC_MARGIN * noise
 
-    def solve(self, r_d: float) -> float:
-        """Undistorted radius for the observed radius ``r_d >= 0``.
+    def admissible_root(self, r_d: float) -> float:
+        """The closed form's root of ``r + p r^2 + q r^3 = r_d`` on the rising
+        branch: its smallest nonnegative root, inf when it has none.
 
-        Zero at working precision maps to zero; raises NoRealSolution when no
-        positive root exists.
+        With a negligible ``q`` it is the small root ``2 r_d / (1 + sqrt(1 +
+        4 p r_d))`` of the quadratic, in the form that does not cancel, and
+        inf where the dropped term ``q r^3`` is not negligible at that root.
+        A start for the rising-branch solve, not a verified root: it may lie
+        past the fold, or be inf where the discriminant overflows.
         """
-        if r_d <= _INPUT_ZERO:
-            return 0.0
-        best = None
         if self.quadratic:
-            # The small root 2 r_d / (1 + sqrt(1 + 4 p r_d)), in the form that
-            # does not cancel. For p < 0 the other root lies past the fold
-            # at r = -1/(2p), and r_d beyond the fold value has no root.
             disc = 1.0 + 4.0 * self.p * r_d
-            if disc >= 0.0:
-                best = 2.0 * r_d / (1.0 + math.sqrt(disc))
-        else:
-            raw, decided = self.closed_form(r_d)
-            if not decided:
-                return self._general(r_d)
-            # The smallest admissible root, unless it lies past the fold.
-            sign_tol = 1e-6 * (1.0 + r_d)
-            for x in raw:
-                if x >= -sign_tol and (best is None or x < best):
-                    best = x
-            if best is not None and best > self.fold:
-                best = None
-        if best is None:
-            raise NoRealSolution(self._no_root_message(r_d))
-        r, verified = _polish(r_d, self.p, self.q, best)
-        if verified and r > _ZERO_ROOT:
-            return r
-        return self._general(r_d)
+            if disc < 0.0:
+                return math.inf
+            x = 2.0 * r_d / (1.0 + math.sqrt(disc))
+            return x if abs(self.q) * x * x <= _Q_NEGLIGIBLE * (1.0 + abs(self.p) * x) else math.inf
+        best = math.inf
+        for x in self.closed_form(r_d)[0]:
+            if 0.0 <= x < best:
+                best = x
+        return best
 
-    def solve_array(self, r_d: np.ndarray) -> np.ndarray:
-        """``solve`` for a 1-D array of observed radii, NaN where it raises.
+    def admissible_root_array(self, r_d: np.ndarray) -> np.ndarray:
+        """admissible_root for a 1-D array of observed radii, to the bit.
 
-        The same closed form, selection rule, polish and verification, lane
-        by lane in one array pass; the lanes that solve sends to ``_general``
-        go there one by one. Radii at or below the zero threshold give 0,
-        and a non-finite radius gives NaN.
+        The arithmetic is numpy's, lane by lane the scalar's; the cube roots
+        and arccosines are Python's, lane by lane, since numpy's may round
+        differently.
         """
-        r_d = np.asarray(r_d, dtype=float)
-        r = np.where(r_d <= _INPUT_ZERO, 0.0, np.nan)
-        lanes = np.flatnonzero((r_d > _INPUT_ZERO) & np.isfinite(r_d))
-        y = r_d[lanes]
-        if self.quadratic:
-            # Past the fold the square root of a negative gives NaN.
-            with np.errstate(invalid="ignore"):
-                best = 2.0 * y / (1.0 + np.sqrt(1.0 + 4.0 * self.p * y))
-            undecided = np.zeros(y.shape, dtype=bool)
-        else:
-            # A lane whose discriminant overflows is decided neither way, and
-            # goes on to _general.
-            with np.errstate(over="ignore"):
-                Q = self.Q0 - y / self.q
-                half = 0.5 * Q
-                disc = half * half + self.cube
-                noise = half * half + abs(self.cube)
-            sign_tol = 1e-6 * (1.0 + y)
-            best = np.full(y.shape, np.nan)
-            one = disc > _DISC_MARGIN * noise
-            if one.any():
-                h = half[one]
-                sq = np.sqrt(disc[one])
-                u = np.cbrt(np.where(h <= 0.0, -h + sq, -h - sq))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    z = np.where(u != 0.0, u - self.third / u, 0.0)
-                best[one] = z - self.shift
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.quadratic:
+                # A negative discriminant gives NaN, which the test refuses.
+                x = 2.0 * r_d / (1.0 + np.sqrt(1.0 + 4.0 * self.p * r_d))
+                return np.where(abs(self.q) * x * x <= _Q_NEGLIGIBLE * (1.0 + abs(self.p) * x), x, np.inf)
+            Q = self.Q0 - r_d / self.q
+            half = 0.5 * Q
+            disc = half * half + self.cube
+            noise = half * half + abs(self.cube)
             three = disc < -_DISC_MARGIN * noise
+            root = np.empty(r_d.shape)
             if three.any():
                 m = self.m
-                phi = np.arccos(np.clip(3.0 * Q[three] / (self.P * m), -1.0, 1.0))
+                arg = np.clip(3.0 * Q[three] / (self.P * m), -1.0, 1.0)
+                phi = np.fromiter(map(math.acos, arg.tolist()), float, arg.size)
                 raw = m * np.cos((phi[:, None] + _TRIG_OFFSETS) / 3.0) - self.shift
-                low = np.where(raw >= -sign_tol[three, None], raw, np.inf).min(axis=1)
-                best[three] = np.where(np.isfinite(low), low, np.nan)
-            best[~(best >= -sign_tol) | (best > self.fold)] = np.nan
-            undecided = ~(one | three)
-        x, verified = _polish_array(y, self.p, self.q, best)
-        settled = verified & (x > _ZERO_ROOT)
-        r[lanes] = np.where(settled, x, np.nan)
-        general = ~settled & (undecided | ~np.isnan(best))
-        for i, r_d_i in zip(lanes[general].tolist(), y[general].tolist()):
-            try:
-                r[i] = self._general(r_d_i)
-            except NoRealSolution:
-                pass
-        return r
-
-    def _general(self, r_d: float) -> float:
-        """The smallest positive root among all real roots; NoRealSolution
-        when there is none, or when it lies past the fold (beyond the
-        rounding of a double root there)."""
-        roots = [x for x in _solve_cubic(self, r_d) if x > _ZERO_ROOT]
-        if not roots or min(roots) > self.fold * (1.0 + _FOLD_SLACK):
-            raise NoRealSolution(self._no_root_message(r_d))
-        return min(roots)
-
-    def _no_root_message(self, r_d: float) -> str:
-        return f"no positive real root for r_d={r_d!r} (p={self.p!r}, q={self.q!r})"
+                root[three] = np.where(raw >= 0.0, raw, np.inf).min(axis=1)
+            one = ~three
+            if one.any():
+                h = half[one]
+                sq = np.sqrt(np.abs(disc[one]))
+                v = np.where(h <= 0.0, -h + sq, -h - sq)
+                u = np.copysign(np.fromiter(map(pow, np.abs(v).tolist(), [1.0 / 3.0] * v.size), float, v.size), v)
+                root[one] = np.where(u != 0.0, u - self.third / u, 0.0) - self.shift
+            return np.where(root >= 0.0, root, np.inf)

@@ -1,4 +1,4 @@
-"""Radial distortion models, the warp, and undistortion dispatch.
+"""Radial distortion models, the warp, and its inverse.
 
 Three radial warp factors are supported, each acting on the normalized image
 plane as ``(x_d, y_d) = f(r) * (x, y)`` with ``r = sqrt(x^2 + y^2)``:
@@ -9,19 +9,21 @@ plane as ``(x_d, y_d) = f(r) * (x, y)`` with ``r = sqrt(x^2 + y^2)``:
   closed-form inverse through a cubic)
 
 Coefficients are not comparable across models; a spec binds them to its model
-tag so they cannot be reused under a different basis.
+tag so they cannot be reused under a different basis. One bracketed Newton
+solve on the rising branch of ``F(r) = r f(r)`` inverts the radius of all
+three, started at the paper's closed form for model2 and model3.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
-from .cubic import RadiusCubic, _quadratic_roots
+from .cubic import _STEP_TOL, NoRealSolution, RadiusCubic, _quadratic_roots
 from .geometry import InvalidParameters, NormalizedPoint, radius_array
 
 
@@ -56,6 +58,8 @@ class DistortionSpec:
         object.__setattr__(self, "k1", float(self.k1))
         object.__setattr__(self, "k2", 0.0 if self.model is Model.MODEL2 else float(self.k2))
         object.__setattr__(self, "_fold", None)
+        object.__setattr__(self, "_branch", None)
+        object.__setattr__(self, "_radius_cubic", None)
 
     @property
     def coefficients(self) -> tuple[float, ...]:
@@ -63,12 +67,14 @@ class DistortionSpec:
             return (self.k1,)
         return (self.k1, self.k2)
 
-    @cached_property
+    @property
     def radius_cubic(self) -> RadiusCubic:
-        """The radius equation ``r f(r) = r_d`` of model2 or model3 as a cubic."""
-        if self.model is Model.MODEL2:
-            return RadiusCubic(0.0, self.k1)
-        return RadiusCubic(self.k1, self.k2)
+        """The radius equation ``r f(r) = r_d`` of model2 or model3 as a cubic,
+        built on first use and kept as ``fold`` is."""
+        if self._radius_cubic is None:
+            pq = (0.0, self.k1) if self.model is Model.MODEL2 else (self.k1, self.k2)
+            object.__setattr__(self, "_radius_cubic", RadiusCubic(*pq))
+        return self._radius_cubic
 
     @property
     def fold(self) -> float:
@@ -78,8 +84,8 @@ class DistortionSpec:
         ``[0, fold]`` only. Computed on first use and kept in an attribute
         that ``__post_init__`` made: a cached_property writes through the
         instance ``__dict__``, which makes every later attribute read of the
-        spec slower on CPython 3.11, and model1's Newton inverse reads them
-        in its loop.
+        spec slower on CPython 3.11, and the radius solve reads them on
+        every call.
         """
         if self._fold is None:
             if self.model is not Model.MODEL1:
@@ -153,28 +159,57 @@ def validate_monotone(spec: DistortionSpec, dom: WorkingDomain) -> bool:
     return spec.fold > dom.r_max
 
 
-# Residual tolerance (relative to max(1, r_d)) and step budget of the
-# bracketed Newton radius inversion, scalar and array alike.
+# Residual tolerance (relative to max(1, r_d)) of the radius solve's
+# verification, and its step budget, scalar and array alike.
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
+_FLOAT_MAX = sys.float_info.max
 
 
-def _rising_branch(spec: DistortionSpec) -> tuple[float, float]:
-    """``(fold, F(fold))``: the radii up to ``F(fold)``, and no others, have a
-    root on ``[0, fold]``. Both are inf without a fold (``F(inf)`` is NaN for
-    ``k1 < 0 < k2``)."""
-    fold = spec.fold
-    return fold, (fold * warp_factor(spec, fold) if fold < math.inf else math.inf)
+def _rising_branch(spec: DistortionSpec) -> tuple[float, float, float, tuple]:
+    """The constants of the spec's radius solve, ``(fold, F(fold), far,
+    terms)``, computed on first use and kept as ``fold`` is.
+
+    The radii up to ``F(fold)``, and no others, have a root on ``[0, fold]``;
+    both are inf without a fold (``F(inf)`` is NaN for ``k1 < 0 < k2``).
+    ``F(fold)`` is evaluated as the solve evaluates ``F``, so that a radius
+    it admits has the bracket ``[0, fold]``. A dominant term's root
+    ``(r_d / c)^(1/p)`` lies below ``r_d`` only past ``c r_d^(p-1) = 1``:
+    ``_dominant_start`` can move only a start ``r_d`` above ``far``, 0.8
+    times the smallest such radius. ``terms`` is ``(odd, k1, k2, c1, c2)``:
+    ``F(r) = r f(r)`` with ``f = 1 + k1 s + k2 s^2``, ``s = r`` for model3
+    (``odd``) and ``s = r^2`` for model1 and model2 (``k2 = 0``), so ``F' =
+    1 + c1 s + c2 s^2`` with ``c1 = (1 + a) k1`` and ``c2 = (1 + 2 a) k2``
+    for ``s = r^a``: one formula for all three models.
+    """
+    if spec._branch is None:
+        k1, k2 = spec.k1, spec.k2
+        odd = spec.model is Model.MODEL3
+        terms = (odd, k1, k2, 2.0 * k1, 3.0 * k2) if odd else (odd, k1, k2, 3.0 * k1, 5.0 * k2)
+        fold = spec.fold
+        top = _radius_map(terms, fold)[0] if fold < math.inf else math.inf
+        reach = min((c ** (-1.0 / (p - 1)) for c, p in _dominant_terms(spec)), default=math.inf)
+        object.__setattr__(spec, "_branch", (fold, top, 0.8 * reach, terms))
+    return spec._branch
+
+
+def _radius_map(terms: tuple, r):
+    """``(F(r), F'(r))`` for ``_rising_branch``'s terms, on an array or a
+    float, as the scalar solve evaluates them."""
+    odd, k1, k2, c1, c2 = terms
+    s = r if odd else r * r
+    return r * (1.0 + k1 * s + k2 * s * s), 1.0 + c1 * s + c2 * s * s
 
 
 def _dominant_terms(spec: DistortionSpec) -> list[tuple[float, int]]:
-    """``(c, p)`` for each term ``c r^p`` of model1's ``F(r)`` whose root
-    ``(r_d / c)^(1/p)`` starts the Newton solve: ``k2 r^5`` for ``k2 > 0``,
-    and ``k1 r^3`` for ``k1 > 0`` when ``k2 >= 0``, where it bounds the root
-    from above."""
-    terms = [(spec.k2, 5)] if spec.k2 > 0.0 else []
-    if spec.k1 > 0.0 and spec.k2 >= 0.0:
-        terms.append((spec.k1, 3))
+    """``(c, p)`` for each term ``c r^p`` of ``F`` whose root starts the
+    solve when the closed form gives none: ``k2 r^(1+2a)`` for ``k2 > 0``
+    and ``k1 r^(1+a)`` for ``k1 > 0``, with ``s = r^a`` as in
+    ``_rising_branch``."""
+    a = 1 if spec.model is Model.MODEL3 else 2
+    terms = [(spec.k2, 1 + 2 * a)] if spec.k2 > 0.0 else []
+    if spec.k1 > 0.0:
+        terms.append((spec.k1, 1 + a))
     return terms
 
 
@@ -188,93 +223,132 @@ def _dominant_start(spec: DistortionSpec, r_d: float) -> float:
 
 
 def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
-    """Newton solve of ``r f(r) = r_d`` on the rising branch ``[0, spec.fold]``.
+    """The radius ``r`` on the rising branch ``[0, spec.fold]`` with ``F(r) =
+    r f(r) = r_d``: the one radius solve of all three models.
 
-    Used as the model1 inverse and as an independent cross-check of the
-    analytic paths. It starts at ``min(r_d, fold)``, and at most at
-    ``_dominant_start``: from ``r_d`` itself a huge radius would take more
-    than the step budget to come down. It keeps a bracket ``[lo, hi]``
-    around the root: a step that leaves it, or comes from a slope that is
-    not positive, goes to its midpoint instead (``rtsafe`` in Press et al.,
-    Numerical Recipes). Raises NotConverged for an ``r_d`` above
-    ``F(fold)``, which has no root there, and when the residual does not
-    fall below ``_NEWTON_TOL`` within ``_NEWTON_MAX_ITER`` steps.
+    An ``r_d`` above ``F(fold)`` has no root there: NoRealSolution, before any
+    step. model2 and model3 start from the paper's closed-form root
+    (``RadiusCubic.admissible_root``). model1, and a closed form that gives
+    no positive root up to the bracket's upper end, start from ``r_d``, and
+    at most from ``_dominant_start``. The bracket ``[lo, hi]`` starts as
+    ``[0, fold]``, or ``[0, 4 r_d]`` without a fold: ``F' > 0`` everywhere
+    makes ``f > 1/4``. Newton steps keep the root inside it (``rtsafe`` in
+    Press et al., Numerical Recipes). A step that leaves it, or comes from a
+    slope that is not positive, goes to ``r_d / f(r)`` instead, the chord of
+    ``F`` from the origin, which brings a tiny root within reach of an
+    overshooting start; failing that, to the bracket's midpoint. The solve
+    stops after a step within rounding noise, ``_STEP_TOL r``, or at a zero
+    residual, and verifies the radius by its residual, ``|F(r) - r_d| <=
+    _NEWTON_TOL max(1, r_d)``: NotConverged when that fails, as where the
+    terms of ``F`` overflow, or when ``_NEWTON_MAX_ITER`` steps do not end.
     """
     if r_d < 0.0:
         raise ValueError("distorted radius must be nonnegative")
     if r_d == 0.0:
         return 0.0
-    fold, top = _rising_branch(spec)
+    fold, top, far, (odd, k1, k2, c1, c2) = _rising_branch(spec)
     if not (r_d <= top and r_d < math.inf):
-        raise NotConverged(f"r_d={r_d!r} exceeds F(fold)={top!r}: no root up to the fold")
-    limit = _NEWTON_TOL * max(1.0, r_d)
-    lo, hi, r = 0.0, fold, min(r_d, fold, _dominant_start(spec, r_d))
+        raise NoRealSolution(f"r_d={r_d!r} exceeds F(fold)={top!r}: no root up to the fold")
+    lo, hi = 0.0, (fold if fold < math.inf else min(4.0 * r_d, _FLOAT_MAX))
+    start = math.nan if spec.model is Model.MODEL1 else spec.radius_cubic.admissible_root(r_d)
+    if not 0.0 < start <= hi:
+        start = min(r_d, hi, _dominant_start(spec, r_d) if r_d > far else math.inf)
+    r, done = start, False
     for _ in range(_NEWTON_MAX_ITER + 1):
-        res = r * warp_factor(spec, r) - r_d
-        if abs(res) <= limit:
-            return r
-        lo, hi = (r, hi) if res < 0.0 else (lo, r)
-        slope = warp_factor(spec, r) + r * warp_slope(spec, r)
-        # Without a step r stays at an end of the bracket: the midpoint.
-        if slope > 0.0:
-            r -= res / slope
-        if not lo < r < hi:
-            r = 0.5 * (lo + hi)
-    raise NotConverged(f"no convergence after {_NEWTON_MAX_ITER} iterations (residual {res!r})")
+        # _radius_map, inlined.
+        s = r if odd else r * r
+        value = r * (1.0 + k1 * s + k2 * s * s)
+        res = value - r_d
+        if done or res == 0.0:
+            break
+        if res < 0.0:
+            lo = r
+        else:
+            hi = r
+        slope = 1.0 + c1 * s + c2 * s * s
+        x = r - res / slope if slope > 0.0 else math.nan
+        if not (abs(x - r) <= _STEP_TOL * x or lo < x < hi):
+            x = r_d * (r / value) if value > 0.0 else math.nan
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+        done = abs(x - r) <= _STEP_TOL * x
+        r = x
+    else:
+        raise NotConverged(f"no convergence after {_NEWTON_MAX_ITER} iterations (residual {res!r})")
+    if not abs(res) <= _NEWTON_TOL * max(1.0, r_d):
+        raise NotConverged(f"radius {r!r} fails its residual check (residual {res!r})")
+    return r
 
 
 def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> np.ndarray:
     """invert_radius_newton on a 1-D array of observed radii, all lanes at once.
 
-    The same start, bracket, steps and tolerance, lane by lane: a slope that
-    is not positive sends the step out of the bracket, to its midpoint. NaN
-    where the scalar solve raises NotConverged, and for a non-finite radius.
+    The same start, bracket, steps, stop rule and verification, lane by lane,
+    so that each lane agrees with the scalar solve to the bit. NaN where the
+    scalar solve raises, and for a non-finite radius.
     """
-    fold, top = _rising_branch(spec)
+    fold, top, far, terms = _rising_branch(spec)
     r = np.where(r_d == 0.0, 0.0, np.nan)
     lanes = np.flatnonzero((r_d > 0.0) & (r_d <= top) & np.isfinite(r_d))
     y = r_d[lanes]
-    x = np.minimum(y, fold)
-    lo, hi = np.zeros(y.shape), np.full(y.shape, fold)
-    limit = _NEWTON_TOL * np.maximum(1.0, y)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # A term's root is below r_d only past c r_d^(p-1) = 1, so the
-        # dominant-term start moves only lanes in far.
-        reach = min((c ** (-1.0 / (p - 1)) for c, p in _dominant_terms(spec)), default=math.inf)
-        far = np.flatnonzero(y > 0.8 * reach)
-        x[far] = np.minimum(x[far], [_dominant_start(spec, v) for v in y[far].tolist()])
+        hi = np.full(y.shape, fold) if fold < math.inf else np.minimum(4.0 * y, _FLOAT_MAX)
+        lo = np.zeros(y.shape)
+        if spec.model is Model.MODEL1:
+            x = np.full(y.shape, np.nan)
+        else:
+            x = spec.radius_cubic.admissible_root_array(y)
+        other = np.flatnonzero(~((0.0 < x) & (x <= hi)))
+        x[other] = np.minimum(y[other], hi[other])
+        dominant = other[y[other] > far]
+        x[dominant] = np.minimum(x[dominant], [_dominant_start(spec, v) for v in y[dominant].tolist()])
+        done = np.zeros(y.shape, dtype=bool)
         for _ in range(_NEWTON_MAX_ITER + 1):
-            res = x * warp_factor(spec, x) - y
-            done = np.abs(res) <= limit
-            r[lanes[done]] = x[done]
-            go = ~done
-            lanes, y, x, res, limit, lo, hi = (a[go] for a in (lanes, y, x, res, limit, lo, hi))
-            if lanes.size == 0:
-                break
+            value, slope = _radius_map(terms, x)
+            res = value - y
+            end = done | (res == 0.0)
+            if end.any():
+                ok = end & (np.abs(res) <= _NEWTON_TOL * np.maximum(1.0, y))
+                r[lanes[ok]] = x[ok]
+                if end.all():
+                    break
+                go = np.flatnonzero(~end)
+                lanes, y, x, value, res, slope, lo, hi = (
+                    a[go] for a in (lanes, y, x, value, res, slope, lo, hi)
+                )
             below = res < 0.0
-            lo, hi = np.where(below, x, lo), np.where(below, hi, x)
-            x = x - res / (warp_factor(spec, x) + x * warp_slope(spec, x))
-            x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+            np.copyto(lo, x, where=below)
+            np.copyto(hi, x, where=~below)
+            x_new = x - res / slope
+            done = np.abs(x_new - x) <= _STEP_TOL * x_new
+            out = np.flatnonzero(~((slope > 0.0) & (done | ((lo < x_new) & (x_new < hi)))))
+            if out.size:
+                # The chord r_d / f(r), else the midpoint.
+                xo, lo_o, hi_o = x[out], lo[out], hi[out]
+                chord = y[out] * (xo / value[out])
+                chord = np.where((lo_o < chord) & (chord < hi_o), chord, 0.5 * (lo_o + hi_o))
+                x_new[out] = chord
+                done[out] = np.abs(chord - xo) <= _STEP_TOL * chord
+            x = x_new
     return r
 
 
 def undistort(spec: DistortionSpec, d: NormalizedPoint) -> NormalizedPoint:
     """Inverse of distort_array, one point, on the spec's monotone working domain.
 
-    model2 and model3 solve their radius cubic ``r + k1 r^2 + k2 r^3 = r_d``
-    (model2: ``r + k1 r^3 = r_d``; model3 with ``k2 = 0``: a quadratic) once
-    per point in closed form and rescale ``(x_d, y_d)`` by ``r / r_d``. For
-    model3 this is the paper's component cubic with ``r = sqrt(1 + c^2) |x|``,
-    and inside the monotone domain both give the same point. model1 has no
-    closed form and falls back to the bracketed Newton radius inversion. An
-    ``r_d`` above ``F(fold)`` for ``F(r) = r f(r)`` has no radius on the rising
-    branch: NoRealSolution (model2, model3) or NotConverged (model1).
+    Solves ``F(r) = r f(r) = r_d`` for the radius on the rising branch by
+    ``invert_radius_newton``, the one solve of all three models, and rescales
+    ``(x_d, y_d)`` by ``r / r_d``. model2 and model3 start it from the
+    paper's closed-form root of their radius cubic ``r + k1 r^2 + k2 r^3 =
+    r_d`` (model2: ``r + k1 r^3 = r_d``; model3 with ``k2 = 0``: a
+    quadratic), which its Newton steps only polish. For model3 this is the
+    paper's component cubic with ``r = sqrt(1 + c^2) |x|``, and inside the
+    monotone domain both give the same point. model1 has no closed form and
+    starts from ``r_d``. An ``r_d`` above ``F(fold)`` has no radius on the
+    rising branch: NoRealSolution, for every model.
     """
     r_d = d.radius
-    if spec.model is Model.MODEL1:
-        r = invert_radius_newton(spec, r_d)
-    else:
-        r = spec.radius_cubic.solve(r_d)
+    r = invert_radius_newton(spec, r_d)
     if r == 0.0:
         return NormalizedPoint(0.0, 0.0)
     s = r / r_d
@@ -284,19 +358,15 @@ def undistort(spec: DistortionSpec, d: NormalizedPoint) -> NormalizedPoint:
 def undistort_array(spec: DistortionSpec, xy: np.ndarray) -> np.ndarray:
     """undistort for an ``(n, 2)`` array of distorted normalized points.
 
-    The radius equation is solved for all rows at once, by the same steps as
-    undistort: the closed-form radius cubic for model2 and model3, whose rows
-    with an undecided discriminant or a failed residual check go on to the
-    general cubic solve one by one, and the bracketed Newton for model1. Rows
+    The radius equation is solved for all rows at once by
+    ``_newton_radius_array``, which takes the scalar solve's start and steps
+    lane by lane, so that each row agrees with undistort to the bit. Rows
     with no admissible solution, and rows with a non-finite component, come
     back as NaN.
     """
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     r_d = radius_array(xy)
-    if spec.model is Model.MODEL1:
-        r = _newton_radius_array(spec, r_d)
-    else:
-        r = spec.radius_cubic.solve_array(r_d)
+    r = _newton_radius_array(spec, r_d)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = xy * (r / r_d)[:, None]
     out[r == 0.0] = 0.0

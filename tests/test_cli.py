@@ -534,14 +534,14 @@ class TestLocalize:
 
     def test_huge_observed_pixel_exits_6(self, tmp_path, capsys):
         # A model1 calibration that folds at r = 1, where F = 0.6, cannot
-        # invert the radius of u = 1e203: NotConverged, not a traceback.
+        # invert the radius of u = 1e203: NoRealSolution, not a traceback.
         argv, _ = self._setup(tmp_path)
         A = IntrinsicMatrix(800.0, 800.0, 0.0, 320.0, 240.0)
         write_exact_calibration(tmp_path / "calib.json", A, DistortionSpec(Model.MODEL1, -0.5, 0.1))
         i = next(i for i, a in enumerate(argv) if a.startswith("--observed="))
         argv[i] = "--observed=1e203," + argv[i].split(",", 1)[1]
         assert main(argv) == 6
-        assert "NotConverged" in capsys.readouterr().err
+        assert "NoRealSolution" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["--line-map", "--observed"])

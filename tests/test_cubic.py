@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialcal import cubic
-from radialcal.cubic import _polish, _polish_array, real_roots
+from radialcal.cubic import _polish, real_roots
 from oracles import (
     bisect_cubic_roots,
     cubic_residual,
@@ -43,28 +43,6 @@ class TestQuadraticRoots:
 
 
 class TestPolish:
-    def test_array_matches_scalar_lane_by_lane(self):
-        # Per (p, q): random equations and starts, plus a NaN start, starts
-        # whose terms overflow, a start at a double root and one where the
-        # slope 1 + 2 p x + 3 q x^2 is exactly zero.
-        rng = np.random.default_rng(1003)
-        cases = []
-        for p, q in (rng.uniform(-2.0, 2.0, (200, 2)) * 10.0 ** rng.uniform(-3.0, 1.0, (200, 2))).tolist():
-            y = rng.uniform(-3.0, 3.0, 40)
-            x = rng.uniform(-5.0, 5.0, 40) * 10.0 ** rng.uniform(-2.0, 2.0, 40)
-            cases.append((p, q, np.append(y, [1.0, 1.0, -1.0]), np.append(x, [math.nan, 1e120, -1e200])))
-        # q (x - 1)^2 (x - 2) with the linear coefficient one: a double root at 1.
-        cases.append((-0.8, 0.2, np.array([0.4, 0.4]), np.array([1.0, math.nextafter(1.0, 2.0)])))
-        cases.append((-2.0, 1.0, np.array([0.3, 0.0]), np.array([1.0, 1.0])))
-        verified = 0
-        for p, q, y, x in cases:
-            got, got_ok = _polish_array(y, p, q, x)
-            want = [_polish(*args) for args in zip(y.tolist(), [p] * y.size, [q] * y.size, x.tolist())]
-            assert np.array_equal(got, [w[0] for w in want], equal_nan=True), (p, q)
-            assert got_ok.tolist() == [w[1] for w in want], (p, q)
-            verified += int(got_ok.sum())
-        assert 1000 < verified < sum(y.size for _, _, y, _ in cases)
-
     def test_verifies_by_the_residual(self):
         # x^3 + x - 2 = (x - 1)(x^2 + x + 2): one real root, at 1.
         assert _polish(2.0, 0.0, 1.0, 1.5) == (1.0, True)

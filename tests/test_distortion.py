@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialcal import distortion
-from radialcal.cubic import _Q_NEGLIGIBLE, NoRealSolution, RadiusCubic
+from radialcal.cubic import _Q_NEGLIGIBLE, NoRealSolution
 from radialcal.distortion import (
     DistortionSpec,
     Model,
@@ -26,6 +28,7 @@ from radialcal.geometry import (
     InvalidParameters,
     NormalizedPoint,
     PixelPoint,
+    radius_array,
     to_normalized,
     to_normalized_array,
     to_pixel_array,
@@ -375,11 +378,11 @@ class TestUndistort:
 
     def test_two_term_even_model_out_of_fold_raises(self):
         # F(r) = r (1 + k1 r^2) tops out at F(r*) = (2/3) r*; beyond that no
-        # preimage exists and the Newton inverse must report failure.
+        # preimage exists and the inverse must report it.
         spec = DistortionSpec(Model.MODEL1, -0.5, 0.0)
         fold = 1.0 / math.sqrt(3 * 0.5)
         max_reachable = fold * (1 + spec.k1 * fold * fold)
-        with pytest.raises(NotConverged):
+        with pytest.raises(NoRealSolution):
             undistort(spec, NormalizedPoint(max_reachable * 1.2, 0.0))
 
     @pytest.mark.parametrize("k1,k2", [(-0.5, 0.1), (-0.3, 0.02), (-1.0, 0.3)])
@@ -400,7 +403,7 @@ class TestUndistort:
         assert not found[r_d > top * (1.0 + 1e-9)].any()
         assert_rows_agree(undistort_array(spec, xy), want)
         # The start r_d = sqrt(-k1 / k2) solves F(r) = r_d on the far branch.
-        with pytest.raises(NotConverged):
+        with pytest.raises(NoRealSolution):
             invert_radius_newton(spec, math.sqrt(-k1 / k2))
         assert np.isnan(undistort_array(spec, np.array([[math.sqrt(-k1 / k2), 0.0]]))).all()
 
@@ -451,7 +454,7 @@ class TestUndistort:
         want = scalar_undistort_rows(spec, xy)
         monkeypatch.setattr(distortion, "undistort", None)
         assert np.array_equal(undistort_array(spec, xy), want)
-        with pytest.raises(NotConverged):
+        with pytest.raises(NoRealSolution):
             invert_radius_newton(spec, top * (1.0 + 1e-9))
 
     def test_fold_free_model1_at_huge_radii(self):
@@ -486,12 +489,12 @@ class TestUndistort:
 
 
 def newton_radii(spec, r_d):
-    """invert_radius_newton on each radius, NaN where it raises NotConverged."""
+    """invert_radius_newton on each radius, NaN where it flags the radius."""
     out = np.full(r_d.shape, np.nan)
     for i, y in enumerate(r_d.tolist()):
         try:
             out[i] = invert_radius_newton(spec, y)
-        except NotConverged:
+        except (NoRealSolution, NotConverged):
             pass
     return out
 
@@ -509,10 +512,10 @@ def scalar_undistort_rows(spec, xy):
 
 
 def assert_rows_agree(got, want):
+    """The array and the scalar inverse flag the same rows and agree to the
+    bit: both take the same start and steps."""
     assert got.shape == want.shape
-    assert np.array_equal(np.isnan(got), np.isnan(want))
-    ok = ~np.isnan(want)
-    assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * np.maximum(1.0, np.abs(want[ok])))
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestUndistortArray:
@@ -552,8 +555,8 @@ class TestUndistortArray:
         xy = np.column_stack([r_d, np.zeros(r_d.size)])
         want = scalar_undistort_rows(spec, xy)
         assert not np.isnan(want[:3, 0]).any() and np.isnan(want[5, 0])
-        # Above F(fold) only the double root's rounding at the fold may come
-        # back, never the cubic's root far past it.
+        # Above F(fold) no root comes back, never the cubic's root far past
+        # the fold.
         found = want[~np.isnan(want[:, 0]), 0]
         assert np.all(found <= fold * (1.0 + 1e-6))
         assert_rows_agree(undistort_array(spec, xy), want)
@@ -567,6 +570,9 @@ class TestUndistortArray:
             got = undistort_array(spec, xy)
             assert_rows_agree(got, scalar_undistort_rows(spec, xy))
             assert np.array_equal(got[0], [0.0, 0.0])
+            # No radius is zero at working precision but 0: f(r) is 1 to
+            # within 1e-12 here, so each point is nearly its own preimage.
+            assert np.all(np.abs(got[1:] - xy[1:]) <= 1e-11 * np.abs(xy[1:]))
 
     def test_empty_input(self):
         for model in Model:
@@ -588,10 +594,10 @@ class TestUndistortArray:
         ],
     )
     def test_huge_radius_gives_a_verified_root_or_a_flag(self, spec):
-        # The discriminant overflows for r_d past about 1e153, so these go
-        # to the general solve, whose bisection must narrow a bracket as wide
-        # as r_d / q for the radius cubic r + p r^2 + q r^3. Near the top of the float range the cubic's terms
-        # overflow too, and the point can only be flagged.
+        # The closed form's discriminant overflows for r_d past about 1e153,
+        # so these start from the dominant term's root instead. Near the top
+        # of the float range F's terms may overflow, and the point can then
+        # only be flagged.
         r_d = [1e100, 1e160, 1e200, 1e300, 1.5e308]
         xy = np.column_stack([r_d, np.zeros(len(r_d))])
         want = scalar_undistort_rows(spec, xy)
@@ -612,7 +618,7 @@ class TestUndistortArray:
     )
     def test_unsettled_lanes_take_the_scalar_path(self, monkeypatch, spec, xy):
         # The array pass settles these rows itself, by the scalar path's own
-        # steps: the general cubic solve, or the bracketed Newton.
+        # bracketed Newton steps.
         xy = np.array(xy)
         want = scalar_undistort_rows(spec, xy)
         calls = []
@@ -625,8 +631,6 @@ class TestUndistortArray:
         got = undistort_array(spec, xy)
         assert_rows_agree(got, want)
         assert not calls
-        if spec.model is Model.MODEL1:
-            assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("k2", [0.0, 0.1 * _Q_NEGLIGIBLE, -0.1 * _Q_NEGLIGIBLE])
     @pytest.mark.parametrize("k1", [0.2, -0.2])
@@ -665,35 +669,24 @@ class TestUndistortArray:
         ],
     )
     def test_rows_without_a_root_are_not_solved_again(self, monkeypatch, spec):
-        # A row whose closed form has no admissible root is NaN at once;
-        # only rows that the scalar solve sends on to the general cubic path
-        # reach it, and the array pass sends them there without a scalar
-        # undistort call.
+        # A row above F(fold) is NaN at once, and the array pass settles
+        # every other row itself, without a scalar undistort call.
         rng = np.random.default_rng(53)
         r = np.sqrt(rng.uniform(size=20000)) * (3.0 if spec.k1 == -0.1 else 1.0)
         phi = rng.uniform(-math.pi, math.pi, r.size)
         xy = np.vstack([np.column_stack([r * np.cos(phi), r * np.sin(phi)]), [[0.72, 0.96]]])
-        calls, general = [], []
-        real_general = RadiusCubic._general
+        calls = []
 
         def counted(s, d):
             calls.append(d)
             return undistort(s, d)
 
-        def counted_general(cubic, r_d):
-            general.append(r_d)
-            return real_general(cubic, r_d)
-
-        monkeypatch.setattr(RadiusCubic, "_general", counted_general)
         want = scalar_undistort_rows(spec, xy)
-        scalar_general = len(general)
-        general.clear()
         monkeypatch.setattr(distortion, "undistort", counted)
         got = undistort_array(spec, xy)
         assert_rows_agree(got, want)
         assert np.isnan(got).sum() > 1000
         assert not calls
-        assert len(general) == scalar_general
 
     @pytest.mark.parametrize("k1,k2", [(-0.5, 0.0), (0.3, -0.4), (-0.1, -0.3)])
     def test_model1_rows_that_cannot_converge_are_not_solved_again(self, monkeypatch, k1, k2):
@@ -726,6 +719,81 @@ class TestUndistortArray:
         # Both compute the radius as sqrt(x*x + y*y) and take the same
         # steps from it, so every row agrees to the bit.
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def bench_undistort():
+    """scripts/bench_undistort.py as a module: its seeded point rows."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_undistort.py"
+    spec = importlib.util.spec_from_file_location("bench_undistort", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestInverseContract:
+    def test_seeded_fuzz(self):
+        # All three models; |k1| and |k2| log-uniform over 80 decades with
+        # either sign, and k2 = 0 for every tenth spec; observed radii
+        # log-uniform from 1e-300 up to near the largest float, and for a
+        # folding spec radii below, at and just above F(fold). The contract:
+        # (a) a radius lies in [0, fold] and passes its residual check;
+        # (b) a radius is flagged only above F(fold), where no root exists
+        # (over these decades F's terms never overflow at a root, the other
+        # cause of a flag); (c) the array flags the same rows as the scalar
+        # solve and agrees with it to the bit; (d) no numpy warning, which
+        # the suite makes an error.
+        rng = np.random.default_rng(2027)
+        flagged = solved = 0
+        for i in range(600):
+            k1, k2 = (rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-40.0, 40.0, 2)).tolist()
+            spec = DistortionSpec(list(Model)[i % 3], k1, 0.0 if i % 10 == 9 else k2)
+            fold, top = spec.fold, distortion._rising_branch(spec)[1]
+            r_d = 10.0 ** rng.uniform(-300.0, 308.25, 24)
+            if fold < math.inf:
+                assert abs(top - fold * warp_factor(spec, fold)) <= 1e-14 * top
+                below = 1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 8)
+                above = 1.0 + 10.0 ** -rng.uniform(1.0, 15.0, 3)
+                r_d = np.concatenate([r_d, top * rng.uniform(0.0, 1.0, 8), top * below, [top], top * above])
+            want = np.full(r_d.shape, np.nan)
+            for j, y in enumerate(r_d.tolist()):
+                try:
+                    want[j] = invert_radius_newton(spec, y)
+                except NoRealSolution:
+                    pass
+            assert np.array_equal(distortion._newton_radius_array(spec, r_d), want, equal_nan=True), spec
+            ok = ~np.isnan(want)
+            assert np.array_equal(~ok, r_d > top), spec
+            r, y = want[ok], r_d[ok]
+            assert np.all((0.0 <= r) & (r <= fold)), spec
+            with np.errstate(over="ignore"):
+                residual = r * warp_factor(spec, r) - y
+            assert np.all(np.abs(residual) <= 1e-12 * np.maximum(1.0, y)), spec
+            flagged += int(np.sum(~ok))
+            solved += int(np.sum(ok))
+        assert flagged > 2000 and solved > 15000
+
+    def test_radii_are_accurate_to_the_last_bits(self):
+        # model1 used to stop at a residual of 1e-12 absolute, which below
+        # r_d = 1 left this radius 3.0e-11 relative from its root
+        # (0.03284073094962725); 492 of bench_undistort's 20,000 rows were
+        # off by more than 1e-12.
+        spec = DistortionSpec(Model.MODEL1, -0.2, 0.05)
+        root = 0.032840730950615106
+        assert abs(invert_radius_newton(spec, 0.03283364902556385) - root) <= 2.0 * math.ulp(root)
+        # The benchmark's seeded rows, each model within 2e-15 of the radius
+        # that generated the row; the paper's closed form alone is within
+        # 1e-11 of the returned root, which only polishes it.
+        bench = bench_undistort()
+        rng = np.random.default_rng(bench.SEED)
+        for name, spec in bench.SPECS.items():
+            xy = bench.disk_points(bench.R_MAX, rng)
+            r_true = radius_array(xy)
+            r_d = radius_array(distort_array(spec, xy))
+            r = distortion._newton_radius_array(spec, r_d)
+            assert np.all(np.abs(r - r_true) <= 2e-15 * r_true), name
+            if spec.model is not Model.MODEL1:
+                start = spec.radius_cubic.admissible_root_array(r_d)
+                assert np.all(np.abs(start - r) <= 1e-11 * r), name
 
 
 class TestRadialSymmetry:
