@@ -22,7 +22,9 @@ of the views it dropped. It also holds the SHA-256 of ``undistort_array``'s
 output on each seeded row set of ``bench_undistort.py`` (``SPECS`` and
 ``FOLD_SPECS``) and on its model1 fold rows for three model1 specs
 (``FAR_BRANCH_SPECS``), each with the count and SHA-256 of its NaN-row
-mask, and of the bytes that the CLI
+mask; for each of those specs, its fold and ``F(fold) = fold *
+warp_factor(spec, fold)`` as ``float.hex``; and the SHA-256 of the bytes
+that the CLI
 (``radialcal.cli.main``) writes: the calibration JSON of ``calibrate
 --model 3`` on the 10- and 30-view scenes and the ragged scene, and
 ``undistort`` in both directions for each model on a jittered 320x240 grid
@@ -43,12 +45,13 @@ prints each record whose iteration count, stop reason, error, objective,
 residual hash, dropped views or output hash differs (the objective bit for
 bit); an ``undistort_array`` record whose hash differs is reported as moved
 NaN rows (a flag gained or lost) or as moved values on the same NaN rows,
-and the two are counted apart. Then it prints the largest relative
-parameter difference ``|a - b| / max(1, |a|, |b|)`` and the largest
-absolute difference of a fix (over every pair of records with as many
-values, those that differ included), and for each side the largest
-distance of a fit to its tight refit. It exits with status 1
-when one of those differs, a parameter differs by more than 1e-9 relative
+and the two are counted apart; a moved fold record is reported with the
+ulp distance of its fold and ``F(fold)``, and counted apart too. Then it
+prints the largest relative parameter difference ``|a - b| / max(1, |a|,
+|b|)`` and the largest absolute difference of a fix (over every pair of
+records with as many values, those that differ included), and for each
+side the largest distance of a fit to its tight refit. It exits with
+status 1 when one of those differs, a parameter differs by more than 1e-9 relative
 or a fix by more than 1e-12. BLAS runs one thread unless
 OPENBLAS_NUM_THREADS is set, so that a rerun on one machine repeats every
 bit.
@@ -84,7 +87,7 @@ from radialcal.calibration import (  # noqa: E402
     refine,
 )
 from radialcal.cli import main as cli_main  # noqa: E402
-from radialcal.distortion import DistortionSpec, Model, undistort_array  # noqa: E402
+from radialcal.distortion import DistortionSpec, Model, undistort_array, warp_factor  # noqa: E402
 from radialcal.fileio import write_correspondences, write_points  # noqa: E402
 from radialcal.geometry import PixelPoint, ViewExtrinsics, WorldPoint  # noqa: E402
 from radialcal.localize import LineMap, localize  # noqa: E402
@@ -203,7 +206,8 @@ def run_fits() -> dict:
 
 def array_hashes() -> dict:
     """SHA-256 of undistort_array's output on bench_undistort's row sets,
-    and on its model1 fold rows for FAR_BRANCH_SPECS."""
+    and on its model1 fold rows for FAR_BRANCH_SPECS; and the fold record
+    of each of those specs."""
     rows = bench_undistort.undistort_rows(np.random.default_rng(bench_undistort.SEED))
     folded = bench_undistort.fold_rows()
     sets = (
@@ -211,11 +215,25 @@ def array_hashes() -> dict:
         ("past_the_fold", bench_undistort.FOLD_SPECS, folded),
         ("far_branch", FAR_BRANCH_SPECS, dict.fromkeys(FAR_BRANCH_SPECS, folded["model1"])),
     )
-    return {
-        f"undistort_array/{section}/{name}": array_record(undistort_array(spec, row_sets[name]))
-        for section, specs, row_sets in sets
-        for name, spec in specs.items()
-    }
+    records = {}
+    for section, specs, row_sets in sets:
+        for name, spec in specs.items():
+            records[f"undistort_array/{section}/{name}"] = array_record(undistort_array(spec, row_sets[name]))
+            records[f"fold/{section}/{name}"] = fold_record(spec)
+    return records
+
+
+def fold_record(spec: DistortionSpec) -> dict:
+    """The spec's fold and ``F(fold)`` (inf without a fold), as float.hex."""
+    fold = spec.fold
+    top = fold * warp_factor(spec, fold) if fold < math.inf else math.inf
+    return {"fold": fold.hex(), "top": top.hex()}
+
+
+def ulps(a: str, b: str) -> int:
+    """The ulp distance of two positive floats written by float.hex."""
+    x, y = (int(np.float64(float.fromhex(v)).view(np.int64)) for v in (a, b))
+    return abs(x - y)
 
 
 def array_record(out: np.ndarray) -> dict:
@@ -356,9 +374,16 @@ def compare(base: dict, fits: dict) -> bool:
         print(f"{key}: only in {'the reference' if key in base else 'this run'}")
     worst, worst_key = 0.0, None
     worst_fix, worst_fix_key = 0.0, None
-    flags_moved = values_moved = 0
+    flags_moved = values_moved = folds_moved = 0
     for key in sorted(set(base) & set(fits)):
         a, b = base[key], fits[key]
+        if "fold" in a:
+            moved = [f"{k} by {ulps(a[k], b[k])} ulp" for k in ("fold", "top") if a[k] != b[k]]
+            if moved:
+                mismatched.append(key)
+                folds_moved += 1
+                print(f"{key}: {', '.join(moved)} (top is F(fold))")
+            continue
         oa, ob = outcome(a), outcome(b)
         if oa != ob:
             mismatched.append(key)
@@ -387,9 +412,10 @@ def compare(base: dict, fits: dict) -> bool:
                 worst_fix, worst_fix_key = diff, key
     print(
         f"{len(fits)} records; {len(mismatched)} with another iteration count, stop reason, "
-        "error, objective, residuals, dropped views or hash"
+        "error, objective, residuals, dropped views, hash or fold"
     )
     print(f"undistort_array: {flags_moved} with moved NaN rows, {values_moved} with only moved values")
+    print(f"folds: {folds_moved} moved")
     if worst_key is None:
         print("parameters: no difference")
     else:

@@ -10,7 +10,9 @@ cubic otherwise. ``distortion.invert_radius_newton`` starts its bracketed
 Newton solve there, which polishes it, flags a radius past the fold and
 verifies the result; the paper's component form of the model3 inverse (two
 sign-branch solves per point) is the test suite's oracle for this radius
-form.
+form. The cubic does not know its fold: ``distortion._radius_solve`` finds
+the fold of all three models with ``_quadratic_roots``, the one quadratic
+formula, which also serves the quadratic regime and the deflation here.
 
 The cubic is solved through the depressed-cubic substitution with the
 trigonometric method in the three-real-root regime and a cancellation-safe
@@ -135,7 +137,11 @@ def _quadratic_roots(a: float, b: float, c: float, noise: float = 0.0) -> tuple[
     ``a == 0``.
 
     The roots are ``u / a`` and ``c / u`` with ``u = -(b + sign(b)
-    sqrt(disc)) / 2``, a pairing in which b and sqrt(disc) never cancel. A
+    sqrt(disc)) / 2``, a pairing in which b and sqrt(disc) never cancel
+    (Press et al., Numerical Recipes, section 5.6). Where the discriminant
+    ``b^2 - 4 a c`` overflows, ``b`` and ``u`` are taken in units of ``g``,
+    the larger of ``|b|`` and ``sqrt(|a c|)``, so that none of its terms
+    can; elsewhere ``g = 1`` and the formula's bits are the plain one's. A
     negative discriminant within ``noise`` of its terms' magnitudes is
     rounding noise around a double root and counts as 0; beyond that the
     roots are a complex pair and none is returned.
@@ -144,6 +150,12 @@ def _quadratic_roots(a: float, b: float, c: float, noise: float = 0.0) -> tuple[
         return () if b == 0.0 else (-c / b,)
     four_ac = 4.0 * a * c
     disc = b * b - four_ac
+    g = 1.0
+    if not math.isfinite(disc):
+        # g is 0 only where 4 a overflows and b = c = 0; any unit serves there.
+        g = max(abs(b), math.sqrt(abs(a)) * math.sqrt(abs(c))) or 1.0
+        b, four_ac = b / g, 4.0 * (a * (c / g) / g)
+        disc = b * b - four_ac
     if disc < 0.0:
         if noise == 0.0 or disc < -noise * (b * b + abs(four_ac)):
             return ()
@@ -151,7 +163,7 @@ def _quadratic_roots(a: float, b: float, c: float, noise: float = 0.0) -> tuple[
     u = -0.5 * (b + math.copysign(math.sqrt(disc), b if b != 0.0 else 1.0))
     if u == 0.0:
         return (0.0, 0.0)
-    return (u / a, c / u)
+    return (u / a * g, c / g / u)
 
 
 def _quadratic_path(y: float, p: float, q: float) -> tuple[float, ...]:
@@ -232,22 +244,18 @@ class RadiusCubic:
     closed form that depends only on (p, q) is computed here once;
     ``closed_form`` adds the ``r_d`` term and returns the raw roots of the
     depressed cubic. ``F(r) = r + p r^2 + q r^3`` rises from ``F(0) = 0`` up
-    to its ``fold``, the first positive zero of ``F'`` (inf when there is
-    none), so the admissible root is the smallest nonnegative one, and a
-    root past the fold is none: ``r_d`` above ``F(fold)`` has no preimage.
-    ``admissible_root`` takes that root; with a negligible ``q`` the
-    equation is the quadratic ``r + p r^2 = r_d`` and that root is its small
-    one.
+    to its fold (``DistortionSpec.fold``, the one fold formula), so the
+    admissible root is the smallest nonnegative one. ``admissible_root``
+    takes that root; with a negligible ``q`` the equation is the quadratic
+    ``r + p r^2 = r_d`` and that root is its small one. Whether it lies
+    past the fold is for the radius solve to find.
     """
 
-    __slots__ = ("p", "q", "fold", "quadratic", "shift", "Q0", "P", "third", "cube", "m")
+    __slots__ = ("p", "q", "quadratic", "shift", "Q0", "P", "third", "cube", "m")
 
     def __init__(self, p: float, q: float) -> None:
         self.p = p
         self.q = q
-        # F'(r) = 1 + 2 p r + 3 q r^2 first vanishes at the fold.
-        slope_zeros = _quadratic_roots(3.0 * q, 2.0 * p, 1.0)
-        self.fold = min((r for r in slope_zeros if r > 0.0), default=math.inf)
         # The cubic's constants divide by q; below this it is a quadratic.
         self.quadratic = abs(q) < _Q_NEGLIGIBLE * (1.0 + abs(p))
         if self.quadratic:

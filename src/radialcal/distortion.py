@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,9 +58,7 @@ class DistortionSpec:
         # warp and inverse several times slower.
         object.__setattr__(self, "k1", float(self.k1))
         object.__setattr__(self, "k2", 0.0 if self.model is Model.MODEL2 else float(self.k2))
-        object.__setattr__(self, "_fold", None)
-        object.__setattr__(self, "_branch", None)
-        object.__setattr__(self, "_radius_cubic", None)
+        object.__setattr__(self, "_solve", None)
 
     @property
     def coefficients(self) -> tuple[float, ...]:
@@ -68,34 +67,13 @@ class DistortionSpec:
         return (self.k1, self.k2)
 
     @property
-    def radius_cubic(self) -> RadiusCubic:
-        """The radius equation ``r f(r) = r_d`` of model2 or model3 as a cubic,
-        built on first use and kept as ``fold`` is."""
-        if self._radius_cubic is None:
-            pq = (0.0, self.k1) if self.model is Model.MODEL2 else (self.k1, self.k2)
-            object.__setattr__(self, "_radius_cubic", RadiusCubic(*pq))
-        return self._radius_cubic
-
-    @property
     def fold(self) -> float:
         """The first positive zero of ``F'`` for ``F(r) = r f(r)``, inf if none.
 
         ``F`` rises from ``F(0) = 0`` up to its fold, so the inverse exists on
-        ``[0, fold]`` only. Computed on first use and kept in an attribute
-        that ``__post_init__`` made: a cached_property writes through the
-        instance ``__dict__``, which makes every later attribute read of the
-        spec slower on CPython 3.11, and the radius solve reads them on
-        every call.
+        ``[0, fold]`` only. Read from ``_radius_solve``'s record.
         """
-        if self._fold is None:
-            if self.model is not Model.MODEL1:
-                fold = self.radius_cubic.fold
-            else:
-                # F' = 1 + 3 k1 s + 5 k2 s^2 with s = r^2.
-                slope_zeros = _quadratic_roots(5.0 * self.k2, 3.0 * self.k1, 1.0)
-                fold = math.sqrt(min((s for s in slope_zeros if s > 0.0), default=math.inf))
-            object.__setattr__(self, "_fold", fold)
-        return self._fold
+        return _radius_solve(self).fold
 
     @classmethod
     def from_coefficients(cls, model: Model, coeffs) -> "DistortionSpec":
@@ -166,60 +144,67 @@ _NEWTON_MAX_ITER = 50
 _FLOAT_MAX = sys.float_info.max
 
 
-def _rising_branch(spec: DistortionSpec) -> tuple[float, float, float, tuple]:
-    """The constants of the spec's radius solve, ``(fold, F(fold), far,
-    terms)``, computed on first use and kept as ``fold`` is.
+# The constants of a spec's radius solve; see _radius_solve.
+_RadiusSolve = namedtuple("_RadiusSolve", "fold top far terms dominant cubic")
 
-    The radii up to ``F(fold)``, and no others, have a root on ``[0, fold]``;
+
+def _radius_solve(spec: DistortionSpec) -> _RadiusSolve:
+    """The constants of the spec's radius solve, built on first use and kept
+    in the one attribute that ``__post_init__`` made: a cached_property
+    writes through the instance ``__dict__``, which makes every later
+    attribute read of the spec slower on CPython 3.11.
+
+    ``terms`` is ``(odd, k1, k2, c1, c2)``: ``F(r) = r (1 + k1 s + k2 s^2)``
+    and ``F' = 1 + c1 s + c2 s^2`` with ``s = r^a``, ``a = 1`` for model3
+    (``odd``) and 2 for model1 and model2 (``k2 = 0``), ``c1 = (1 + a) k1``
+    and ``c2 = (1 + 2 a) k2``: one formula for all three models. ``fold``,
+    where ``F'`` first vanishes, is ``s^(1/a)`` at the first positive root
+    ``s`` of that quadratic. The radii up to ``top = F(fold)``, evaluated as
+    the solve evaluates ``F``, and no others have a root on ``[0, fold]``;
     both are inf without a fold (``F(inf)`` is NaN for ``k1 < 0 < k2``).
-    ``F(fold)`` is evaluated as the solve evaluates ``F``, so that a radius
-    it admits has the bracket ``[0, fold]``. A dominant term's root
-    ``(r_d / c)^(1/p)`` lies below ``r_d`` only past ``c r_d^(p-1) = 1``:
-    ``_dominant_start`` can move only a start ``r_d`` above ``far``, 0.8
-    times the smallest such radius. ``terms`` is ``(odd, k1, k2, c1, c2)``:
-    ``F(r) = r f(r)`` with ``f = 1 + k1 s + k2 s^2``, ``s = r`` for model3
-    (``odd``) and ``s = r^2`` for model1 and model2 (``k2 = 0``), so ``F' =
-    1 + c1 s + c2 s^2`` with ``c1 = (1 + a) k1`` and ``c2 = (1 + 2 a) k2``
-    for ``s = r^a``: one formula for all three models.
+    ``dominant`` holds ``(c, p)`` for the terms ``k2 r^(1+2a)`` if ``k2 >
+    0`` and ``k1 r^(1+a)`` if ``k1 > 0``, whose roots start the solve when
+    the closed form gives none. Such a root ``(r_d / c)^(1/p)`` lies below
+    ``r_d`` only past ``c r_d^(p-1) = 1``: ``_dominant_start`` can move only
+    a start ``r_d`` above ``far``, 0.8 times the smallest such radius (inf
+    where it overflows). ``cubic`` is the radius cubic of model2 or model3,
+    whose closed form starts the solve; None for model1.
     """
-    if spec._branch is None:
+    if spec._solve is None:
         k1, k2 = spec.k1, spec.k2
         odd = spec.model is Model.MODEL3
         terms = (odd, k1, k2, 2.0 * k1, 3.0 * k2) if odd else (odd, k1, k2, 3.0 * k1, 5.0 * k2)
-        fold = spec.fold
+        s = min((s for s in _quadratic_roots(terms[4], terms[3], 1.0) if s > 0.0), default=math.inf)
+        fold = s if odd else math.sqrt(s)
         top = _radius_map(terms, fold)[0] if fold < math.inf else math.inf
-        reach = min((c ** (-1.0 / (p - 1)) for c, p in _dominant_terms(spec)), default=math.inf)
-        object.__setattr__(spec, "_branch", (fold, top, 0.8 * reach, terms))
-    return spec._branch
+        a = 1 if odd else 2
+        dominant = tuple((c, p) for c, p in ((k2, 1 + 2 * a), (k1, 1 + a)) if c > 0.0)
+        reach = math.inf
+        for c, p in dominant:
+            try:
+                reach = min(reach, c ** (-1.0 / (p - 1)))
+            except OverflowError:
+                pass
+        cubic = None if spec.model is Model.MODEL1 else RadiusCubic(*((k1, k2) if odd else (0.0, k1)))
+        object.__setattr__(spec, "_solve", _RadiusSolve(fold, top, 0.8 * reach, terms, dominant, cubic))
+    return spec._solve
 
 
 def _radius_map(terms: tuple, r):
-    """``(F(r), F'(r))`` for ``_rising_branch``'s terms, on an array or a
+    """``(F(r), F'(r))`` for ``_radius_solve``'s terms, on an array or a
     float, as the scalar solve evaluates them."""
     odd, k1, k2, c1, c2 = terms
     s = r if odd else r * r
     return r * (1.0 + k1 * s + k2 * s * s), 1.0 + c1 * s + c2 * s * s
 
 
-def _dominant_terms(spec: DistortionSpec) -> list[tuple[float, int]]:
-    """``(c, p)`` for each term ``c r^p`` of ``F`` whose root starts the
-    solve when the closed form gives none: ``k2 r^(1+2a)`` for ``k2 > 0``
-    and ``k1 r^(1+a)`` for ``k1 > 0``, with ``s = r^a`` as in
-    ``_rising_branch``."""
-    a = 1 if spec.model is Model.MODEL3 else 2
-    terms = [(spec.k2, 1 + 2 * a)] if spec.k2 > 0.0 else []
-    if spec.k1 > 0.0:
-        terms.append((spec.k1, 1 + a))
-    return terms
-
-
-def _dominant_start(spec: DistortionSpec, r_d: float) -> float:
-    """The smallest root ``r_d^(1/p) / c^(1/p)`` of the dominant terms, or inf.
+def _dominant_start(dominant: tuple, r_d: float) -> float:
+    """The smallest root ``r_d^(1/p) / c^(1/p)`` of ``dominant``'s terms, or inf.
 
     Taken apart, so that it does not overflow, and by Python's pow, so that
     the scalar and the array solve start from the same bits.
     """
-    return min((r_d ** (1.0 / p) / c ** (1.0 / p) for c, p in _dominant_terms(spec)), default=math.inf)
+    return min((r_d ** (1.0 / p) / c ** (1.0 / p) for c, p in dominant), default=math.inf)
 
 
 def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
@@ -246,13 +231,13 @@ def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
         raise ValueError("distorted radius must be nonnegative")
     if r_d == 0.0:
         return 0.0
-    fold, top, far, (odd, k1, k2, c1, c2) = _rising_branch(spec)
+    fold, top, far, (odd, k1, k2, c1, c2), dominant, cubic = _radius_solve(spec)
     if not (r_d <= top and r_d < math.inf):
         raise NoRealSolution(f"r_d={r_d!r} exceeds F(fold)={top!r}: no root up to the fold")
     lo, hi = 0.0, (fold if fold < math.inf else min(4.0 * r_d, _FLOAT_MAX))
-    start = math.nan if spec.model is Model.MODEL1 else spec.radius_cubic.admissible_root(r_d)
+    start = math.nan if cubic is None else cubic.admissible_root(r_d)
     if not 0.0 < start <= hi:
-        start = min(r_d, hi, _dominant_start(spec, r_d) if r_d > far else math.inf)
+        start = min(r_d, hi, _dominant_start(dominant, r_d) if r_d > far else math.inf)
     r, done = start, False
     for _ in range(_NEWTON_MAX_ITER + 1):
         # _radius_map, inlined.
@@ -287,21 +272,18 @@ def _newton_radius_array(spec: DistortionSpec, r_d: np.ndarray) -> np.ndarray:
     so that each lane agrees with the scalar solve to the bit. NaN where the
     scalar solve raises, and for a non-finite radius.
     """
-    fold, top, far, terms = _rising_branch(spec)
+    fold, top, far, terms, dominant, cubic = _radius_solve(spec)
     r = np.where(r_d == 0.0, 0.0, np.nan)
     lanes = np.flatnonzero((r_d > 0.0) & (r_d <= top) & np.isfinite(r_d))
     y = r_d[lanes]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         hi = np.full(y.shape, fold) if fold < math.inf else np.minimum(4.0 * y, _FLOAT_MAX)
         lo = np.zeros(y.shape)
-        if spec.model is Model.MODEL1:
-            x = np.full(y.shape, np.nan)
-        else:
-            x = spec.radius_cubic.admissible_root_array(y)
+        x = np.full(y.shape, np.nan) if cubic is None else cubic.admissible_root_array(y)
         other = np.flatnonzero(~((0.0 < x) & (x <= hi)))
         x[other] = np.minimum(y[other], hi[other])
-        dominant = other[y[other] > far]
-        x[dominant] = np.minimum(x[dominant], [_dominant_start(spec, v) for v in y[dominant].tolist()])
+        beyond = other[y[other] > far]
+        x[beyond] = np.minimum(x[beyond], [_dominant_start(dominant, v) for v in y[beyond].tolist()])
         done = np.zeros(y.shape, dtype=bool)
         for _ in range(_NEWTON_MAX_ITER + 1):
             value, slope = _radius_map(terms, x)

@@ -403,6 +403,19 @@ class TestUndistort:
         assert "line 1: expected header 'u,v'" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_tiny_positive_k1_inverts(self, tmp_path):
+        # k1 ** -1 overflows in the radius solve's constants, which used to
+        # end in an OverflowError traceback.
+        A = IntrinsicMatrix(800.0, 800.0, 0.2, 320.0, 240.0)
+        calib_path = tmp_path / "calib.json"
+        write_exact_calibration(calib_path, A, DistortionSpec(Model.MODEL3, 1e-310, -0.14))
+        write_points(tmp_path / "pts.csv", np.array([[100.0, 60.0], [320.0, 240.0], [540.0, 420.0]]))
+        assert main(
+            ["undistort", "--calib", str(calib_path), "--points", str(tmp_path / "pts.csv"),
+             "--output", str(tmp_path / "out.csv")]
+        ) == 0
+        assert np.isfinite(read_points(tmp_path / "out.csv")).all()
+
     def test_unreachable_point_gives_nan_row_and_exit_5(self, tmp_path, capsys):
         # Strong single-coefficient barrel: the forward warp tops out at
         # radius F(r*) = (2/3) r*; beyond it no preimage exists.
@@ -542,6 +555,14 @@ class TestLocalize:
         argv[i] = "--observed=1e203," + argv[i].split(",", 1)[1]
         assert main(argv) == 6
         assert "NoRealSolution" in capsys.readouterr().err
+
+    def test_tiny_positive_k1_fixes(self, tmp_path, capsys):
+        # As the undistort case: an OverflowError traceback, now a fix.
+        argv, _ = self._setup(tmp_path)
+        A = IntrinsicMatrix(800.0, 800.0, 0.0, 320.0, 240.0)
+        write_exact_calibration(tmp_path / "calib.json", A, DistortionSpec(Model.MODEL3, 1e-310, -0.05))
+        assert main(argv) == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["delta_theta_rad"])
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["--line-map", "--observed"])

@@ -190,27 +190,26 @@ class TestValidateMonotone:
         assert validate_monotone(spec, WorkingDomain(fold * 0.999))
         assert not validate_monotone(spec, WorkingDomain(fold * 1.001))
 
-    def test_fold_is_the_radius_cubic_fold(self):
-        rng = np.random.default_rng(71)
-        for model in (Model.MODEL2, Model.MODEL3):
-            for k1, k2 in rng.uniform(-1.0, 1.0, (200, 2)).tolist():
-                spec = DistortionSpec(model, k1, k2)
-                assert spec.fold == spec.radius_cubic.fold
-
-    def test_model1_fold_matches_polynomial_roots(self):
-        # F' = 1 + 3 k1 r^2 + 5 k2 r^4, zero at r^2 = s for each root s of
-        # 5 k2 s^2 + 3 k1 s + 1.
+    @pytest.mark.parametrize("model", list(Model))
+    def test_fold_matches_polynomial_roots(self, model):
+        # F' = 1 + c1 s + c2 s^2 with s = r^2 for model1 (c1, c2 = 3 k1,
+        # 5 k2) and model2 (3 k1, 0), and s = r for model3 (2 k1, 3 k2):
+        # the fold is s^(1/a) for the smallest positive root s.
+        a, c1, c2 = {
+            Model.MODEL1: (2, 3.0, 5.0), Model.MODEL2: (2, 3.0, 0.0), Model.MODEL3: (1, 2.0, 3.0)
+        }[model]
         rng = np.random.default_rng(73)
         folded = 0
         for k1, k2 in rng.uniform(-1.0, 1.0, (2000, 2)).tolist():
-            fold = DistortionSpec(Model.MODEL1, k1, k2).fold
-            s = [z.real for z in np.roots([5.0 * k2, 3.0 * k1, 1.0]) if z.imag == 0.0 and z.real > 0.0]
+            spec = DistortionSpec(model, k1, k2)
+            fold = spec.fold
+            s = [z.real for z in np.roots([c2 * spec.k2, c1 * k1, 1.0]) if z.imag == 0.0 and z.real > 0.0]
             if not s:
                 assert fold == math.inf, (k1, k2)
                 continue
             folded += 1
-            assert abs(fold - math.sqrt(min(s))) <= 1e-12 * fold, (k1, k2)
-        assert folded > 1000
+            assert abs(fold - min(s) ** (1.0 / a)) <= 1e-12 * fold, (k1, k2)
+        assert folded > 800
 
     @pytest.mark.parametrize(
         "spec",
@@ -747,7 +746,7 @@ class TestInverseContract:
         for i in range(600):
             k1, k2 = (rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-40.0, 40.0, 2)).tolist()
             spec = DistortionSpec(list(Model)[i % 3], k1, 0.0 if i % 10 == 9 else k2)
-            fold, top = spec.fold, distortion._rising_branch(spec)[1]
+            fold, top = spec.fold, distortion._radius_solve(spec).top
             r_d = 10.0 ** rng.uniform(-300.0, 308.25, 24)
             if fold < math.inf:
                 assert abs(top - fold * warp_factor(spec, fold)) <= 1e-14 * top
@@ -772,6 +771,45 @@ class TestInverseContract:
             solved += int(np.sum(ok))
         assert flagged > 2000 and solved > 15000
 
+    @pytest.mark.parametrize(
+        "spec,want_fold,want_top,roots",
+        [
+            # b^2 of the fold's quadratic overflows: the fold was inf, and the
+            # radii past it ran out of steps.
+            (DistortionSpec(Model.MODEL3, 2.98e180, -2.41e207), 8.2434e-28, 6.750e125,
+             {1e-20: 5.7928e-101, 1e100: 5.7928e-41}),
+            (DistortionSpec(Model.MODEL1, 1e200, -1e250), 7.746e-26, 1.859e124, {}),
+            # k1 ** -1 overflows in the dominant term's reach: OverflowError.
+            (DistortionSpec(Model.MODEL3, 1e-310, -0.1), 1.8257, 1.2172, {}),
+            (DistortionSpec(Model.MODEL3, 5e-324, 0.05), math.inf, math.inf, {1e300: 2.7144e100}),
+        ],
+        ids=["model3-fold-overflow", "model1-fold-overflow", "model3-k1-1e-310", "model3-k1-5e-324"],
+    )
+    def test_extreme_coefficients(self, spec, want_fold, want_top, roots):
+        assert spec.fold == pytest.approx(want_fold, rel=1e-4, abs=0.0)
+        solve = distortion._radius_solve(spec)
+        assert solve.top == pytest.approx(want_top, rel=1e-3, abs=0.0)
+        if spec.fold < math.inf:
+            # F'(fold) = 0 within the rounding of its terms; F' > 0 below it.
+            _, _, _, c1, c2 = solve.terms
+            s = spec.fold if spec.model is Model.MODEL3 else spec.fold ** 2
+            slope = distortion._radius_map(solve.terms, spec.fold)[1]
+            assert abs(slope) <= 1e-14 * (1.0 + abs(c1 * s) + abs(c2 * s * s))
+            assert distortion._radius_map(solve.terms, spec.fold * (1.0 - 1e-9))[1] > 0.0
+        top = solve.top
+        near = [top * 0.5, top * (1.0 - 1e-15), top, top * (1.0 + 1e-15)] if top < math.inf else []
+        r_d = np.concatenate([10.0 ** np.linspace(-320.0, 308.0, 80), near, list(roots)])
+        want = newton_radii(spec, r_d)
+        assert np.array_equal(distortion._newton_radius_array(spec, r_d), want, equal_nan=True)
+        assert np.array_equal(np.isnan(want), r_d > top)
+        for y in r_d[r_d > top].tolist():
+            with pytest.raises(NoRealSolution):
+                invert_radius_newton(spec, y)
+        for y, r in roots.items():
+            assert invert_radius_newton(spec, y) == pytest.approx(r, rel=1e-4, abs=0.0)
+        xy = np.column_stack([r_d, np.zeros_like(r_d)])
+        assert_rows_agree(undistort_array(spec, xy), scalar_undistort_rows(spec, xy))
+
     def test_radii_are_accurate_to_the_last_bits(self):
         # model1 used to stop at a residual of 1e-12 absolute, which below
         # r_d = 1 left this radius 3.0e-11 relative from its root
@@ -792,7 +830,7 @@ class TestInverseContract:
             r = distortion._newton_radius_array(spec, r_d)
             assert np.all(np.abs(r - r_true) <= 2e-15 * r_true), name
             if spec.model is not Model.MODEL1:
-                start = spec.radius_cubic.admissible_root_array(r_d)
+                start = distortion._radius_solve(spec).cubic.admissible_root_array(r_d)
                 assert np.all(np.abs(start - r) <= 1e-11 * r), name
 
 
