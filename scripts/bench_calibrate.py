@@ -38,6 +38,7 @@ import multiprocessing  # noqa: E402
 import resource  # noqa: E402
 import time  # noqa: E402
 from concurrent.futures import ProcessPoolExecutor  # noqa: E402
+from dataclasses import asdict  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -74,6 +75,19 @@ SCENE = dict(
 
 def scene(n_views: int):
     return generate_scene(SynthSpec(seed=SEED, n_views=n_views, **SCENE))[0]
+
+
+def synth_spec(n_views: int) -> dict:
+    """The CLI ``synth`` spec JSON of the scene at n_views."""
+    spec = SCENE["distortion"]
+    return {
+        "seed": SEED,
+        "intrinsics": asdict(SCENE["intrinsics"]),
+        "distortion": {"model": spec.model.value, "k1": spec.k1, "k2": spec.k2},
+        "grid": {"nx": SCENE["grid_nx"], "ny": SCENE["grid_ny"], "spacing": SCENE["spacing"]},
+        "views": n_views,
+        "noise_sigma": SCENE["noise_sigma"],
+    }
 
 
 def linear_start(corr):

@@ -41,7 +41,6 @@ import pstats  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 import warnings  # noqa: E402
-from dataclasses import asdict  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -59,27 +58,13 @@ WRITERS = ("write_correspondences", "write_scene_truth", "write_calibration", "w
 STAGES = ("parse", "read", "compute", "write")
 
 
-def synth_spec(n_views: int) -> dict:
-    """The synth spec JSON of bench_calibrate's scene at n_views."""
-    scene = bench_calibrate.SCENE
-    spec = scene["distortion"]
-    return {
-        "seed": bench_calibrate.SEED,
-        "intrinsics": asdict(scene["intrinsics"]),
-        "distortion": {"model": spec.model.value, "k1": spec.k1, "k2": spec.k2},
-        "grid": {"nx": scene["grid_nx"], "ny": scene["grid_ny"], "spacing": scene["spacing"]},
-        "views": n_views,
-        "noise_sigma": scene["noise_sigma"],
-    }
-
-
 def commands(work: Path) -> dict:
     """Each command's argv, by name; the synth commands come first, as they
     write the sessions that calibrate and compare read."""
     argvs = {}
     for n in SESSION_VIEWS:
         spec, corr = work / f"spec_{n}v.json", work / f"session_{n}v.csv"
-        spec.write_text(json.dumps(synth_spec(n)))
+        spec.write_text(json.dumps(bench_calibrate.synth_spec(n)))
         argvs[f"synth/{n}v"] = ["synth", "--spec", str(spec), "--output", str(corr)]
     for n in SESSION_VIEWS:
         corr, calib = str(work / f"session_{n}v.csv"), str(work / f"calib_{n}v.json")

@@ -23,10 +23,12 @@ output on each seeded row set of ``bench_undistort.py`` (``SPECS`` and
 ``FOLD_SPECS``) and on its model1 fold rows for three model1 specs
 (``FAR_BRANCH_SPECS``), each with the count and SHA-256 of its NaN-row
 mask; for each of those specs, its fold and ``F(fold) = fold *
-warp_factor(spec, fold)`` as ``float.hex``; and the SHA-256 of the bytes
-that the CLI
-(``radialcal.cli.main``) writes: the calibration JSON of ``calibrate
---model 3`` on the 10- and 30-view scenes and the ragged scene, and
+warp_factor(spec, fold)`` as ``float.hex``; the SHA-256 of the CSV that
+``write_correspondences`` writes for the ragged scene; and the SHA-256 of
+the bytes that the CLI (``radialcal.cli.main``) writes: the correspondence
+CSV and the ``.truth.json`` of ``synth`` for the 10-, 30- and 100-view
+scenes, the calibration JSON of ``calibrate --model 3`` on the 10- and
+30-view scenes and the ragged scene, and
 ``undistort`` in both directions for each model on a jittered 320x240 grid
 of a 640x480 image (76,800 points), whose ``--calib`` file is written as
 a plain dict, as the repository benchmark writes its own. Last, it holds
@@ -77,8 +79,8 @@ import numpy as np  # noqa: E402
 
 import bench_calibrate  # noqa: E402
 import bench_undistort  # noqa: E402
+from radialcal import calibration  # noqa: E402
 from radialcal.calibration import (  # noqa: E402
-    CalibrationView,
     CorrespondenceSet,
     OptimizerOptions,
     calibrate,
@@ -161,26 +163,34 @@ def linear_record(stage) -> dict:
     }
 
 
+def session(view_ids, world_xy, pixels, offsets) -> CorrespondenceSet:
+    """The session of these stacked rows. A tree from before the stacked
+    constructor takes one ``CalibrationView`` per view; they are built for
+    it here, so that a reference can be written with that tree's ``src``."""
+    if not hasattr(calibration, "CalibrationView"):
+        return CorrespondenceSet(view_ids, world_xy, pixels, offsets)
+    parts = zip(view_ids, np.split(world_xy, offsets[1:-1]), np.split(pixels, offsets[1:-1]))
+    return CorrespondenceSet(tuple(calibration.CalibrationView(*part) for part in parts))
+
+
 def ragged_scene():
     """Views of 4, 9 and 64 points of the benchmark's 12x12 target (ids 7,
     2, 40), a collinear view (31), one whose pixels coincide (5) and one of
-    two points (11)."""
+    two points (11), gathered as rows of a generated six-view scene: view
+    k's points are its rows ``144 k`` on."""
     spec = SynthSpec(seed=46, n_views=6, **bench_calibrate.SCENE)
-    v = generate_scene(spec)[0].views
+    corr = generate_scene(spec)[0]
     corners = [0, 11, 132, 143]
     sub_grid = [ix * 12 + iy for ix in (0, 5, 11) for iy in (0, 5, 11)]
     square = [ix * 12 + iy for ix in range(8) for iy in range(8)]
     row = [ix * 12 + 2 for ix in range(12)]
-    return CorrespondenceSet(
-        (
-            CalibrationView(7, v[0].world_xy[corners], v[0].pixels[corners]),
-            CalibrationView(2, v[1].world_xy[sub_grid], v[1].pixels[sub_grid]),
-            CalibrationView(31, v[2].world_xy[row], v[2].pixels[row]),
-            CalibrationView(40, v[3].world_xy[square], v[3].pixels[square]),
-            CalibrationView(5, v[4].world_xy, np.tile(v[4].pixels[:1], (144, 1))),
-            CalibrationView(11, v[5].world_xy[:2], v[5].pixels[:2]),
-        )
-    )
+    picks = (corners, sub_grid, row, square, range(144), [0, 1])
+    rows = [144 * k + np.asarray(pick) for k, pick in enumerate(picks)]
+    world_rows = np.concatenate(rows)
+    # The pixels of view id 5 are all the first pixel of its scene view.
+    pixel_rows = np.concatenate(rows[:4] + [np.full(144, 144 * 4)] + rows[5:])
+    offsets = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    return session((7, 2, 31, 40, 5, 11), corr.world[world_rows, :2], corr.pixels[pixel_rows], offsets)
 
 
 def run_fits() -> dict:
@@ -279,13 +289,24 @@ def grid_calibration(model: str) -> dict:
 
 
 def cli_hashes(work: Path) -> dict:
-    """SHA-256 of the calibration JSON that CLI ``calibrate --model 3``
-    writes, and of CLI ``undistort``'s output on the grid."""
+    """SHA-256 of the correspondence CSV and the truth JSON that CLI
+    ``synth`` writes for bench_calibrate's scenes, of the CSV that
+    ``write_correspondences`` writes for the ragged scene, of the
+    calibration JSON that CLI ``calibrate --model 3`` writes, and of CLI
+    ``undistort``'s output on the grid."""
     records = {}
+    for n in bench_calibrate.VIEWS:
+        spec_path, corr_path = work / f"synth_{n}v.json", work / f"synth_{n}v.csv"
+        spec_path.write_text(json.dumps(bench_calibrate.synth_spec(n)))
+        run_cli(["synth", "--spec", str(spec_path), "--output", str(corr_path)])
+        records[f"cli/synth/{n}v/csv"] = sha256_of(corr_path)
+        records[f"cli/synth/{n}v/truth"] = sha256_of(corr_path.with_suffix(".truth.json"))
     scenes = {f"{n}v": bench_calibrate.scene(n) for n in bench_calibrate.VIEWS[:2]}
     for name, corr in {**scenes, "ragged": ragged_scene()}.items():
         corr_path, out = work / f"{name}.csv", work / f"{name}.json"
         write_correspondences(corr_path, corr)
+        if name == "ragged":
+            records["write_correspondences/ragged"] = sha256_of(corr_path)
         run_cli(["calibrate", "--input", str(corr_path), "--model", "3", "--output", str(out)])
         records[f"cli/calibrate/{name}/model3"] = sha256_of(out)
     points = work / "grid.csv"

@@ -3,7 +3,6 @@ cubic undistortion path, and a single-view ground-line localizer."""
 
 from .calibration import (
     CalibrationResult,
-    CalibrationView,
     CorrespondenceSet,
     OptimizerOptions,
     calibrate,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationResult",
-    "CalibrationView",
     "CorrespondenceSet",
     "DistortionSpec",
     "IntrinsicMatrix",

@@ -26,13 +26,14 @@ damped step is solved by the Schur complement on the shared block, so one
 LM iteration costs time and memory linear in the number of views. One
 ``refine`` allocates those rows once and every evaluation writes into them.
 
-The linear stage, ``linear_stage``, also runs over all views at once, on the
-stacked points of ``CorrespondenceSet``: the views are grouped by point
-count, each group's DLT designs are solved as one stack, and the conic rows,
-the Procrustes rotations and their axis-angles are batched; the poses reach
-the LM as one ``(v, 6)`` array. A view without a homography is dropped, and
-the stage returns each dropped view's id with the reason.
-"""
+A session, ``CorrespondenceSet``, is held once, as the stacked rows of all
+its views and the offsets of each view's rows. The linear stage,
+``linear_stage``, also runs over all views at once: the views are grouped
+by point count, each group's DLT designs are solved as one stack, and the
+conic rows, the Procrustes rotations and their axis-angles are batched;
+the poses reach the LM as one ``(v, 6)`` array. A view without a
+homography is dropped, and the stage returns each dropped view's id with
+the reason."""
 
 from __future__ import annotations
 
@@ -82,76 +83,59 @@ class BehindCamera(ValueError):
 # Records that hold arrays compare and hash by identity (eq=False): a
 # generated __eq__ would compare their arrays elementwise and raise.
 @dataclass(frozen=True, eq=False)
-class CalibrationView:
-    """One image of the planar target: world (x, y) on z = 0 plus observed pixels."""
-
-    view_id: int
-    world_xy: np.ndarray
-    pixels: np.ndarray
-
-    def __post_init__(self) -> None:
-        world = np.atleast_2d(np.asarray(self.world_xy, dtype=float))
-        pix = np.atleast_2d(np.asarray(self.pixels, dtype=float))
-        if world.ndim != 2 or world.shape[1] != 2:
-            raise ValueError("world_xy must have shape (n, 2)")
-        if pix.shape != world.shape:
-            raise ValueError("pixels must match world_xy in shape")
-        if not (np.all(np.isfinite(world)) and np.all(np.isfinite(pix))):
-            raise ValueError("correspondences must be finite")
-        world.setflags(write=False)
-        pix.setflags(write=False)
-        object.__setattr__(self, "world_xy", world)
-        object.__setattr__(self, "pixels", pix)
-
-    @property
-    def n_points(self) -> int:
-        return self.world_xy.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class CorrespondenceSet:
-    """All views of one calibration session.
+    """All views of one calibration session, as stacked rows.
 
-    Every view's points are also stacked once, in view order: ``world``
-    holds the target points on z = 0 as ``(n, 3)``, ``pixels`` the observed
-    pixels, and ``view_index`` the position in ``views`` of each point's view.
-    View k's points are rows ``offsets[k]:offsets[k + 1]``.
+    Built from each view's id, the target points ``world_xy`` on z = 0 as
+    ``(n, 2)``, the observed ``pixels`` as ``(n, 2)``, and ``offsets``: view
+    k's points are rows ``offsets[k]:offsets[k + 1]``, so a view without
+    points is a repeated offset. ``world`` holds the target points as
+    ``(n, 3)``, of which ``world_xy`` is a view, and ``view_index`` the
+    position in ``view_ids`` of each point's view. Every array is a
+    read-only copy.
     """
 
-    views: tuple[CalibrationView, ...]
+    view_ids: tuple[int, ...]
+    world_xy: np.ndarray = field(repr=False)
+    pixels: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
     world: np.ndarray = field(init=False, repr=False)
-    pixels: np.ndarray = field(init=False, repr=False)
     view_index: np.ndarray = field(init=False, repr=False)
-    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        views = tuple(self.views)
-        ids = [v.view_id for v in views]
-        if len(set(ids)) != len(ids):
+        view_ids = tuple(self.view_ids)
+        if len(set(view_ids)) != len(view_ids):
             raise ValueError("view ids must be unique")
-        world_xy = np.concatenate([np.empty((0, 2))] + [v.world_xy for v in views])
+        world_xy = np.asarray(self.world_xy, dtype=float)
+        pixels = np.array(self.pixels, dtype=float)
+        if world_xy.ndim != 2 or world_xy.shape[1] != 2:
+            raise ValueError("world_xy must have shape (n, 2)")
+        if pixels.shape != world_xy.shape:
+            raise ValueError("pixels must match world_xy in shape")
+        if not (np.all(np.isfinite(world_xy)) and np.all(np.isfinite(pixels))):
+            raise ValueError("correspondences must be finite")
+        offsets = np.asarray(self.offsets)
+        if offsets.shape != (len(view_ids) + 1,) or offsets.dtype.kind not in "iu":
+            raise ValueError(f"offsets must be {len(view_ids) + 1} integers, one more than the views")
+        offsets = offsets.astype(int)
+        counts = np.diff(offsets)
+        if offsets[0] != 0 or offsets[-1] != len(pixels) or np.any(counts < 0):
+            raise ValueError(f"offsets must rise from 0 to the {len(pixels)} points")
         world = np.column_stack([world_xy, np.zeros(len(world_xy))])
-        pixels = np.concatenate([np.empty((0, 2))] + [v.pixels for v in views])
-        counts = [v.n_points for v in views]
-        view_index = np.repeat(np.arange(len(views)), counts)
-        offsets = np.concatenate([[0], np.cumsum(counts, dtype=int)])
-        object.__setattr__(self, "views", views)
-        stacked = (("world", world), ("pixels", pixels), ("view_index", view_index), ("offsets", offsets))
-        for name, value in stacked:
+        view_index = np.repeat(np.arange(len(view_ids)), counts)
+        object.__setattr__(self, "view_ids", view_ids)
+        for name, value in zip(("world", "world_xy", "pixels", "view_index", "offsets"),
+                               (world, world[:, :2], pixels, view_index, offsets)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     @property
     def n_views(self) -> int:
-        return len(self.views)
+        return len(self.view_ids)
 
     @property
     def n_points(self) -> int:
         return len(self.view_index)
-
-    @property
-    def view_ids(self) -> tuple[int, ...]:
-        return tuple(v.view_id for v in self.views)
 
 
 @dataclass(frozen=True)
@@ -912,16 +896,19 @@ def linear_stage(corr: CorrespondenceSet) -> LinearStage:
         H[group], why = _homographies(world_xy, np.take(corr.pixels, rows, axis=0))
         for k, reason in zip(group.tolist(), why):
             reasons[k] = reason
-    dropped = tuple((view.view_id, reason) for view, reason in zip(corr.views, reasons) if reason is not None)
+    dropped = tuple((view_id, why) for view_id, why in zip(corr.view_ids, reasons) if why is not None)
     kept = [k for k, reason in enumerate(reasons) if reason is None]
     if len(kept) < 3:
         raise DegenerateConfiguration(
             f"calibration needs at least 3 usable views, got {len(kept)}"
         )
-    corr_kept = CorrespondenceSet(tuple(corr.views[k] for k in kept)) if dropped else corr
+    if dropped:
+        rows, ids = np.isin(corr.view_index, kept), [corr.view_ids[k] for k in kept]
+        offsets = np.concatenate([[0], np.cumsum(counts[kept])])
+        corr = CorrespondenceSet(ids, corr.world_xy[rows], corr.pixels[rows], offsets)
     H = _canonical_homographies(H[kept])
     A = _intrinsics(H)
-    return LinearStage(corr_kept, A, _poses_from_homographies(H, A), dropped)
+    return LinearStage(corr, A, _poses_from_homographies(H, A), dropped)
 
 
 def calibrate(

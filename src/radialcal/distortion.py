@@ -154,12 +154,13 @@ def _radius_solve(spec: DistortionSpec) -> _RadiusSolve:
     writes through the instance ``__dict__``, which makes every later
     attribute read of the spec slower on CPython 3.11.
 
-    ``terms`` is ``(odd, k1, k2, c1, c2)``: ``F(r) = r (1 + k1 s + k2 s^2)``
-    and ``F' = 1 + c1 s + c2 s^2`` with ``s = r^a``, ``a = 1`` for model3
-    (``odd``) and 2 for model1 and model2 (``k2 = 0``), ``c1 = (1 + a) k1``
-    and ``c2 = (1 + 2 a) k2``: one formula for all three models. ``fold``,
-    where ``F'`` first vanishes, is ``s^(1/a)`` at the first positive root
-    ``s`` of that quadratic. The radii up to ``top = F(fold)``, evaluated as
+    ``terms`` is ``(odd, k1, k2, c1, c2, unit)``: ``F(r) = r (1 + k1 s + k2
+    s^2)`` and ``F' = (unit + c1 s + c2 s^2) / unit`` with ``s = r^a``, ``a =
+    1`` for model3 (``odd``) and 2 for model1 and model2 (``k2 = 0``), ``c1
+    = (1 + a) k1 unit`` and ``c2 = (1 + 2 a) k2 unit``: one formula for all
+    three models. ``unit`` is 1, or 1/8 where that makes ``c1`` and ``c2``
+    finite. ``fold``, where ``F'`` first vanishes, is ``s^(1/a)`` at the
+    first positive root ``s`` of that quadratic. The radii up to ``top = F(fold)``, evaluated as
     the solve evaluates ``F``, and no others have a root on ``[0, fold]``;
     both are inf without a fold (``F(inf)`` is NaN for ``k1 < 0 < k2``).
     ``dominant`` holds ``(c, p)`` for the terms ``k2 r^(1+2a)`` if ``k2 >
@@ -173,11 +174,15 @@ def _radius_solve(spec: DistortionSpec) -> _RadiusSolve:
     if spec._solve is None:
         k1, k2 = spec.k1, spec.k2
         odd = spec.model is Model.MODEL3
-        terms = (odd, k1, k2, 2.0 * k1, 3.0 * k2) if odd else (odd, k1, k2, 3.0 * k1, 5.0 * k2)
-        s = min((s for s in _quadratic_roots(terms[4], terms[3], 1.0) if s > 0.0), default=math.inf)
+        a = 1 if odd else 2
+        unit, c1, c2 = 1.0, (1 + a) * k1, (1 + 2 * a) * k2
+        if not (math.isfinite(c1) and math.isfinite(c2)):
+            unit = 0.125
+            c1, c2 = (1 + a) * (k1 * unit), (1 + 2 * a) * (k2 * unit)
+        terms = (odd, k1, k2, c1, c2, unit)
+        s = min((s for s in _quadratic_roots(c2, c1, unit) if s > 0.0), default=math.inf)
         fold = s if odd else math.sqrt(s)
         top = _radius_map(terms, fold)[0] if fold < math.inf else math.inf
-        a = 1 if odd else 2
         dominant = tuple((c, p) for c, p in ((k2, 1 + 2 * a), (k1, 1 + a)) if c > 0.0)
         reach = math.inf
         for c, p in dominant:
@@ -193,9 +198,9 @@ def _radius_solve(spec: DistortionSpec) -> _RadiusSolve:
 def _radius_map(terms: tuple, r):
     """``(F(r), F'(r))`` for ``_radius_solve``'s terms, on an array or a
     float, as the scalar solve evaluates them."""
-    odd, k1, k2, c1, c2 = terms
+    odd, k1, k2, c1, c2, unit = terms
     s = r if odd else r * r
-    return r * (1.0 + k1 * s + k2 * s * s), 1.0 + c1 * s + c2 * s * s
+    return r * (1.0 + k1 * s + k2 * s * s), (unit + c1 * s + c2 * s * s) / unit
 
 
 def _dominant_start(dominant: tuple, r_d: float) -> float:
@@ -231,7 +236,7 @@ def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
         raise ValueError("distorted radius must be nonnegative")
     if r_d == 0.0:
         return 0.0
-    fold, top, far, (odd, k1, k2, c1, c2), dominant, cubic = _radius_solve(spec)
+    fold, top, far, (odd, k1, k2, c1, c2, unit), dominant, cubic = _radius_solve(spec)
     if not (r_d <= top and r_d < math.inf):
         raise NoRealSolution(f"r_d={r_d!r} exceeds F(fold)={top!r}: no root up to the fold")
     lo, hi = 0.0, (fold if fold < math.inf else min(4.0 * r_d, _FLOAT_MAX))
@@ -250,7 +255,7 @@ def invert_radius_newton(spec: DistortionSpec, r_d: float) -> float:
             lo = r
         else:
             hi = r
-        slope = 1.0 + c1 * s + c2 * s * s
+        slope = (unit + c1 * s + c2 * s * s) / unit
         x = r - res / slope if slope > 0.0 else math.nan
         if not (abs(x - r) <= _STEP_TOL * x or lo < x < hi):
             x = r_d * (r / value) if value > 0.0 else math.nan

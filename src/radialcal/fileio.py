@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationResult, CalibrationView, CorrespondenceSet, OptimizerOptions
+from .calibration import CalibrationResult, CorrespondenceSet, OptimizerOptions
 from .distortion import DistortionSpec, Model
 from .geometry import IntrinsicMatrix, ViewExtrinsics, checked_array
 from .synth import PoseRanges, SceneTruth, SynthSpec
@@ -131,9 +131,10 @@ def _render(row_format: str, values: np.ndarray) -> str:
 
 
 def write_correspondences(path: str | Path, corr: CorrespondenceSet) -> None:
+    rows = np.hstack([corr.world_xy, corr.pixels])
     body = "".join(
-        _render(f"{v.view_id},%.17g,%.17g,%.17g,%.17g\n", np.hstack([v.world_xy, v.pixels]))
-        for v in corr.views
+        _render(f"{view_id},%.17g,%.17g,%.17g,%.17g\n", rows[a:b])
+        for view_id, a, b in zip(corr.view_ids, corr.offsets, corr.offsets[1:])
     )
     atomic_write_text(path, f"{CORRESPONDENCE_HEADER}\n{body}")
 
@@ -142,7 +143,8 @@ def read_correspondences(path: str | Path) -> CorrespondenceSet:
     """Parse `view_id,Xw,Yw,ud,vd` rows grouped by view id.
 
     Views come in order of first appearance, each with its rows in file
-    order. Raises ParseError, naming the line, for malformed rows.
+    order, gathered in one pass. Raises ParseError, naming the line, for
+    malformed rows.
     """
     lines = _lines(path, CORRESPONDENCE_HEADER)
     table = _loadtxt(lines[1:], _CORRESPONDENCE_ROW, ndmin=1)
@@ -171,14 +173,9 @@ def read_correspondences(path: str | Path) -> CorrespondenceSet:
     view_ids, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     by_first = np.argsort(first)
     label = np.argsort(by_first)[inverse]
-    order = np.argsort(label, kind="stable")
-    bounds = np.cumsum(np.bincount(label))[:-1]
-    return CorrespondenceSet(
-        tuple(
-            CalibrationView(view_id=view_id, world_xy=xy[idx, :2], pixels=xy[idx, 2:])
-            for view_id, idx in zip(view_ids[by_first].tolist(), np.split(order, bounds))
-        )
-    )
+    grouped = xy[np.argsort(label, kind="stable")]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(label))])
+    return CorrespondenceSet(view_ids[by_first].tolist(), grouped[:, :2], grouped[:, 2:], offsets)
 
 
 def write_points(path: str | Path, points: np.ndarray) -> None:
@@ -331,20 +328,25 @@ def write_pose(path: str | Path, pose: ViewExtrinsics) -> None:
     _write_json(path, _pose_to_dict(pose))
 
 
+# SynthSpec's defaults, by field; the pose's default comes from a factory.
+_SYNTH_DEFAULTS = {f.name: f.default for f in fields(SynthSpec)}
+
+
 def read_synth_spec(path: str | Path) -> SynthSpec:
+    """The spec in the file; a field that it lacks takes SynthSpec's default."""
+    default, default_pose = _SYNTH_DEFAULTS, PoseRanges()
     with _json_record(path, "synth spec") as data:
         grid = data.get("grid", {})
         pose = data.get("pose", {})
-        default_pose = PoseRanges()
         return SynthSpec(
             seed=_int(data["seed"], "seed"),
             intrinsics=_intrinsics_from_dict(data["intrinsics"]),
             distortion=_distortion_from_dict({"k2": 0.0, **data["distortion"]}),
-            grid_nx=_int(grid.get("nx", 8), "nx"),
-            grid_ny=_int(grid.get("ny", 8), "ny"),
-            spacing=float(grid.get("spacing", 0.15)),
-            n_views=_int(data.get("views", 3), "views"),
-            noise_sigma=float(data.get("noise_sigma", 0.0)),
+            grid_nx=_int(grid.get("nx", default["grid_nx"]), "nx"),
+            grid_ny=_int(grid.get("ny", default["grid_ny"]), "ny"),
+            spacing=float(grid.get("spacing", default["spacing"])),
+            n_views=_int(data.get("views", default["n_views"]), "views"),
+            noise_sigma=float(data.get("noise_sigma", default["noise_sigma"])),
             pose=PoseRanges(
                 distance=tuple(pose.get("distance", default_pose.distance)),
                 tilt_deg=tuple(pose.get("tilt_deg", default_pose.tilt_deg)),

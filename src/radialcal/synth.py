@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CalibrationView, CorrespondenceSet, project_views
+from .calibration import CorrespondenceSet, project_views
 from .distortion import DistortionSpec
 from .geometry import DepthNotPositive, IntrinsicMatrix, ViewExtrinsics, rotation_blocks
 
@@ -95,7 +95,9 @@ def generate_scene(spec: SynthSpec) -> tuple[CorrespondenceSet, SceneTruth]:
     """Draw each view's pose (then its noise), project all views in one
     ``project_views`` call, and add the noise.
 
-    Returns the observed correspondences together with the generating truth.
+    Returns the observed correspondences together with the generating
+    truth. The correspondences are the projected stack as it comes: view k
+    is rows ``k m:(k + 1) m``, for the grid's ``m`` points.
     Raises ValueError if a sampled pose places target points at non-positive
     depth (choose distance ranges larger than the plane's tilted extent).
     """
@@ -108,18 +110,16 @@ def generate_scene(spec: SynthSpec) -> tuple[CorrespondenceSet, SceneTruth]:
         if spec.noise_sigma > 0.0:
             noise.append(rng.normal(0.0, spec.noise_sigma, world.shape))
     poses = np.array([[*E.axis_angle, *E.t] for E in extrinsics])
-    world3 = np.tile(np.column_stack([world, np.zeros(len(world))]), (spec.n_views, 1))
+    m = len(world)
+    world3 = np.tile(np.column_stack([world, np.zeros(m)]), (spec.n_views, 1))
     try:
-        s = project_views(
-            spec.intrinsics, spec.distortion, poses, world3, np.repeat(ids, len(world)), ids
-        )
+        s = project_views(spec.intrinsics, spec.distortion, poses, world3, np.repeat(ids, m), ids)
     except DepthNotPositive as exc:
         raise ValueError(
             f"sampled poses put target points behind the camera ({exc}); "
             "widen the distance range"
         ) from exc
     pixels = s.pixels + np.concatenate(noise) if noise else s.pixels
-    views = [CalibrationView(k, world, p) for k, p in zip(ids, np.split(pixels, spec.n_views))]
     truth = SceneTruth(
         intrinsics=spec.intrinsics,
         distortion=spec.distortion,
@@ -127,4 +127,5 @@ def generate_scene(spec: SynthSpec) -> tuple[CorrespondenceSet, SceneTruth]:
         noise_sigma=spec.noise_sigma,
         seed=spec.seed,
     )
-    return CorrespondenceSet(tuple(views)), truth
+    offsets = np.arange(spec.n_views + 1) * m
+    return CorrespondenceSet(tuple(ids), world3[:, :2], pixels, offsets), truth

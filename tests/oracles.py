@@ -20,7 +20,8 @@ between the segments and the exception types with it. The CSV readers
 are here as a per-line parse, by ``float`` and ``int`` conversions and a
 dict of rows per view id, as the oracle of the library's one-pass
 ``np.loadtxt`` readers and their numpy grouping; they share only the
-ParseError type and the record types they build.
+ParseError type. The correspondence reader returns its views one by one,
+as the test records of ``conftest.View``, where the library stacks them.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from radialcal.calibration import (
-    CalibrationView,
-    CorrespondenceSet,
     DegenerateConfiguration,
     SingularConfiguration,
     intrinsics_from_conic,
@@ -48,6 +47,8 @@ from radialcal.localize import (
     RayParallelToGround,
     recover_delta_rotation,
 )
+
+from conftest import View, split_views
 
 # Components at most COMPONENT_ZERO map to zero; roots within ROOT_ZERO of
 # zero belong to neither sign branch.
@@ -367,7 +368,7 @@ def linear_stage(corr):
     raise DegenerateConfiguration.
     """
     kept, dropped = [], []
-    for view in corr.views:
+    for view in split_views(corr):
         try:
             kept.append(homography(view.world_xy, view.pixels))
         except DegenerateConfiguration as exc:
@@ -463,8 +464,9 @@ def _read_table(path, header: str, noun: str) -> tuple[list[int], list[str], np.
     return linenos, rows, values.reshape(-1, width)
 
 
-def read_correspondences(path) -> CorrespondenceSet:
-    """``view_id,Xw,Yw,ud,vd`` rows grouped by ``int(view_id)`` in a dict."""
+def read_correspondences(path) -> list[View]:
+    """``view_id,Xw,Yw,ud,vd`` rows grouped by ``int(view_id)`` in a dict,
+    one View per id."""
     linenos, rows, values = _read_table(path, "view_id,Xw,Yw,ud,vd", "coordinate")
     if not rows:
         raise ParseError("file contains no correspondence rows")
@@ -478,12 +480,10 @@ def read_correspondences(path) -> CorrespondenceSet:
     bad = np.flatnonzero(~np.isfinite(values[:, 1:]).all(axis=1))
     if bad.size:
         raise ParseError(f"non-finite coordinate in {rows[bad[0]]!r}", line=linenos[bad[0]])
-    return CorrespondenceSet(
-        tuple(
-            CalibrationView(view_id=view_id, world_xy=values[idx, 1:3], pixels=values[idx, 3:5])
-            for view_id, idx in grouped.items()
-        )
-    )
+    return [
+        View(view_id=view_id, world_xy=values[idx, 1:3], pixels=values[idx, 3:5])
+        for view_id, idx in grouped.items()
+    ]
 
 
 def read_points(path) -> np.ndarray:

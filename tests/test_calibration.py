@@ -8,7 +8,6 @@ import pytest
 
 from radialcal import calibration
 from radialcal.calibration import (
-    CalibrationView,
     CorrespondenceSet,
     DegenerateConfiguration,
     ModelReport,
@@ -49,7 +48,7 @@ from radialcal.localize import LocalizationFix
 from radialcal.synth import SynthSpec, generate_scene
 
 import oracles
-from conftest import make_scene
+from conftest import View, make_scene, split_views, stack_views
 from oracles import (
     dense_jacobian,
     project_pinhole,
@@ -64,17 +63,17 @@ def view_from_pose(world_xy, A, R_wc, t_wc, view_id=0):
     """Noiseless undistorted observations via the inline projection oracle."""
     world3 = np.column_stack([world_xy, np.zeros(len(world_xy))])
     pixels = project_pinhole(world3, R_wc, t_wc, A.matrix)
-    return CalibrationView(view_id=view_id, world_xy=world_xy, pixels=pixels)
+    return View(view_id=view_id, world_xy=world_xy, pixels=pixels)
 
 
 def ragged_scene(model=Model.MODEL3):
     """Views of 4, 9 and 16 points with ids 7, 2 and 40, plus the truth."""
     corr, truth = make_scene(44, model=model, grid_nx=4, grid_ny=4, noise_sigma=0.5)
     views = tuple(
-        CalibrationView(view_id, v.world_xy[:n], v.pixels[:n])
-        for view_id, n, v in zip((7, 2, 40), (4, 9, 16), corr.views)
+        View(view_id, v.world_xy[:n], v.pixels[:n])
+        for view_id, n, v in zip((7, 2, 40), (4, 9, 16), split_views(corr))
     )
-    return CorrespondenceSet(views), truth
+    return stack_views(views), truth
 
 
 def world3(view):
@@ -123,10 +122,76 @@ def assert_intrinsics_close(got, want, rel):
         assert abs(a - b) <= rel * max(1.0, abs(b)), name
 
 
+def rows(n, start=0.0):
+    return np.arange(start, start + 2 * n, dtype=float).reshape(n, 2)
+
+
+class TestCorrespondenceSet:
+    """The session record: stacked rows and the offsets of each view."""
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"world_xy": np.zeros((5, 3))}, r"world_xy must have shape \(n, 2\)"),
+            ({"world_xy": np.zeros(10)}, r"world_xy must have shape \(n, 2\)"),
+            ({"pixels": np.zeros((5, 3))}, "pixels must match world_xy"),
+            ({"pixels": np.zeros((4, 2))}, "pixels must match world_xy"),
+            ({"world_xy": np.where(np.eye(5, 2), np.nan, 1.0)}, "must be finite"),
+            ({"pixels": np.where(np.eye(5, 2), np.inf, 1.0)}, "must be finite"),
+            ({"view_ids": (4, -1, 4)}, "view ids must be unique"),
+            ({"offsets": [0, 2, 5]}, "offsets must be 4 integers"),
+            ({"offsets": [0, 2, 3, 4, 5]}, "offsets must be 4 integers"),
+            ({"offsets": [[0, 2, 3, 5]]}, "offsets must be 4 integers"),
+            ({"offsets": [0.0, 2.0, 3.0, 5.0]}, "offsets must be 4 integers"),
+            ({"offsets": [1, 2, 3, 5]}, "offsets must rise from 0 to the 5 points"),
+            ({"offsets": [0, 3, 2, 5]}, "offsets must rise from 0 to the 5 points"),
+            ({"offsets": np.array([0, 3, 2, 5], dtype=np.uint64)}, "offsets must rise from 0"),
+            ({"offsets": [0, 2, 3, 4]}, "offsets must rise from 0 to the 5 points"),
+            ({"offsets": [0, 2, 3, 6]}, "offsets must rise from 0 to the 5 points"),
+        ],
+        ids=[
+            "world-3-columns", "world-1-d", "pixels-3-columns", "pixels-fewer-rows", "world-nan",
+            "pixels-inf", "duplicate-ids", "offsets-short", "offsets-long", "offsets-2-d",
+            "offsets-float", "offsets-not-from-0", "offsets-decreasing", "offsets-unsigned-decreasing",
+            "offsets-short-of-n", "offsets-past-n",
+        ],
+    )
+    def test_refuses(self, change, message):
+        args = {"view_ids": (4, -1, 9), "world_xy": rows(5), "pixels": rows(5, 100.0), "offsets": [0, 2, 3, 5]}
+        with pytest.raises(ValueError, match=message):
+            CorrespondenceSet(**{**args, **change})
+
+    def test_holds_read_only_copies(self):
+        world_xy, pixels, offsets = rows(5), rows(5, 100.0), np.array([0, 2, 3, 5])
+        corr = CorrespondenceSet([4, -1, 9], world_xy, pixels, offsets)
+        world_xy[0, 0] = pixels[0, 0] = offsets[1] = -7.0
+        assert corr.view_ids == (4, -1, 9)
+        assert corr.world.tolist() == np.column_stack([rows(5), np.zeros(5)]).tolist()
+        assert np.shares_memory(corr.world_xy, corr.world)
+        assert corr.world_xy.tolist() == rows(5).tolist()
+        assert corr.pixels.tolist() == rows(5, 100.0).tolist()
+        assert corr.offsets.tolist() == [0, 2, 3, 5]
+        assert corr.view_index.tolist() == [0, 0, 1, 2, 2]
+        for name in ("world", "world_xy", "pixels", "offsets", "view_index"):
+            assert not getattr(corr, name).flags.writeable, name
+
+    def test_ragged_session_keeps_its_empty_view(self):
+        corr = CorrespondenceSet((7, 3, 5), rows(6), rows(6, 50.0), [0, 4, 4, 6])
+        assert (corr.n_views, corr.n_points) == (3, 6)
+        assert corr.view_index.tolist() == [0, 0, 0, 0, 2, 2]
+        empty = split_views(corr)[1]
+        assert empty.view_id == 3 and empty.world_xy.shape == empty.pixels.shape == (0, 2)
+        assert [v.n_points for v in split_views(corr)] == [4, 0, 2]
+
+    def test_no_views(self):
+        corr = CorrespondenceSet((), np.empty((0, 2)), np.empty((0, 2)), [0])
+        assert (corr.n_views, corr.n_points) == (0, 0)
+
+
 class TestHomographies:
     def test_identity_mapping(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        H = homography(CalibrationView(0, pts, pts.copy()))
+        H = homography(View(0, pts, pts.copy()))
         assert np.allclose(H, np.eye(3) / math.sqrt(3.0), atol=1e-12)
         assert np.max(np.abs(H - oracles.homography(pts, pts))) <= 1e-12
 
@@ -142,7 +207,7 @@ class TestHomographies:
 
     def test_collinear_points_raise(self):
         world = np.column_stack([np.linspace(0, 1, 8), np.linspace(0, 2, 8)])
-        view = CalibrationView(0, world, world * 100.0 + 5.0)
+        view = View(0, world, world * 100.0 + 5.0)
         error = same_error(homography, oracle_homography, view)
         assert "rank-deficient" in str(error)
 
@@ -159,7 +224,7 @@ class TestHomographies:
 
     def test_too_few_points_raise(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        view = CalibrationView(0, pts, pts.copy())
+        view = View(0, pts, pts.copy())
         same_error(homography, oracle_homography, view)
 
 
@@ -282,7 +347,7 @@ class TestPosesFromHomographies:
         R = rot_x(0.4)
         t = np.array([0.0, 0.1, 1.2])
         view = view_from_pose(grid_xy(8), A, R, t)
-        noisy = CalibrationView(0, view.world_xy, view.pixels + rng.normal(0, 0.5, view.pixels.shape))
+        noisy = View(0, view.world_xy, view.pixels + rng.normal(0, 0.5, view.pixels.shape))
         R_got = pose_of(homography(noisy), A).rotation.T
         assert np.max(np.abs(R_got.T @ R_got - np.eye(3))) < 1e-12
         # rotation error stays small for half-pixel noise on a 64-point grid
@@ -295,20 +360,20 @@ def linear_scene():
     one whose pixels coincide (5), one of two points (11) and one whose
     pixels lie on a line though its points do not (23)."""
     corr, _ = make_scene(46, grid_nx=8, grid_ny=8, noise_sigma=0.5, n_views=6)
-    v = corr.views
+    v = split_views(corr)
     corners = [0, 7, 56, 63]
     sub_grid = [ix * 8 + iy for ix in (0, 3, 7) for iy in (0, 3, 7)]
     row = [ix * 8 + 2 for ix in range(8)]
     views = (
-        CalibrationView(7, v[0].world_xy[corners], v[0].pixels[corners]),
-        CalibrationView(2, v[1].world_xy[sub_grid], v[1].pixels[sub_grid]),
-        CalibrationView(31, v[2].world_xy[row], v[2].pixels[row]),
-        CalibrationView(40, v[3].world_xy, v[3].pixels),
-        CalibrationView(5, v[4].world_xy, np.tile(v[4].pixels[:1], (64, 1))),
-        CalibrationView(11, v[5].world_xy[:2], v[5].pixels[:2]),
-        CalibrationView(23, v[5].world_xy, np.column_stack([v[5].pixels[:, 0], 100.0 + 0.5 * v[5].pixels[:, 0]])),
+        View(7, v[0].world_xy[corners], v[0].pixels[corners]),
+        View(2, v[1].world_xy[sub_grid], v[1].pixels[sub_grid]),
+        View(31, v[2].world_xy[row], v[2].pixels[row]),
+        View(40, v[3].world_xy, v[3].pixels),
+        View(5, v[4].world_xy, np.tile(v[4].pixels[:1], (64, 1))),
+        View(11, v[5].world_xy[:2], v[5].pixels[:2]),
+        View(23, v[5].world_xy, np.column_stack([v[5].pixels[:, 0], 100.0 + 0.5 * v[5].pixels[:, 0]])),
     )
-    return CorrespondenceSet(views)
+    return stack_views(views)
 
 
 def warned(fn, *args):
@@ -348,9 +413,10 @@ class TestLinearStage:
 
     def test_raises_the_per_view_stage_errors(self):
         corr = linear_scene()
-        too_few = CorrespondenceSet(corr.views[:1] + corr.views[2:])
+        v = split_views(corr)
+        too_few = stack_views(v[:1] + v[2:])
         A = IntrinsicMatrix(800.0, 800.0, 0.0, 320.0, 240.0)
-        parallel = CorrespondenceSet(
+        parallel = stack_views(
             tuple(
                 view_from_pose(grid_xy(), A, rot_x(0.3), np.array([dx, 0.0, 1.2 + dz]), i)
                 for i, (dx, dz) in enumerate(((0, 0), (0.2, 0.1), (-0.1, 0.3)))
@@ -464,23 +530,25 @@ class TestObjective:
 
     def test_single_perturbed_observation(self):
         corr, truth = make_scene(32)
-        pixels = corr.views[0].pixels.copy()
+        v = split_views(corr)
+        pixels = v[0].pixels.copy()
         pixels[10] += (3.0, 4.0)
-        views = (CalibrationView(0, corr.views[0].world_xy, pixels),) + corr.views[1:]
-        J = objective(CorrespondenceSet(views), truth.intrinsics, truth.distortion, truth.extrinsics)
+        views = (View(0, v[0].world_xy, pixels),) + v[1:]
+        J = objective(stack_views(views), truth.intrinsics, truth.distortion, truth.extrinsics)
         assert abs(J - 25.0) <= 1e-9
 
     def test_residuals_add(self):
         corr, truth = make_scene(33)
-        pixels0 = corr.views[0].pixels.copy()
+        v = split_views(corr)
+        pixels0 = v[0].pixels.copy()
         pixels0[3] += (3.0, 4.0)
-        pixels1 = corr.views[1].pixels.copy()
+        pixels1 = v[1].pixels.copy()
         pixels1[7] += (6.0, 8.0)
         views = (
-            CalibrationView(0, corr.views[0].world_xy, pixels0),
-            CalibrationView(1, corr.views[1].world_xy, pixels1),
-        ) + corr.views[2:]
-        J = objective(CorrespondenceSet(views), truth.intrinsics, truth.distortion, truth.extrinsics)
+            View(0, v[0].world_xy, pixels0),
+            View(1, v[1].world_xy, pixels1),
+        ) + v[2:]
+        J = objective(stack_views(views), truth.intrinsics, truth.distortion, truth.extrinsics)
         assert abs(J - 125.0) <= 1e-9
 
     def test_ragged_views_match_per_view_projection(self):
@@ -488,7 +556,7 @@ class TestObjective:
         A, spec = truth.intrinsics, truth.distortion
         per_view = [
             one_view(A, spec, E, world3(v)).pixels - v.pixels
-            for v, E in zip(corr.views, truth.extrinsics)
+            for v, E in zip(split_views(corr), truth.extrinsics)
         ]
         want = sum(float(np.sum(d * d)) for d in per_view)
         assert abs(objective(corr, A, spec, truth.extrinsics) - want) <= 1e-12 * want
@@ -506,7 +574,7 @@ class TestObjective:
         for k, margin in ((1, 0.1), (2, 5.0)):
             E = extrinsics[k]
             axis = E.rotation[:, 2]
-            depth = (world3(corr.views[k]) - E.t) @ axis
+            depth = (world3(split_views(corr)[k]) - E.t) @ axis
             extrinsics[k] = ViewExtrinsics(E.axis_angle, E.t + (depth.max() + margin) * axis)
         A, spec = truth.intrinsics, truth.distortion
         theta = _pack_params(A, spec, extrinsics)
@@ -583,8 +651,9 @@ class TestDerivatives:
             corr, truth = ragged_scene(model)
         extrinsics = truth.extrinsics
         if scene == "empty_view":
-            empty = CalibrationView(9, np.empty((0, 2)), np.empty((0, 2)))
-            corr = CorrespondenceSet(corr.views[:1] + (empty,) + corr.views[1:])
+            v = split_views(corr)
+            empty = View(9, np.empty((0, 2)), np.empty((0, 2)))
+            corr = stack_views(v[:1] + (empty,) + v[1:])
             extrinsics = extrinsics[:1] + extrinsics
         theta = _pack_params(truth.intrinsics, truth.distortion, extrinsics)
         rng = np.random.default_rng(2)
@@ -615,8 +684,9 @@ class TestDerivatives:
         corr, truth = ragged_scene(model)
         extrinsics = truth.extrinsics
         if scene == "empty_view":
-            empty = CalibrationView(9, np.empty((0, 2)), np.empty((0, 2)))
-            corr = CorrespondenceSet(corr.views[:1] + (empty,) + corr.views[1:])
+            v = split_views(corr)
+            empty = View(9, np.empty((0, 2)), np.empty((0, 2)))
+            corr = stack_views(v[:1] + (empty,) + v[1:])
             extrinsics = extrinsics[:1] + extrinsics
         theta = _pack_params(truth.intrinsics, truth.distortion, extrinsics)
         rng = np.random.default_rng(3)
@@ -810,8 +880,9 @@ class TestRefine:
         # A view without points has a zero Gram product: it must neither
         # move nor disturb the others.
         corr, truth = make_scene(57, noise_sigma=0.5)
-        empty = CalibrationView(9, np.empty((0, 2)), np.empty((0, 2)))
-        padded = CorrespondenceSet(corr.views[:1] + (empty,) + corr.views[1:])
+        v = split_views(corr)
+        empty = View(9, np.empty((0, 2)), np.empty((0, 2)))
+        padded = stack_views(v[:1] + (empty,) + v[1:])
         fits = [
             refine(c, _build_result(c, truth.intrinsics, truth.distortion, extrinsics))
             for c, extrinsics in ((corr, truth.extrinsics), (padded, truth.extrinsics[:1] + truth.extrinsics))
@@ -917,7 +988,7 @@ class TestRecordIdentity:
         corr, truth = make_scene(58, noise_sigma=0.3)
         fix = LocalizationFix(0.1, np.zeros(3), WorldPoint(0.0, 0.0), WorldPoint(1.0, 0.0), 0.0, 0.0)
         return [
-            corr.views[0], corr, calibrate(corr, Model.MODEL3), linear_stage(corr), truth.extrinsics[0], fix
+            corr, calibrate(corr, Model.MODEL3), linear_stage(corr), truth.extrinsics[0], fix
         ]
 
     def test_hash_and_equality_are_identity(self):
@@ -940,8 +1011,8 @@ class TestPipelinePolicies:
     def _with_collinear_view(self, n_good):
         corr, _ = make_scene(61, n_views=n_good)
         bad_world = np.column_stack([np.linspace(-0.5, 0.5, 10), np.zeros(10)])
-        bad = CalibrationView(99, bad_world, bad_world * 400 + 300)
-        return CorrespondenceSet(corr.views + (bad,))
+        bad = View(99, bad_world, bad_world * 400 + 300)
+        return stack_views(split_views(corr) + (bad,))
 
     def test_degenerate_view_dropped_with_warning(self):
         corr = self._with_collinear_view(3)

@@ -7,8 +7,6 @@ import pytest
 
 from radialcal import calibration
 from radialcal.calibration import (
-    CalibrationView,
-    CorrespondenceSet,
     OptimizerOptions,
     SingularConfiguration,
     _build_result,
@@ -27,7 +25,7 @@ from radialcal.fileio import (
 )
 from radialcal.geometry import IntrinsicMatrix, ViewExtrinsics, WorldPoint, to_normalized, to_pixel_array
 
-from conftest import make_scene
+from conftest import View, make_scene, split_views, stack_views
 from oracles import rot_x, rot_z
 
 
@@ -165,13 +163,13 @@ class TestCalibrate:
         # View 3's points span the target, but its pixels lie on one line:
         # the session gives what views 0-2 alone give, with a warning.
         corr, _ = make_scene(3, grid_nx=6, grid_ny=6, n_views=4)
-        views = corr.views
+        views = split_views(corr)
         u = views[3].pixels[:, 0]
-        flat = CalibrationView(3, views[3].world_xy, np.column_stack([u, 100.0 + 0.5 * u]))
+        flat = View(3, views[3].world_xy, np.column_stack([u, 100.0 + 0.5 * u]))
         outputs, messages = [], []
         for name, session in (("four", views[:3] + (flat,)), ("three", views[:3])):
             corr_path, out_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
-            write_correspondences(corr_path, CorrespondenceSet(session))
+            write_correspondences(corr_path, stack_views(session))
             argv = [command, "--input", str(corr_path)]
             argv += ["--model", "3", "--output", str(out_path)] if command == "calibrate" else ["--json"]
             with warnings.catch_warnings(record=True) as caught:

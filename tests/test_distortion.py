@@ -782,8 +782,18 @@ class TestInverseContract:
             # k1 ** -1 overflows in the dominant term's reach: OverflowError.
             (DistortionSpec(Model.MODEL3, 1e-310, -0.1), 1.8257, 1.2172, {}),
             (DistortionSpec(Model.MODEL3, 5e-324, 0.05), math.inf, math.inf, {1e300: 2.7144e100}),
+            # The coefficients of F' overflow: the fold was inf, a radius
+            # past it ran out of steps instead of being flagged, and a
+            # radius with a root got no Newton slope.
+            (DistortionSpec(Model.MODEL3, -1e308, 0.0), 5e-309, 2.5e-309, {}),
+            (DistortionSpec(Model.MODEL2, -1e308), 5.7735e-155, 3.849e-155, {1e-160: 1e-160}),
+            (DistortionSpec(Model.MODEL3, 1e308, -1e308), 0.66667, 1.4815e307, {1e-300: 9.9995e-305}),
+            (DistortionSpec(Model.MODEL1, 1e300, -1e308), 7.7460e-5, 1.8590e287, {1e-300: 1e-300, 1e-100: 4.6416e-134}),
         ],
-        ids=["model3-fold-overflow", "model1-fold-overflow", "model3-k1-1e-310", "model3-k1-5e-324"],
+        ids=[
+            "model3-fold-overflow", "model1-fold-overflow", "model3-k1-1e-310", "model3-k1-5e-324",
+            "model3-slope-overflow", "model2-slope-overflow", "model3-both-overflow", "model1-k2-overflow",
+        ],
     )
     def test_extreme_coefficients(self, spec, want_fold, want_top, roots):
         assert spec.fold == pytest.approx(want_fold, rel=1e-4, abs=0.0)
@@ -791,10 +801,10 @@ class TestInverseContract:
         assert solve.top == pytest.approx(want_top, rel=1e-3, abs=0.0)
         if spec.fold < math.inf:
             # F'(fold) = 0 within the rounding of its terms; F' > 0 below it.
-            _, _, _, c1, c2 = solve.terms
+            _, _, _, c1, c2, unit = solve.terms
             s = spec.fold if spec.model is Model.MODEL3 else spec.fold ** 2
             slope = distortion._radius_map(solve.terms, spec.fold)[1]
-            assert abs(slope) <= 1e-14 * (1.0 + abs(c1 * s) + abs(c2 * s * s))
+            assert abs(slope) <= 1e-14 * (unit + abs(c1 * s) + abs(c2 * s * s)) / unit
             assert distortion._radius_map(solve.terms, spec.fold * (1.0 - 1e-9))[1] > 0.0
         top = solve.top
         near = [top * 0.5, top * (1.0 - 1e-15), top, top * (1.0 + 1e-15)] if top < math.inf else []

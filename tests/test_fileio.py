@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radialcal.calibration import CalibrationResult, OptimizerOptions, calibrate, objective
-from radialcal.distortion import Model
+from radialcal.calibration import CalibrationResult, CorrespondenceSet, OptimizerOptions, calibrate, objective
+from radialcal.distortion import DistortionSpec, Model
 from radialcal.fileio import (
     ParseError,
     fmt,
@@ -26,11 +26,11 @@ from radialcal.fileio import (
     write_pose,
     write_scene_truth,
 )
-from radialcal.geometry import ViewExtrinsics
-from radialcal.synth import PoseRanges
+from radialcal.geometry import IntrinsicMatrix, ViewExtrinsics
+from radialcal.synth import PoseRanges, SynthSpec
 
 import oracles
-from conftest import make_scene
+from conftest import make_scene, split_views
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -48,18 +48,35 @@ class TestCorrespondenceCsv:
         write_correspondences(path, corr)
         back = read_correspondences(path)
         assert back.n_views == corr.n_views
-        for v0, v1 in zip(corr.views, back.views):
+        for v0, v1 in zip(split_views(corr), split_views(back)):
             assert v0.view_id == v1.view_id
             assert np.array_equal(v0.world_xy, v1.world_xy)
             assert np.array_equal(v0.pixels, v1.pixels)
+
+    @pytest.mark.parametrize(
+        "view_ids",
+        [(-3, -1, -2), (40, 7, 2), (2**70 + 1, -(2**64), 5)],
+        ids=["negative", "unsorted", "beyond-64-bits"],
+    )
+    def test_write_read_write_is_byte_identical(self, tmp_path, view_ids):
+        xy = np.random.default_rng(8).normal(0.0, 100.0, (9, 4))
+        corr = CorrespondenceSet(view_ids, xy[:, :2], xy[:, 2:], [0, 4, 5, 9])
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_correspondences(first, corr)
+        back = read_correspondences(first)
+        write_correspondences(second, back)
+        assert second.read_bytes() == first.read_bytes()
+        assert back.view_ids == view_ids
+        assert back.offsets.tolist() == [0, 4, 5, 9]
+        assert _bits(back.world) == _bits(corr.world) and _bits(back.pixels) == _bits(corr.pixels)
 
     def test_accepts_crlf(self, tmp_path):
         path = tmp_path / "corr.csv"
         rows = ["view_id,Xw,Yw,ud,vd", "0,0.5,1.5,100.25,200.5", "0,1,2,3,4"]
         path.write_bytes(("\r\n".join(rows) + "\r\n").encode())
-        corr = read_correspondences(path)
-        assert corr.views[0].n_points == 2
-        assert corr.views[0].world_xy[0, 1] == 1.5
+        (view,) = split_views(read_correspondences(path))
+        assert view.n_points == 2
+        assert view.world_xy[0, 1] == 1.5
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "corr.csv"
@@ -103,18 +120,18 @@ class TestCorrespondenceCsv:
         path = tmp_path / "corr.csv"
         rows = ["7,0,0,1,1", "2,0,1,2,2", "7,1,0,3,3", "-4,1,1,4,4", "2,2,2,5,5", "7,3,3,6,6"]
         path.write_text("view_id,Xw,Yw,ud,vd\n" + "\n".join(rows) + "\n")
-        corr = read_correspondences(path)
-        assert [v.view_id for v in corr.views] == [7, 2, -4]
-        assert corr.views[0].pixels[:, 0].tolist() == [1.0, 3.0, 6.0]
-        assert corr.views[0].world_xy.tolist() == [[0.0, 0.0], [1.0, 0.0], [3.0, 3.0]]
-        assert corr.views[1].pixels[:, 1].tolist() == [2.0, 5.0]
-        assert corr.views[2].world_xy.tolist() == [[1.0, 1.0]]
+        views = split_views(read_correspondences(path))
+        assert [v.view_id for v in views] == [7, 2, -4]
+        assert views[0].pixels[:, 0].tolist() == [1.0, 3.0, 6.0]
+        assert views[0].world_xy.tolist() == [[0.0, 0.0], [1.0, 0.0], [3.0, 3.0]]
+        assert views[1].pixels[:, 1].tolist() == [2.0, 5.0]
+        assert views[2].world_xy.tolist() == [[1.0, 1.0]]
 
     def test_huge_view_id_kept_exactly(self, tmp_path):
         path = tmp_path / "corr.csv"
         big = 2**70 + 1
         path.write_text(f"view_id,Xw,Yw,ud,vd\n{big},1,2,3,4\n")
-        assert read_correspondences(path).views[0].view_id == big
+        assert read_correspondences(path).view_ids == (big,)
 
     @pytest.mark.parametrize("field", ["1.5", "1e3", "1.0", str(2**70 + 1), str(-(2**63) - 1)])
     def test_view_id_exact_or_refused_with_warnings_ignored(self, tmp_path, field):
@@ -128,7 +145,7 @@ class TestCorrespondenceCsv:
                 with pytest.raises(ParseError, match="line 2: view_id .* is not an integer"):
                     read_correspondences(path)
             else:
-                assert read_correspondences(path).views[0].view_id == int(field)
+                assert read_correspondences(path).view_ids == (int(field),)
 
     def test_id_that_loadtxt_casts_via_float_is_refused(self, tmp_path, monkeypatch):
         # From numpy 1.23, while the deprecation lasts, loadtxt reads "1.5"
@@ -148,10 +165,10 @@ class TestCorrespondenceCsv:
     def test_blank_lines_and_padded_fields_accepted(self, tmp_path):
         path = tmp_path / "corr.csv"
         path.write_text("view_id,Xw,Yw,ud,vd\n\n 3 , 0.5,1.5 ,\t2,4\n   \n3,1,2,3,4\n\n")
-        corr = read_correspondences(path)
-        assert corr.views[0].view_id == 3
-        assert corr.views[0].world_xy.tolist() == [[0.5, 1.5], [1.0, 2.0]]
-        assert corr.views[0].pixels.tolist() == [[2.0, 4.0], [3.0, 4.0]]
+        (view,) = split_views(read_correspondences(path))
+        assert view.view_id == 3
+        assert view.world_xy.tolist() == [[0.5, 1.5], [1.0, 2.0]]
+        assert view.pixels.tolist() == [[2.0, 4.0], [3.0, 4.0]]
 
     def test_bytes_match_per_row_fmt(self, tmp_path):
         corr, _ = make_scene(4, noise_sigma=0.3)
@@ -159,7 +176,7 @@ class TestCorrespondenceCsv:
         write_correspondences(path, corr)
         rows = ["view_id,Xw,Yw,ud,vd"] + [
             f"{view.view_id},{fmt(xw)},{fmt(yw)},{fmt(ud)},{fmt(vd)}"
-            for view in corr.views
+            for view in split_views(corr)
             for (xw, yw), (ud, vd) in zip(view.world_xy, view.pixels)
         ]
         assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
@@ -302,8 +319,9 @@ class TestReaderParity:
         if isinstance(want, tuple):
             assert isinstance(got, tuple) and got == want
             return
-        assert [v.view_id for v in got.views] == [v.view_id for v in want.views]
-        for a, b in zip(got.views, want.views):
+        got = split_views(got)
+        assert [v.view_id for v in got] == [v.view_id for v in want]
+        for a, b in zip(got, want):
             assert _bits(a.world_xy) == _bits(b.world_xy)
             assert _bits(a.pixels) == _bits(b.pixels)
 
@@ -592,6 +610,21 @@ class TestPoseAndSpecJson:
         assert spec.noise_sigma == 0.0
         assert spec.distortion.k2 == 0.0
         assert spec.pose == PoseRanges()
+
+    def test_synth_spec_defaults_are_the_dataclass_defaults(self, tmp_path):
+        A = IntrinsicMatrix(800.0, 790.0, 0.5, 320.0, 240.0)
+        D = DistortionSpec(Model.MODEL3, -0.2, 0.05)
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "seed": 9,
+                    "intrinsics": {"alpha": 800, "beta": 790, "gamma": 0.5, "u0": 320, "v0": 240},
+                    "distortion": {"model": "model3", "k1": -0.2, "k2": 0.05},
+                }
+            )
+        )
+        assert read_synth_spec(path) == SynthSpec(9, A, D)
 
     def test_synth_spec_full(self, tmp_path):
         path = tmp_path / "spec.json"
